@@ -30,7 +30,6 @@ from .oracles import (
 from .rptest import (
     DegenerateProjectionError,
     Direction,
-    ProjectedStat,
     TestReport,
     fdr_combine,
     golden_multipliers,
@@ -39,7 +38,6 @@ from .rptest import (
     sample_direction_datadriven,
     test_flm,
     test_simple,
-    wild_bootstrap_pvalue,
 )
 from .simlab import (
     MonteCarloResult,
@@ -64,7 +62,6 @@ __all__ = [
     "ScenarioSpec",
     "TestReport",
     "Direction",
-    "ProjectedStat",
     "DegenerateProjectionError",
     "center",
     "compute_fpc",
@@ -96,5 +93,4 @@ __all__ = [
     "tnx_sequence",
     "tnx_truncation_bound",
     "uniform_grid",
-    "wild_bootstrap_pvalue",
 ]

@@ -180,7 +180,6 @@ def _fdr_rows_to_csv(rows):
 
 def _add_common_flags(parser, bootstrap_default):
     parser.add_argument("--seed", type=int, default=0, help="master seed (u64)")
-    parser.add_argument("--threads", type=int, default=1, help="parallelism cap")
     parser.add_argument("--stat", choices=("ks", "cvm"), default="cvm")
     parser.add_argument(
         "--projections", "--K", dest="projections", type=int, default=5,
@@ -239,6 +238,7 @@ def _build_parser():
         "--timings", action="store_true",
         help="include wall time in the table (breaks byte-identity across runs)",
     )
+    sim_p.add_argument("--threads", type=int, default=1, help="worker processes")
     _add_common_flags(sim_p, bootstrap_default=500)
 
     bench_p = sub.add_parser("bench", help="time the composite test across n")
@@ -360,7 +360,6 @@ def bench_composite_test(n_values, trials, K, B, kind, seed):
     import time
 
     spec = scenario(1)
-    spec.sigma2  # exclude the cached variance estimate from the timings
     rows = []
     for n in n_values:
         elapsed = 0.0

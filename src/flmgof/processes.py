@@ -2,7 +2,7 @@
 
 Generators take an `np.random.Generator` and return an (n, G) array of paths
 evaluated at the grid points. Covariance helpers give the matching population
-kernels for validation.
+kernels, used for validation and for the exact scenario signal variance.
 """
 
 from __future__ import annotations

@@ -27,14 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flm import FlmFit, _hat_apply_rows, estimate_rho, select_rank_sicc
+from .flm import _hat_apply_rows, estimate_rho, select_rank_sicc
 from .fpc import FpcBasis, compute_fpc
 from .funspace import FunctionalSample, _frozen, center, curve_norm
 from .processes import ornstein_uhlenbeck
 
 __all__ = [
     "Direction",
-    "ProjectedStat",
     "ProjectionOutcome",
     "TestReport",
     "DegenerateProjectionError",
@@ -42,7 +41,6 @@ __all__ = [
     "sample_direction_datadriven",
     "project",
     "process_statistic",
-    "wild_bootstrap_pvalue",
     "fdr_combine",
     "test_flm",
     "test_simple",
@@ -78,25 +76,6 @@ class Direction:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen(self.values))
-
-
-@dataclass(frozen=True)
-class ProjectedStat:
-    """Process norms for one direction plus the projection layout."""
-
-    ks: float
-    cvm: float
-    projections: np.ndarray
-    order: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "projections", _frozen(self.projections))
-        order = np.asarray(self.order, dtype=np.intp)
-        order.setflags(write=False)
-        object.__setattr__(self, "order", order)
-
-    def value(self, kind: str) -> float:
-        return self.ks if _check_kind(kind) == "ks" else self.cvm
 
 
 @dataclass(frozen=True)
@@ -162,15 +141,20 @@ class _SortedProjections:
 
         `marks` may be (n,) or (B, n); norms come back with matching shape.
         """
+        # Two (B, n) buffers per call: `ordered` holds the cumsum, then |levels|,
+        # then levels^2. Every fresh buffer of this size can cost page faults,
+        # which dominate at small n.
         ordered = np.asarray(marks, dtype=float)[..., self.order]
-        levels = np.cumsum(ordered, axis=-1)[..., self.block_end] * self.scale
-        ks = np.max(np.abs(levels), axis=-1)
-        cvm = np.mean(levels * levels, axis=-1)
+        np.cumsum(ordered, axis=-1, out=ordered)
+        levels = ordered[..., self.block_end]
+        levels *= self.scale
+        ks = np.max(np.abs(levels, out=ordered), axis=-1)
+        cvm = np.mean(np.multiply(levels, levels, out=ordered), axis=-1)
         return ks, cvm
 
 
-def process_statistic(projections, marks) -> ProjectedStat:
-    """Evaluate both process norms for one direction.
+def process_statistic(projections, marks) -> tuple[float, float]:
+    """KS and CvM norms of the marked process for one direction.
 
     Parameters
     ----------
@@ -178,6 +162,10 @@ def process_statistic(projections, marks) -> ProjectedStat:
         Scalar projections <X_i, h>.
     marks : array, shape (n,)
         Marks attached to the observations (residuals, or Y - m0(X)).
+
+    Returns
+    -------
+    (ks, cvm) : tuple of float
     """
     layout = _SortedProjections(projections)
     marks = np.asarray(marks, dtype=float)
@@ -186,12 +174,7 @@ def process_statistic(projections, marks) -> ProjectedStat:
     if not np.all(np.isfinite(marks)):
         raise ValueError("marks contain non-finite values")
     ks, cvm = layout.norms(marks)
-    return ProjectedStat(
-        ks=float(ks),
-        cvm=float(cvm),
-        projections=np.asarray(projections, dtype=float),
-        order=layout.order,
-    )
+    return float(ks), float(cvm)
 
 
 def fdr_combine(pvalues) -> float:
@@ -271,46 +254,6 @@ def _draw_nondegenerate_direction(sample, basis, r, variant, rng, draw):
     )
 
 
-def _bootstrap_pvalue(layout, observed_value, mark_rows, kind, positive_correction):
-    ks, cvm = layout.norms(mark_rows)
-    stats = ks if kind == "ks" else cvm
-    count = int(np.count_nonzero(stats >= observed_value))
-    if positive_correction:
-        return (count + 1.0) / (stats.size + 1.0)
-    return count / stats.size
-
-
-def wild_bootstrap_pvalue(
-    fit: FlmFit,
-    projections,
-    observed: ProjectedStat,
-    B: int,
-    kind: str = "cvm",
-    rng=None,
-    positive_correction: bool = False,
-) -> float:
-    """Bootstrap p-value for one direction with refits at the fitted rank.
-
-    Each replicate multiplies the residuals by fresh golden-ratio weights and
-    re-residualizes through the fitting pipeline (center, then project out
-    the score columns); the p-value is the fraction of replicate norms at or
-    above the observed one (ties count as exceedances).
-    """
-    kind = _check_kind(kind)
-    if B < 1:
-        raise ValueError("B must be a positive integer")
-    if rng is None:
-        raise ValueError("an np.random.Generator is required")
-    layout = _SortedProjections(projections)
-    if layout.n != fit.n:
-        raise ValueError("projections must match the fit in length")
-    weights = golden_multipliers(rng, (B, fit.n))
-    replicate_marks = _replay_residuals(fit, weights * fit.residuals)
-    return _bootstrap_pvalue(
-        layout, observed.value(kind), replicate_marks, kind, positive_correction
-    )
-
-
 def _replay_residuals(fit, perturbed):
     """Residuals of the centered refit at fixed rank on fitted + perturbed.
 
@@ -320,63 +263,19 @@ def _replay_residuals(fit, perturbed):
     (I - H)(e - mean(e)).
     """
     centered = perturbed - perturbed.mean(axis=-1, keepdims=True)
-    return centered - _hat_apply_rows(fit, centered)
+    centered -= _hat_apply_rows(fit, centered)
+    return centered
 
 
-def _as_seed_sequence(seed):
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
-def _philox(seed_seq):
-    return np.random.Generator(np.random.Philox(seed_seq))
-
-
-def _projection_round(
-    sample,
-    basis,
-    marks,
-    replicate_source,
-    K,
-    r,
-    sampler,
-    kind,
-    direction_rng,
-    positive_correction,
-):
-    """Statistics and bootstrap p-values across K directions.
-
-    `replicate_source` is either a fixed (B, n) mark matrix shared by every
-    projection or a zero-argument callable producing a fresh one per draw.
-    """
-    outcomes = []
-    for draw in range(1, K + 1):
-        _, projections = _draw_nondegenerate_direction(
-            sample, basis, r, sampler, direction_rng, draw
-        )
-        layout = _SortedProjections(projections)
-        ks, cvm = layout.norms(marks)
-        observed_value = float(ks if kind == "ks" else cvm)
-        replicate_marks = (
-            replicate_source() if callable(replicate_source) else replicate_source
-        )
-        pvalue = _bootstrap_pvalue(
-            layout, observed_value, replicate_marks, kind, positive_correction
-        )
-        outcomes.append(
-            ProjectionOutcome(index=draw, statistic=observed_value, pvalue=pvalue)
-        )
-    return outcomes
-
-
-def _validate_common(sample, y, K, B):
-    if not isinstance(sample, FunctionalSample):
+def _prepare(X, y, K, B, kind):
+    """Check the inputs both tests share; center X and compute its FPC basis."""
+    kind = _check_kind(kind)
+    if not isinstance(X, FunctionalSample):
         raise ValueError("X must be a FunctionalSample")
-    if sample.n < 3:
+    if X.n < 3:
         raise ValueError("the test needs at least three observations")
     y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size != sample.n:
+    if y.ndim != 1 or y.size != X.n:
         raise ValueError("response must be a vector with one value per curve")
     if not np.all(np.isfinite(y)):
         raise ValueError("response contains non-finite values")
@@ -384,7 +283,56 @@ def _validate_common(sample, y, K, B):
         raise ValueError("K must be a positive integer")
     if B < 1:
         raise ValueError("B must be a positive integer")
-    return y
+    sample = X if X.centered else center(X)[0]
+    return kind, y, sample, compute_fpc(sample)
+
+
+def _projection_test(
+    sample, basis, marks, fit, K, B, kind, r, sampler, seed, positive_correction
+):
+    """Score K random projections of the marked process and combine them.
+
+    One (B, n) matrix of golden-ratio multipliers calibrates every direction.
+    With a `fit` (composite null) the perturbed marks are replayed through
+    the fit at its rank; without one (simple null) they are used as drawn.
+    """
+    root = seed
+    if not isinstance(root, np.random.SeedSequence):
+        root = np.random.SeedSequence(seed)
+    direction_rng, multiplier_rng = (
+        np.random.Generator(np.random.Philox(child)) for child in root.spawn(2)
+    )
+    replicates = golden_multipliers(multiplier_rng, (B, sample.n))
+    replicates *= marks
+    if fit is not None:
+        replicates = _replay_residuals(fit, replicates)
+    column = STAT_KINDS.index(kind)
+
+    outcomes = []
+    for draw in range(1, K + 1):
+        _, projections = _draw_nondegenerate_direction(
+            sample, basis, r, sampler, direction_rng, draw
+        )
+        layout = _SortedProjections(projections)
+        observed = float(layout.norms(marks)[column])
+        count = int(np.count_nonzero(layout.norms(replicates)[column] >= observed))
+        pvalue = (count + 1.0) / (B + 1.0) if positive_correction else count / B
+        outcomes.append(
+            ProjectionOutcome(index=draw, statistic=observed, pvalue=pvalue)
+        )
+
+    settings = {
+        "K": K,
+        "B": B,
+        "stat": kind,
+        "rank": None if fit is None else fit.rank,
+        "r": r,
+        "sampler": sampler,
+        "seed": int(seed) if isinstance(seed, (int, np.integer)) else None,
+        "positive_correction": positive_correction,
+    }
+    p_fdr = fdr_combine([rec.pvalue for rec in outcomes])
+    return TestReport(per_projection=tuple(outcomes), p_fdr=p_fdr, settings=settings)
 
 
 def test_flm(
@@ -398,67 +346,26 @@ def test_flm(
     sampler: str = "i",
     seed=None,
     positive_correction: bool = False,
-    share_multipliers: bool = True,
 ) -> TestReport:
     """Composite goodness-of-fit test of the functional linear model.
 
     Fits the model once (rank chosen by SICc unless `rank` is given), then
     scores K random projections of the residual-marked process, calibrating
-    each with a wild bootstrap of B replicates. One multiplier matrix is
-    shared by all projections within a replicate unless `share_multipliers`
-    is disabled. Reproducible for a fixed `seed` (int or SeedSequence)
-    regardless of available parallelism.
+    each with a wild bootstrap of B replicates. Reproducible for a fixed
+    `seed` (int or SeedSequence) regardless of available parallelism.
     """
-    kind = _check_kind(kind)
-    y = _validate_common(X, y, K, B)
-
-    sample = X if X.centered else center(X)[0]
+    kind, y, sample, basis = _prepare(X, y, K, B, kind)
     y_centered = y - y.mean()
-    basis = compute_fpc(sample)
     if rank is None:
         max_rank = min(basis.m, sample.n - 3)
         if max_rank < 1:
             raise ValueError("too few observations to select a rank; pass rank=")
-        fitted_rank, _ = select_rank_sicc(sample, y_centered, basis, max_rank)
-    else:
-        fitted_rank = int(rank)
-    fit = estimate_rho(sample, y_centered, basis, fitted_rank)
-
-    root = _as_seed_sequence(seed)
-    direction_seed, multiplier_seed = root.spawn(2)
-    direction_rng = _philox(direction_seed)
-    multiplier_rng = _philox(multiplier_seed)
-
-    def fresh_replicates():
-        weights = golden_multipliers(multiplier_rng, (B, sample.n))
-        return _replay_residuals(fit, weights * fit.residuals)
-
-    replicate_source = fresh_replicates() if share_multipliers else fresh_replicates
-    outcomes = _projection_round(
-        sample,
-        basis,
-        fit.residuals,
-        replicate_source,
-        K,
-        r,
-        sampler,
-        kind,
-        direction_rng,
+        rank, _ = select_rank_sicc(sample, y_centered, basis, max_rank)
+    fit = estimate_rho(sample, y_centered, basis, int(rank))
+    return _projection_test(
+        sample, basis, fit.residuals, fit, K, B, kind, r, sampler, seed,
         positive_correction,
     )
-
-    p_fdr = fdr_combine([rec.pvalue for rec in outcomes])
-    settings = {
-        "K": K,
-        "B": B,
-        "stat": kind,
-        "rank": fitted_rank,
-        "r": r,
-        "sampler": sampler,
-        "seed": _seed_for_report(seed),
-        "positive_correction": positive_correction,
-    }
-    return TestReport(per_projection=tuple(outcomes), p_fdr=p_fdr, settings=settings)
 
 
 def test_simple(
@@ -480,11 +387,9 @@ def test_simple(
     estimated under this null, so the bootstrap multiplies the marks
     directly, with no refit and no centering.
     """
-    kind = _check_kind(kind)
-    y = _validate_common(X, y, K, B)
-
+    kind, y, sample, basis = _prepare(X, y, K, B, kind)
     if m0 is None:
-        marks = y.copy()
+        marks = y
     elif callable(m0):
         marks = y - np.asarray(m0(X), dtype=float)
     else:
@@ -494,45 +399,6 @@ def test_simple(
         marks = y - predictions
     if not np.all(np.isfinite(marks)):
         raise ValueError("marks contain non-finite values")
-
-    sample = X if X.centered else center(X)[0]
-    basis = compute_fpc(sample)
-
-    root = _as_seed_sequence(seed)
-    direction_seed, multiplier_seed = root.spawn(2)
-    direction_rng = _philox(direction_seed)
-    multiplier_rng = _philox(multiplier_seed)
-
-    weights = golden_multipliers(multiplier_rng, (B, sample.n))
-    replicate_marks = weights * marks
-    outcomes = _projection_round(
-        sample,
-        basis,
-        marks,
-        replicate_marks,
-        K,
-        r,
-        sampler,
-        kind,
-        direction_rng,
-        positive_correction,
+    return _projection_test(
+        sample, basis, marks, None, K, B, kind, r, sampler, seed, positive_correction
     )
-
-    p_fdr = fdr_combine([rec.pvalue for rec in outcomes])
-    settings = {
-        "K": K,
-        "B": B,
-        "stat": kind,
-        "rank": None,
-        "r": r,
-        "sampler": sampler,
-        "seed": _seed_for_report(seed),
-        "positive_correction": positive_correction,
-    }
-    return TestReport(per_projection=tuple(outcomes), p_fdr=p_fdr, settings=settings)
-
-
-def _seed_for_report(seed):
-    if seed is None or isinstance(seed, (int, np.integer)):
-        return None if seed is None else int(seed)
-    return None

@@ -6,8 +6,9 @@ three-level deviation schedule (delta = 0 is the null). Responses follow
     Y_i = <X_i, rho> + sign * delta * Dev(X_i) + eps_i,
 
 with Gaussian noise scaled so the null signal-to-noise ratio is R^2 = 0.95:
-sigma^2 = Var(<X, rho>) (1 - R^2) / R^2, the variance estimated once per
-scenario by a fixed-seed 100000-draw Monte Carlo and cached.
+sigma^2 = Var(<X, rho>) (1 - R^2) / R^2, the variance computed exactly on the
+scenario grid as (w rho)^T C (w rho), with C the covariance kernel of X at the
+grid points and w the quadrature weights.
 
 Every trial is seeded by (study seed, scenario, deviation level, n, trial)
 through a counter-based generator, so results do not depend on how trials are
@@ -25,11 +26,15 @@ import numpy as np
 
 from .funspace import FunctionalSample, Grid, _frozen, uniform_grid
 from .processes import (
+    bb_kernel,
+    bm_kernel,
     brownian_bridge,
     brownian_motion,
     cosine_expansion,
+    gbm_kernel,
     geometric_brownian_motion,
     ornstein_uhlenbeck,
+    ou_kernel,
 )
 from .rptest import test_flm
 
@@ -47,9 +52,10 @@ __all__ = [
 
 ALPHAS = (0.01, 0.05, 0.10)
 NULL_R_SQUARED = 0.95
-SIGNAL_VARIANCE_DRAWS = 100_000
-_SIGNAL_VARIANCE_SEED_TAG = 0x51E9A7
 _PROCESS_KINDS = ("bm", "bb", "hhn1", "hhn2", "ou", "gbm")
+# decay of the coefficient variances j^-decay in the two cosine expansions
+_COSINE_DECAYS = {"hhn1": 2.0, "hhn2": 4.0}
+_KERNELS = {"bm": bm_kernel, "bb": bb_kernel, "ou": ou_kernel, "gbm": gbm_kernel}
 
 
 def gen_process(kind: str, n: int, grid: Grid, rng) -> FunctionalSample:
@@ -60,10 +66,8 @@ def gen_process(kind: str, n: int, grid: Grid, rng) -> FunctionalSample:
         data = brownian_motion(n, grid, rng)
     elif kind == "bb":
         data = brownian_bridge(n, grid, rng)
-    elif kind == "hhn1":
-        data = cosine_expansion(n, grid, rng, decay=2.0)
-    elif kind == "hhn2":
-        data = cosine_expansion(n, grid, rng, decay=4.0)
+    elif kind in _COSINE_DECAYS:
+        data = cosine_expansion(n, grid, rng, decay=_COSINE_DECAYS[kind])
     elif kind == "ou":
         data = ornstein_uhlenbeck(n, grid, rng)
     elif kind == "gbm":
@@ -179,8 +183,8 @@ class ScenarioSpec:
 
     @cached_property
     def signal_variance(self) -> float:
-        """Monte Carlo Var(<X, rho>) under the null, fixed internal seed."""
-        return _signal_variance(self.process, self.rho, self.grid, self.index)
+        """Exact Var(<X, rho>) on the scenario grid under the null."""
+        return _signal_variance(self.process, self.rho, self.grid)
 
     @cached_property
     def sigma2(self) -> float:
@@ -211,26 +215,17 @@ def scenario(index: int, grid: Grid | None = None) -> ScenarioSpec:
     )
 
 
-_signal_variance_cache: dict = {}
-
-
-def _signal_variance(process, rho, grid, index):
-    key = (index, grid.size)
-    cached = _signal_variance_cache.get(key)
-    if cached is not None:
-        return cached
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence((_SIGNAL_VARIANCE_SEED_TAG, index)))
-    )
+def _signal_variance(process, rho, grid):
+    """Var(<X, rho>) = (w rho)^T C (w rho) for the quadrature inner product."""
     weighted_rho = grid.weights * rho
-    chunk = 10_000
-    values = np.empty(SIGNAL_VARIANCE_DRAWS)
-    for start in range(0, SIGNAL_VARIANCE_DRAWS, chunk):
-        block = gen_process(process, chunk, grid, rng)
-        values[start : start + chunk] = block.data @ weighted_rho
-    estimate = float(np.var(values, ddof=1))
-    _signal_variance_cache[key] = estimate
-    return estimate
+    points = grid.points
+    if process in _COSINE_DECAYS:
+        # C = sum_j j^-decay phi_j phi_j^T over the 20 terms of cosine_expansion
+        j = np.arange(1, 21)
+        loadings = (np.sqrt(2.0) * np.cos(np.pi * np.outer(j, points))) @ weighted_rho
+        return float(np.sum(j ** -_COSINE_DECAYS[process] * loadings**2))
+    kernel = _KERNELS[process](points[:, None], points[None, :])
+    return float(weighted_rho @ kernel @ weighted_rho)
 
 
 def gen_response(spec: ScenarioSpec, X: FunctionalSample, d: int, rng, sigma2=None):
@@ -269,13 +264,13 @@ class MonteCarloResult:
 
 
 def _study_trial(args):
-    (index, d, n, K, B, kind, r, sampler, seed, trial) = args
+    (index, d, n, K, B, kind, r, sampler, seed, trial, sigma2) = args
     spec = scenario(index)
     root = np.random.SeedSequence((seed, index, d, n, trial))
     data_seed, test_seed = root.spawn(2)
     rng = np.random.Generator(np.random.Philox(data_seed))
     X = gen_process(spec.process, n, spec.grid, rng)
-    y = gen_response(spec, X, d, rng)
+    y = gen_response(spec, X, d, rng, sigma2=sigma2)
     report = test_flm(
         X, y, K=K, B=B, kind=kind, r=r, rank=None, sampler=sampler, seed=test_seed
     )
@@ -309,12 +304,11 @@ def run_study(
     results = []
     for index in scenarios:
         spec = scenario(index)
-        spec.sigma2  # warm the per-scenario cache before any forking
         for d in d_values:
             for n in n_values:
                 started = time.perf_counter()
                 payloads = [
-                    (index, d, n, K, B, kind, r, sampler, seed, trial)
+                    (index, d, n, K, B, kind, r, sampler, seed, trial, spec.sigma2)
                     for trial in range(M)
                 ]
                 if threads == 1:

@@ -152,6 +152,14 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_threads_flag_only_on_simulate(dataset, capsys):
+    # `test` and `bench` run in one process, so they take no --threads
+    code, _, _ = run_cli(base_args(dataset, "--threads", "2"), capsys)
+    assert code == EXIT_USAGE
+    code, _, _ = run_cli(["bench", "--n-list", "8", "--threads", "2"], capsys)
+    assert code == EXIT_USAGE
+
+
 def test_dump_round_trip(dataset, tmp_path, capsys):
     first_dump = tmp_path / "dump1.csv"
     second_dump = tmp_path / "dump2.csv"

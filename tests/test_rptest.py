@@ -18,7 +18,6 @@ from flmgof import (
     project,
     sample_direction_datadriven,
     uniform_grid,
-    wild_bootstrap_pvalue,
 )
 from flmgof import test_flm as flm_gof
 from flmgof import test_simple as simple_gof
@@ -26,6 +25,7 @@ from flmgof.rptest import (
     GOLDEN_PROBS,
     GOLDEN_VALUES,
     _draw_nondegenerate_direction,
+    _replay_residuals,
     _SortedProjections,
 )
 
@@ -38,22 +38,20 @@ def philox(seed):
 
 
 def test_two_point_example():
-    stat = process_statistic([0.0, 1.0], [1.0, -1.0])
-    assert stat.ks == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-15)
-    assert stat.cvm == pytest.approx(0.25, abs=1e-15)
-    assert list(stat.order) == [0, 1]
-    assert stat.value("ks") == stat.ks
-    assert stat.value("cvm") == stat.cvm
-    with pytest.raises(ValueError):
-        stat.value("bogus")
+    ks, cvm = process_statistic([0.0, 1.0], [1.0, -1.0])
+    assert type(ks) is float and type(cvm) is float
+    assert ks == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-15)
+    assert cvm == pytest.approx(0.25, abs=1e-15)
+    # the order of the projections, not of the observations, sorts the process
+    assert process_statistic([1.0, 0.0], [-1.0, 1.0]) == (ks, cvm)
 
 
 def test_all_projections_tied():
     marks = np.array([0.5, -2.0, 1.0, 0.25])
-    stat = process_statistic(np.zeros(4), marks)
+    ks, cvm = process_statistic(np.zeros(4), marks)
     total = marks.sum()
-    assert stat.ks == pytest.approx(abs(total) / 2.0, abs=1e-15)
-    assert stat.cvm == pytest.approx(total**2 / 4.0, abs=1e-15)
+    assert ks == pytest.approx(abs(total) / 2.0, abs=1e-15)
+    assert cvm == pytest.approx(total**2 / 4.0, abs=1e-15)
 
 
 @st.composite
@@ -76,30 +74,30 @@ def tied_instances(draw):
 @given(tied_instances())
 def test_matches_bruteforce(instance):
     projections, marks = instance
-    stat = process_statistic(projections, marks)
+    fast_ks, fast_cvm = process_statistic(projections, marks)
     ks, cvm = brute_process_norms(projections, marks)
-    assert stat.ks == pytest.approx(ks, abs=1e-10)
-    assert stat.cvm == pytest.approx(cvm, abs=1e-10)
-    assert stat.cvm <= stat.ks**2 + 1e-12
+    assert fast_ks == pytest.approx(ks, abs=1e-10)
+    assert fast_cvm == pytest.approx(cvm, abs=1e-10)
+    assert fast_cvm <= fast_ks**2 + 1e-12
 
 
 @settings(max_examples=100, deadline=None)
 @given(tied_instances(), st.randoms(use_true_random=False))
 def test_statistic_invariances(instance, pyrandom):
     projections, marks = instance
-    base = process_statistic(projections, marks)
+    base_ks, base_cvm = process_statistic(projections, marks)
     perm = np.arange(projections.size)
     pyrandom.shuffle(perm)
-    shuffled = process_statistic(projections[perm], marks[perm])
-    assert shuffled.ks == pytest.approx(base.ks, abs=1e-10)
-    assert shuffled.cvm == pytest.approx(base.cvm, abs=1e-10)
+    ks, cvm = process_statistic(projections[perm], marks[perm])
+    assert ks == pytest.approx(base_ks, abs=1e-10)
+    assert cvm == pytest.approx(base_cvm, abs=1e-10)
     # statistics depend on projections only through their ordering and ties
-    relabeled = process_statistic(2.0 * projections + 1.0, marks)
-    assert relabeled.ks == pytest.approx(base.ks, abs=1e-12)
-    assert relabeled.cvm == pytest.approx(base.cvm, abs=1e-12)
-    scaled = process_statistic(projections, -3.0 * marks)
-    assert scaled.ks == pytest.approx(3.0 * base.ks, abs=1e-9)
-    assert scaled.cvm == pytest.approx(9.0 * base.cvm, abs=1e-9)
+    ks, cvm = process_statistic(2.0 * projections + 1.0, marks)
+    assert ks == pytest.approx(base_ks, abs=1e-12)
+    assert cvm == pytest.approx(base_cvm, abs=1e-12)
+    ks, cvm = process_statistic(projections, -3.0 * marks)
+    assert ks == pytest.approx(3.0 * base_ks, abs=1e-9)
+    assert cvm == pytest.approx(9.0 * base_cvm, abs=1e-9)
 
 
 def test_batched_norms_match_single_rows():
@@ -109,9 +107,9 @@ def test_batched_norms_match_single_rows():
     layout = _SortedProjections(projections)
     ks, cvm = layout.norms(marks)
     for b in range(7):
-        stat = process_statistic(projections, marks[b])
-        assert ks[b] == pytest.approx(stat.ks, abs=1e-12)
-        assert cvm[b] == pytest.approx(stat.cvm, abs=1e-12)
+        row_ks, row_cvm = process_statistic(projections, marks[b])
+        assert ks[b] == pytest.approx(row_ks, abs=1e-12)
+        assert cvm[b] == pytest.approx(row_cvm, abs=1e-12)
 
 
 def test_process_statistic_errors():
@@ -307,52 +305,18 @@ def small_fit(n=50, seed=20, noise=0.5):
     return sample, basis, fit
 
 
-def test_wild_bootstrap_determinism_and_correction():
+def test_replay_matches_refit_from_scratch():
+    # the replay must equal the whole pipeline rerun on Y* = fitted + e:
+    # center the response, then fit again at the same rank
     sample, basis, fit = small_fit()
-    direction = sample_direction_datadriven(basis, rng=philox(8), variant="i")
-    projections = project(sample, direction)
-    observed = process_statistic(projections, fit.residuals)
-    p1 = wild_bootstrap_pvalue(fit, projections, observed, B=400, rng=philox(9))
-    p2 = wild_bootstrap_pvalue(fit, projections, observed, B=400, rng=philox(9))
-    assert p1 == p2
-    assert 0.0 <= p1 <= 1.0
-    corrected = wild_bootstrap_pvalue(
-        fit, projections, observed, B=400, rng=philox(9), positive_correction=True
-    )
-    assert corrected == pytest.approx((p1 * 400 + 1) / 401, abs=1e-12)
-    ks_p = wild_bootstrap_pvalue(
-        fit, projections, observed, B=400, kind="ks", rng=philox(9)
-    )
-    assert 0.0 <= ks_p <= 1.0
-
-
-def test_wild_bootstrap_zero_residuals_gives_one():
-    sample = centered_bm_sample(30, num_points=31, seed=21)
-    basis = compute_fpc(sample)
-    fit = estimate_rho(sample, np.zeros(30), basis, 1)
-    assert np.all(fit.residuals == 0.0)
-    direction = sample_direction_datadriven(basis, rng=philox(22), variant="i")
-    projections = project(sample, direction)
-    observed = process_statistic(projections, fit.residuals)
-    p = wild_bootstrap_pvalue(fit, projections, observed, B=50, rng=philox(23))
-    assert p == 1.0
-
-
-def test_wild_bootstrap_validation():
-    sample, basis, fit = small_fit()
-    direction = sample_direction_datadriven(basis, rng=philox(8), variant="i")
-    projections = project(sample, direction)
-    observed = process_statistic(projections, fit.residuals)
-    with pytest.raises(ValueError):
-        wild_bootstrap_pvalue(fit, projections, observed, B=0, rng=philox(0))
-    with pytest.raises(ValueError):
-        wild_bootstrap_pvalue(fit, projections, observed, B=10, rng=None)
-    with pytest.raises(ValueError):
-        wild_bootstrap_pvalue(fit, projections[:-1], observed, B=10, rng=philox(0))
-    with pytest.raises(ValueError):
-        wild_bootstrap_pvalue(
-            fit, projections, observed, B=10, kind="wat", rng=philox(0)
-        )
+    perturbations = philox(24).standard_normal((6, sample.n)) + 0.3
+    replayed = _replay_residuals(fit, perturbations)
+    assert replayed.shape == perturbations.shape
+    for e, row in zip(perturbations, replayed):
+        response = fit.fitted + e
+        refit = estimate_rho(sample, response - response.mean(), basis, fit.rank)
+        assert np.allclose(row, refit.residuals, atol=1e-10)
+        assert np.allclose(_replay_residuals(fit, e), refit.residuals, atol=1e-10)
 
 
 # ------------------------------------------------------------ composite tests
@@ -402,17 +366,35 @@ def test_flm_zero_response_never_rejects():
     assert all(rec.pvalue == 1.0 for rec in report.per_projection)
 
 
-def test_flm_rank_override_and_independent_multipliers():
+def test_wild_bootstrap_determinism_and_correction():
+    sample, y = noisy_case(seed=37)
+    basis = compute_fpc(sample)
+    truth = basis.scores[:, 0] - 0.5 * basis.scores[:, 1]
+    B = 400
+    for gof, extra in ((flm_gof, {}), (simple_gof, {"m0": truth})):
+        for kind in ("cvm", "ks"):
+            plain = gof(sample, y, K=4, B=B, kind=kind, seed=9, **extra)
+            again = gof(sample, y, K=4, B=B, kind=kind, seed=9, **extra)
+            assert again.to_dict() == plain.to_dict()
+            assert any(0.0 < rec.pvalue < 1.0 for rec in plain.per_projection)
+            corrected = gof(
+                sample, y, K=4, B=B, kind=kind, seed=9, positive_correction=True,
+                **extra,
+            )
+            assert corrected.settings["positive_correction"] is True
+            for rec, rec_c in zip(plain.per_projection, corrected.per_projection):
+                assert rec_c.statistic == rec.statistic
+                assert rec_c.pvalue == pytest.approx(
+                    (rec.pvalue * B + 1) / (B + 1), abs=1e-12
+                )
+
+
+def test_flm_rank_override():
     sample, y = noisy_case(seed=33)
     fixed = flm_gof(sample, y, K=3, B=100, rank=4, seed=2)
     assert fixed.settings["rank"] == 4
-    separate = flm_gof(
-        sample, y, K=3, B=100, seed=2, share_multipliers=False
-    )
-    repeat = flm_gof(
-        sample, y, K=3, B=100, seed=2, share_multipliers=False
-    )
-    assert separate.to_dict() == repeat.to_dict()
+    repeat = flm_gof(sample, y, K=3, B=100, rank=4, seed=2)
+    assert repeat.to_dict() == fixed.to_dict()
 
 
 def test_flm_rejects_quadratic_signal():
@@ -492,3 +474,56 @@ def test_simple_null_calibration():
     band = 3.3 * np.sqrt(alpha * (1 - alpha) / trials)
     assert rate <= alpha + band
     assert rate >= 0.005
+
+
+# -------------------------------------------------------------- golden reports
+# Exact values of small reports for an int and a SeedSequence seed. A change
+# in the order or layout of the random draws moves these numbers.
+
+
+def golden_case():
+    sample = centered_bm_sample(40, num_points=51, seed=50)
+    basis = compute_fpc(sample)
+    truth = basis.scores[:, 0] + basis.scores[:, 0] ** 2
+    y = truth + 0.3 * np.random.default_rng(51).standard_normal(40)
+    return sample, y, truth
+
+
+def golden_seeds():
+    # fresh objects: each test spawns children from the SeedSequence it gets
+    return 17, np.random.SeedSequence(17, spawn_key=(3,))
+
+
+def check_golden(report, p_fdr, pvalues, statistics):
+    assert report.p_fdr == p_fdr
+    assert [rec.pvalue for rec in report.per_projection] == pvalues
+    assert [rec.statistic for rec in report.per_projection] == pytest.approx(
+        statistics, rel=1e-12
+    )
+
+
+def test_flm_golden_report():
+    sample, y, _ = golden_case()
+    expected = (
+        (0.03, [0.02, 0.04, 0.01],
+         [0.9177032712920808, 0.8424736282757931, 0.9385402930000656]),
+        (0.06, [0.04, 0.1, 0.04],
+         [0.9297465809897585, 0.7535311011524805, 0.8582308796735728]),
+    )
+    for seed, values in zip(golden_seeds(), expected):
+        report = flm_gof(sample, y, K=3, B=100, r=0.999, kind="ks", seed=seed)
+        assert report.settings["rank"] == 1
+        check_golden(report, *values)
+
+
+def test_simple_golden_report():
+    sample, y, truth = golden_case()
+    expected = (
+        (0.75, [0.71, 0.59, 0.75],
+         [0.013754958511352864, 0.019834326449496197, 0.011324556565607144]),
+        (0.95, [0.72, 0.95, 0.32],
+         [0.01636959812582293, 0.0052313383060525135, 0.054860674379594465]),
+    )
+    for seed, values in zip(golden_seeds(), expected):
+        report = simple_gof(sample, y, m0=truth, K=3, B=100, r=0.999, seed=seed)
+        check_golden(report, *values)

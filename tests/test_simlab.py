@@ -7,6 +7,7 @@ from flmgof import (
     fdr_discretization_experiment,
     gen_process,
     gen_response,
+    make_grid,
     run_study,
     scenario,
     uniform_grid,
@@ -231,6 +232,26 @@ def test_signal_variance_of_first_scenario():
     assert abs(spec.signal_variance - truth) < 0.03 * truth
     expected_noise = spec.signal_variance * 0.05 / 0.95
     assert spec.sigma2 == pytest.approx(expected_noise, rel=1e-12)
+
+
+def s1_signal_variance(end):
+    # on [0, end], <X, rho> = int R(u) dW(u) with R(u) = int_u^end rho, so its
+    # variance is int R(u)^2 du; R is in closed form for the sine slope of S1
+    u = np.linspace(0.0, end, 20001)
+    tail = np.zeros_like(u)
+    for j, c in ((1, 2.0), (2, 4.0), (3, 5.0)):
+        a = (j - 0.5) * np.pi
+        tail += c * (np.cos(a * u) - np.cos(a * end)) / a
+    return float(np.trapezoid(tail**2, u))
+
+
+def test_signal_variance_is_exact_per_grid():
+    # two grids of the same size must not share a value
+    full = scenario(1)
+    half = scenario(1, grid=make_grid(np.linspace(0.0, 0.5, 201)))
+    assert full.signal_variance == pytest.approx(s1_signal_variance(1.0), rel=1e-4)
+    assert half.signal_variance == pytest.approx(s1_signal_variance(0.5), rel=1e-4)
+    assert half.signal_variance > 1.1 * full.signal_variance
 
 
 # ------------------------------------------------------------------ responses
