@@ -19,6 +19,11 @@ sum and score orthogonality) are thereby imposed on every replicate. One
 projection gives a p-value p_hat = (1/B) #{ ||T*_b|| >= ||T|| }; K
 projections are combined by the false-discovery-rate envelope
 min_k (K/k) p_(k), clamped to [0, 1].
+
+The bootstrap is streamed: replicates are drawn, replayed and reduced to the
+requested norm (KS or CvM, not both) in blocks of b = BOOTSTRAP_BLOCK // n
+replicates laid out one per column, so its memory is O(n * b), a few MB
+whatever B is, instead of O(n * B).
 """
 
 from __future__ import annotations
@@ -60,6 +65,10 @@ MAX_DIRECTION_ATTEMPTS = 100
 
 STAT_KINDS = ("ks", "cvm")
 SAMPLER_VARIANTS = ("i", "ii", "iii")
+
+# Values (replicates x n) per bootstrap block: 1 MB of doubles, so a block and
+# its sorted copy stay in cache while every direction is scored on it.
+BOOTSTRAP_BLOCK = 2**17
 
 
 class DegenerateProjectionError(RuntimeError):
@@ -119,10 +128,11 @@ class _SortedProjections:
     """Sorted layout of one projection vector, reusable across mark vectors.
 
     Ties share a jump: the process value attached to every observation in a
-    tie block is the cumulative sum at the end of the block.
+    tie block is the cumulative sum at the end of the block, so only block
+    ends carry process values, each weighted by the size of its block.
     """
 
-    __slots__ = ("n", "order", "block_end", "scale")
+    __slots__ = ("n", "order", "ends", "weights", "scale")
 
     def __init__(self, projections):
         projections = np.asarray(projections, dtype=float)
@@ -133,24 +143,31 @@ class _SortedProjections:
         self.n = projections.size
         self.order = np.argsort(projections, kind="stable")
         ordered = projections[self.order]
-        self.block_end = np.searchsorted(ordered, ordered, side="right") - 1
+        block_end = np.searchsorted(ordered, ordered, side="right") - 1
+        sizes = np.bincount(block_end, minlength=self.n)
+        self.ends = np.flatnonzero(sizes) if sizes.max() > 1 else None
+        # CvM is (1/n) sum_i T(p_i)^2 with T = cumsum / sqrt(n): each block end
+        # enters once per member of its block, and both 1/n factors fold here.
+        self.weights = sizes / float(self.n) ** 2
         self.scale = 1.0 / np.sqrt(self.n)
 
-    def norms(self, marks):
-        """KS and CvM norms for marks given in original observation order.
+    def norms(self, columns, kind):
+        """The `kind` norm of the process for marks in observation order.
 
-        `marks` may be (n,) or (B, n); norms come back with matching shape.
+        `columns` is (n,) for one mark vector or (n, b) for b of them, one
+        per column; the norms come back as a float or a (b,) vector. Only the
+        requested norm is computed, and the one buffer allocated has the shape
+        of `columns`, so memory is O(n * b) for a block of b replicates.
         """
-        # Two (B, n) buffers per call: `ordered` holds the cumsum, then |levels|,
-        # then levels^2. Every fresh buffer of this size can cost page faults,
-        # which dominate at small n.
-        ordered = np.asarray(marks, dtype=float)[..., self.order]
-        np.cumsum(ordered, axis=-1, out=ordered)
-        levels = ordered[..., self.block_end]
-        levels *= self.scale
-        ks = np.max(np.abs(levels, out=ordered), axis=-1)
-        cvm = np.mean(np.multiply(levels, levels, out=ordered), axis=-1)
-        return ks, cvm
+        sums = np.asarray(columns, dtype=float)[self.order]
+        np.cumsum(sums, axis=0, out=sums)
+        if kind == "cvm":
+            return self.weights @ np.square(sums, out=sums)
+        if self.ends is not None:
+            sums = sums[self.ends]
+        # rounding is monotone, so scaling the maximum equals the maximum of
+        # the scaled process values bit for bit
+        return np.max(np.abs(sums, out=sums), axis=0) * self.scale
 
 
 def process_statistic(projections, marks) -> tuple[float, float]:
@@ -173,8 +190,7 @@ def process_statistic(projections, marks) -> tuple[float, float]:
         raise ValueError("marks must match projections in length")
     if not np.all(np.isfinite(marks)):
         raise ValueError("marks contain non-finite values")
-    ks, cvm = layout.norms(marks)
-    return float(ks), float(cvm)
+    return tuple(float(layout.norms(marks, kind)) for kind in STAT_KINDS)
 
 
 def fdr_combine(pvalues) -> float:
@@ -292,34 +308,57 @@ def _projection_test(
 ):
     """Score K random projections of the marked process and combine them.
 
-    One (B, n) matrix of golden-ratio multipliers calibrates every direction.
-    With a `fit` (composite null) the perturbed marks are replayed through
-    the fit at its rank; without one (simple null) they are used as drawn.
+    One stream of B golden-ratio multiplier vectors calibrates every
+    direction. With a `fit` (composite null) the perturbed marks are replayed
+    through the fit at its rank; without one (simple null) they are used as
+    drawn.
     """
     root = seed
     if not isinstance(root, np.random.SeedSequence):
         root = np.random.SeedSequence(seed)
+    # Spawn from an equal copy: spawning advances a SeedSequence, and the
+    # caller's object must give the same report on every call.
+    root = np.random.SeedSequence(
+        root.entropy,
+        spawn_key=root.spawn_key,
+        pool_size=root.pool_size,
+        n_children_spawned=root.n_children_spawned,
+    )
     direction_rng, multiplier_rng = (
         np.random.Generator(np.random.Philox(child)) for child in root.spawn(2)
     )
-    replicates = golden_multipliers(multiplier_rng, (B, sample.n))
-    replicates *= marks
-    if fit is not None:
-        replicates = _replay_residuals(fit, replicates)
-    column = STAT_KINDS.index(kind)
-
-    outcomes = []
+    layouts = []
     for draw in range(1, K + 1):
         _, projections = _draw_nondegenerate_direction(
             sample, basis, r, sampler, direction_rng, draw
         )
-        layout = _SortedProjections(projections)
-        observed = float(layout.norms(marks)[column])
-        count = int(np.count_nonzero(layout.norms(replicates)[column] >= observed))
-        pvalue = (count + 1.0) / (B + 1.0) if positive_correction else count / B
-        outcomes.append(
-            ProjectionOutcome(index=draw, statistic=observed, pvalue=pvalue)
+        layouts.append(_SortedProjections(projections))
+    observed = [float(layout.norms(marks, kind)) for layout in layouts]
+
+    # Consecutive (rows, n) draws concatenate to one (B, n) draw, so the block
+    # size moves no p-value; each block is transposed once for the kernel.
+    counts = [0] * K
+    rows = max(1, min(B, BOOTSTRAP_BLOCK // sample.n))
+    for start in range(0, B, rows):
+        replicates = golden_multipliers(
+            multiplier_rng, (min(rows, B - start), sample.n)
         )
+        replicates *= marks
+        if fit is not None:
+            replicates = _replay_residuals(fit, replicates)
+        columns = np.ascontiguousarray(replicates.T)
+        for k, layout in enumerate(layouts):
+            exceeds = layout.norms(columns, kind) >= observed[k]
+            counts[k] += int(np.count_nonzero(exceeds))
+
+    outcomes = [
+        ProjectionOutcome(
+            index=draw,
+            statistic=statistic,
+            pvalue=(count + 1.0) / (B + 1.0) if positive_correction else count / B,
+        )
+        for draw, (statistic, count) in enumerate(zip(observed, counts), start=1)
+    ]
 
     settings = {
         "K": K,
@@ -390,12 +429,10 @@ def test_simple(
     kind, y, sample, basis = _prepare(X, y, K, B, kind)
     if m0 is None:
         marks = y
-    elif callable(m0):
-        marks = y - np.asarray(m0(X), dtype=float)
     else:
-        predictions = np.asarray(m0, dtype=float)
+        predictions = np.asarray(m0(X) if callable(m0) else m0, dtype=float)
         if predictions.shape != y.shape:
-            raise ValueError("m0 predictions must match the response in length")
+            raise ValueError("m0 predictions must be a vector matching the response")
         marks = y - predictions
     if not np.all(np.isfinite(marks)):
         raise ValueError("marks contain non-finite values")

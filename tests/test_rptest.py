@@ -9,6 +9,7 @@ from flmgof import (
     Direction,
     FpcBasis,
     FunctionalSample,
+    center,
     compute_fpc,
     estimate_rho,
     fdr_combine,
@@ -22,8 +23,10 @@ from flmgof import (
 from flmgof import test_flm as flm_gof
 from flmgof import test_simple as simple_gof
 from flmgof.rptest import (
+    BOOTSTRAP_BLOCK,
     GOLDEN_PROBS,
     GOLDEN_VALUES,
+    STAT_KINDS,
     _draw_nondegenerate_direction,
     _replay_residuals,
     _SortedProjections,
@@ -103,13 +106,19 @@ def test_statistic_invariances(instance, pyrandom):
 def test_batched_norms_match_single_rows():
     rng = philox(0)
     projections = rng.integers(-2, 3, size=12).astype(float)
-    marks = rng.standard_normal((7, 12))
+    columns = rng.standard_normal((12, 7))
     layout = _SortedProjections(projections)
-    ks, cvm = layout.norms(marks)
-    for b in range(7):
-        row_ks, row_cvm = process_statistic(projections, marks[b])
-        assert ks[b] == pytest.approx(row_ks, abs=1e-12)
-        assert cvm[b] == pytest.approx(row_cvm, abs=1e-12)
+    for column, kind in enumerate(STAT_KINDS):
+        norms = layout.norms(columns, kind)
+        assert norms.shape == (7,)
+        for b in range(7):
+            marks = columns[:, b]
+            assert norms[b] == pytest.approx(
+                process_statistic(projections, marks)[column], abs=1e-12
+            )
+            assert norms[b] == pytest.approx(
+                brute_process_norms(projections, marks)[column], abs=1e-12
+            )
 
 
 def test_process_statistic_errors():
@@ -359,6 +368,64 @@ def test_flm_seed_matters_and_seedsequence_accepted():
     assert c.settings["seed"] is None
 
 
+def test_seedsequence_reused_gives_identical_reports():
+    sample, y = noisy_case(seed=38)
+    root = np.random.SeedSequence(21, spawn_key=(1,))
+    for gof in (flm_gof, simple_gof):
+        first = gof(sample, y, K=3, B=60, seed=root)
+        second = gof(sample, y, K=3, B=60, seed=root)
+        assert second.to_dict() == first.to_dict()
+        assert root.n_children_spawned == 0
+    assert first.to_dict() == simple_gof(
+        sample, y, K=3, B=60, seed=np.random.SeedSequence(21, spawn_key=(1,))
+    ).to_dict()
+
+
+def test_streamed_bootstrap_matches_one_shot_reference():
+    """Block-streamed replicates against one (B, n) draw and literal norms."""
+    n, B, K, seed = 270, 1000, 2, 61
+    assert B > 2 * (BOOTSTRAP_BLOCK // n)  # at least three blocks
+    distinct = centered_bm_sample(40, num_points=31, seed=60)
+    rng = np.random.default_rng(62)
+    curves = distinct.data[rng.integers(0, 40, n)]  # tied curves
+    sample = center(FunctionalSample(grid=distinct.grid, data=curves))[0]
+    basis = compute_fpc(sample)
+    truth = basis.scores[:, 0]  # both nulls hold, so p-values are interior
+    y = truth + 0.3 * rng.standard_normal(n)
+    y_centered = y - y.mean()
+
+    direction_child, multiplier_child = np.random.SeedSequence(seed).spawn(2)
+    direction_rng = philox(direction_child)
+    projections = [
+        _draw_nondegenerate_direction(sample, basis, 0.95, "i", direction_rng, draw)[1]
+        for draw in range(1, K + 1)
+    ]
+    assert all(np.unique(p).size < n for p in projections)
+    multipliers = golden_multipliers(philox(multiplier_child), (B, n))
+
+    rank = flm_gof(sample, y, K=K, B=B, seed=seed).settings["rank"]
+    fit = estimate_rho(sample, y_centered, basis, rank)
+    nulls = (
+        (flm_gof, {}, fit.residuals,
+         _replay_residuals(fit, multipliers * fit.residuals)),
+        (simple_gof, {"m0": truth}, y - truth, multipliers * (y - truth)),
+    )
+    for gof, extra, marks, replicates in nulls:
+        reports = [
+            gof(sample, y, K=K, B=B, kind=kind, seed=seed, **extra)
+            for kind in STAT_KINDS
+        ]
+        for k, proj in enumerate(projections):
+            observed = brute_process_norms(proj, marks)
+            norms = np.array([brute_process_norms(proj, row) for row in replicates])
+            for column, report in enumerate(reports):
+                rec = report.per_projection[k]
+                count = np.count_nonzero(norms[:, column] >= observed[column])
+                assert rec.statistic == pytest.approx(observed[column], rel=1e-12)
+                assert rec.pvalue == count / B
+                assert 0 < count < B
+
+
 def test_flm_zero_response_never_rejects():
     sample, _ = noisy_case(seed=32)
     report = flm_gof(sample, np.zeros(sample.n), K=3, B=80, seed=0)
@@ -444,6 +511,10 @@ def test_simple_callable_and_vector_nulls_agree():
     assert via_callable.settings["rank"] is None
     with pytest.raises(ValueError):
         simple_gof(sample, y, m0=truth[:-1], K=3, B=50, seed=0)
+    # a callable's output gets the same shape check as a vector
+    for bad in (lambda X: m0(X)[:, None], lambda X: 0.0):
+        with pytest.raises(ValueError, match="m0 predictions"):
+            simple_gof(sample, y, m0=bad, K=3, B=50, seed=0)
 
 
 def test_simple_detects_a_linear_signal():
@@ -490,7 +561,6 @@ def golden_case():
 
 
 def golden_seeds():
-    # fresh objects: each test spawns children from the SeedSequence it gets
     return 17, np.random.SeedSequence(17, spawn_key=(3,))
 
 
