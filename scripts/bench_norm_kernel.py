@@ -28,6 +28,7 @@ import numpy as np
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (50, 256, 1024, 2048, 4096)
 K, B = 5, 1000
+ROUNDS, CALLS = 3, 3  # fresh interpreters per tree; timed calls in each
 STAGES = (
     "fpc.compute_ms", "flm.sicc_ms", "flm.fit_ms", "rptest.directions_ms",
     "rptest.multipliers_ms", "rptest.replay_ms", "rptest.norms_ms",
@@ -35,7 +36,7 @@ STAGES = (
 )
 
 
-def measure(src, calls):
+def measure(src):
     """One round in this interpreter: {n: {"wall_ms": .., stage: ..}}."""
     sys.path[:0] = [src, REPO]
     from flmgof import gen_process, test_flm, uniform_grid
@@ -50,13 +51,13 @@ def measure(src, calls):
         y = y + 0.1 * rng.standard_normal(n)
         test_flm(sample, y, K=K, B=B, seed=0)  # warm caches and lazy imports
         walls = []
-        for _ in range(calls):
+        for _ in range(CALLS):
             start = time.perf_counter()
             test_flm(sample, y, K=K, B=B, seed=0)
             walls.append(1000.0 * (time.perf_counter() - start))
         tracer = Tracer()
         with tracer.active():
-            for _ in range(calls):
+            for _ in range(CALLS):
                 with tracer.span("rptest.test"):
                     test_flm(sample, y, K=K, B=B, seed=0)
         metrics = layer_metrics(tracer, "rptest.test")
@@ -68,12 +69,10 @@ def measure(src, calls):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append", help="package source tree")
-    parser.add_argument("--rounds", type=int, default=3)
-    parser.add_argument("--calls", type=int, default=3, help="calls per round")
     parser.add_argument("--worker", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        json.dump(measure(args.worker, args.calls), sys.stdout)
+        json.dump(measure(args.worker), sys.stdout)
         return 0
 
     sources = {}
@@ -81,12 +80,9 @@ def main(argv=None):
         label, _, src = spec.rpartition("=")
         sources[label or src] = src
     runs = {label: [] for label in sources}
-    for _ in range(args.rounds):
+    for _ in range(ROUNDS):
         for label, src in sources.items():
-            command = [
-                sys.executable, __file__, "--worker", os.path.abspath(src),
-                "--calls", str(args.calls),
-            ]
+            command = [sys.executable, __file__, "--worker", os.path.abspath(src)]
             result = subprocess.run(command, check=True, capture_output=True, text=True)
             runs[label].append(json.loads(result.stdout))
 
@@ -98,8 +94,8 @@ def main(argv=None):
         }
 
     report = {
-        "settings": {"sizes": SIZES, "K": K, "B": B, "rounds": args.rounds,
-                     "calls_per_round": args.calls, "seed": 0},
+        "settings": {"sizes": SIZES, "K": K, "B": B, "rounds": ROUNDS,
+                     "calls_per_round": CALLS, "seed": 0},
         "machine": {"nproc": os.cpu_count(), "platform": platform.platform(),
                     "python": platform.python_version(), "numpy": np.__version__},
         "note": "medians over rounds of per-call ms; stages are self times",

@@ -66,8 +66,10 @@ MAX_DIRECTION_ATTEMPTS = 100
 STAT_KINDS = ("ks", "cvm")
 SAMPLER_VARIANTS = ("i", "ii", "iii")
 
-# Values (replicates x n) per bootstrap block: 1 MB of doubles, so a block and
-# its sorted copy stay in cache while every direction is scored on it.
+# Values (replicates x n) per bootstrap block, 1 MB of doubles. In a sweep of
+# 2**15..2**19 at n = 50..8192, 2**16 and 2**17 timed alike; smaller blocks
+# were slower at n >= 4096 (too few replicates per kernel call) and larger
+# ones at n >= 512.
 BOOTSTRAP_BLOCK = 2**17
 
 
