@@ -12,11 +12,19 @@ grid points and w the quadrature weights.
 
 Every trial is seeded by (study seed, scenario, deviation level, n, trial)
 through a counter-based generator, so results do not depend on how trials are
-scheduled across workers.
+scheduled across workers. `run_study(threads=N)` with N > 1 sends all trials
+of all cells through one process pool of at most N workers, forked where the
+platform allows it, and pins each worker's OpenBLAS to one thread; the
+calling process's BLAS is left as it is.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+import multiprocessing
+import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -295,51 +303,113 @@ def run_study(
     Returns one MonteCarloResult per (scenario, d, n) combination, in that
     nesting order. Identical output for any `threads` value: each trial owns
     a seed derived from (seed, scenario, d, n, trial) and aggregation follows
-    trial order.
+    trial order. With threads > 1 every trial of every cell goes through one
+    process pool; each cell's wall time runs from the end of the previous
+    cell, so the first cell includes the pool start-up.
     """
     if M < 1:
         raise ValueError("M must be a positive integer")
     if threads < 1:
         raise ValueError("threads must be a positive integer")
+    specs = {index: scenario(index) for index in scenarios}
+    cells = [
+        (specs[index], d, n) for index in scenarios for d in d_values for n in n_values
+    ]
+    payloads = [
+        (spec.index, d, n, K, B, kind, r, sampler, seed, trial, spec.sigma2)
+        for spec, d, n in cells
+        for trial in range(M)
+    ]
     results = []
-    for index in scenarios:
-        spec = scenario(index)
-        for d in d_values:
-            for n in n_values:
-                started = time.perf_counter()
-                payloads = [
-                    (index, d, n, K, B, kind, r, sampler, seed, trial, spec.sigma2)
-                    for trial in range(M)
-                ]
-                if threads == 1:
-                    outcomes = [_study_trial(p) for p in payloads]
-                else:
-                    chunk = max(1, M // (threads * 4))
-                    with ProcessPoolExecutor(max_workers=threads) as pool:
-                        outcomes = list(
-                            pool.map(_study_trial, payloads, chunksize=chunk)
-                        )
-                pvalues = np.array([p for p, _ in outcomes])
-                ranks = np.array([rank for _, rank in outcomes], dtype=float)
-                rates = tuple(
-                    float(np.mean(pvalues < alpha)) for alpha in ALPHAS
+    started = time.perf_counter()
+    with _trial_outcomes(payloads, threads) as outcomes:
+        for spec, d, n in cells:
+            cell = list(itertools.islice(outcomes, M))
+            pvalues = np.array([p for p, _ in cell])
+            ranks = np.array([rank for _, rank in cell], dtype=float)
+            rates = tuple(float(np.mean(pvalues < alpha)) for alpha in ALPHAS)
+            finished = time.perf_counter()
+            results.append(
+                MonteCarloResult(
+                    scenario=spec.id,
+                    d=d,
+                    n=n,
+                    K=K,
+                    B=B,
+                    kind=kind,
+                    M=M,
+                    rejection_rates=rates,
+                    mean_rank=float(ranks.mean()),
+                    sd_rank=float(ranks.std(ddof=1)) if M > 1 else 0.0,
+                    wall_time_s=finished - started,
                 )
-                results.append(
-                    MonteCarloResult(
-                        scenario=spec.id,
-                        d=d,
-                        n=n,
-                        K=K,
-                        B=B,
-                        kind=kind,
-                        M=M,
-                        rejection_rates=rates,
-                        mean_rank=float(ranks.mean()),
-                        sd_rank=float(ranks.std(ddof=1)) if M > 1 else 0.0,
-                        wall_time_s=time.perf_counter() - started,
-                    )
-                )
+            )
+            started = finished
     return results
+
+
+@contextlib.contextmanager
+def _trial_outcomes(payloads, threads):
+    """Yield an iterator over the trial outcomes in payload order.
+
+    With one worker's worth of trials or threads == 1, the trials run here,
+    one at a time. Otherwise one pool of at most `threads` workers, never
+    more than the trials, runs them in chunks of about a quarter of each
+    worker's share. Workers are forked where the platform allows it, so
+    callers need no `__main__` guard, and each runs its BLAS on one thread:
+    a forked worker keeps the parent's BLAS thread count, and `threads`
+    workers would otherwise oversubscribe the cores.
+    """
+    workers = min(threads, len(payloads))
+    if workers <= 1:
+        yield map(_study_trial, payloads)
+        return
+    context = multiprocessing.get_context(
+        "fork" if sys.platform not in ("darwin", "win32") else None
+    )
+    with ProcessPoolExecutor(
+        max_workers=workers, mp_context=context, initializer=_one_blas_thread
+    ) as pool:
+        chunk = max(1, len(payloads) // (threads * 4))
+        yield pool.map(_study_trial, payloads, chunksize=chunk)
+
+
+# (prefix, suffix) of the OpenBLAS symbol names, most recent numpy wheels first
+_OPENBLAS_NAMES = (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", ""))
+
+
+def _openblas_function(name):
+    """numpy's OpenBLAS `set_num_threads` or `get_num_threads`, or None.
+
+    numpy wheels bundle OpenBLAS in `numpy.libs`: numpy >= 2 as scipy-openblas
+    (`scipy_openblas_set_num_threads64_`), numpy 1.x with 64_-suffixed names,
+    and a plain build exports `openblas_set_num_threads`. Opening the library
+    numpy already loaded returns that same library. A BLAS numpy links from
+    elsewhere is not found.
+    """
+    import ctypes
+    import glob
+
+    signatures = {
+        "set_num_threads": ([ctypes.c_int], None),
+        "get_num_threads": ([], ctypes.c_int),
+    }
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        library = ctypes.CDLL(path)
+        for prefix, suffix in _OPENBLAS_NAMES:
+            function = getattr(library, f"{prefix}{name}{suffix}", None)
+            if function is not None:
+                function.argtypes, function.restype = signatures[name]
+                return function
+    return None
+
+
+def _one_blas_thread():
+    """Pool worker initializer: run numpy's OpenBLAS, if found, on one thread."""
+    set_num_threads = _openblas_function("set_num_threads")
+    if set_num_threads is not None:
+        set_num_threads(1)
 
 
 def fdr_discretization_experiment(

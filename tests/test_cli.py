@@ -330,6 +330,11 @@ def test_simulate_usage_errors(capsys):
     assert code == EXIT_USAGE
     code, _, _ = run_cli(["simulate", "--scenario", "S1", "--M", "0"], capsys)
     assert code == EXIT_USAGE
+    code, _, err = run_cli(
+        ["simulate", "--scenario", "S1", "--M", "2", "--threads", "0"], capsys
+    )
+    assert code == EXIT_USAGE
+    assert "threads" in err
 
 
 # --------------------------------------------------------------- bench command

@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -19,6 +23,7 @@ from flmgof.processes import (
     gbm_mean,
     ou_kernel,
 )
+from flmgof import simlab
 from flmgof.simlab import _deviation_rows
 
 
@@ -308,11 +313,67 @@ def test_run_study_smoke():
 
 
 def test_run_study_threads_do_not_change_results():
-    serial = run_study([1], [0], [25], M=6, K=2, B=50, seed=7, threads=1)
-    parallel = run_study([1], [0], [25], M=6, K=2, B=50, seed=7, threads=2)
-    assert serial[0].rejection_rates == parallel[0].rejection_rates
-    assert serial[0].mean_rank == parallel[0].mean_rank
-    assert serial[0].sd_rank == parallel[0].sd_rank
+    # 4 cells x 5 trials: at threads=2 the chunks of 2 trials do not divide
+    # M, so cells straddle chunk boundaries; threads=3 sends chunks of 1
+    study = dict(scenarios=[1, 7], d_values=[0, 1], n_values=[25], M=5, K=2, B=50)
+    tables = {
+        threads: run_study(**study, seed=7, threads=threads) for threads in (1, 2, 3)
+    }
+    for results in tables.values():
+        assert [(res.scenario, res.d) for res in results] == [
+            ("S1", 0), ("S1", 1), ("S7", 0), ("S7", 1)
+        ]
+        for res, ref in zip(results, tables[1]):
+            assert res.rejection_rates == ref.rejection_rates
+            assert res.mean_rank == ref.mean_rank
+            assert res.sd_rank == ref.sd_rank
+            assert res.wall_time_s > 0.0
+    # a cell's trials do not depend on the cells around it
+    (alone,) = run_study([7], [1], [25], M=5, K=2, B=50, seed=7)
+    assert alone.rejection_rates == tables[1][3].rejection_rates
+    assert alone.mean_rank == tables[1][3].mean_rank
+    assert alone.sd_rank == tables[1][3].sd_rank
+
+
+def _record_blas_threads(queue):
+    simlab._one_blas_thread()
+    queue.put((os.getpid(), simlab._openblas_function("get_num_threads")()))
+
+
+def test_pool_workers_run_blas_on_one_thread():
+    get_num_threads = simlab._openblas_function("get_num_threads")
+    if get_num_threads is None:
+        pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
+    before = get_num_threads()
+    context = multiprocessing.get_context("fork")
+    queue = context.Queue()
+    with ProcessPoolExecutor(
+        2, mp_context=context, initializer=_record_blas_threads, initargs=(queue,)
+    ) as pool:
+        pool.submit(os.getpid).result()  # a fork pool starts all its workers
+        reports = [queue.get(timeout=60) for _ in range(2)]
+    assert len({pid for pid, _ in reports}) == 2
+    assert [count for _, count in reports] == [1, 1]
+    assert get_num_threads() == before
+
+
+def test_run_study_forks_no_more_workers_than_trials(tmp_path, monkeypatch):
+    pin = simlab._one_blas_thread
+
+    def record_worker():
+        pin()
+        (tmp_path / str(os.getpid())).touch()
+
+    monkeypatch.setattr(simlab, "_one_blas_thread", record_worker)
+    parallel = run_study([1], [0], [20], M=2, K=2, B=30, threads=4)
+    serial = run_study([1], [0], [20], M=2, K=2, B=30, threads=1)
+    assert len(list(tmp_path.iterdir())) == 2
+    assert parallel[0].rejection_rates == serial[0].rejection_rates
+    assert parallel[0].mean_rank == serial[0].mean_rank
+    # one trial, or none, runs here without a pool
+    run_study([1], [0], [20], M=1, K=2, B=30, threads=4)
+    assert run_study([], [0], [20], M=3, threads=2) == []
+    assert len(list(tmp_path.iterdir())) == 2
 
 
 def test_run_study_validation():
