@@ -69,15 +69,19 @@ def ornstein_uhlenbeck(
     alpha = mean_reversion
     stationary_var = volatility**2 / (2.0 * alpha)
     points = grid.points
-    paths = np.empty((n, points.size))
+    # one path per column, so each step of the recursion is a contiguous row
+    paths = np.empty((points.size, n))
     # a stationary start propagated to the first abscissa is stationary again
-    paths[:, 0] = rng.normal(0.0, np.sqrt(stationary_var), n)
+    paths[0] = rng.normal(0.0, np.sqrt(stationary_var), n)
     decay = np.exp(-alpha * np.diff(points))
     innovation_sd = np.sqrt(stationary_var * (1.0 - decay**2))
     noise = rng.normal(0.0, 1.0, (n, points.size - 1))
+    np.multiply(noise.T, innovation_sd[:, None], out=paths[1:])
+    carried = np.empty(n)
     for k in range(points.size - 1):
-        paths[:, k + 1] = decay[k] * paths[:, k] + innovation_sd[k] * noise[:, k]
-    return paths
+        np.multiply(paths[k], decay[k], out=carried)
+        np.add(carried, paths[k + 1], out=paths[k + 1])
+    return np.ascontiguousarray(paths.T)
 
 
 def geometric_brownian_motion(

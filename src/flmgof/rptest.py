@@ -21,9 +21,9 @@ projections are combined by the false-discovery-rate envelope
 min_k (K/k) p_(k), clamped to [0, 1].
 
 The bootstrap is streamed: replicates are drawn, replayed and reduced to the
-requested norm (KS or CvM, not both) in blocks of b = BOOTSTRAP_BLOCK // n
-replicates laid out one per column, so its memory is O(n * b), a few MB
-whatever B is, instead of O(n * B).
+requested norm (KS or CvM, not both) in blocks of b replicates laid out one
+per column, b = BOOTSTRAP_BLOCK // n rounded down to even, so its memory is
+O(n * b), a few MB whatever B is, instead of O(n * B).
 """
 
 from __future__ import annotations
@@ -121,9 +121,20 @@ def _check_kind(kind: str) -> str:
 
 
 def golden_multipliers(rng, size) -> np.ndarray:
-    """Draw wild bootstrap weights from the golden-ratio two-point law."""
+    """Draw wild bootstrap weights from the golden-ratio two-point law.
+
+    Each weight is `low` where a uniform draw is below GOLDEN_PROBS[0] and
+    `high` elsewhere, computed as high + (draw < p) * (low - high) rather
+    than with np.where, whose per-value branch mispredicts on random draws.
+    The values are exact: high + (low - high) rounds to low, and
+    high + -0.0 is high.
+    """
     low, high = GOLDEN_VALUES
-    return np.where(rng.random(size) < GOLDEN_PROBS[0], low, high)
+    draws = rng.random(size)
+    np.less(draws, GOLDEN_PROBS[0], out=draws)
+    draws *= low - high
+    draws += high
+    return draws
 
 
 class _SortedProjections:
@@ -159,17 +170,42 @@ class _SortedProjections:
         `columns` is (n,) for one mark vector or (n, b) for b of them, one
         per column; the norms come back as a float or a (b,) vector. Only the
         requested norm is computed, and the one buffer allocated has the shape
-        of `columns`, so memory is O(n * b) for a block of b replicates.
+        of `columns`, so memory is O(n * b) for a block of b replicates. An
+        even b is cumulated two columns at a time, with the same sums.
         """
-        sums = np.asarray(columns, dtype=float)[self.order]
-        np.cumsum(sums, axis=0, out=sums)
+        # np.take copies whole rows, faster than fancy indexing on narrow ones
+        sums = np.take(np.asarray(columns, dtype=float), self.order, axis=0)
+        if sums.ndim == 2 and sums.shape[1] % 2 == 0:
+            # a complex add is two independent float adds: the same bits as
+            # np.cumsum per column, with half the elements in numpy's
+            # accumulate loop
+            pairs = sums.view(np.complex128)
+            np.cumsum(pairs, axis=0, out=pairs)
+        else:
+            np.cumsum(sums, axis=0, out=sums)
         if kind == "cvm":
             return self.weights @ np.square(sums, out=sums)
         if self.ends is not None:
-            sums = sums[self.ends]
+            sums = np.take(sums, self.ends, axis=0)
         # rounding is monotone, so scaling the maximum equals the maximum of
         # the scaled process values bit for bit
-        return np.max(np.abs(sums, out=sums), axis=0) * self.scale
+        return _max_over_rows(np.abs(sums, out=sums)) * self.scale
+
+
+def _max_over_rows(values):
+    """np.max(values, axis=0), overwriting `values`.
+
+    Folds the bottom half of the rows onto the top half until one row is
+    left: log2(n) whole-row passes instead of numpy's axis-0 reduction,
+    which is slow on narrow blocks. A maximum does not round, so the result
+    is the same in any order.
+    """
+    rows = values.shape[0]
+    while rows > 1:
+        half = rows // 2
+        np.maximum(values[:half], values[rows - half : rows], out=values[:half])
+        rows -= half
+    return values[0]
 
 
 def process_statistic(projections, marks) -> tuple[float, float]:
@@ -254,17 +290,31 @@ def sample_direction_datadriven(
     return Direction(values=values, sampler=variant, draw=draw)
 
 
-def _draw_nondegenerate_direction(sample, basis, r, variant, rng, draw):
-    """Resample until the projections carry signal, up to a fixed budget."""
+def _direction_inputs(sample):
+    """max_i ||X_i|| and the curves times the grid weights, X * w.
+
+    (X * w) @ h are the projections <X_i, h>. Both are n x G passes, made
+    once per test rather than once per draw; the scale comes first, so its
+    temporaries are freed before the weighted copy is made.
+    """
     curve_scale = np.sqrt(
         np.max(np.sum(sample.data**2 * sample.grid.weights, axis=1))
     )
+    return curve_scale, sample.data * sample.grid.weights
+
+
+def _draw_nondegenerate_direction(curve_scale, weighted, basis, r, variant, rng, draw):
+    """Resample until the projections carry signal, up to a fixed budget.
+
+    `curve_scale` and `weighted` come from `_direction_inputs` of the sample
+    that `basis` was computed from.
+    """
     for _ in range(MAX_DIRECTION_ATTEMPTS):
         direction = sample_direction_datadriven(
             basis, r=r, rng=rng, variant=variant, draw=draw
         )
-        projections = project(sample, direction)
-        scale = curve_scale * curve_norm(direction.values, sample.grid)
+        projections = weighted @ direction.values
+        scale = curve_scale * curve_norm(direction.values, basis.grid)
         if np.max(np.abs(projections)) > DEGENERATE_RELATIVE_TOL * scale:
             return direction, projections
     raise DegenerateProjectionError(
@@ -329,18 +379,23 @@ def _projection_test(
     direction_rng, multiplier_rng = (
         np.random.Generator(np.random.Philox(child)) for child in root.spawn(2)
     )
+    curve_scale, weighted = _direction_inputs(sample)
     layouts = []
     for draw in range(1, K + 1):
         _, projections = _draw_nondegenerate_direction(
-            sample, basis, r, sampler, direction_rng, draw
+            curve_scale, weighted, basis, r, sampler, direction_rng, draw
         )
         layouts.append(_SortedProjections(projections))
+    del weighted  # an n x G copy the bootstrap does not need
     observed = [float(layout.norms(marks, kind)) for layout in layouts]
 
     # Consecutive (rows, n) draws concatenate to one (B, n) draw, so the block
-    # size moves no p-value; each block is transposed once for the kernel.
+    # size moves no p-value; each block is transposed once for the kernel. An
+    # even width lets the kernel sum its columns in pairs; only an odd B
+    # leaves an odd last block.
     counts = [0] * K
-    rows = max(1, min(B, BOOTSTRAP_BLOCK // sample.n))
+    rows = min(B, BOOTSTRAP_BLOCK // sample.n)
+    rows = max(1, rows - rows % 2)
     for start in range(0, B, rows):
         replicates = golden_multipliers(
             multiplier_rng, (min(rows, B - start), sample.n)

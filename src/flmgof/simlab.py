@@ -85,14 +85,25 @@ def gen_process(kind: str, n: int, grid: Grid, rng) -> FunctionalSample:
     return FunctionalSample(grid=grid, data=data, centered=False)
 
 
-def _deviation_rows(kind: int, data: np.ndarray, grid: Grid) -> np.ndarray:
+def _sine_kernel(grid: Grid) -> np.ndarray:
+    """sin(2 pi t s) at every pair of grid points, the kernel of deviation 2."""
+    return np.sin(2.0 * np.pi * np.outer(grid.points, grid.points))
+
+
+def _deviation_rows(kind: int, data: np.ndarray, grid: Grid, kernel=None) -> np.ndarray:
+    """Deviation `kind` of every row.
+
+    Kind 2 uses `kernel`, which must be `_sine_kernel(grid)`, and builds it
+    when none is given.
+    """
     w = grid.weights
     if kind == 1:
         return np.sqrt(np.sum(data**2 * w, axis=1))
     if kind == 2:
         t = grid.points
         taper = w * t * (1.0 - t)
-        kernel = np.sin(2.0 * np.pi * np.outer(t, t))
+        if kernel is None:
+            kernel = _sine_kernel(grid)
         u = data * taper
         return 25.0 * np.sum((u @ kernel) * u, axis=1)
     if kind == 3:
@@ -195,6 +206,11 @@ class ScenarioSpec:
         return _signal_variance(self.process, self.rho, self.grid)
 
     @cached_property
+    def sine_kernel(self) -> np.ndarray:
+        """The G x G kernel of deviation 2, built once per scenario."""
+        return _sine_kernel(self.grid)
+
+    @cached_property
     def sigma2(self) -> float:
         """Noise variance giving R^2 = 0.95 under the null."""
         value = self.signal_variance * (1.0 - NULL_R_SQUARED) / NULL_R_SQUARED
@@ -246,8 +262,9 @@ def gen_response(spec: ScenarioSpec, X: FunctionalSample, d: int, rng, sigma2=No
     signal = X.data @ (spec.grid.weights * spec.rho)
     delta = spec.deltas[d]
     if delta != 0.0:
+        kernel = spec.sine_kernel if spec.deviation_kind == 2 else None
         signal = signal + spec.deviation_sign * delta * _deviation_rows(
-            spec.deviation_kind, X.data, spec.grid
+            spec.deviation_kind, X.data, spec.grid, kernel
         )
     if noise_var > 0.0:
         signal = signal + rng.normal(0.0, np.sqrt(noise_var), X.n)
@@ -272,13 +289,12 @@ class MonteCarloResult:
 
 
 def _study_trial(args):
-    (index, d, n, K, B, kind, r, sampler, seed, trial, sigma2) = args
-    spec = scenario(index)
-    root = np.random.SeedSequence((seed, index, d, n, trial))
+    (spec, d, n, K, B, kind, r, sampler, seed, trial) = args
+    root = np.random.SeedSequence((seed, spec.index, d, n, trial))
     data_seed, test_seed = root.spawn(2)
     rng = np.random.Generator(np.random.Philox(data_seed))
     X = gen_process(spec.process, n, spec.grid, rng)
-    y = gen_response(spec, X, d, rng, sigma2=sigma2)
+    y = gen_response(spec, X, d, rng)
     report = test_flm(
         X, y, K=K, B=B, kind=kind, r=r, rank=None, sampler=sampler, seed=test_seed
     )
@@ -315,8 +331,12 @@ def run_study(
     cells = [
         (specs[index], d, n) for index in scenarios for d in d_values for n in n_values
     ]
+    # sigma2 is cached on each spec before the payloads are sent, so a worker
+    # receives it with the spec
+    for spec in specs.values():
+        spec.sigma2
     payloads = [
-        (spec.index, d, n, K, B, kind, r, sampler, seed, trial, spec.sigma2)
+        (spec, d, n, K, B, kind, r, sampler, seed, trial)
         for spec, d, n in cells
         for trial in range(M)
     ]

@@ -22,12 +22,15 @@ from flmgof import (
 )
 from flmgof import test_flm as flm_gof
 from flmgof import test_simple as simple_gof
+from flmgof import rptest
 from flmgof.rptest import (
     BOOTSTRAP_BLOCK,
     GOLDEN_PROBS,
     GOLDEN_VALUES,
     STAT_KINDS,
+    _direction_inputs,
     _draw_nondegenerate_direction,
+    _max_over_rows,
     _replay_residuals,
     _SortedProjections,
 )
@@ -121,6 +124,69 @@ def test_batched_norms_match_single_rows():
             )
 
 
+def plain_cumsum_norms(layout, columns, kind):
+    """The norm kernel with one np.cumsum per column, the unpaired reference."""
+    sums = np.cumsum(np.asarray(columns, dtype=float)[layout.order], axis=0)
+    if kind == "cvm":
+        return layout.weights @ np.square(sums)
+    if layout.ends is not None:
+        sums = sums[layout.ends]
+    return np.max(np.abs(sums), axis=0) * layout.scale
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_paired_cumsum_is_bit_identical(tied):
+    rng = philox(5)
+    n = 200
+    projections = rng.standard_normal(n)
+    if tied:
+        projections = np.round(projections, 1)
+        assert np.unique(projections).size < n
+    layout = _SortedProjections(projections)
+    assert (layout.ends is not None) == tied
+    marks = rng.standard_normal((n, 655))
+    for kind in STAT_KINDS:
+        observed = layout.norms(marks[:, 0], kind)
+        assert np.ndim(observed) == 0
+        assert observed == plain_cumsum_norms(layout, marks[:, 0], kind)
+        for width in (1, 2, 3, 654, 655):
+            columns = np.ascontiguousarray(marks[:, :width])
+            norms = layout.norms(columns, kind)
+            assert norms.shape == (width,)
+            assert np.array_equal(norms, plain_cumsum_norms(layout, columns, kind))
+
+
+def test_max_over_rows_matches_numpy_max():
+    rng = philox(6)
+    for rows in (1, 2, 3, 5, 8, 13, 200):
+        for shape in ((rows,), (rows, 1), (rows, 3)):
+            values = rng.integers(-9, 9, shape).astype(float)
+            expected = np.max(values, axis=0)
+            assert np.array_equal(_max_over_rows(values.copy()), expected)
+
+
+@pytest.mark.parametrize("n, widths", [
+    (200, [654, 346]),
+    (500, [262, 262, 262, 214]),
+])
+def test_bootstrap_blocks_have_even_widths(monkeypatch, n, widths):
+    # BOOTSTRAP_BLOCK // 200 = 655 replicates would make an odd block
+    drawn = []
+
+    def recording(rng, size):
+        drawn.append(size)
+        return golden_multipliers(rng, size)
+
+    monkeypatch.setattr(rptest, "golden_multipliers", recording)
+    sample = centered_bm_sample(n, num_points=31, seed=n)
+    y = sample.data[:, 10] + philox(n).standard_normal(n)
+    flm_gof(sample, y, K=2, B=1000, seed=0)
+    assert drawn == [(width, n) for width in widths]
+    drawn.clear()
+    simple_gof(sample, y, K=2, B=999, seed=0)
+    assert drawn[-1] == (widths[-1] - 1, n)  # only an odd B leaves an odd block
+
+
 def test_process_statistic_errors():
     with pytest.raises(ValueError):
         process_statistic([], [])
@@ -198,6 +264,16 @@ def test_golden_multiplier_law():
     assert abs(np.mean(draws**2) - 1.0) < 4.0 / np.sqrt(n)
     assert abs(np.mean(draws**3) - 1.0) < 8.0 / np.sqrt(n)
     assert golden_multipliers(rng, (3, 5)).shape == (3, 5)
+
+
+def test_golden_multipliers_match_where_reference():
+    low, high = GOLDEN_VALUES
+    assert high + (low - high) == low  # the select without a branch is exact
+    for size in (1, 7, (3, 5), (64, 2048)):
+        draws = golden_multipliers(philox(8), size)
+        reference = np.where(philox(8).random(size) < GOLDEN_PROBS[0], low, high)
+        assert np.array_equal(draws, reference)
+        assert set(np.unique(draws)) <= {low, high}
 
 
 # ------------------------------------------------------------------ directions
@@ -297,7 +373,7 @@ def test_degenerate_direction_guard():
     )
     with pytest.raises(DegenerateProjectionError):
         _draw_nondegenerate_direction(
-            sample, orthogonal_basis, 0.95, "ii", philox(0), draw=1
+            *_direction_inputs(sample), orthogonal_basis, 0.95, "ii", philox(0), draw=1
         )
 
 
@@ -396,8 +472,9 @@ def test_streamed_bootstrap_matches_one_shot_reference():
 
     direction_child, multiplier_child = np.random.SeedSequence(seed).spawn(2)
     direction_rng = philox(direction_child)
+    inputs = _direction_inputs(sample)
     projections = [
-        _draw_nondegenerate_direction(sample, basis, 0.95, "i", direction_rng, draw)[1]
+        _draw_nondegenerate_direction(*inputs, basis, 0.95, "i", direction_rng, draw)[1]
         for draw in range(1, K + 1)
     ]
     assert all(np.unique(p).size < n for p in projections)

@@ -21,6 +21,7 @@ from flmgof.processes import (
     bm_kernel,
     gbm_kernel,
     gbm_mean,
+    ornstein_uhlenbeck,
     ou_kernel,
 )
 from flmgof import simlab
@@ -117,6 +118,31 @@ def test_gen_process_determinism_and_validation():
         gen_process("bm", 0, grid, philox(0))
 
 
+def column_loop_ornstein_uhlenbeck(n, grid, rng, mean_reversion=1.0 / 3.0):
+    """The recursion written over the (n, G) columns, one step per column."""
+    stationary_var = 1.0 / (2.0 * mean_reversion)
+    points = grid.points
+    paths = np.empty((n, points.size))
+    paths[:, 0] = rng.normal(0.0, np.sqrt(stationary_var), n)
+    decay = np.exp(-mean_reversion * np.diff(points))
+    innovation_sd = np.sqrt(stationary_var * (1.0 - decay**2))
+    noise = rng.normal(0.0, 1.0, (n, points.size - 1))
+    for k in range(points.size - 1):
+        paths[:, k + 1] = decay[k] * paths[:, k] + innovation_sd[k] * noise[:, k]
+    return paths
+
+
+@pytest.mark.parametrize(
+    "grid", [uniform_grid(201), make_grid(np.sort(philox(3).uniform(0.0, 1.0, 37)))]
+)
+def test_ornstein_uhlenbeck_matches_column_loop(grid):
+    for n, alpha in ((1, 0.5), (7, 1.0 / 3.0), (50, 1.0 / 3.0)):
+        paths = ornstein_uhlenbeck(n, grid, philox(n), mean_reversion=alpha)
+        reference = column_loop_ornstein_uhlenbeck(n, grid, philox(n), alpha)
+        assert paths.flags.c_contiguous
+        assert np.array_equal(paths, reference)
+
+
 # ----------------------------------------------------------------- deviations
 
 
@@ -178,6 +204,26 @@ def test_deviation_rows_agree_with_scalar_version():
         rows = _deviation_rows(kind, data, grid)
         singles = [deviation(kind, row, grid) for row in data]
         assert np.allclose(rows, singles, rtol=1e-12, atol=1e-14)
+
+
+def test_scenario_sine_kernel_is_built_once(monkeypatch):
+    builds = []
+
+    def counting(grid):
+        builds.append(grid.size)
+        return np.sin(2.0 * np.pi * np.outer(grid.points, grid.points))
+
+    monkeypatch.setattr(simlab, "_sine_kernel", counting)
+    spec = scenario(7, grid=uniform_grid(41))
+    X = gen_process("ou", 6, spec.grid, philox(24))
+    for d in (1, 2, 1):
+        y = gen_response(spec, X, d, philox(25), sigma2=0.0)
+        manual = X.data @ (spec.grid.weights * spec.rho) + spec.deviation_sign * (
+            spec.deltas[d] * _deviation_rows(2, X.data, spec.grid)
+        )
+        assert np.array_equal(y, manual)
+    # one build for the spec, one per uncached `_deviation_rows` reference call
+    assert builds == [41] * 4
 
 
 # ------------------------------------------------------------------ scenarios
