@@ -20,6 +20,7 @@ import sys
 
 import numpy as np
 
+from . import forking
 from .funspace import FunctionalSample, make_grid, uniform_grid
 from .rptest import DegenerateProjectionError, test_flm, test_simple
 from .simlab import (
@@ -46,9 +47,14 @@ class InputError(Exception):
 
 
 def read_functional_sample(path, grid_file=None, header_grid=False):
-    """Parse a CSV of curves into a FunctionalSample."""
+    """Parse a CSV of curves into a FunctionalSample.
+
+    Large files are parsed in line ranges by forked processes where the
+    platform allows it (see `forking.loadtxt`); the rows, errors and warnings
+    are those of one `np.loadtxt` call on the whole file.
+    """
     try:
-        rows = np.loadtxt(path, delimiter=",", comments="#", ndmin=2, dtype=float)
+        rows = forking.loadtxt(path, delimiter=",", comments="#")
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read data file {path}: {exc}") from exc
     if header_grid:
@@ -274,7 +280,10 @@ def cmd_test(args):
             f"{sample.n} curves but {response.size} responses; shapes must agree"
         )
     if args.dump:
-        dump_functional_sample(sample, args.dump)
+        try:
+            dump_functional_sample(sample, args.dump)
+        except OSError as exc:
+            raise InputError(f"cannot write dump file {args.dump}: {exc}") from exc
     common = dict(
         K=args.projections,
         B=args.bootstrap,
@@ -388,9 +397,12 @@ def cmd_bench(args):
         raise InputError("--n-list entries must be at least 4")
     if args.trials < 1:
         raise InputError("--trials must be positive")
-    rows = bench_composite_test(
-        n_values, args.trials, args.projections, args.bootstrap, args.stat, args.seed
-    )
+    try:
+        rows = bench_composite_test(
+            n_values, args.trials, args.projections, args.bootstrap, args.stat, args.seed
+        )
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     if args.output == "csv":
         lines = ["n,seconds,p_fdr"]
         lines += [f"{n},{sec!r},{p!r}" for n, sec, p in rows]

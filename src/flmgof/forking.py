@@ -1,0 +1,288 @@
+"""Work split over forked processes: the platform rule and a line-range loadtxt.
+
+Where `fork_supported()`, worker processes are forked, so callers need no
+`__main__` guard and children start with the caller's imports in place.
+That is not on macOS, whose system libraries are not fork-safe, nor on
+Windows, which has no fork; there `simlab` pools start workers the
+platform's default way and files are parsed serially. OpenBLAS's fork
+handler stops its threads before each fork; the line-range parse starts
+them again once its children are done (`_restart_blas_pool`).
+
+`loadtxt(path, **kwargs)` returns what `np.loadtxt(path, ndmin=2,
+dtype=float, **kwargs)` returns. A plain file of `size` bytes is cut into
+p = min(usable CPUs, size // MIN_RANGE_BYTES) byte ranges, each ending at a
+newline. With p >= 2, this process parses the first range while a forked
+child parses each other range with the same arguments. A child sends the
+shape of its rows, then their raw bytes, through a pipe straight into the
+one output array. Every line is parsed by the same parser from the same
+bytes, so the rows equal the serial parse bit for bit. A range of comments
+alone warns "no data" and is dropped. If a range fails, warns about rows it
+holds, or disagrees with another on the number of columns, the whole file
+is parsed again serially here, which returns that result or raises that
+error. Every child is waited for on every path, and killed first on any
+path but success.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import functools
+import io
+import mmap
+import os
+import signal
+import sys
+import warnings
+
+import numpy as np
+
+# Ranges hold at least this many bytes, so files are split from 1 MiB up.
+# Forking and the pipe cost a few ms: in the sweep (scripts/bench_parse.py,
+# BENCH_parallel_parse.json) a 0.8 MB file parsed no faster split (10.6 ms
+# against 10.2-10.4 ms whole), while a 2 MB file did (18.8-19.1 ms against
+# 24.8-26.4 ms) and so did every larger one.
+MIN_RANGE_BYTES = 2**19
+
+# np.loadtxt decompresses files with these suffixes, so their bytes are not lines
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def fork_supported() -> bool:
+    """True where work is split over forked processes (not macOS or Windows)."""
+    return sys.platform not in ("darwin", "win32")
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# (prefix, suffix) of the OpenBLAS symbol names, most recent numpy wheels first
+_OPENBLAS_NAMES = (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", ""))
+
+
+@functools.cache
+def _openblas_function(name):
+    """numpy's OpenBLAS `set_num_threads` or `get_num_threads`, or None.
+
+    numpy wheels bundle OpenBLAS in `numpy.libs`: numpy >= 2 as scipy-openblas
+    (`scipy_openblas_set_num_threads64_`), numpy 1.x with 64_-suffixed names,
+    and a plain build exports `openblas_set_num_threads`. Opening the library
+    numpy already loaded returns that same library. A BLAS numpy links from
+    elsewhere is not found.
+    """
+    import ctypes
+    import glob
+
+    signatures = {
+        "set_num_threads": ([ctypes.c_int], None),
+        "get_num_threads": ([], ctypes.c_int),
+    }
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        library = ctypes.CDLL(path)
+        for prefix, suffix in _OPENBLAS_NAMES:
+            function = getattr(library, f"{prefix}{name}{suffix}", None)
+            if function is not None:
+                function.argtypes, function.restype = signatures[name]
+                return function
+    return None
+
+
+def _restart_blas_pool():
+    """Restart OpenBLAS's thread pool after a fork, before any BLAS call.
+
+    OpenBLAS's fork handler stops its pool and frees the pool's work
+    buffers. The next BLAS call would then take a freed pool buffer for this
+    thread and leave the other for the pool, so each thread touches pages of
+    a buffer it had not used, and the process's peak RSS grows (by 8 MB on
+    the large-n benchmark). Setting the thread count restarts the pool
+    first, and every thread gets its own buffer back.
+    """
+    get_num_threads = _openblas_function("get_num_threads")
+    set_num_threads = _openblas_function("set_num_threads")
+    if get_num_threads is not None and set_num_threads is not None:
+        set_num_threads(get_num_threads())
+
+
+def loadtxt(path, **kwargs):
+    """`np.loadtxt(path, ndmin=2, dtype=float, **kwargs)`, parsed in line ranges."""
+    kwargs.update(ndmin=2, dtype=float)
+    bounds = _line_ranges(path)
+    rows = _parse_ranges(path, bounds, kwargs) if len(bounds) > 2 else None
+    return np.loadtxt(path, **kwargs) if rows is None else rows
+
+
+def _line_ranges(path):
+    """Offsets [0, ..., size] that cut a plain file into ranges of whole lines."""
+    if isinstance(path, os.PathLike):
+        path = os.fspath(path)
+    if (
+        not fork_supported()
+        or not isinstance(path, str)
+        or path.lower().endswith(_COMPRESSED)
+        or not os.path.isfile(path)
+    ):
+        return []
+    size = os.path.getsize(path)
+    parts = min(_usable_cpus(), size // MIN_RANGE_BYTES)
+    bounds = [0]
+    with open(path, "rb") as file:
+        for part in range(1, parts):
+            file.seek(part * size // parts)
+            file.readline()
+            if bounds[-1] < file.tell() < size:
+                bounds.append(file.tell())
+    return bounds + [size]
+
+
+def _parse_ranges(path, bounds, kwargs):
+    """The rows of all ranges in file order, or None if any range failed."""
+    children = []  # (pid, read end of the pipe the child writes to)
+    try:
+        for start, end in zip(bounds[1:-1], bounds[2:]):
+            _fork_parser(path, start, end, kwargs, children)
+        rows = _gather(_parse_range(path, bounds[0], bounds[1], kwargs), children)
+        if rows is not None and _reap(children, kill=False):
+            return rows
+        return None
+    except (OSError, ValueError):  # no pipe or fork, or the first range failed
+        return None
+    finally:
+        _reap(children, kill=True)
+        _restart_blas_pool()
+
+
+def _gather(first, children):
+    """The rows this process parsed, then every child's, in one array.
+
+    The array has a mapping of its own, so its pages go back to the system
+    when the caller drops it, whatever the state of the malloc heap.
+    """
+    if first is None:
+        return None
+    shapes = [first.shape] + [_read_shape(pipe) for _, pipe in children]
+    if None in shapes:
+        return None
+    columns = {cols for rows, cols in shapes if rows}
+    if len(columns) != 1:
+        return None
+    shape = (sum(rows for rows, _ in shapes), columns.pop())
+    out = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1]), float).reshape(shape)
+    filled = len(first)
+    out[:filled] = first
+    for (rows, _), (_, pipe) in zip(shapes[1:], children):
+        if not _fill(pipe, out[filled : filled + rows]):
+            return None
+        filled += rows
+    return out
+
+
+def _fork_parser(path, start, end, kwargs, children):
+    """Fork a child that parses bytes [start, end) and writes the shape and
+    the rows to a pipe; add (pid, read end) to `children`."""
+    read_end, write_end = os.pipe()
+    try:
+        with _sigint_held(), warnings.catch_warnings():
+            # Python >= 3.12 warns after a fork in a process with threads
+            # (here BLAS threads); under an error filter that warning would
+            # raise here and lose the child. The child only parses and exits.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+            if pid == 0:
+                _run_child(path, start, end, kwargs, write_end)
+            children.append((pid, read_end))
+    except OSError:
+        os.close(read_end)
+        raise
+    finally:
+        os.close(write_end)
+
+
+def _run_child(path, start, end, kwargs, pipe):
+    """The forked child: parse the range, write the rows and exit, never
+    returning; on any failure it exits with 1 and writes nothing more."""
+    code = 1
+    try:
+        rows = _parse_range(path, start, end, kwargs)
+        if rows is not None:
+            with open(pipe, "wb") as out:
+                out.write(np.array(rows.shape, dtype=np.int64))
+                out.write(np.ascontiguousarray(rows))
+            code = 0
+    finally:
+        os._exit(code)
+
+
+def _parse_range(path, start, end, kwargs):
+    """np.loadtxt on the lines in bytes [start, end); None if it warned about
+    rows it returned (a range without rows warns "no data")."""
+    with open(path, "rb", buffering=0) as file, warnings.catch_warnings(
+        record=True
+    ) as caught:
+        warnings.simplefilter("always")
+        file.seek(start)
+        reader = io.BufferedReader(_ByteRange(file, end - start), 2**16)
+        rows = np.loadtxt(io.TextIOWrapper(reader), **kwargs)
+    return None if caught and len(rows) else rows
+
+
+def _read_shape(pipe):
+    shape = np.empty(2, dtype=np.int64)
+    return tuple(int(extent) for extent in shape) if _fill(pipe, shape) else None
+
+
+def _fill(pipe, array):
+    """Read exactly `array.nbytes` bytes into `array`; False if the pipe ends first."""
+    view = memoryview(array.reshape(-1).view(np.uint8))
+    while view:
+        count = os.readv(pipe, [view])
+        if not count:
+            return False
+        view = view[count:]
+    return True
+
+
+def _reap(children, kill):
+    """Wait for every child, killing it first if asked, and close its pipe.
+
+    True if every child exited with 0. Ctrl-C is held meanwhile, so no
+    child leaves the list unreaped.
+    """
+    clean = True
+    with _sigint_held():
+        while children:
+            pid, pipe = children.pop()
+            if kill:
+                os.kill(pid, signal.SIGKILL)
+            clean &= os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+            os.close(pipe)
+    return clean
+
+
+@contextlib.contextmanager
+def _sigint_held():
+    """Hold SIGINT (Ctrl-C) until the block ends; a forked child keeps it held."""
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+
+
+class _ByteRange(io.RawIOBase):
+    """The next `size` bytes of an open file, read as a stream of their own."""
+
+    def __init__(self, file, size):
+        self._file = file
+        self._left = size
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        count = self._file.readinto(memoryview(buffer)[: self._left])
+        self._left -= count
+        return count

@@ -14,8 +14,10 @@ Every trial is seeded by (study seed, scenario, deviation level, n, trial)
 through a counter-based generator, so results do not depend on how trials are
 scheduled across workers. `run_study(threads=N)` with N > 1 sends all trials
 of all cells through one process pool of at most N workers, forked where the
-platform allows it, and pins each worker's OpenBLAS to one thread; the
-calling process's BLAS is left as it is.
+platform allows it, and pins each worker's OpenBLAS to one thread. Trials
+that run in the calling process run its OpenBLAS on one thread too, and the
+caller's thread count is restored afterwards, so every trial computes with
+the same BLAS thread count whatever `threads` is.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import multiprocessing
-import os
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -32,6 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .forking import _openblas_function, fork_supported
 from .funspace import FunctionalSample, Grid, _frozen, uniform_grid
 from .processes import (
     bb_kernel,
@@ -373,20 +374,20 @@ def _trial_outcomes(payloads, threads):
     """Yield an iterator over the trial outcomes in payload order.
 
     With one worker's worth of trials or threads == 1, the trials run here,
-    one at a time. Otherwise one pool of at most `threads` workers, never
-    more than the trials, runs them in chunks of about a quarter of each
-    worker's share. Workers are forked where the platform allows it, so
-    callers need no `__main__` guard, and each runs its BLAS on one thread:
-    a forked worker keeps the parent's BLAS thread count, and `threads`
-    workers would otherwise oversubscribe the cores.
+    one at a time, with this process's BLAS on one thread. Otherwise one
+    pool of at most `threads` workers, never more than the trials, runs them
+    in chunks of about a quarter of each worker's share. Workers are forked
+    where the platform allows it, so callers need no `__main__` guard, and
+    each runs its BLAS on one thread: a forked worker keeps the parent's BLAS
+    thread count, and `threads` workers would otherwise oversubscribe the
+    cores.
     """
     workers = min(threads, len(payloads))
     if workers <= 1:
-        yield map(_study_trial, payloads)
+        with _blas_on_one_thread():
+            yield map(_study_trial, payloads)
         return
-    context = multiprocessing.get_context(
-        "fork" if sys.platform not in ("darwin", "win32") else None
-    )
+    context = multiprocessing.get_context("fork" if fork_supported() else None)
     with ProcessPoolExecutor(
         max_workers=workers, mp_context=context, initializer=_one_blas_thread
     ) as pool:
@@ -394,42 +395,27 @@ def _trial_outcomes(payloads, threads):
         yield pool.map(_study_trial, payloads, chunksize=chunk)
 
 
-# (prefix, suffix) of the OpenBLAS symbol names, most recent numpy wheels first
-_OPENBLAS_NAMES = (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", ""))
-
-
-def _openblas_function(name):
-    """numpy's OpenBLAS `set_num_threads` or `get_num_threads`, or None.
-
-    numpy wheels bundle OpenBLAS in `numpy.libs`: numpy >= 2 as scipy-openblas
-    (`scipy_openblas_set_num_threads64_`), numpy 1.x with 64_-suffixed names,
-    and a plain build exports `openblas_set_num_threads`. Opening the library
-    numpy already loaded returns that same library. A BLAS numpy links from
-    elsewhere is not found.
-    """
-    import ctypes
-    import glob
-
-    signatures = {
-        "set_num_threads": ([ctypes.c_int], None),
-        "get_num_threads": ([], ctypes.c_int),
-    }
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
-        library = ctypes.CDLL(path)
-        for prefix, suffix in _OPENBLAS_NAMES:
-            function = getattr(library, f"{prefix}{name}{suffix}", None)
-            if function is not None:
-                function.argtypes, function.restype = signatures[name]
-                return function
-    return None
-
-
 def _one_blas_thread():
     """Pool worker initializer: run numpy's OpenBLAS, if found, on one thread."""
     set_num_threads = _openblas_function("set_num_threads")
     if set_num_threads is not None:
         set_num_threads(1)
+
+
+@contextlib.contextmanager
+def _blas_on_one_thread():
+    """Run numpy's OpenBLAS, if found, on one thread; restore the count on exit."""
+    get_num_threads = _openblas_function("get_num_threads")
+    set_num_threads = _openblas_function("set_num_threads")
+    if get_num_threads is None or set_num_threads is None:
+        yield
+        return
+    before = get_num_threads()
+    set_num_threads(1)
+    try:
+        yield
+    finally:
+        set_num_threads(before)
 
 
 def fdr_discretization_experiment(

@@ -140,6 +140,12 @@ def test_input_errors(dataset, tmp_path, capsys):
     assert code == EXIT_USAGE
     assert "shapes must agree" in err
 
+    missing_dir = tmp_path / "missing" / "dump.csv"
+    code, out, err = run_cli(base_args(dataset, "--dump", str(missing_dir)), capsys)
+    assert code == EXIT_USAGE
+    assert "cannot write dump file" in err
+    assert out == ""
+
 
 def test_usage_errors(capsys):
     assert main(["test"]) == EXIT_USAGE  # missing required flags
@@ -366,3 +372,8 @@ def test_bench_usage_errors(capsys):
     assert code == EXIT_USAGE
     code, _, _ = run_cli(["bench", "--n-list", "8", "--trials", "0"], capsys)
     assert code == EXIT_USAGE
+    for flag in ("--bootstrap", "--projections"):
+        code, out, err = run_cli(["bench", "--n-list", "8", flag, "0"], capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and "must be a positive integer" in err
+        assert out == ""

@@ -403,6 +403,33 @@ def test_pool_workers_run_blas_on_one_thread():
     assert get_num_threads() == before
 
 
+def test_serial_study_runs_blas_on_one_thread(monkeypatch):
+    get_num_threads = simlab._openblas_function("get_num_threads")
+    set_num_threads = simlab._openblas_function("set_num_threads")
+    if get_num_threads is None or set_num_threads is None:
+        pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
+    before = get_num_threads()
+    seen = []
+    trial = simlab._study_trial
+
+    def recording_trial(payload):
+        seen.append(get_num_threads())
+        return trial(payload)
+
+    monkeypatch.setattr(simlab, "_study_trial", recording_trial)
+    set_num_threads(2)
+    try:
+        caller = get_num_threads()
+        run_study([1], [0], [20], M=2, K=2, B=30, threads=1)
+        assert seen == [1, 1]
+        assert get_num_threads() == caller
+        run_study([1], [0], [20], M=1, K=2, B=30, threads=2)  # one trial: no pool
+        assert seen == [1, 1, 1]
+        assert get_num_threads() == caller
+    finally:
+        set_num_threads(before)
+
+
 def test_run_study_forks_no_more_workers_than_trials(tmp_path, monkeypatch):
     pin = simlab._one_blas_thread
 
