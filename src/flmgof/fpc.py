@@ -15,6 +15,7 @@ instead of the G x G kernel, which is the cheaper path for short samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,9 @@ class FpcBasis:
         sign fixed so its largest-magnitude value is positive.
     scores : ndarray, shape (n, m)
         scores[i, j] = <X_i, e_j>.
+
+    The direction sampler's constants, `variance_ratios` and
+    `score_spread(k)`, are made on first use and kept with the basis.
     """
 
     grid: Grid
@@ -62,6 +66,32 @@ class FpcBasis:
     def n(self) -> int:
         return int(self.scores.shape[0])
 
+    @cached_property
+    def variance_ratios(self) -> np.ndarray:
+        """sum_{j<=k} lambda_j^2 / sum_{j<=m} lambda_j^2 for k = 1..m, read-only."""
+        cumulative = np.cumsum(self.eigenvalues**2)
+        ratios = cumulative / cumulative[-1]
+        ratios.setflags(write=False)
+        return ratios
+
+    @cached_property
+    def _score_spreads(self) -> dict:
+        return {}
+
+    def score_spread(self, components: int) -> np.ndarray:
+        """np.std(scores[:, :components], axis=0, ddof=1), made once per count.
+
+        Each count keeps its own array rather than a slice of the spread of
+        every column: numpy sums a single column pairwise but several columns
+        row by row, so a one-column spread can differ in its last bit.
+        """
+        spread = self._score_spreads.get(components)
+        if spread is None:
+            spread = np.std(self.scores[:, :components], axis=0, ddof=1)
+            spread.setflags(write=False)
+            self._score_spreads[components] = spread
+        return spread
+
 
 def compute_fpc(sample: FunctionalSample, max_rank: int | None = None) -> FpcBasis:
     """Eigendecompose the sample covariance operator of a centered sample.
@@ -74,6 +104,10 @@ def compute_fpc(sample: FunctionalSample, max_rank: int | None = None) -> FpcBas
         Upper bound on the number of retained components; defaults to
         min(n - 1, G). Fewer may be returned when trailing eigenvalues fall
         below the relative floor.
+
+    The scores are computed from the curves times the grid weights, which the
+    sample keeps for the projections of the test that follows; the test
+    frees that n x G product once its directions are drawn.
     """
     if not sample.centered:
         raise ValueError("compute_fpc requires a centered sample")
@@ -88,39 +122,32 @@ def compute_fpc(sample: FunctionalSample, max_rank: int | None = None) -> FpcBas
 
     sqrt_w = np.sqrt(sample.grid.weights)
     weighted = sample.data * sqrt_w  # n x G
-
-    if n <= num_points:
-        gram = (weighted @ weighted.T) / n
-        vals, vecs = np.linalg.eigh(gram)
-        order = np.argsort(vals)[::-1]
-        vals = vals[order]
-        keep = _positive_rank(vals)
-        keep = min(keep, max_rank)
-        if keep == 0:
-            raise ValueError("sample covariance has no positive eigenvalues")
-        vals = vals[:keep]
-        vecs = vecs[:, order[:keep]]
-        # u_j = A^T v_j / sqrt(n lambda_j) is the unit eigenvector of A^T A / n
-        basis_w = (weighted.T @ vecs) / np.sqrt(n * vals)
+    gram_path = n <= num_points
+    if gram_path:
+        covariance = (weighted @ weighted.T) / n
     else:
-        kernel = (weighted.T @ weighted) / n
-        vals, vecs = np.linalg.eigh(kernel)
-        order = np.argsort(vals)[::-1]
-        vals = vals[order]
-        keep = _positive_rank(vals)
-        keep = min(keep, max_rank)
-        if keep == 0:
-            raise ValueError("sample covariance has no positive eigenvalues")
-        vals = vals[:keep]
-        basis_w = vecs[:, order[:keep]]
+        covariance = (weighted.T @ weighted) / n
+    vals, vecs = np.linalg.eigh(covariance)
+    order = np.argsort(vals)[::-1]
+    vals = vals[order]
+    keep = min(_positive_rank(vals), max_rank)
+    if keep == 0:
+        raise ValueError("sample covariance has no positive eigenvalues")
+    vals = vals[:keep]
+    basis_w = vecs[:, order[:keep]]  # G x m, or n x m on the Gram path
+    if gram_path:
+        # u_j = A^T v_j / sqrt(n lambda_j) is the unit eigenvector of A^T A / n
+        basis_w = weighted.T @ basis_w
+        basis_w /= np.sqrt(n * vals)
+    del weighted  # an n x G array; the scores use the sample's own product
 
-    eigenfunctions = (basis_w / sqrt_w[:, None]).T  # m x G
-    flip = np.sign(
-        eigenfunctions[np.arange(keep), np.argmax(np.abs(eigenfunctions), axis=1)]
-    )
+    # every step below works in place on the fresh G x m array
+    basis_w /= sqrt_w[:, None]
+    flip = np.sign(basis_w[np.argmax(np.abs(basis_w), axis=0), np.arange(keep)])
     flip[flip == 0] = 1.0
-    eigenfunctions = eigenfunctions * flip[:, None]
-    scores = (sample.data * sample.grid.weights) @ eigenfunctions.T
+    basis_w *= flip
+    eigenfunctions = basis_w.T  # m x G
+    scores = sample._weighted @ eigenfunctions.T
 
     return FpcBasis(
         grid=sample.grid,

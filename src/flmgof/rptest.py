@@ -34,7 +34,7 @@ import numpy as np
 
 from .flm import _hat_apply_rows, estimate_rho, select_rank_sicc
 from .fpc import FpcBasis, compute_fpc
-from .funspace import FunctionalSample, _frozen, center, curve_norm
+from .funspace import FunctionalSample, _frozen, center
 from .processes import ornstein_uhlenbeck
 
 __all__ = [
@@ -111,6 +111,16 @@ class TestReport:
             ],
             "settings": dict(self.settings),
         }
+
+
+def _check_sampler(variant):
+    if variant not in SAMPLER_VARIANTS:
+        raise ValueError(f"sampler variant must be one of {SAMPLER_VARIANTS}")
+
+
+def _check_threshold(r):
+    if not 0.0 < r <= 1.0:
+        raise ValueError("variance threshold r must lie in (0, 1]")
 
 
 def _check_kind(kind: str) -> str:
@@ -267,25 +277,18 @@ def sample_direction_datadriven(
     For variants i and ii the number of components j_n is the smallest k with
     sum_{j<=k} lambda_j^2 / sum_{j<=m} lambda_j^2 >= r.
     """
-    if variant not in SAMPLER_VARIANTS:
-        raise ValueError(f"sampler variant must be one of {SAMPLER_VARIANTS}")
+    _check_sampler(variant)
     if rng is None:
         raise ValueError("an np.random.Generator is required")
     if variant == "iii":
         values = ornstein_uhlenbeck(1, basis.grid, rng, mean_reversion=0.5)[0]
         return Direction(values=values, sampler=variant, draw=draw)
 
-    if not 0.0 < r <= 1.0:
-        raise ValueError("variance threshold r must lie in (0, 1]")
-    squared = basis.eigenvalues**2
-    cumulative = np.cumsum(squared)
-    ratios = cumulative / cumulative[-1]
-    j_n = int(np.argmax(ratios >= r)) + 1
+    _check_threshold(r)
+    j_n = int(np.argmax(basis.variance_ratios >= r)) + 1
+    coefficients = rng.normal(0.0, 1.0, j_n)
     if variant == "i":
-        spread = np.std(basis.scores[:, :j_n], axis=0, ddof=1)
-    else:
-        spread = np.ones(j_n)
-    coefficients = rng.normal(0.0, 1.0, j_n) * spread
+        coefficients *= basis.score_spread(j_n)
     values = coefficients @ basis.eigenfunctions[:j_n]
     return Direction(values=values, sampler=variant, draw=draw)
 
@@ -293,14 +296,17 @@ def sample_direction_datadriven(
 def _direction_inputs(sample):
     """max_i ||X_i|| and the curves times the grid weights, X * w.
 
-    (X * w) @ h are the projections <X_i, h>. Both are n x G passes, made
-    once per test rather than once per draw; the scale comes first, so its
-    temporaries are freed before the weighted copy is made.
+    (X * w) @ h are the projections <X_i, h>. The product is the one the
+    sample keeps, made by `compute_fpc` for the scores; it is taken off the
+    sample here, so it is freed once the caller has drawn its directions.
     """
-    curve_scale = np.sqrt(
-        np.max(np.sum(sample.data**2 * sample.grid.weights, axis=1))
-    )
-    return curve_scale, sample.data * sample.grid.weights
+    squares = np.square(sample.data)
+    squares *= sample.grid.weights
+    curve_scale = np.sqrt(np.max(np.sum(squares, axis=1)))
+    weighted = sample._weighted
+    # another test on the same sample, in another thread, may have taken it
+    vars(sample).pop("_weighted", None)
+    return curve_scale, weighted
 
 
 def _draw_nondegenerate_direction(curve_scale, weighted, basis, r, variant, rng, draw):
@@ -309,12 +315,15 @@ def _draw_nondegenerate_direction(curve_scale, weighted, basis, r, variant, rng,
     `curve_scale` and `weighted` come from `_direction_inputs` of the sample
     that `basis` was computed from.
     """
+    weights = basis.grid.weights
     for _ in range(MAX_DIRECTION_ATTEMPTS):
         direction = sample_direction_datadriven(
             basis, r=r, rng=rng, variant=variant, draw=draw
         )
-        projections = weighted @ direction.values
-        scale = curve_scale * curve_norm(direction.values, basis.grid)
+        values = direction.values
+        projections = weighted @ values
+        # ||h|| as curve_norm computes it, without re-checking the draw
+        scale = curve_scale * np.sqrt(np.sum(weights * values * values))
         if np.max(np.abs(projections)) > DEGENERATE_RELATIVE_TOL * scale:
             return direction, projections
     raise DegenerateProjectionError(
@@ -335,9 +344,11 @@ def _replay_residuals(fit, perturbed):
     return centered
 
 
-def _prepare(X, y, K, B, kind):
+def _prepare(X, y, K, B, kind, r, sampler):
     """Check the inputs both tests share; center X and compute its FPC basis."""
     kind = _check_kind(kind)
+    _check_sampler(sampler)
+    _check_threshold(r)
     if not isinstance(X, FunctionalSample):
         raise ValueError("X must be a FunctionalSample")
     if X.n < 3:
@@ -450,7 +461,7 @@ def test_flm(
     each with a wild bootstrap of B replicates. Reproducible for a fixed
     `seed` (int or SeedSequence) regardless of available parallelism.
     """
-    kind, y, sample, basis = _prepare(X, y, K, B, kind)
+    kind, y, sample, basis = _prepare(X, y, K, B, kind, r, sampler)
     y_centered = y - y.mean()
     if rank is None:
         max_rank = min(basis.m, sample.n - 3)
@@ -483,7 +494,7 @@ def test_simple(
     estimated under this null, so the bootstrap multiplies the marks
     directly, with no refit and no centering.
     """
-    kind, y, sample, basis = _prepare(X, y, K, B, kind)
+    kind, y, sample, basis = _prepare(X, y, K, B, kind, r, sampler)
     if m0 is None:
         marks = y
     else:

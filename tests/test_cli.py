@@ -77,6 +77,39 @@ def test_report_validates_against_schema(dataset, capsys):
     assert simple_report["settings"]["rank"] is None
 
 
+@pytest.mark.parametrize("sampler", ["i", "ii", "iii"])
+def test_every_sampler_report_validates_against_schema(dataset, sampler, capsys):
+    for null in ("flm", "simple"):
+        args = base_args(dataset, "--sampler", sampler, "--null", null)
+        code, out, err = run_cli(args + ["--variance-threshold", "1"], capsys)
+        assert code == EXIT_OK
+        assert err == ""
+        report = json.loads(out)
+        jsonschema.validate(report, load_schema())
+        assert report["settings"]["sampler"] == sampler
+        assert report["settings"]["r"] == 1.0
+
+
+@pytest.mark.parametrize("sampler", ["i", "ii", "iii"])
+@pytest.mark.parametrize("r", ["5", "0", "-1", "nan"])
+def test_variance_threshold_outside_unit_interval_exits_2(dataset, sampler, r, capsys):
+    # sampler iii ignores r, but a report with it would fail the schema
+    for null in ("flm", "simple"):
+        args = base_args(dataset, "--sampler", sampler, "--null", null)
+        code, out, err = run_cli(args + ["--variance-threshold", r], capsys)
+        assert code == EXIT_USAGE
+        assert "variance threshold r" in err
+        assert out == ""
+    code, out, err = run_cli(
+        ["simulate", "--scenario", "S1", "--n", "20", "--M", "2", "--bootstrap",
+         "20", "--sampler", sampler, "--variance-threshold", r],
+        capsys,
+    )
+    assert code == EXIT_USAGE
+    assert "variance threshold r" in err
+    assert out == ""
+
+
 def test_repeated_runs_are_byte_identical(dataset, capsys):
     args = base_args(dataset, "--stat", "ks", "--seed", "3")
     _, first, _ = run_cli(args, capsys)

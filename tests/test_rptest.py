@@ -13,6 +13,7 @@ from flmgof import (
     compute_fpc,
     estimate_rho,
     fdr_combine,
+    gen_process,
     golden_multipliers,
     inner_product,
     process_statistic,
@@ -317,6 +318,105 @@ def test_direction_metadata_and_validation():
         sample_direction_datadriven(basis, r=0.0, rng=philox(0))
     with pytest.raises(ValueError):
         sample_direction_datadriven(basis, r=1.5, rng=philox(0))
+
+
+def per_draw_direction(basis, r, rng, variant):
+    """Variants i and ii as the sampler computed them on every draw."""
+    squared = basis.eigenvalues**2
+    cumulative = np.cumsum(squared)
+    ratios = cumulative / cumulative[-1]
+    j_n = int(np.argmax(ratios >= r)) + 1
+    if variant == "i":
+        spread = np.std(basis.scores[:, :j_n], axis=0, ddof=1)
+    else:
+        spread = np.ones(j_n)
+    coefficients = rng.normal(0.0, 1.0, j_n) * spread
+    return coefficients @ basis.eigenfunctions[:j_n]
+
+
+@pytest.mark.parametrize("variant", ["i", "ii"])
+@pytest.mark.parametrize("r", [0.5, 0.95, 1.0])
+def test_direction_constants_match_the_per_draw_formula(variant, r):
+    # Brownian curves put over 95% of the squared spectrum on the first
+    # component (j_n = 1 below r = 1); the cosine curves spread it out, and
+    # n > G takes the G x G kernel path
+    grid = uniform_grid(41)
+    samples = [centered_bm_sample(50, num_points=201, seed=31)]
+    samples += [
+        center(gen_process(kind, n, grid, philox(n)))[0]
+        for kind, n in (("ou", 30), ("hhn1", 12), ("bm", 90))
+    ]
+    for index, sample in enumerate(samples):
+        basis = compute_fpc(sample)
+        for draw in range(3):
+            seed = (index, draw)
+            got = sample_direction_datadriven(basis, r=r, rng=philox(seed), variant=variant)
+            expected = per_draw_direction(basis, r, philox(seed), variant)
+            assert np.array_equal(got.values, expected)
+    first = compute_fpc(samples[0])
+    assert int(np.argmax(first.variance_ratios >= 0.95)) == 0
+
+
+def test_direction_constants_belong_to_their_basis():
+    one = compute_fpc(centered_bm_sample(40, num_points=51, seed=1))
+    two = compute_fpc(centered_bm_sample(40, num_points=51, seed=2))
+    for basis in (one, two):  # fill the first basis's caches before the second's
+        basis.variance_ratios, basis.score_spread(1), basis.score_spread(3)
+    for basis in (one, two):
+        cumulative = np.cumsum(basis.eigenvalues**2)
+        assert np.array_equal(basis.variance_ratios, cumulative / cumulative[-1])
+        for components in (1, 3):
+            assert np.array_equal(
+                basis.score_spread(components),
+                np.std(basis.scores[:, :components], axis=0, ddof=1),
+            )
+        with pytest.raises(ValueError):
+            basis.score_spread(1)[0] = 0.0
+    assert not np.array_equal(one.score_spread(3), two.score_spread(3))
+    # a basis with the same spectrum but doubled scores makes its own spreads
+    doubled = FpcBasis(
+        grid=one.grid,
+        eigenvalues=one.eigenvalues,
+        eigenfunctions=one.eigenfunctions,
+        scores=2.0 * one.scores,
+    )
+    assert np.array_equal(doubled.variance_ratios, one.variance_ratios)
+    assert doubled.variance_ratios is not one.variance_ratios
+    assert np.array_equal(doubled.score_spread(3), 2.0 * one.score_spread(3))
+
+
+def test_direction_inputs_take_the_weighted_curves_off_the_sample():
+    sample = centered_bm_sample(30, num_points=41, seed=4)
+    basis = compute_fpc(sample)
+    product = sample.data * sample.grid.weights
+    assert np.array_equal(basis.scores, product @ basis.eigenfunctions.T)
+    curve_scale, weighted = _direction_inputs(sample)
+    assert np.array_equal(weighted, product)
+    assert curve_scale == np.sqrt(
+        np.max(np.sum(sample.data**2 * sample.grid.weights, axis=1))
+    )
+    # the test frees the product before its bootstrap, also on the caller's
+    # own centered sample
+    assert "_weighted" not in vars(sample)
+    y = basis.scores[:, 0] + 0.1 * philox(5).standard_normal(sample.n)
+    flm_gof(sample, y, K=2, B=20, seed=0)
+    simple_gof(sample, y, K=2, B=20, seed=0)
+    assert "_weighted" not in vars(sample)
+
+
+@pytest.mark.parametrize("sampler", ["i", "ii", "iii"])
+def test_threshold_and_sampler_are_checked_before_any_work(sampler, monkeypatch):
+    sample = centered_bm_sample(20, num_points=21, seed=3)
+    y = philox(4).standard_normal(sample.n)
+    calls = []
+    monkeypatch.setattr(rptest, "compute_fpc", lambda *args: calls.append(args))
+    for gof in (flm_gof, simple_gof):
+        for r in (0.0, -1.0, 1.5, 5.0, float("nan")):
+            with pytest.raises(ValueError, match="variance threshold r"):
+                gof(sample, y, K=2, B=10, r=r, sampler=sampler)
+        with pytest.raises(ValueError, match="sampler variant"):
+            gof(sample, y, K=2, B=10, sampler=sampler + "v")
+    assert calls == []
 
 
 def test_datadriven_coefficient_spread():

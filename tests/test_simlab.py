@@ -381,6 +381,23 @@ def test_run_study_threads_do_not_change_results():
     assert alone.sd_rank == tables[1][3].sd_rank
 
 
+def test_run_study_golden_table():
+    # rows recorded before the per-basis direction constants, the row-wise
+    # Ornstein-Uhlenbeck recursion and the shared X * w product; S7 draws
+    # Ornstein-Uhlenbeck paths
+    results = run_study([1, 7], [0, 1], [50], M=10, K=5, B=200, seed=7)
+    rows = [
+        (res.scenario, res.d, res.rejection_rates, res.mean_rank, res.sd_rank)
+        for res in results
+    ]
+    assert rows == [
+        ("S1", 0, (0.0, 0.1, 0.1), 3.2, 0.4216370213557839),
+        ("S1", 1, (0.0, 0.5, 0.6), 3.5, 0.5270462766947299),
+        ("S7", 0, (0.0, 0.1, 0.2), 4.4, 0.6992058987801011),
+        ("S7", 1, (1.0, 1.0, 1.0), 3.3, 0.6749485577105528),
+    ]
+
+
 def _record_blas_threads(queue):
     simlab._one_blas_thread()
     queue.put((os.getpid(), simlab._openblas_function("get_num_threads")()))
