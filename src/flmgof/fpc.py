@@ -104,10 +104,15 @@ def compute_fpc(sample: FunctionalSample, max_rank: int | None = None) -> FpcBas
         Upper bound on the number of retained components; defaults to
         min(n - 1, G). Fewer may be returned when trailing eigenvalues fall
         below the relative floor.
+    """
+    return _compute_fpc(sample, sample.data * sample.grid.weights, max_rank)
 
-    The scores are computed from the curves times the grid weights, which the
-    sample keeps for the projections of the test that follows; the test
-    frees that n x G product once its directions are drawn.
+
+def _compute_fpc(sample, weighted, max_rank=None):
+    """`compute_fpc` with the curves times the grid weights, X * w, given.
+
+    The scores are (X * w) @ e_j; a caller that also projects the curves
+    passes the product it projects with, so it is made once.
     """
     if not sample.centered:
         raise ValueError("compute_fpc requires a centered sample")
@@ -121,12 +126,12 @@ def compute_fpc(sample: FunctionalSample, max_rank: int | None = None) -> FpcBas
         raise ValueError(f"max_rank must lie in [1, {limit}], got {max_rank}")
 
     sqrt_w = np.sqrt(sample.grid.weights)
-    weighted = sample.data * sqrt_w  # n x G
+    root_weighted = sample.data * sqrt_w  # n x G
     gram_path = n <= num_points
     if gram_path:
-        covariance = (weighted @ weighted.T) / n
+        covariance = (root_weighted @ root_weighted.T) / n
     else:
-        covariance = (weighted.T @ weighted) / n
+        covariance = (root_weighted.T @ root_weighted) / n
     vals, vecs = np.linalg.eigh(covariance)
     order = np.argsort(vals)[::-1]
     vals = vals[order]
@@ -137,9 +142,9 @@ def compute_fpc(sample: FunctionalSample, max_rank: int | None = None) -> FpcBas
     basis_w = vecs[:, order[:keep]]  # G x m, or n x m on the Gram path
     if gram_path:
         # u_j = A^T v_j / sqrt(n lambda_j) is the unit eigenvector of A^T A / n
-        basis_w = weighted.T @ basis_w
+        basis_w = root_weighted.T @ basis_w
         basis_w /= np.sqrt(n * vals)
-    del weighted  # an n x G array; the scores use the sample's own product
+    del root_weighted  # an n x G array; the scores use X * w
 
     # every step below works in place on the fresh G x m array
     basis_w /= sqrt_w[:, None]
@@ -147,7 +152,7 @@ def compute_fpc(sample: FunctionalSample, max_rank: int | None = None) -> FpcBas
     flip[flip == 0] = 1.0
     basis_w *= flip
     eigenfunctions = basis_w.T  # m x G
-    scores = sample._weighted @ eigenfunctions.T
+    scores = weighted @ eigenfunctions.T
 
     return FpcBasis(
         grid=sample.grid,

@@ -9,7 +9,6 @@ with respect to that quadrature rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -149,17 +148,6 @@ class FunctionalSample:
     @property
     def num_points(self) -> int:
         return int(self.data.shape[1])
-
-    @cached_property
-    def _weighted(self) -> np.ndarray:
-        """data * grid.weights, read-only: <X_i, h> = (_weighted @ h)[i].
-
-        Made on first use and kept with the sample, until a caller that wants
-        the memory back removes it with `vars(sample).pop("_weighted", None)`.
-        """
-        product = self.data * self.grid.weights
-        product.setflags(write=False)
-        return product
 
 
 def center(sample: FunctionalSample):

@@ -77,14 +77,6 @@ def ornstein_uhlenbeck(
     innovation_sd = np.sqrt(stationary_var * (1.0 - decay**2))
     noise = rng.normal(0.0, 1.0, (n, points.size - 1))
     np.multiply(noise.T, innovation_sd[:, None], out=paths[1:])
-    if n == 1:
-        # one path, as the direction sampler draws it: Python floats round
-        # each product and sum as the ufuncs below do, without a ufunc call
-        # per step
-        path = paths[:, 0].tolist()
-        for k, factor in enumerate(decay.tolist()):
-            path[k + 1] += path[k] * factor
-        return np.array([path])
     carried = np.empty(n)
     # row views and Python floats made once, not indexed out on every step
     rows = list(paths)

@@ -33,7 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flm import _hat_apply_rows, estimate_rho, select_rank_sicc
-from .fpc import FpcBasis, compute_fpc
+from .fpc import FpcBasis
+# The FPC step of a test takes the test's own X * w for the scores; it keeps the
+# public name, under which perfbench/spans.py times it as `fpc.compute`.
+from .fpc import _compute_fpc as compute_fpc
 from .funspace import FunctionalSample, _frozen, center
 from .processes import ornstein_uhlenbeck
 
@@ -296,17 +299,14 @@ def sample_direction_datadriven(
 def _direction_inputs(sample):
     """max_i ||X_i|| and the curves times the grid weights, X * w.
 
-    (X * w) @ h are the projections <X_i, h>. The product is the one the
-    sample keeps, made by `compute_fpc` for the scores; it is taken off the
-    sample here, so it is freed once the caller has drawn its directions.
+    (X * w) @ h are the projections <X_i, h>, and (X * w) @ e_j the FPC
+    scores. Both are n x G passes, made once per test rather than once per
+    draw.
     """
     squares = np.square(sample.data)
     squares *= sample.grid.weights
     curve_scale = np.sqrt(np.max(np.sum(squares, axis=1)))
-    weighted = sample._weighted
-    # another test on the same sample, in another thread, may have taken it
-    vars(sample).pop("_weighted", None)
-    return curve_scale, weighted
+    return curve_scale, sample.data * sample.grid.weights
 
 
 def _draw_nondegenerate_direction(curve_scale, weighted, basis, r, variant, rng, draw):
@@ -344,8 +344,15 @@ def _replay_residuals(fit, perturbed):
     return centered
 
 
-def _prepare(X, y, K, B, kind, r, sampler):
-    """Check the inputs both tests share; center X and compute its FPC basis."""
+def _prepare(X, y, K, B, kind, r, sampler, seed):
+    """Check the inputs both tests share; center X, compute its FPC basis and
+    project the curves on K random directions.
+
+    Besides the checked inputs and the basis, returns the K sorted
+    projections and the stream of bootstrap multipliers. X * w gives both the
+    scores and the projections; that n x G array is freed on return, before
+    any bootstrap.
+    """
     kind = _check_kind(kind)
     _check_sampler(sampler)
     _check_threshold(r)
@@ -363,19 +370,20 @@ def _prepare(X, y, K, B, kind, r, sampler):
     if B < 1:
         raise ValueError("B must be a positive integer")
     sample = X if X.centered else center(X)[0]
-    return kind, y, sample, compute_fpc(sample)
+    curve_scale, weighted = _direction_inputs(sample)
+    basis = compute_fpc(sample, weighted)
+    direction_rng, multiplier_rng = _streams(seed)
+    layouts = []
+    for draw in range(1, K + 1):
+        _, projections = _draw_nondegenerate_direction(
+            curve_scale, weighted, basis, r, sampler, direction_rng, draw
+        )
+        layouts.append(_SortedProjections(projections))
+    return kind, y, sample, basis, layouts, multiplier_rng
 
 
-def _projection_test(
-    sample, basis, marks, fit, K, B, kind, r, sampler, seed, positive_correction
-):
-    """Score K random projections of the marked process and combine them.
-
-    One stream of B golden-ratio multiplier vectors calibrates every
-    direction. With a `fit` (composite null) the perturbed marks are replayed
-    through the fit at its rank; without one (simple null) they are used as
-    drawn.
-    """
+def _streams(seed):
+    """The direction and multiplier generators of a test with this seed."""
     root = seed
     if not isinstance(root, np.random.SeedSequence):
         root = np.random.SeedSequence(seed)
@@ -387,17 +395,21 @@ def _projection_test(
         pool_size=root.pool_size,
         n_children_spawned=root.n_children_spawned,
     )
-    direction_rng, multiplier_rng = (
-        np.random.Generator(np.random.Philox(child)) for child in root.spawn(2)
-    )
-    curve_scale, weighted = _direction_inputs(sample)
-    layouts = []
-    for draw in range(1, K + 1):
-        _, projections = _draw_nondegenerate_direction(
-            curve_scale, weighted, basis, r, sampler, direction_rng, draw
-        )
-        layouts.append(_SortedProjections(projections))
-    del weighted  # an n x G copy the bootstrap does not need
+    return [np.random.Generator(np.random.Philox(child)) for child in root.spawn(2)]
+
+
+def _projection_test(
+    layouts, multiplier_rng, marks, fit, K, B, kind, r, sampler, seed,
+    positive_correction,
+):
+    """Score the K projections of the marked process and combine them.
+
+    One stream of B golden-ratio multiplier vectors calibrates every
+    direction. With a `fit` (composite null) the perturbed marks are replayed
+    through the fit at its rank; without one (simple null) they are used as
+    drawn.
+    """
+    n = marks.size
     observed = [float(layout.norms(marks, kind)) for layout in layouts]
 
     # Consecutive (rows, n) draws concatenate to one (B, n) draw, so the block
@@ -405,12 +417,10 @@ def _projection_test(
     # even width lets the kernel sum its columns in pairs; only an odd B
     # leaves an odd last block.
     counts = [0] * K
-    rows = min(B, BOOTSTRAP_BLOCK // sample.n)
+    rows = min(B, BOOTSTRAP_BLOCK // n)
     rows = max(1, rows - rows % 2)
     for start in range(0, B, rows):
-        replicates = golden_multipliers(
-            multiplier_rng, (min(rows, B - start), sample.n)
-        )
+        replicates = golden_multipliers(multiplier_rng, (min(rows, B - start), n))
         replicates *= marks
         if fit is not None:
             replicates = _replay_residuals(fit, replicates)
@@ -461,7 +471,9 @@ def test_flm(
     each with a wild bootstrap of B replicates. Reproducible for a fixed
     `seed` (int or SeedSequence) regardless of available parallelism.
     """
-    kind, y, sample, basis = _prepare(X, y, K, B, kind, r, sampler)
+    kind, y, sample, basis, layouts, multiplier_rng = _prepare(
+        X, y, K, B, kind, r, sampler, seed
+    )
     y_centered = y - y.mean()
     if rank is None:
         max_rank = min(basis.m, sample.n - 3)
@@ -470,7 +482,7 @@ def test_flm(
         rank, _ = select_rank_sicc(sample, y_centered, basis, max_rank)
     fit = estimate_rho(sample, y_centered, basis, int(rank))
     return _projection_test(
-        sample, basis, fit.residuals, fit, K, B, kind, r, sampler, seed,
+        layouts, multiplier_rng, fit.residuals, fit, K, B, kind, r, sampler, seed,
         positive_correction,
     )
 
@@ -494,7 +506,9 @@ def test_simple(
     estimated under this null, so the bootstrap multiplies the marks
     directly, with no refit and no centering.
     """
-    kind, y, sample, basis = _prepare(X, y, K, B, kind, r, sampler)
+    kind, y, _, _, layouts, multiplier_rng = _prepare(
+        X, y, K, B, kind, r, sampler, seed
+    )
     if m0 is None:
         marks = y
     else:
@@ -505,5 +519,6 @@ def test_simple(
     if not np.all(np.isfinite(marks)):
         raise ValueError("marks contain non-finite values")
     return _projection_test(
-        sample, basis, marks, None, K, B, kind, r, sampler, seed, positive_correction
+        layouts, multiplier_rng, marks, None, K, B, kind, r, sampler, seed,
+        positive_correction,
     )

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -385,8 +387,9 @@ def test_direction_constants_belong_to_their_basis():
     assert np.array_equal(doubled.score_spread(3), 2.0 * one.score_spread(3))
 
 
-def test_direction_inputs_take_the_weighted_curves_off_the_sample():
+def test_one_weighted_product_gives_scores_and_projections(monkeypatch):
     sample = centered_bm_sample(30, num_points=41, seed=4)
+    attributes = dict(vars(sample))
     basis = compute_fpc(sample)
     product = sample.data * sample.grid.weights
     assert np.array_equal(basis.scores, product @ basis.eigenfunctions.T)
@@ -395,13 +398,30 @@ def test_direction_inputs_take_the_weighted_curves_off_the_sample():
     assert curve_scale == np.sqrt(
         np.max(np.sum(sample.data**2 * sample.grid.weights, axis=1))
     )
-    # the test frees the product before its bootstrap, also on the caller's
-    # own centered sample
-    assert "_weighted" not in vars(sample)
+    shared = rptest.compute_fpc(sample, weighted)
+    for name in ("eigenvalues", "eigenfunctions", "scores"):
+        assert np.array_equal(getattr(shared, name), getattr(basis, name))
+
+    # the test's product is gone before its first multiplier block is drawn,
+    # and nothing is left on the caller's sample
+    products = []
+
+    def direction_inputs(sample):
+        curve_scale, weighted = _direction_inputs(sample)
+        products.append(weakref.ref(weighted))
+        return curve_scale, weighted
+
+    def multipliers(*args):
+        assert products[-1]() is None
+        return golden_multipliers(*args)
+
+    monkeypatch.setattr(rptest, "_direction_inputs", direction_inputs)
+    monkeypatch.setattr(rptest, "golden_multipliers", multipliers)
     y = basis.scores[:, 0] + 0.1 * philox(5).standard_normal(sample.n)
     flm_gof(sample, y, K=2, B=20, seed=0)
     simple_gof(sample, y, K=2, B=20, seed=0)
-    assert "_weighted" not in vars(sample)
+    assert len(products) == 2
+    assert vars(sample) == attributes
 
 
 @pytest.mark.parametrize("sampler", ["i", "ii", "iii"])
