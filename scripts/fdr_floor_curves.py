@@ -12,9 +12,9 @@ Example:
 """
 
 import argparse
-import csv
 import sys
 
+from flmgof.cli import write_table
 from flmgof.simlab import fdr_discretization_experiment
 
 
@@ -40,10 +40,7 @@ def main(argv=None):
         alphas=tuple(float(a) for a in args.alphas.split(",")),
         seed=args.seed,
     )
-    fields = ["K", "B", "M", "alpha", "rate", "rate_positive_correction", "zero_rate"]
-    writer = csv.DictWriter(sys.stdout, fieldnames=fields, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
+    write_table(rows, "csv")
     return 0
 
 

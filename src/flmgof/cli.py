@@ -21,17 +21,9 @@ import sys
 import numpy as np
 
 from . import forking
-from .funspace import FunctionalSample, make_grid, uniform_grid
+from .funspace import FunctionalSample, make_grid
 from .rptest import DegenerateProjectionError, test_flm, test_simple
-from .simlab import (
-    ALPHAS,
-    MonteCarloResult,
-    fdr_discretization_experiment,
-    gen_process,
-    gen_response,
-    run_study,
-    scenario,
-)
+from .simlab import ALPHAS, gen_process, gen_response, run_study, scenario
 
 __all__ = ["main", "entry"]
 
@@ -94,94 +86,25 @@ def dump_functional_sample(sample, path):
     np.savetxt(path, stacked, delimiter=",", fmt=_FLOAT_FORMAT)
 
 
-def results_to_csv(results, include_timing=False):
-    """Render MonteCarloResult rows as CSV (deterministic unless timing is on)."""
-    header = [
-        "scenario",
-        "d",
-        "n",
-        "K",
-        "B",
-        "stat",
-        "M",
-        *(f"reject_at_{alpha:g}" for alpha in ALPHAS),
-        "mean_rank",
-        "sd_rank",
-    ]
-    if include_timing:
-        header.append("wall_time_s")
-    lines = [",".join(header)]
-    for row in results:
-        cells = [
-            row.scenario,
-            str(row.d),
-            str(row.n),
-            str(row.K),
-            str(row.B),
-            row.kind,
-            str(row.M),
-            *(repr(rate) for rate in row.rejection_rates),
-            repr(row.mean_rank),
-            repr(row.sd_rank),
-        ]
-        if include_timing:
-            cells.append(repr(row.wall_time_s))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def write_table(rows, output):
+    """Print a list of row dicts to stdout as JSON or as CSV.
 
-
-def results_to_json(results, include_timing=False):
-    payload = []
-    for row in results:
-        entry = {
-            "scenario": row.scenario,
-            "d": row.d,
-            "n": row.n,
-            "K": row.K,
-            "B": row.B,
-            "stat": row.kind,
-            "M": row.M,
-            "rejection_rates": {
-                f"{alpha:g}": rate
-                for alpha, rate in zip(ALPHAS, row.rejection_rates)
-            },
-            "mean_rank": row.mean_rank,
-            "sd_rank": row.sd_rank,
-        }
-        if include_timing:
-            entry["wall_time_s"] = row.wall_time_s
-        payload.append(entry)
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def report_to_csv(report):
-    """One row per projection; the combined p-value repeats on every row."""
-    lines = ["index,statistic,p,p_fdr"]
-    for rec in report.per_projection:
-        lines.append(
-            f"{rec.index},{rec.statistic!r},{rec.pvalue!r},{report.p_fdr!r}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _fdr_rows_to_csv(rows):
-    header = "K,B,M,alpha,rate,rate_positive_correction,zero_rate"
-    lines = [header]
+    JSON is indented with sorted keys. The CSV header is the keys of the
+    first row; floats are written with `repr`, which round-trips them, and
+    every other value with `str`.
+    """
+    if output == "json":
+        print(json.dumps(rows, indent=2, sort_keys=True))
+        return
+    lines = [",".join(rows[0])]
     for row in rows:
         lines.append(
             ",".join(
-                [
-                    str(row["K"]),
-                    str(row["B"]),
-                    str(row["M"]),
-                    repr(row["alpha"]),
-                    repr(row["rate"]),
-                    repr(row["rate_positive_correction"]),
-                    repr(row["zero_rate"]),
-                ]
+                repr(float(value)) if isinstance(value, float) else str(value)
+                for value in row.values()
             )
         )
-    return "\n".join(lines) + "\n"
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _add_common_flags(parser, bootstrap_default):
@@ -195,13 +118,15 @@ def _add_common_flags(parser, bootstrap_default):
         "--bootstrap", "--B", dest="bootstrap", type=int, default=bootstrap_default,
         help="bootstrap replicates B",
     )
+    parser.add_argument("--output", choices=("json", "csv"), default="json")
+
+
+def _add_direction_flags(parser):
     parser.add_argument(
         "--variance-threshold", type=float, default=0.95,
         help="spectral mass ratio r for the direction sampler",
     )
     parser.add_argument("--sampler", choices=("i", "ii", "iii"), default="i")
-    parser.add_argument("--positive-correction", action="store_true")
-    parser.add_argument("--output", choices=("json", "csv"), default="json")
 
 
 def _build_parser():
@@ -214,8 +139,9 @@ def _build_parser():
     test_p = sub.add_parser("test", help="test one dataset")
     test_p.add_argument("--data", required=True, help="CSV of curves, one per row")
     test_p.add_argument("--response", required=True, help="one response per line")
-    test_p.add_argument("--grid-file", default=None)
-    test_p.add_argument(
+    grid_source = test_p.add_mutually_exclusive_group()
+    grid_source.add_argument("--grid-file", default=None)
+    grid_source.add_argument(
         "--header-grid", action="store_true",
         help="first row of the data file holds the grid abscissae",
     )
@@ -224,28 +150,29 @@ def _build_parser():
         help="composite linear-model null or the simple no-effect null",
     )
     test_p.add_argument(
-        "--rank", default="auto", help="fixed truncation rank or 'auto' (SICc)"
+        "--rank", default=None,
+        help="fixed truncation rank or 'auto' (SICc, the default); --null flm only",
     )
     test_p.add_argument("--dump", default=None, help="write the parsed sample here")
+    test_p.add_argument("--positive-correction", action="store_true")
     _add_common_flags(test_p, bootstrap_default=1000)
+    _add_direction_flags(test_p)
 
     sim_p = sub.add_parser("simulate", help="Monte Carlo rejection rates")
     sim_p.add_argument(
-        "--scenario", default=None, help="scenario id S1..S9 (e.g. S1)"
+        "--scenario", required=True,
+        help="comma-separated scenario ids S1..S9 (e.g. S1,S7)",
     )
-    sim_p.add_argument("--d", type=int, default=0, help="deviation level 0/1/2")
-    sim_p.add_argument("--n", type=int, default=50, help="sample size per trial")
-    sim_p.add_argument("--M", type=int, default=500, help="Monte Carlo trials")
-    sim_p.add_argument(
-        "--experiment", choices=("fdr-discretization",), default=None,
-        help="run a named experiment instead of a scenario study",
-    )
+    sim_p.add_argument("--d", default="0", help="deviation levels 0/1/2, comma-separated")
+    sim_p.add_argument("--n", default="50", help="sample sizes per trial, comma-separated")
+    sim_p.add_argument("--M", type=int, default=500, help="Monte Carlo trials per cell")
     sim_p.add_argument(
         "--timings", action="store_true",
         help="include wall time in the table (breaks byte-identity across runs)",
     )
     sim_p.add_argument("--threads", type=int, default=1, help="worker processes")
     _add_common_flags(sim_p, bootstrap_default=500)
+    _add_direction_flags(sim_p)
 
     bench_p = sub.add_parser("bench", help="time the composite test across n")
     bench_p.add_argument(
@@ -259,7 +186,7 @@ def _build_parser():
 
 
 def _parse_rank(text):
-    if text == "auto":
+    if text is None or text == "auto":
         return None
     try:
         rank = int(text)
@@ -270,7 +197,20 @@ def _parse_rank(text):
     return rank
 
 
+def _parse_list(text, flag, parse=int):
+    """The comma-separated values of one flag, each read with `parse`."""
+    try:
+        values = [parse(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise InputError(f"{flag} must be comma-separated integers: {text!r}")
+    if not values:
+        raise InputError(f"{flag} needs at least one value")
+    return values
+
+
 def cmd_test(args):
+    if args.null == "simple" and args.rank is not None:
+        raise InputError("--rank applies to --null flm only")
     sample = read_functional_sample(
         args.data, grid_file=args.grid_file, header_grid=args.header_grid
     )
@@ -300,17 +240,21 @@ def cmd_test(args):
             report = test_flm(sample, response, rank=_parse_rank(args.rank), **common)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if args.output == "csv":
-        sys.stdout.write(report_to_csv(report))
-    else:
+    if args.output == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    else:
+        # one row per projection; the combined p-value repeats on every row
+        rows = [
+            {"index": rec.index, "statistic": rec.statistic, "p": rec.pvalue,
+             "p_fdr": report.p_fdr}
+            for rec in report.per_projection
+        ]
+        write_table(rows, "csv")
     return EXIT_OK
 
 
 def _parse_scenario_id(text):
-    if text is None:
-        raise InputError("simulate needs --scenario or --experiment")
-    token = text.upper().lstrip("S")
+    token = text.strip().upper().lstrip("S")
     try:
         index = int(token)
     except ValueError:
@@ -320,28 +264,48 @@ def _parse_scenario_id(text):
     return index
 
 
-def cmd_simulate(args):
-    if args.experiment == "fdr-discretization":
-        rows = fdr_discretization_experiment(
-            k_values=[args.projections],
-            b_values=[args.bootstrap],
-            M=args.M,
-            seed=args.seed,
-        )
-        if args.output == "csv":
-            sys.stdout.write(_fdr_rows_to_csv(rows))
+def _study_rows(results, output, timings):
+    """Table rows of `run_study` results; JSON nests the rejection rates."""
+    rows = []
+    for result in results:
+        rates = {
+            f"{alpha:g}": rate for alpha, rate in zip(ALPHAS, result.rejection_rates)
+        }
+        row = {
+            "scenario": result.scenario,
+            "d": result.d,
+            "n": result.n,
+            "K": result.K,
+            "B": result.B,
+            "stat": result.kind,
+            "M": result.M,
+        }
+        if output == "csv":
+            row.update((f"reject_at_{alpha}", rate) for alpha, rate in rates.items())
         else:
-            print(json.dumps(rows, indent=2, sort_keys=True))
-        return EXIT_OK
+            row["rejection_rates"] = rates
+        row["mean_rank"] = result.mean_rank
+        row["sd_rank"] = result.sd_rank
+        if timings:
+            row["wall_time_s"] = result.wall_time_s
+        rows.append(row)
+    return rows
 
-    index = _parse_scenario_id(args.scenario)
-    if args.d not in (0, 1, 2):
+
+def cmd_simulate(args):
+    scenarios = _parse_list(args.scenario, "--scenario", _parse_scenario_id)
+    d_values = _parse_list(args.d, "--d")
+    if any(d not in (0, 1, 2) for d in d_values):
         raise InputError("--d must be 0, 1 or 2")
+    n_values = _parse_list(args.n, "--n")
+    # checked before any cell runs, so a bad last entry wastes no study
+    if any(n < 4 for n in n_values):
+        raise InputError("--n entries must be at least 4")
     try:
         results = run_study(
-            scenarios=[index],
-            d_values=[args.d],
-            n_values=[args.n],
+            scenarios=scenarios,
+            d_values=d_values,
+            n_values=n_values,
             M=args.M,
             K=args.projections,
             B=args.bootstrap,
@@ -353,10 +317,7 @@ def cmd_simulate(args):
         )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if args.output == "csv":
-        sys.stdout.write(results_to_csv(results, include_timing=args.timings))
-    else:
-        sys.stdout.write(results_to_json(results, include_timing=args.timings))
+    write_table(_study_rows(results, args.output, args.timings), args.output)
     return EXIT_OK
 
 
@@ -389,11 +350,8 @@ def bench_composite_test(n_values, trials, K, B, kind, seed):
 
 
 def cmd_bench(args):
-    try:
-        n_values = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
-    except ValueError:
-        raise InputError(f"--n-list must be comma-separated integers: {args.n_list!r}")
-    if not n_values or any(n < 4 for n in n_values):
+    n_values = _parse_list(args.n_list, "--n-list")
+    if any(n < 4 for n in n_values):
         raise InputError("--n-list entries must be at least 4")
     if args.trials < 1:
         raise InputError("--trials must be positive")
@@ -403,13 +361,9 @@ def cmd_bench(args):
         )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if args.output == "csv":
-        lines = ["n,seconds,p_fdr"]
-        lines += [f"{n},{sec!r},{p!r}" for n, sec, p in rows]
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        payload = [{"n": n, "seconds": sec, "p_fdr": p} for n, sec, p in rows]
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    write_table(
+        [{"n": n, "seconds": sec, "p_fdr": p} for n, sec, p in rows], args.output
+    )
     return EXIT_OK
 
 

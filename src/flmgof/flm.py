@@ -24,7 +24,7 @@ import numpy as np
 from .fpc import FpcBasis
 from .funspace import FunctionalSample, _frozen
 
-__all__ = ["FlmFit", "estimate_rho", "select_rank_sicc", "hat_apply"]
+__all__ = ["FlmFit", "estimate_rho", "select_rank_sicc"]
 
 
 @dataclass(frozen=True)
@@ -90,12 +90,6 @@ def estimate_rho(
         fitted=fitted,
         residuals=residuals,
     )
-
-
-def hat_apply(fit: FlmFit, v) -> np.ndarray:
-    """Apply the hat matrix of the fit to a vector of length n."""
-    v = _check_response(v, fit.n)
-    return _hat_apply_rows(fit, v[None, :])[0]
 
 
 def _hat_apply_rows(fit: FlmFit, rows: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .funspace import FunctionalSample, Grid, _frozen
 
-__all__ = ["FpcBasis", "compute_fpc", "reconstruct"]
+__all__ = ["FpcBasis", "compute_fpc"]
 
 # Eigenvalues below this fraction of the leading one are treated as zero and
 # their eigenfunctions dropped.
@@ -169,10 +169,3 @@ def _positive_rank(sorted_vals):
         return 0
     return int(np.count_nonzero(sorted_vals > RELATIVE_EIGENVALUE_FLOOR * top))
 
-
-def reconstruct(basis: FpcBasis, rank: int) -> FunctionalSample:
-    """Rebuild curves from their leading `rank` principal component scores."""
-    if not 1 <= rank <= basis.m:
-        raise ValueError(f"rank must lie in [1, {basis.m}], got {rank}")
-    data = basis.scores[:, :rank] @ basis.eigenfunctions[:rank]
-    return FunctionalSample(grid=basis.grid, data=data, centered=True)

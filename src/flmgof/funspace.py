@@ -17,8 +17,6 @@ __all__ = [
     "FunctionalSample",
     "make_grid",
     "uniform_grid",
-    "inner_product",
-    "curve_norm",
     "center",
 ]
 
@@ -92,20 +90,6 @@ def uniform_grid(num_points: int = 201) -> Grid:
     return make_grid(np.linspace(0.0, 1.0, num_points))
 
 
-def inner_product(f, g, grid: Grid) -> float:
-    """Trapezoid approximation of the L2[0,1] inner product of two curves."""
-    fv = _as_float_vector(f, "first curve")
-    gv = _as_float_vector(g, "second curve")
-    if fv.size != grid.size or gv.size != grid.size:
-        raise ValueError("curve length does not match the grid")
-    return float(np.sum(grid.weights * fv * gv))
-
-
-def curve_norm(f, grid: Grid) -> float:
-    """Quadrature L2 norm of a curve."""
-    return float(np.sqrt(max(inner_product(f, f, grid), 0.0)))
-
-
 @dataclass(frozen=True)
 class FunctionalSample:
     """A sample of n curves stored row-wise on a shared grid.
@@ -144,10 +128,6 @@ class FunctionalSample:
     @property
     def n(self) -> int:
         return int(self.data.shape[0])
-
-    @property
-    def num_points(self) -> int:
-        return int(self.data.shape[1])
 
 
 def center(sample: FunctionalSample):

@@ -21,7 +21,6 @@ __all__ = [
     "bb_kernel",
     "ou_kernel",
     "gbm_kernel",
-    "gbm_mean",
 ]
 
 
@@ -122,6 +121,3 @@ def gbm_kernel(s, t, drift=0.5, volatility=1.0, initial=2.0):
         * (np.exp(volatility**2 * np.minimum(s, t)) - 1.0)
     )
 
-
-def gbm_mean(t, drift=0.5, initial=2.0):
-    return initial * np.exp(drift * np.asarray(t, dtype=float))

@@ -37,17 +37,15 @@ from .fpc import FpcBasis
 # The FPC step of a test takes the test's own X * w for the scores; it keeps the
 # public name, under which perfbench/spans.py times it as `fpc.compute`.
 from .fpc import _compute_fpc as compute_fpc
-from .funspace import FunctionalSample, _frozen, center
+from .funspace import FunctionalSample, center
 from .processes import ornstein_uhlenbeck
 
 __all__ = [
-    "Direction",
     "ProjectionOutcome",
     "TestReport",
     "DegenerateProjectionError",
     "golden_multipliers",
     "sample_direction_datadriven",
-    "project",
     "process_statistic",
     "fdr_combine",
     "test_flm",
@@ -78,18 +76,6 @@ BOOTSTRAP_BLOCK = 2**17
 
 class DegenerateProjectionError(RuntimeError):
     """Raised when repeated direction draws project the sample to zero."""
-
-
-@dataclass(frozen=True)
-class Direction:
-    """A projection direction on the sample grid."""
-
-    values: np.ndarray
-    sampler: str
-    draw: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values))
 
 
 @dataclass(frozen=True)
@@ -251,23 +237,24 @@ def fdr_combine(pvalues) -> float:
         raise ValueError("pvalues must be a non-empty vector")
     if np.any(p < 0) or np.any(p > 1) or not np.all(np.isfinite(p)):
         raise ValueError("pvalues must lie in [0, 1]")
-    k = p.size
-    ordered = np.sort(p)
-    combined = float(np.min(ordered * (k / np.arange(1.0, k + 1.0))))
-    return min(combined, 1.0)
+    return float(_fdr_envelope(p))
 
 
-def project(sample: FunctionalSample, direction: Direction) -> np.ndarray:
-    """Inner products <X_i, h> for every curve in the sample."""
-    if direction.values.size != sample.grid.size:
-        raise ValueError("direction length does not match the sample grid")
-    return (sample.data * sample.grid.weights) @ direction.values
+def _fdr_envelope(pvalues):
+    """min_k (K/k) p_(k) over the last axis, clamped to at most 1.
+
+    A (M, K) matrix gives one combined p-value per row, each with the bits
+    that `fdr_combine` gives for that row.
+    """
+    k = pvalues.shape[-1]
+    ordered = np.sort(pvalues, axis=-1)
+    return np.minimum(np.min(ordered * (k / np.arange(1.0, k + 1.0)), axis=-1), 1.0)
 
 
 def sample_direction_datadriven(
-    basis: FpcBasis, r: float = 0.95, rng=None, variant: str = "i", draw: int = 0
-) -> Direction:
-    """Draw one random direction for projecting the sample.
+    basis: FpcBasis, r: float = 0.95, rng=None, variant: str = "i"
+) -> np.ndarray:
+    """Draw one random direction h on the basis grid for projecting the sample.
 
     Variants
     --------
@@ -284,16 +271,14 @@ def sample_direction_datadriven(
     if rng is None:
         raise ValueError("an np.random.Generator is required")
     if variant == "iii":
-        values = ornstein_uhlenbeck(1, basis.grid, rng, mean_reversion=0.5)[0]
-        return Direction(values=values, sampler=variant, draw=draw)
+        return ornstein_uhlenbeck(1, basis.grid, rng, mean_reversion=0.5)[0]
 
     _check_threshold(r)
     j_n = int(np.argmax(basis.variance_ratios >= r)) + 1
     coefficients = rng.normal(0.0, 1.0, j_n)
     if variant == "i":
         coefficients *= basis.score_spread(j_n)
-    values = coefficients @ basis.eigenfunctions[:j_n]
-    return Direction(values=values, sampler=variant, draw=draw)
+    return coefficients @ basis.eigenfunctions[:j_n]
 
 
 def _direction_inputs(sample):
@@ -312,20 +297,18 @@ def _direction_inputs(sample):
 def _draw_nondegenerate_direction(curve_scale, weighted, basis, r, variant, rng, draw):
     """Resample until the projections carry signal, up to a fixed budget.
 
+    Returns the projections <X_i, h> of the accepted direction h.
     `curve_scale` and `weighted` come from `_direction_inputs` of the sample
     that `basis` was computed from.
     """
     weights = basis.grid.weights
     for _ in range(MAX_DIRECTION_ATTEMPTS):
-        direction = sample_direction_datadriven(
-            basis, r=r, rng=rng, variant=variant, draw=draw
-        )
-        values = direction.values
+        values = sample_direction_datadriven(basis, r=r, rng=rng, variant=variant)
         projections = weighted @ values
-        # ||h|| as curve_norm computes it, without re-checking the draw
+        # the quadrature norm ||h||, sqrt(sum_g w_g h_g^2)
         scale = curve_scale * np.sqrt(np.sum(weights * values * values))
         if np.max(np.abs(projections)) > DEGENERATE_RELATIVE_TOL * scale:
-            return direction, projections
+            return projections
     raise DegenerateProjectionError(
         f"projection draw {draw} degenerate after {MAX_DIRECTION_ATTEMPTS} attempts"
     )
@@ -375,7 +358,7 @@ def _prepare(X, y, K, B, kind, r, sampler, seed):
     direction_rng, multiplier_rng = _streams(seed)
     layouts = []
     for draw in range(1, K + 1):
-        _, projections = _draw_nondegenerate_direction(
+        projections = _draw_nondegenerate_direction(
             curve_scale, weighted, basis, r, sampler, direction_rng, draw
         )
         layouts.append(_SortedProjections(projections))

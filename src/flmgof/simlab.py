@@ -45,7 +45,7 @@ from .processes import (
     ornstein_uhlenbeck,
     ou_kernel,
 )
-from .rptest import test_flm
+from .rptest import _fdr_envelope, test_flm
 
 __all__ = [
     "ALPHAS",
@@ -439,8 +439,8 @@ def fdr_discretization_experiment(
                 np.random.Philox(np.random.SeedSequence((seed, K, B)))
             )
             counts = rng.integers(0, B + 1, size=(M, K))
-            plain = _fdr_rows(counts / B)
-            corrected = _fdr_rows((counts + 1.0) / (B + 1.0))
+            plain = _fdr_envelope(counts / B)
+            corrected = _fdr_envelope((counts + 1.0) / (B + 1.0))
             for alpha in alphas:
                 rows.append(
                     {
@@ -454,11 +454,3 @@ def fdr_discretization_experiment(
                     }
                 )
     return rows
-
-
-def _fdr_rows(pvalue_matrix):
-    """Row-wise FDR combination of a (M, K) p-value matrix."""
-    k = pvalue_matrix.shape[1]
-    ordered = np.sort(pvalue_matrix, axis=1)
-    factors = k / np.arange(1.0, k + 1.0)
-    return np.minimum((ordered * factors).min(axis=1), 1.0)

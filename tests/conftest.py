@@ -2,7 +2,9 @@
 
 import numpy as np
 
-from flmgof import center, gen_process, uniform_grid
+from flmgof import FunctionalSample, center, gen_process, uniform_grid
+from flmgof.flm import _check_response, _hat_apply_rows
+from flmgof.funspace import _as_float_vector
 
 
 def brute_process_norms(projections, marks):
@@ -27,3 +29,43 @@ def centered_bm_sample(n, num_points=201, seed=0):
     rng = np.random.Generator(np.random.Philox(seed))
     sample = gen_process("bm", n, grid, rng)
     return center(sample)[0]
+
+
+def inner_product(f, g, grid):
+    """Trapezoid approximation of the L2[0,1] inner product of two curves."""
+    fv = _as_float_vector(f, "first curve")
+    gv = _as_float_vector(g, "second curve")
+    if fv.size != grid.size or gv.size != grid.size:
+        raise ValueError("curve length does not match the grid")
+    return float(np.sum(grid.weights * fv * gv))
+
+
+def curve_norm(f, grid):
+    """Quadrature L2 norm of a curve."""
+    return float(np.sqrt(max(inner_product(f, f, grid), 0.0)))
+
+
+def project(sample, direction):
+    """Inner products <X_i, h> for every curve in the sample."""
+    if direction.size != sample.grid.size:
+        raise ValueError("direction length does not match the sample grid")
+    return (sample.data * sample.grid.weights) @ direction
+
+
+def reconstruct(basis, rank):
+    """Rebuild curves from their leading `rank` principal component scores."""
+    if not 1 <= rank <= basis.m:
+        raise ValueError(f"rank must lie in [1, {basis.m}], got {rank}")
+    data = basis.scores[:, :rank] @ basis.eigenfunctions[:rank]
+    return FunctionalSample(grid=basis.grid, data=data, centered=True)
+
+
+def hat_apply(fit, v):
+    """Apply the hat matrix of the fit to a vector of length n."""
+    v = _check_response(v, fit.n)
+    return _hat_apply_rows(fit, v[None, :])[0]
+
+
+def gbm_mean(t, drift=0.5, initial=2.0):
+    """Mean curve of `processes.geometric_brownian_motion`."""
+    return initial * np.exp(drift * np.asarray(t, dtype=float))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funspace import _frozen
+from flmgof.funspace import _frozen
 
 __all__ = [
     "GaussianFlmSpec",

@@ -13,17 +13,18 @@ import time
 import numpy as np
 import pytest
 
-from conftest import brute_process_norms, centered_bm_sample
+from conftest import brute_process_norms, centered_bm_sample, inner_product
 from flmgof import (
-    GaussianFlmSpec,
     compute_fpc,
     estimate_rho,
     fdr_discretization_experiment,
     golden_multipliers,
-    inner_product,
-    k1_covariance,
     process_statistic,
     run_study,
+)
+from oracles import (
+    GaussianFlmSpec,
+    k1_covariance,
     tnx_limit,
     tnx_sequence,
     tnx_truncation_bound,

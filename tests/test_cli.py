@@ -1,5 +1,8 @@
+import hashlib
 import importlib.resources
+import importlib.util
 import json
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -12,8 +15,10 @@ from flmgof.cli import (
     EXIT_USAGE,
     main,
     read_functional_sample,
+    write_table,
 )
-from flmgof.rptest import Direction
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run_cli(argv, capsys):
@@ -179,6 +184,14 @@ def test_input_errors(dataset, tmp_path, capsys):
     assert "cannot write dump file" in err
     assert out == ""
 
+    # the simple null estimates nothing, so a rank would be dropped unread
+    code, out, err = run_cli(
+        base_args(dataset, "--null", "simple", "--rank", "3"), capsys
+    )
+    assert code == EXIT_USAGE
+    assert "--rank" in err
+    assert out == ""
+
 
 def test_usage_errors(capsys):
     assert main(["test"]) == EXIT_USAGE  # missing required flags
@@ -189,6 +202,11 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["--help"]) == EXIT_OK
     capsys.readouterr()
+    # one grid source: with --header-grid the grid file would go unread
+    argv = ["test", "--data", "x", "--response", "y", "--header-grid",
+            "--grid-file", "/nonexistent/grid.txt"]
+    assert main(argv) == EXIT_USAGE
+    assert "not allowed with" in capsys.readouterr().err
 
 
 def test_threads_flag_only_on_simulate(dataset, capsys):
@@ -269,10 +287,8 @@ def test_grid_file_and_comments(tmp_path, capsys):
 
 
 def test_degenerate_directions_exit_code(dataset, monkeypatch, capsys):
-    def zero_direction(basis, r=0.95, rng=None, variant="i", draw=0):
-        return Direction(
-            values=np.zeros(basis.grid.size), sampler=variant, draw=draw
-        )
+    def zero_direction(basis, r=0.95, rng=None, variant="i"):
+        return np.zeros(basis.grid.size)
 
     monkeypatch.setattr(
         "flmgof.rptest.sample_direction_datadriven", zero_direction
@@ -280,6 +296,58 @@ def test_degenerate_directions_exit_code(dataset, monkeypatch, capsys):
     code, _, err = run_cli(base_args(dataset), capsys)
     assert code == EXIT_NUMERICAL
     assert "degenerate" in err
+
+
+# sha256 of stdout for fixed inputs, recorded before the CLI tables went
+# through one writer; the bench digest covers its header and p_fdr column only,
+# since its seconds vary
+GOLDEN_DIGESTS = {
+    ("test", "flm", "json"): "9ff31569c31f18bea2b18bb16dcf1c2d9cccdaa640b87e597d41c9a480e2a7d6",
+    ("test", "flm", "csv"): "272097b3f6e6faa2b4bcff55f977fae9498e970076fc66fa071a1177bb0cee27",
+    ("test", "simple", "json"): "8a9581dbec6c333e93e8a836dddee4106fca504733c5ff6b5d61bb5f16bb3b7c",
+    ("test", "simple", "csv"): "c1fef357f937f8fae40e22fd75bae6029220e4d4322fb03815a1bf4628a0ee40",
+    ("simulate", "json"): "25053b3a59ef472f7467202f2608c3432ab5b8edc00e7d167c8d7bf3ae4e1b35",
+    ("simulate", "csv"): "1d2d35e9fb5a4913549f8aded9c34e6e9bcd90357dad85f63342427d2ce08f89",
+    ("bench", "csv"): "e3f46ac7c54e540af7753517b2fd2888820a940caa64fc44cc81141b8d927712",
+}
+SIMULATE_CELL = [
+    "simulate", "--scenario", "S1", "--d", "1", "--n", "20", "--M", "3",
+    "--bootstrap", "40", "--projections", "2",
+]
+BENCH_CALL = [
+    "bench", "--n-list", "8,16", "--trials", "1", "--bootstrap", "30",
+    "--projections", "2", "--output", "csv",
+]
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_golden_cli_output(dataset, capsys):
+    outputs = {}
+    for null in ("flm", "simple"):
+        for output in ("json", "csv"):
+            args = base_args(dataset, "--null", null, "--output", output)
+            outputs["test", null, output] = run_cli(args, capsys)
+    for output in ("json", "csv"):
+        outputs["simulate", output] = run_cli(SIMULATE_CELL + ["--output", output], capsys)
+    code, out, err = run_cli(BENCH_CALL, capsys)
+    header, *rows = out.splitlines()
+    column = header.split(",").index("p_fdr")
+    p_fdr = [row.split(",")[column] for row in rows]
+    outputs["bench", "csv"] = code, "\n".join([header, *p_fdr]) + "\n", err
+    for key, (code, out, err) in outputs.items():
+        assert (code, err) == (EXIT_OK, ""), key
+        assert sha256(out) == GOLDEN_DIGESTS[key], key
+        # under numpy 2 the repr of a numpy float reads np.float64(...)
+        assert "np.float64(" not in out
+
+
+def test_write_table_formats_numpy_scalars(capsys):
+    rows = [{"a": np.float64(0.1), "b": np.int64(3), "c": "S1"}, {"a": 2.0, "b": 4, "c": "x"}]
+    write_table(rows, "csv")
+    assert capsys.readouterr().out == "a,b,c\n0.1,3,S1\n2.0,4,x\n"
 
 
 # ------------------------------------------------------------ simulate command
@@ -320,6 +388,26 @@ def test_simulate_small_study_csv(capsys):
     assert timed.splitlines()[0].endswith(",wall_time_s")
 
 
+def test_simulate_list_call_prints_single_cells_in_nesting_order(capsys):
+    common = ["--n", "15", "--M", "2", "--bootstrap", "30", "--projections", "2"]
+    listed = ["simulate", "--scenario", "S1,S7", "--d", "0,1", *common]
+    for output in ("csv", "json"):
+        code, out, err = run_cli(listed + ["--output", output], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        singles = []
+        for scenario in ("S1", "S7"):
+            for d in ("0", "1"):
+                single = ["simulate", "--scenario", scenario, "--d", d, *common]
+                _, single_out, _ = run_cli(single + ["--output", output], capsys)
+                singles.append(single_out)
+        if output == "csv":
+            header = singles[0].splitlines()[0]
+            rows = [text.splitlines()[1] for text in singles]
+            assert out.splitlines() == [header, *rows]
+        else:
+            assert json.loads(out) == [json.loads(text)[0] for text in singles]
+
+
 def test_simulate_small_study_json(capsys):
     args = [
         "simulate", "--scenario", "s2", "--n", "15", "--M", "2",
@@ -335,30 +423,32 @@ def test_simulate_small_study_json(capsys):
     assert "wall_time_s" not in row
 
 
-def test_simulate_fdr_experiment(capsys):
-    args = [
-        "simulate", "--experiment", "fdr-discretization",
-        "--projections", "5", "--bootstrap", "100", "--M", "2000",
-    ]
-    code, out, _ = run_cli(args, capsys)
-    assert code == EXIT_OK
-    rows = json.loads(out)
-    assert [row["alpha"] for row in rows] == [0.01, 0.05, 0.10]
-    assert all(row["K"] == 5 and row["B"] == 100 for row in rows)
+def load_script(name):
+    """Import a file of scripts/ as a module."""
+    spec = importlib.util.spec_from_file_location(name, REPO / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    code, out_csv, _ = run_cli(args + ["--output", "csv"], capsys)
-    assert code == EXIT_OK
-    lines = out_csv.strip().split("\n")
+
+def test_fdr_floor_curves_script(capsys):
+    script = load_script("fdr_floor_curves")
+    args = ["--K", "5", "--B", "100", "--M", "2000", "--alphas", "0.01,0.05,0.1"]
+    assert script.main(args) == 0
+    out = capsys.readouterr().out
+    lines = out.strip().split("\n")
     assert lines[0] == "K,B,M,alpha,rate,rate_positive_correction,zero_rate"
-    assert len(lines) == 4
-    _, again, _ = run_cli(args + ["--output", "csv"], capsys)
-    assert out_csv == again
+    rows = [line.split(",") for line in lines[1:]]
+    assert [float(row[3]) for row in rows] == [0.01, 0.05, 0.10]
+    assert all(row[:3] == ["5", "100", "2000"] for row in rows)
+    assert script.main(args) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_simulate_usage_errors(capsys):
     code, _, err = run_cli(["simulate", "--M", "3"], capsys)
     assert code == EXIT_USAGE
-    assert "--scenario or --experiment" in err
+    assert "--scenario" in err
     code, _, _ = run_cli(["simulate", "--scenario", "S11", "--M", "2"], capsys)
     assert code == EXIT_USAGE
     code, _, _ = run_cli(["simulate", "--scenario", "wat", "--M", "2"], capsys)
@@ -374,6 +464,14 @@ def test_simulate_usage_errors(capsys):
     )
     assert code == EXIT_USAGE
     assert "threads" in err
+    for extra in (["--d", "0,5"], ["--n", "20,x"], ["--n", "20,3"],
+                  ["--scenario", "S1,S11"], ["--scenario", ","]):
+        code, out, _ = run_cli(["simulate", "--scenario", "S1", "--M", "2", *extra], capsys)
+        assert code == EXIT_USAGE and out == ""
+    # flags that the study never reads are not accepted
+    for extra in (["--positive-correction"], ["--experiment", "fdr-discretization"]):
+        code, out, _ = run_cli(["simulate", "--scenario", "S1", "--M", "2", *extra], capsys)
+        assert code == EXIT_USAGE and out == ""
 
 
 # --------------------------------------------------------------- bench command
@@ -410,3 +508,9 @@ def test_bench_usage_errors(capsys):
         assert code == EXIT_USAGE
         assert err.startswith("error: ") and "must be a positive integer" in err
         assert out == ""
+    # the benchmark runs the default sampler without correction; it takes no
+    # flags that would be ignored
+    for extra in (["--sampler", "iii"], ["--variance-threshold", "0.5"],
+                  ["--positive-correction"]):
+        code, out, _ = run_cli(["bench", "--n-list", "8", *extra], capsys)
+        assert code == EXIT_USAGE and out == ""

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import centered_bm_sample
-from flmgof import compute_fpc, estimate_rho, hat_apply, select_rank_sicc
-from flmgof.funspace import inner_product
+from conftest import centered_bm_sample, hat_apply, inner_product
+from flmgof import compute_fpc, estimate_rho, select_rank_sicc
 
 
 def make_regression(n=80, num_points=101, rank=3, noise=0.1, seed=0):

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import centered_bm_sample
-from flmgof import (
-    FunctionalSample,
-    compute_fpc,
-    inner_product,
-    reconstruct,
-    uniform_grid,
-)
+from conftest import centered_bm_sample, inner_product, reconstruct
+from flmgof import FunctionalSample, compute_fpc, uniform_grid
 
 
 def bm_analytic_eigenvalues(count):

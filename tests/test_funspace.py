@@ -3,14 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flmgof import (
-    FunctionalSample,
-    center,
-    curve_norm,
-    inner_product,
-    make_grid,
-    uniform_grid,
-)
+from conftest import curve_norm, inner_product
+from flmgof import FunctionalSample, center, make_grid, uniform_grid
 
 
 def test_trapezoid_weights_three_points():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from flmgof import (
+from oracles import (
     GaussianFlmSpec,
     indicator_score_moments,
     k1_covariance,

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_process_norms, centered_bm_sample
+from conftest import brute_process_norms, centered_bm_sample, inner_product, project
 from flmgof import (
     DegenerateProjectionError,
-    Direction,
     FpcBasis,
     FunctionalSample,
     center,
@@ -17,9 +16,7 @@ from flmgof import (
     fdr_combine,
     gen_process,
     golden_multipliers,
-    inner_product,
     process_statistic,
-    project,
     sample_direction_datadriven,
     uniform_grid,
 )
@@ -298,20 +295,18 @@ def test_component_count_uses_squared_eigenvalues():
     basis = tiny_basis()
     rng = philox(1)
     direction = sample_direction_datadriven(basis, r=0.95, rng=rng, variant="ii")
-    assert direction.values[2] == 0.0
-    assert np.any(direction.values[:2] != 0.0)
+    assert direction[2] == 0.0
+    assert np.any(direction[:2] != 0.0)
     direction = sample_direction_datadriven(basis, r=0.5, rng=philox(1), variant="ii")
-    assert np.all(direction.values[1:] == 0.0)
+    assert np.all(direction[1:] == 0.0)
     direction = sample_direction_datadriven(basis, r=1.0, rng=philox(1), variant="ii")
-    assert np.all(direction.values != 0.0)
+    assert np.all(direction != 0.0)
 
 
 def test_direction_metadata_and_validation():
     basis = tiny_basis()
-    direction = sample_direction_datadriven(basis, rng=philox(3), variant="ii", draw=4)
-    assert direction.sampler == "ii"
-    assert direction.draw == 4
-    assert direction.values.size == basis.grid.size
+    direction = sample_direction_datadriven(basis, rng=philox(3), variant="ii")
+    assert direction.shape == (basis.grid.size,)
     with pytest.raises(ValueError):
         sample_direction_datadriven(basis, rng=philox(0), variant="nope")
     with pytest.raises(ValueError):
@@ -354,7 +349,7 @@ def test_direction_constants_match_the_per_draw_formula(variant, r):
             seed = (index, draw)
             got = sample_direction_datadriven(basis, r=r, rng=philox(seed), variant=variant)
             expected = per_draw_direction(basis, r, philox(seed), variant)
-            assert np.array_equal(got.values, expected)
+            assert np.array_equal(got, expected)
     first = compute_fpc(samples[0])
     assert int(np.argmax(first.variance_ratios >= 0.95)) == 0
 
@@ -447,7 +442,7 @@ def test_datadriven_coefficient_spread():
     coeffs = np.empty(20000)
     for i in range(coeffs.size):
         direction = sample_direction_datadriven(basis, rng=rng, variant="i")
-        coeffs[i] = inner_product(direction.values, basis.eigenfunctions[0], basis.grid)
+        coeffs[i] = inner_product(direction, basis.eigenfunctions[0], basis.grid)
     assert abs(coeffs.mean()) < 0.03 * target
     assert abs(coeffs.std(ddof=1) - target) < 0.05 * target
 
@@ -462,20 +457,18 @@ def test_ou_sampler_ignores_the_data():
         scores=np.zeros((5, 1)),
     )
     b = sample_direction_datadriven(other, rng=philox(5), variant="iii")
-    assert np.array_equal(a.values, b.values)
-    assert a.sampler == "iii"
+    assert np.array_equal(a, b)
 
 
 def test_project_linear_curves():
     grid = uniform_grid(201)
     data = np.vstack([grid.points, -grid.points])
     sample = FunctionalSample(grid=grid, data=data)
-    direction = Direction(values=np.ones(201), sampler="ii", draw=1)
-    projections = project(sample, direction)
+    projections = project(sample, np.ones(201))
     # trapezoid quadrature integrates linear curves exactly
     assert np.allclose(projections, [0.5, -0.5], atol=1e-14)
     with pytest.raises(ValueError):
-        project(sample, Direction(values=np.ones(5), sampler="ii", draw=1))
+        project(sample, np.ones(5))
 
 
 def test_degenerate_direction_guard():
@@ -594,7 +587,7 @@ def test_streamed_bootstrap_matches_one_shot_reference():
     direction_rng = philox(direction_child)
     inputs = _direction_inputs(sample)
     projections = [
-        _draw_nondegenerate_direction(*inputs, basis, 0.95, "i", direction_rng, draw)[1]
+        _draw_nondegenerate_direction(*inputs, basis, 0.95, "i", direction_rng, draw)
         for draw in range(1, K + 1)
     ]
     assert all(np.unique(p).size < n for p in projections)

@@ -5,9 +5,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from conftest import gbm_mean
 from flmgof import (
     FunctionalSample,
     deviation,
+    fdr_combine,
     fdr_discretization_experiment,
     gen_process,
     gen_response,
@@ -20,11 +22,11 @@ from flmgof.processes import (
     bb_kernel,
     bm_kernel,
     gbm_kernel,
-    gbm_mean,
     ornstein_uhlenbeck,
     ou_kernel,
 )
 from flmgof import simlab
+from flmgof.rptest import _fdr_envelope
 from flmgof.simlab import _deviation_rows
 
 
@@ -496,3 +498,23 @@ def test_fdr_discretization_floor():
 def test_fdr_discretization_validation():
     with pytest.raises(ValueError):
         fdr_discretization_experiment([5], [100], M=0)
+
+
+def test_fdr_experiment_row_rule_is_fdr_combine():
+    # the experiment combines each row of a (M, K) p-value matrix with the
+    # rule that `fdr_combine` applies to one vector, bit for bit
+    counts = philox(5).integers(0, 21, size=(400, 7))
+    for pvalues in (counts / 20, (counts + 1.0) / 21.0):
+        by_row = np.array([fdr_combine(row) for row in pvalues])
+        assert np.array_equal(_fdr_envelope(pvalues), by_row)
+
+    M, K, B, seed = 500, 4, 30, 3
+    rows = fdr_discretization_experiment([K], [B], M=M, seed=seed)
+    rng = philox(np.random.SeedSequence((seed, K, B)))
+    counts = rng.integers(0, B + 1, size=(M, K))
+    plain = np.array([fdr_combine(row) for row in counts / B])
+    corrected = np.array([fdr_combine(row) for row in (counts + 1.0) / (B + 1.0)])
+    for row in rows:
+        assert row["rate"] == float(np.mean(plain < row["alpha"]))
+        assert row["rate_positive_correction"] == float(np.mean(corrected < row["alpha"]))
+        assert row["zero_rate"] == float(np.mean(plain == 0.0))
