@@ -45,6 +45,8 @@ def read_functional_sample(path, grid_file=None, header_grid=False):
     platform allows it (see `forking.loadtxt`); the rows, errors and warnings
     are those of one `np.loadtxt` call on the whole file.
     """
+    if header_grid and grid_file is not None:
+        raise InputError("the grid comes from a grid file or a header row, not both")
     try:
         rows = forking.loadtxt(path, delimiter=",", comments="#")
     except (OSError, ValueError) as exc:
@@ -65,7 +67,7 @@ def read_functional_sample(path, grid_file=None, header_grid=False):
         data = rows
     try:
         grid = make_grid(grid_points)
-        return FunctionalSample(grid=grid, data=data, centered=False)
+        return FunctionalSample(grid=grid, data=data)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -139,9 +141,8 @@ def _build_parser():
     test_p = sub.add_parser("test", help="test one dataset")
     test_p.add_argument("--data", required=True, help="CSV of curves, one per row")
     test_p.add_argument("--response", required=True, help="one response per line")
-    grid_source = test_p.add_mutually_exclusive_group()
-    grid_source.add_argument("--grid-file", default=None)
-    grid_source.add_argument(
+    test_p.add_argument("--grid-file", default=None)
+    test_p.add_argument(
         "--header-grid", action="store_true",
         help="first row of the data file holds the grid abscissae",
     )

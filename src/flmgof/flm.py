@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fpc import FpcBasis
-from .funspace import FunctionalSample, _frozen
+from .funspace import _frozen
 
 __all__ = ["FlmFit", "estimate_rho", "select_rank_sicc"]
 
@@ -58,19 +58,15 @@ def _check_response(y, n):
     return arr
 
 
-def estimate_rho(
-    sample: FunctionalSample, y, basis: FpcBasis, rank: int
-) -> FlmFit:
+def estimate_rho(y, basis: FpcBasis, rank: int) -> FlmFit:
     """Fit the functional linear model at the requested rank.
 
-    `sample` and `y` are expected centered; `basis` must come from the same
-    sample. Raises if the rank exceeds the retained (positive-eigenvalue)
-    components.
+    `y` is expected centered, with one value per curve of the sample that
+    `basis` was computed from. Raises if the rank exceeds the retained
+    (positive-eigenvalue) components.
     """
-    n = sample.n
+    n = basis.n
     y = _check_response(y, n)
-    if basis.n != n:
-        raise ValueError("basis and sample disagree on the number of curves")
     if not 1 <= rank <= basis.m:
         raise ValueError(
             f"rank {rank} is not available: basis retains {basis.m} components "
@@ -105,7 +101,7 @@ def _hat_apply_rows(fit: FlmFit, rows: np.ndarray) -> np.ndarray:
 _RSS_RELATIVE_FLOOR = 1e-24
 
 
-def select_rank_sicc(sample: FunctionalSample, y, basis: FpcBasis, max_rank: int):
+def select_rank_sicc(y, basis: FpcBasis, max_rank: int):
     """Choose the truncation rank by the corrected Schwarz criterion.
 
     Returns
@@ -115,7 +111,7 @@ def select_rank_sicc(sample: FunctionalSample, y, basis: FpcBasis, max_rank: int
     criterion : ndarray, shape (max_rank,)
         SICc values, criterion[d - 1] for rank d.
     """
-    n = sample.n
+    n = basis.n
     y = _check_response(y, n)
     if not 1 <= max_rank <= basis.m:
         raise ValueError(f"max_rank must lie in [1, {basis.m}], got {max_rank}")

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .funspace import FunctionalSample, Grid, _frozen
+from .funspace import FunctionalSample, Grid, _frozen, center
 
 __all__ = ["FpcBasis", "compute_fpc"]
 
@@ -94,28 +94,29 @@ class FpcBasis:
 
 
 def compute_fpc(sample: FunctionalSample, max_rank: int | None = None) -> FpcBasis:
-    """Eigendecompose the sample covariance operator of a centered sample.
+    """Eigendecompose the sample covariance operator of the centered sample.
 
     Parameters
     ----------
     sample : FunctionalSample
-        Must be centered (`sample.centered` is True) with n >= 2.
+        At least two curves; they are centered here, so the scores are those
+        of `center(sample)`.
     max_rank : int, optional
         Upper bound on the number of retained components; defaults to
         min(n - 1, G). Fewer may be returned when trailing eigenvalues fall
         below the relative floor.
     """
-    return _compute_fpc(sample, sample.data * sample.grid.weights, max_rank)
+    centered = center(sample)
+    return _compute_fpc(centered, centered.data * centered.grid.weights, max_rank)
 
 
 def _compute_fpc(sample, weighted, max_rank=None):
-    """`compute_fpc` with the curves times the grid weights, X * w, given.
+    """`compute_fpc` of a centered sample, with the curves times the grid
+    weights, X * w, given.
 
     The scores are (X * w) @ e_j; a caller that also projects the curves
     passes the product it projects with, so it is made once.
     """
-    if not sample.centered:
-        raise ValueError("compute_fpc requires a centered sample")
     n, num_points = sample.data.shape
     if n < 2:
         raise ValueError("principal components need at least two curves")

@@ -100,14 +100,10 @@ class FunctionalSample:
         Shared abscissae and quadrature weights.
     data : ndarray, shape (n, grid.size)
         One curve per row; all values finite.
-    centered : bool
-        Declares that the column means are (numerically) zero. Verified at
-        construction so downstream code can rely on the flag.
     """
 
     grid: Grid
     data: np.ndarray
-    centered: bool = False
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
@@ -119,10 +115,6 @@ class FunctionalSample:
             raise ValueError("sample width does not match the grid")
         if not np.all(np.isfinite(data)):
             raise ValueError("sample data contains non-finite values")
-        if self.centered:
-            scale = max(float(np.max(np.abs(data))), 1.0)
-            if float(np.max(np.abs(data.mean(axis=0)))) > 1e-10 * scale:
-                raise ValueError("sample declared centered but column means are not zero")
         object.__setattr__(self, "data", _frozen(data))
 
     @property
@@ -130,19 +122,11 @@ class FunctionalSample:
         return int(self.data.shape[0])
 
 
-def center(sample: FunctionalSample):
+def center(sample: FunctionalSample) -> FunctionalSample:
     """Subtract the pointwise sample mean curve.
 
-    Returns
-    -------
-    centered : FunctionalSample
-        Same grid, rows sum to zero in every column.
-    mean_curve : ndarray
-        The subtracted mean, one value per grid point. For n = 1 the single
-        curve becomes identically zero and the mean equals the input curve.
+    The result has the same grid and rows that sum to zero in every column;
+    for n = 1 the single curve becomes identically zero.
     """
     mean_curve = sample.data.mean(axis=0)
-    centered = FunctionalSample(
-        grid=sample.grid, data=sample.data - mean_curve, centered=True
-    )
-    return centered, mean_curve
+    return FunctionalSample(grid=sample.grid, data=sample.data - mean_curve)

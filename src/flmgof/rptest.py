@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flm import _hat_apply_rows, estimate_rho, select_rank_sicc
+from .flm import _check_response, _hat_apply_rows, estimate_rho, select_rank_sicc
 from .fpc import FpcBasis
 # The FPC step of a test takes the test's own X * w for the scores; it keeps the
 # public name, under which perfbench/spans.py times it as `fpc.compute`.
@@ -343,16 +343,12 @@ def _prepare(X, y, K, B, kind, r, sampler, seed):
         raise ValueError("X must be a FunctionalSample")
     if X.n < 3:
         raise ValueError("the test needs at least three observations")
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size != X.n:
-        raise ValueError("response must be a vector with one value per curve")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("response contains non-finite values")
+    y = _check_response(y, X.n)
     if K < 1:
         raise ValueError("K must be a positive integer")
     if B < 1:
         raise ValueError("B must be a positive integer")
-    sample = X if X.centered else center(X)[0]
+    sample = center(X)
     curve_scale, weighted = _direction_inputs(sample)
     basis = compute_fpc(sample, weighted)
     direction_rng, multiplier_rng = _streams(seed)
@@ -362,7 +358,7 @@ def _prepare(X, y, K, B, kind, r, sampler, seed):
             curve_scale, weighted, basis, r, sampler, direction_rng, draw
         )
         layouts.append(_SortedProjections(projections))
-    return kind, y, sample, basis, layouts, multiplier_rng
+    return kind, y, basis, layouts, multiplier_rng
 
 
 def _streams(seed):
@@ -454,16 +450,16 @@ def test_flm(
     each with a wild bootstrap of B replicates. Reproducible for a fixed
     `seed` (int or SeedSequence) regardless of available parallelism.
     """
-    kind, y, sample, basis, layouts, multiplier_rng = _prepare(
+    kind, y, basis, layouts, multiplier_rng = _prepare(
         X, y, K, B, kind, r, sampler, seed
     )
     y_centered = y - y.mean()
     if rank is None:
-        max_rank = min(basis.m, sample.n - 3)
+        max_rank = min(basis.m, basis.n - 3)
         if max_rank < 1:
             raise ValueError("too few observations to select a rank; pass rank=")
-        rank, _ = select_rank_sicc(sample, y_centered, basis, max_rank)
-    fit = estimate_rho(sample, y_centered, basis, int(rank))
+        rank, _ = select_rank_sicc(y_centered, basis, max_rank)
+    fit = estimate_rho(y_centered, basis, int(rank))
     return _projection_test(
         layouts, multiplier_rng, fit.residuals, fit, K, B, kind, r, sampler, seed,
         positive_correction,
@@ -489,7 +485,7 @@ def test_simple(
     estimated under this null, so the bootstrap multiplies the marks
     directly, with no refit and no centering.
     """
-    kind, y, _, _, layouts, multiplier_rng = _prepare(
+    kind, y, _, layouts, multiplier_rng = _prepare(
         X, y, K, B, kind, r, sampler, seed
     )
     if m0 is None:

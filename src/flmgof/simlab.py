@@ -83,7 +83,7 @@ def gen_process(kind: str, n: int, grid: Grid, rng) -> FunctionalSample:
         data = geometric_brownian_motion(n, grid, rng)
     else:
         raise ValueError(f"unknown process kind {kind!r}; expected {_PROCESS_KINDS}")
-    return FunctionalSample(grid=grid, data=data, centered=False)
+    return FunctionalSample(grid=grid, data=data)
 
 
 def _sine_kernel(grid: Grid) -> np.ndarray:
@@ -432,6 +432,8 @@ def fdr_discretization_experiment(
     """
     if M < 1:
         raise ValueError("M must be a positive integer")
+    if any(K < 1 for K in k_values) or any(B < 1 for B in b_values):
+        raise ValueError("every K and B must be a positive integer")
     rows = []
     for K in k_values:
         for B in b_values:

@@ -28,7 +28,7 @@ def centered_bm_sample(n, num_points=201, seed=0):
     grid = uniform_grid(num_points)
     rng = np.random.Generator(np.random.Philox(seed))
     sample = gen_process("bm", n, grid, rng)
-    return center(sample)[0]
+    return center(sample)
 
 
 def inner_product(f, g, grid):
@@ -57,7 +57,7 @@ def reconstruct(basis, rank):
     if not 1 <= rank <= basis.m:
         raise ValueError(f"rank must lie in [1, {basis.m}], got {rank}")
     data = basis.scores[:, :rank] @ basis.eigenfunctions[:rank]
-    return FunctionalSample(grid=basis.grid, data=data, centered=True)
+    return FunctionalSample(grid=basis.grid, data=data)
 
 
 def hat_apply(fit, v):

@@ -87,7 +87,7 @@ def test_criterion_02_noiseless_recovery():
     basis = compute_fpc(sample)
     rho = 2.0 * basis.eigenfunctions[0] + 3.0 * basis.eigenfunctions[1]
     y = np.array([inner_product(row, rho, sample.grid) for row in sample.data])
-    fit = estimate_rho(sample, y, basis, 2)
+    fit = estimate_rho(y, basis, 2)
     coef_err = float(np.max(np.abs(fit.coef - [2.0, 3.0])))
     resid_err = float(np.max(np.abs(fit.residuals)))
     elapsed = time.perf_counter() - started

@@ -13,6 +13,7 @@ from flmgof.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    InputError,
     main,
     read_functional_sample,
     write_table,
@@ -206,7 +207,7 @@ def test_usage_errors(capsys):
     argv = ["test", "--data", "x", "--response", "y", "--header-grid",
             "--grid-file", "/nonexistent/grid.txt"]
     assert main(argv) == EXIT_USAGE
-    assert "not allowed with" in capsys.readouterr().err
+    assert "not both" in capsys.readouterr().err
 
 
 def test_threads_flag_only_on_simulate(dataset, capsys):
@@ -265,6 +266,9 @@ def test_grid_file_and_comments(tmp_path, capsys):
     parsed = read_functional_sample(data_path, grid_file=grid_path)
     assert np.array_equal(parsed.grid.points, points)
     assert np.array_equal(parsed.data, data)
+    # a header row as well would leave the grid file unread
+    with pytest.raises(InputError, match="not both"):
+        read_functional_sample(data_path, grid_file=grid_path, header_grid=True)
 
     code, out, _ = run_cli(
         [

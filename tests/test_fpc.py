@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import centered_bm_sample, inner_product, reconstruct
-from flmgof import FunctionalSample, compute_fpc, uniform_grid
+from flmgof import FunctionalSample, center, compute_fpc, gen_process, uniform_grid
+from flmgof import rptest
+
+
+def philox(seed):
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def bm_analytic_eigenvalues(count):
@@ -50,7 +55,7 @@ def test_orthonormal_scores_and_trace():
 def test_two_curve_sample_single_component():
     grid = uniform_grid(51)
     f = np.sin(2.0 * np.pi * grid.points) + 0.3
-    sample = FunctionalSample(grid=grid, data=np.vstack([f, -f]), centered=True)
+    sample = FunctionalSample(grid=grid, data=np.vstack([f, -f]))
     basis = compute_fpc(sample)
     assert basis.m == 1
     assert np.isclose(basis.eigenvalues[0], inner_product(f, f, grid))
@@ -93,7 +98,7 @@ def test_parseval_residual_energy():
 def test_scale_equivariance():
     sample = centered_bm_sample(30, num_points=51, seed=6)
     basis = compute_fpc(sample)
-    scaled = FunctionalSample(grid=sample.grid, data=2.5 * sample.data, centered=True)
+    scaled = FunctionalSample(grid=sample.grid, data=2.5 * sample.data)
     basis2 = compute_fpc(scaled)
     assert np.allclose(basis2.eigenvalues, 2.5**2 * basis.eigenvalues, rtol=1e-10)
     assert np.allclose(basis2.eigenfunctions, basis.eigenfunctions, atol=1e-8)
@@ -126,12 +131,24 @@ def test_compute_fpc_errors():
     with pytest.raises(ValueError):
         compute_fpc(sample, max_rank=10)  # exceeds n - 1
     grid = uniform_grid(21)
-    uncentered = FunctionalSample(grid=grid, data=np.ones((5, 21)) + np.eye(5, 21))
     with pytest.raises(ValueError):
-        compute_fpc(uncentered)
-    zero = FunctionalSample(grid=grid, data=np.zeros((4, 21)), centered=True)
+        compute_fpc(FunctionalSample(grid=grid, data=np.zeros((4, 21))))
     with pytest.raises(ValueError):
-        compute_fpc(zero)
+        compute_fpc(FunctionalSample(grid=grid, data=np.ones((1, 21))))
+
+
+def test_compute_fpc_centers_the_sample():
+    # an uncentered sample gives, bit for bit, the basis of its centered copy
+    # as the test core computes it, on both the Gram and the kernel path
+    for n, num_points, seed in ((30, 41, 12), (60, 21, 13)):
+        raw = gen_process("bm", n, uniform_grid(num_points), philox(seed))
+        centered = center(raw)
+        reference = rptest.compute_fpc(
+            centered, centered.data * centered.grid.weights
+        )
+        basis = compute_fpc(raw)
+        for name in ("eigenvalues", "eigenfunctions", "scores"):
+            assert np.array_equal(getattr(basis, name), getattr(reference, name))
 
 
 def test_determinism():

@@ -82,27 +82,23 @@ def test_sample_validation():
     bad[1, 4] = np.inf
     with pytest.raises(ValueError):
         FunctionalSample(grid=grid, data=bad)
-    with pytest.raises(ValueError):
-        FunctionalSample(grid=grid, data=np.ones((3, 11)), centered=True)
 
 
 def test_center_removes_column_means():
     grid = uniform_grid(21)
     rng = np.random.default_rng(5)
     sample = FunctionalSample(grid=grid, data=rng.normal(2.0, 1.0, (7, 21)))
-    centered, mean_curve = center(sample)
-    assert centered.centered
+    centered = center(sample)
+    assert centered.grid is sample.grid
     assert np.max(np.abs(centered.data.mean(axis=0))) < 1e-12
-    assert np.allclose(centered.data + mean_curve, sample.data)
+    assert np.array_equal(centered.data, sample.data - sample.data.mean(axis=0))
 
 
 def test_center_single_curve():
     grid = uniform_grid(21)
     data = np.sin(np.pi * grid.points)[None, :]
     sample = FunctionalSample(grid=grid, data=data)
-    centered, mean_curve = center(sample)
-    assert np.allclose(centered.data, 0.0)
-    assert np.allclose(mean_curve, data[0])
+    assert np.allclose(center(sample).data, 0.0)
 
 
 @settings(max_examples=50, deadline=None)

@@ -340,7 +340,7 @@ def test_direction_constants_match_the_per_draw_formula(variant, r):
     grid = uniform_grid(41)
     samples = [centered_bm_sample(50, num_points=201, seed=31)]
     samples += [
-        center(gen_process(kind, n, grid, philox(n)))[0]
+        center(gen_process(kind, n, grid, philox(n)))
         for kind, n in (("ou", 30), ("hhn1", 12), ("bm", 90))
     ]
     for index, sample in enumerate(samples):
@@ -383,9 +383,10 @@ def test_direction_constants_belong_to_their_basis():
 
 
 def test_one_weighted_product_gives_scores_and_projections(monkeypatch):
-    sample = centered_bm_sample(30, num_points=41, seed=4)
-    attributes = dict(vars(sample))
-    basis = compute_fpc(sample)
+    raw = gen_process("bm", 30, uniform_grid(41), philox(4))
+    attributes = dict(vars(raw))
+    basis = compute_fpc(raw)
+    sample = center(raw)
     product = sample.data * sample.grid.weights
     assert np.array_equal(basis.scores, product @ basis.eigenfunctions.T)
     curve_scale, weighted = _direction_inputs(sample)
@@ -412,11 +413,11 @@ def test_one_weighted_product_gives_scores_and_projections(monkeypatch):
 
     monkeypatch.setattr(rptest, "_direction_inputs", direction_inputs)
     monkeypatch.setattr(rptest, "golden_multipliers", multipliers)
-    y = basis.scores[:, 0] + 0.1 * philox(5).standard_normal(sample.n)
-    flm_gof(sample, y, K=2, B=20, seed=0)
-    simple_gof(sample, y, K=2, B=20, seed=0)
+    y = basis.scores[:, 0] + 0.1 * philox(5).standard_normal(raw.n)
+    flm_gof(raw, y, K=2, B=20, seed=0)
+    simple_gof(raw, y, K=2, B=20, seed=0)
     assert len(products) == 2
-    assert vars(sample) == attributes
+    assert vars(raw) == attributes
 
 
 @pytest.mark.parametrize("sampler", ["i", "ii", "iii"])
@@ -477,7 +478,7 @@ def test_degenerate_direction_guard():
     g = np.cos(3.0 * np.pi * grid.points)
     g = g - f * inner_product(g, f, grid) / inner_product(f, f, grid)
     assert abs(inner_product(f, g, grid)) < 1e-15
-    sample = FunctionalSample(grid=grid, data=np.vstack([f, -f]), centered=True)
+    sample = FunctionalSample(grid=grid, data=np.vstack([f, -f]))
     orthogonal_basis = FpcBasis(
         grid=grid,
         eigenvalues=np.array([1.0]),
@@ -499,7 +500,7 @@ def small_fit(n=50, seed=20, noise=0.5):
     rng = np.random.default_rng(seed + 1)
     y = 2.0 * basis.scores[:, 0] + noise * rng.standard_normal(n)
     y = y - y.mean()
-    fit = estimate_rho(sample, y, basis, 2)
+    fit = estimate_rho(y, basis, 2)
     return sample, basis, fit
 
 
@@ -512,7 +513,7 @@ def test_replay_matches_refit_from_scratch():
     assert replayed.shape == perturbations.shape
     for e, row in zip(perturbations, replayed):
         response = fit.fitted + e
-        refit = estimate_rho(sample, response - response.mean(), basis, fit.rank)
+        refit = estimate_rho(response - response.mean(), basis, fit.rank)
         assert np.allclose(row, refit.residuals, atol=1e-10)
         assert np.allclose(_replay_residuals(fit, e), refit.residuals, atol=1e-10)
 
@@ -577,7 +578,7 @@ def test_streamed_bootstrap_matches_one_shot_reference():
     distinct = centered_bm_sample(40, num_points=31, seed=60)
     rng = np.random.default_rng(62)
     curves = distinct.data[rng.integers(0, 40, n)]  # tied curves
-    sample = center(FunctionalSample(grid=distinct.grid, data=curves))[0]
+    sample = center(FunctionalSample(grid=distinct.grid, data=curves))
     basis = compute_fpc(sample)
     truth = basis.scores[:, 0]  # both nulls hold, so p-values are interior
     y = truth + 0.3 * rng.standard_normal(n)
@@ -594,7 +595,7 @@ def test_streamed_bootstrap_matches_one_shot_reference():
     multipliers = golden_multipliers(philox(multiplier_child), (B, n))
 
     rank = flm_gof(sample, y, K=K, B=B, seed=seed).settings["rank"]
-    fit = estimate_rho(sample, y_centered, basis, rank)
+    fit = estimate_rho(y_centered, basis, rank)
     nulls = (
         (flm_gof, {}, fit.residuals,
          _replay_residuals(fit, multipliers * fit.residuals)),
@@ -614,6 +615,21 @@ def test_streamed_bootstrap_matches_one_shot_reference():
                 assert rec.statistic == pytest.approx(observed[column], rel=1e-12)
                 assert rec.pvalue == count / B
                 assert 0 < count < B
+
+
+def test_flm_centers_the_sample_it_is_given():
+    sample, y = noisy_case(seed=33)
+    raw = FunctionalSample(
+        grid=sample.grid, data=sample.data + 2.0 * np.cos(sample.grid.points)
+    )
+    for kind in STAT_KINDS:
+        report = flm_gof(raw, y, K=3, B=200, kind=kind, seed=4)
+        centered = flm_gof(center(raw), y, K=3, B=200, kind=kind, seed=4)
+        assert report.p_fdr == centered.p_fdr
+        assert report.settings == centered.settings
+        for rec, ref in zip(report.per_projection, centered.per_projection):
+            assert rec.pvalue == ref.pvalue
+            assert rec.statistic == pytest.approx(ref.statistic, rel=1e-12)
 
 
 def test_flm_zero_response_never_rejects():

@@ -113,7 +113,6 @@ def test_gen_process_determinism_and_validation():
     b = gen_process("bm", 3, grid, philox(5))
     assert np.array_equal(a.data, b.data)
     assert a.data.shape == (3, 21)
-    assert not a.centered
     with pytest.raises(ValueError):
         gen_process("weibull", 3, grid, philox(0))
     with pytest.raises(ValueError):
@@ -495,9 +494,14 @@ def test_fdr_discretization_floor():
     assert rates[0] <= rates[1] <= rates[2]
 
 
-def test_fdr_discretization_validation():
-    with pytest.raises(ValueError):
-        fdr_discretization_experiment([5], [100], M=0)
+def test_fdr_discretization_validation(monkeypatch):
+    draws = []
+    monkeypatch.setattr(simlab.np.random, "Philox", lambda *a: draws.append(a))
+    for k_values, b_values, M in (([5], [100], 0), ([5, 0], [100], 10),
+                                  ([5], [100, 0], 10)):
+        with pytest.raises(ValueError, match="positive integer"):
+            fdr_discretization_experiment(k_values, b_values, M=M)
+    assert draws == []
 
 
 def test_fdr_experiment_row_rule_is_fdr_combine():
