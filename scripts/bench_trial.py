@@ -10,7 +10,10 @@ each over TRIALS trials split evenly between d=0 and d=1. Stages come from the b
 tracer (`perfbench/spans.py`), which times each layer from outside the
 package; `wall_ms` is the median of the untraced passes' per-trial means.
 `simlab.trial_ms` is the trial's own self time, outside every traced layer.
-Each worker runs OpenBLAS on one thread, as `run_study` runs its trials.
+`replicates_d0` and `replicates_d1` are the mean bootstrap replicates drawn
+per trial at each d, counted in one more pass, out of B unless the trial's
+bootstrap stopped early. Each worker runs OpenBLAS on one thread, as
+`run_study` runs its trials.
 
 Each `--src [LABEL=]DIR` names a package source tree (default: this
 checkout's `src`). With several, every round runs each tree in a fresh
@@ -45,10 +48,32 @@ STAGES = (
 )
 
 
+def replicates_drawn(rptest, simlab, payloads):
+    """Mean bootstrap replicates drawn per trial, keyed by d."""
+    draw = rptest.golden_multipliers
+    drawn = []
+
+    def counting(rng, size):
+        drawn.append(size[0])
+        return draw(rng, size)
+
+    totals = dict.fromkeys(D_VALUES, 0)
+    rptest.golden_multipliers = counting
+    try:
+        for payload in payloads:
+            drawn.clear()
+            simlab._study_trial(payload)
+            totals[payload[1]] += sum(drawn)
+    finally:
+        rptest.golden_multipliers = draw
+    trials = len(payloads) / len(D_VALUES)
+    return {f"replicates_d{d}": totals[d] / trials for d in D_VALUES}
+
+
 def measure(src):
     """One round in this interpreter: {"S1/i": {"wall_ms": .., stage: ..}, ..}."""
     sys.path[:0] = [src, REPO]
-    from flmgof import simlab
+    from flmgof import rptest, simlab
     from perfbench.spans import Tracer, layer_metrics
 
     rows = {}
@@ -81,6 +106,7 @@ def measure(src):
         row["rptest.direction_attempts_per_draw"] = metrics[
             "rptest.direction_attempts_per_draw"
         ]
+        row.update(replicates_drawn(rptest, simlab, payloads))
         row["hooks_not_found"] = sorted(tracer.missing)
         rows[f"{spec.id}/{sampler}"] = row
     return rows

@@ -24,10 +24,24 @@ The bootstrap is streamed: replicates are drawn, replayed and reduced to the
 requested norm (KS or CvM, not both) in blocks of b replicates laid out one
 per column, b = BOOTSTRAP_BLOCK // n rounded down to even, so its memory is
 O(n * b), a few MB whatever B is, instead of O(n * B).
+
+A Monte Carlo study reads a trial only as the decisions p_fdr < alpha, so a
+study trial may stop its bootstrap early (`test_flm`'s private `_stop_above`,
+a sequential Monte Carlo p-value after Besag & Clifford, 1991). Its first two
+blocks are then at most STOP_CHECK_BLOCK wide, and after every block but the
+last the p-values are formed from the counts so far with the final
+expression. Once their envelope reaches the threshold the bootstrap stops.
+The stop is exact: counts only grow, both p-value expressions are monotone in
+the count, and sorting, scaling by K/k and taking a minimum are monotone
+under rounding, so the final p_fdr could be no smaller than the envelope at
+the stop, and no decision below the threshold can change. Consecutive blocks
+concatenate to one draw, so a bootstrap that does not stop counts the same
+replicates as one without the threshold.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +86,10 @@ SAMPLER_VARIANTS = ("i", "ii", "iii")
 # were slower at n >= 4096 (too few replicates per kernel call) and larger
 # ones at n >= 512.
 BOOTSTRAP_BLOCK = 2**17
+# Width of the first two blocks of a bootstrap that may stop early: at n=50,
+# K=5, B=500, about half the null trials of a study settle p_fdr >= 0.1 after
+# 128 replicates and three quarters after 256.
+STOP_CHECK_BLOCK = 128
 
 
 class DegenerateProjectionError(RuntimeError):
@@ -117,6 +135,18 @@ def _check_kind(kind: str) -> str:
     if normalized not in STAT_KINDS:
         raise ValueError(f"statistic kind must be one of {STAT_KINDS}, got {kind!r}")
     return normalized
+
+
+def _check_settings(K, B, kind, r, sampler) -> str:
+    """Check the settings every test takes; return the normalized kind."""
+    kind = _check_kind(kind)
+    _check_sampler(sampler)
+    _check_threshold(r)
+    if K < 1:
+        raise ValueError("K must be a positive integer")
+    if B < 1:
+        raise ValueError("B must be a positive integer")
+    return kind
 
 
 def golden_multipliers(rng, size) -> np.ndarray:
@@ -336,18 +366,12 @@ def _prepare(X, y, K, B, kind, r, sampler, seed):
     scores and the projections; that n x G array is freed on return, before
     any bootstrap.
     """
-    kind = _check_kind(kind)
-    _check_sampler(sampler)
-    _check_threshold(r)
+    kind = _check_settings(K, B, kind, r, sampler)
     if not isinstance(X, FunctionalSample):
         raise ValueError("X must be a FunctionalSample")
     if X.n < 3:
         raise ValueError("the test needs at least three observations")
     y = _check_response(y, X.n)
-    if K < 1:
-        raise ValueError("K must be a positive integer")
-    if B < 1:
-        raise ValueError("B must be a positive integer")
     sample = center(X)
     curve_scale, weighted = _direction_inputs(sample)
     basis = compute_fpc(sample, weighted)
@@ -366,55 +390,86 @@ def _streams(seed):
     root = seed
     if not isinstance(root, np.random.SeedSequence):
         root = np.random.SeedSequence(seed)
-    # Spawn from an equal copy: spawning advances a SeedSequence, and the
-    # caller's object must give the same report on every call.
-    root = np.random.SeedSequence(
-        root.entropy,
-        spawn_key=root.spawn_key,
-        pool_size=root.pool_size,
-        n_children_spawned=root.n_children_spawned,
+    # The two children root.spawn(2) would make, built without spawning:
+    # spawning advances a SeedSequence, and the caller's object must give the
+    # same report on every call.
+    children = (
+        np.random.SeedSequence(
+            root.entropy,
+            spawn_key=root.spawn_key + (root.n_children_spawned + i,),
+            pool_size=root.pool_size,
+        )
+        for i in range(2)
     )
-    return [np.random.Generator(np.random.Philox(child)) for child in root.spawn(2)]
+    return [np.random.Generator(np.random.Philox(child)) for child in children]
+
+
+def _block_widths(B, n, stop_early):
+    """Widths of the consecutive bootstrap blocks that draw B replicates.
+
+    Blocks are BOOTSTRAP_BLOCK // n replicates wide, rounded down to even so
+    the kernel can sum its columns in pairs; only an odd B leaves an odd last
+    block. A bootstrap that may stop early starts with two blocks of at most
+    STOP_CHECK_BLOCK, so it can stop after 128 or 256 replicates.
+    """
+    rows = min(B, BOOTSTRAP_BLOCK // n)
+    rows = max(1, rows - rows % 2)
+    widths = [min(STOP_CHECK_BLOCK, rows)] * 2 if stop_early else []
+    start = 0
+    for width in itertools.chain(widths, itertools.repeat(rows)):
+        if start >= B:
+            return
+        yield min(width, B - start)
+        start += width
+
+
+def _bootstrap_pvalues(counts, B, positive_correction):
+    """Bootstrap p-values from an array of exceedance counts out of B replicates."""
+    return (counts + 1.0) / (B + 1.0) if positive_correction else counts / B
 
 
 def _projection_test(
     layouts, multiplier_rng, marks, fit, K, B, kind, r, sampler, seed,
-    positive_correction,
+    positive_correction, stop_above=None,
 ):
     """Score the K projections of the marked process and combine them.
 
     One stream of B golden-ratio multiplier vectors calibrates every
     direction. With a `fit` (composite null) the perturbed marks are replayed
     through the fit at its rank; without one (simple null) they are used as
-    drawn.
+    drawn. With `stop_above`, the bootstrap stops after the first block at
+    which the combined p-value of the counts so far reaches it; the report
+    then carries those p-values, lower bounds of the full bootstrap's.
     """
     n = marks.size
     observed = [float(layout.norms(marks, kind)) for layout in layouts]
 
-    # Consecutive (rows, n) draws concatenate to one (B, n) draw, so the block
-    # size moves no p-value; each block is transposed once for the kernel. An
-    # even width lets the kernel sum its columns in pairs; only an odd B
-    # leaves an odd last block.
-    counts = [0] * K
-    rows = min(B, BOOTSTRAP_BLOCK // n)
-    rows = max(1, rows - rows % 2)
-    for start in range(0, B, rows):
-        replicates = golden_multipliers(multiplier_rng, (min(rows, B - start), n))
+    # Consecutive (width, n) draws concatenate to one (B, n) draw, so the
+    # block widths move no p-value; each block is transposed once for the
+    # kernel.
+    counts = np.zeros(K, dtype=np.int64)
+    drawn = 0
+    for width in _block_widths(B, n, stop_above is not None):
+        replicates = golden_multipliers(multiplier_rng, (width, n))
         replicates *= marks
         if fit is not None:
             replicates = _replay_residuals(fit, replicates)
         columns = np.ascontiguousarray(replicates.T)
         for k, layout in enumerate(layouts):
-            exceeds = layout.norms(columns, kind) >= observed[k]
-            counts[k] += int(np.count_nonzero(exceeds))
+            counts[k] += np.count_nonzero(layout.norms(columns, kind) >= observed[k])
+        drawn += width
+        if (
+            stop_above is not None
+            and drawn < B
+            and _fdr_envelope(_bootstrap_pvalues(counts, B, positive_correction))
+            >= stop_above
+        ):
+            break
 
+    pvalues = _bootstrap_pvalues(counts, B, positive_correction)
     outcomes = [
-        ProjectionOutcome(
-            index=draw,
-            statistic=statistic,
-            pvalue=(count + 1.0) / (B + 1.0) if positive_correction else count / B,
-        )
-        for draw, (statistic, count) in enumerate(zip(observed, counts), start=1)
+        ProjectionOutcome(index=draw, statistic=statistic, pvalue=float(pvalue))
+        for draw, (statistic, pvalue) in enumerate(zip(observed, pvalues), start=1)
     ]
 
     settings = {
@@ -442,6 +497,8 @@ def test_flm(
     sampler: str = "i",
     seed=None,
     positive_correction: bool = False,
+    *,
+    _stop_above: float | None = None,
 ) -> TestReport:
     """Composite goodness-of-fit test of the functional linear model.
 
@@ -449,6 +506,12 @@ def test_flm(
     scores K random projections of the residual-marked process, calibrating
     each with a wild bootstrap of B replicates. Reproducible for a fixed
     `seed` (int or SeedSequence) regardless of available parallelism.
+
+    `_stop_above` is for Monte Carlo studies, which read only whether p_fdr
+    falls below a level: the bootstrap stops once p_fdr can no longer fall
+    below `_stop_above`, and the report then holds lower bounds of the
+    p-values, with p_fdr at least `_stop_above`. A report whose p_fdr is
+    below it equals the report without it.
     """
     kind, y, basis, layouts, multiplier_rng = _prepare(
         X, y, K, B, kind, r, sampler, seed
@@ -462,7 +525,7 @@ def test_flm(
     fit = estimate_rho(y_centered, basis, int(rank))
     return _projection_test(
         layouts, multiplier_rng, fit.residuals, fit, K, B, kind, r, sampler, seed,
-        positive_correction,
+        positive_correction, _stop_above,
     )
 
 

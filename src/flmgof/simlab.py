@@ -45,7 +45,7 @@ from .processes import (
     ornstein_uhlenbeck,
     ou_kernel,
 )
-from .rptest import _fdr_envelope, test_flm
+from .rptest import _check_settings, _fdr_envelope, test_flm
 
 __all__ = [
     "ALPHAS",
@@ -290,6 +290,13 @@ class MonteCarloResult:
 
 
 def _study_trial(args):
+    """One trial of a study cell: (p_fdr, chosen rank).
+
+    The study reads p_fdr only as p_fdr < alpha for alpha in ALPHAS, so the
+    test's bootstrap stops once p_fdr cannot fall below max(ALPHAS). Every
+    decision is that of the full bootstrap, but a trial that stopped returns
+    a lower bound of its p_fdr, one that is at least max(ALPHAS).
+    """
     (spec, d, n, K, B, kind, r, sampler, seed, trial) = args
     root = np.random.SeedSequence((seed, spec.index, d, n, trial))
     data_seed, test_seed = root.spawn(2)
@@ -297,7 +304,8 @@ def _study_trial(args):
     X = gen_process(spec.process, n, spec.grid, rng)
     y = gen_response(spec, X, d, rng)
     report = test_flm(
-        X, y, K=K, B=B, kind=kind, r=r, rank=None, sampler=sampler, seed=test_seed
+        X, y, K=K, B=B, kind=kind, r=r, rank=None, sampler=sampler, seed=test_seed,
+        _stop_above=max(ALPHAS),
     )
     return report.p_fdr, report.settings["rank"]
 
@@ -322,12 +330,19 @@ def run_study(
     a seed derived from (seed, scenario, d, n, trial) and aggregation follows
     trial order. With threads > 1 every trial of every cell goes through one
     process pool; each cell's wall time runs from the end of the previous
-    cell, so the first cell includes the pool start-up.
+    cell, so the first cell includes the pool start-up. Every setting is
+    checked before any trial runs.
     """
     if M < 1:
         raise ValueError("M must be a positive integer")
     if threads < 1:
         raise ValueError("threads must be a positive integer")
+    _check_settings(K, B, kind, r, sampler)
+    if any(d not in (0, 1, 2) for d in d_values):
+        raise ValueError("deviation level d must be 0, 1 or 2")
+    # rank selection needs n - 3 >= 1
+    if any(n < 4 for n in n_values):
+        raise ValueError("every n must be at least 4")
     specs = {index: scenario(index) for index in scenarios}
     cells = [
         (specs[index], d, n) for index in scenarios for d in d_values for n in n_values

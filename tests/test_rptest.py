@@ -28,12 +28,15 @@ from flmgof.rptest import (
     GOLDEN_PROBS,
     GOLDEN_VALUES,
     STAT_KINDS,
+    _bootstrap_pvalues,
     _direction_inputs,
     _draw_nondegenerate_direction,
+    _fdr_envelope,
     _max_over_rows,
     _replay_residuals,
     _SortedProjections,
 )
+from flmgof.simlab import ALPHAS
 
 
 def philox(seed):
@@ -166,11 +169,13 @@ def test_max_over_rows_matches_numpy_max():
 
 
 @pytest.mark.parametrize("n, widths", [
-    (200, [654, 346]),
-    (500, [262, 262, 262, 214]),
+    # the blocks of B = 1000 replicates, plain and when the bootstrap may stop
+    (200, ([654, 346], [128, 128, 654, 90])),
+    (500, ([262, 262, 262, 214], [128, 128, 262, 262, 220])),
 ])
 def test_bootstrap_blocks_have_even_widths(monkeypatch, n, widths):
     # BOOTSTRAP_BLOCK // 200 = 655 replicates would make an odd block
+    widths, stop_widths = widths
     drawn = []
 
     def recording(rng, size):
@@ -180,11 +185,20 @@ def test_bootstrap_blocks_have_even_widths(monkeypatch, n, widths):
     monkeypatch.setattr(rptest, "golden_multipliers", recording)
     sample = centered_bm_sample(n, num_points=31, seed=n)
     y = sample.data[:, 10] + philox(n).standard_normal(n)
-    flm_gof(sample, y, K=2, B=1000, seed=0)
+    report = flm_gof(sample, y, K=2, B=1000, seed=0)
     assert drawn == [(width, n) for width in widths]
     drawn.clear()
     simple_gof(sample, y, K=2, B=999, seed=0)
     assert drawn[-1] == (widths[-1] - 1, n)  # only an odd B leaves an odd block
+    # a bootstrap that may stop starts with two narrow blocks; p_fdr never
+    # reaches 1.5, so it draws every block and counts the same replicates
+    drawn.clear()
+    unstopped = flm_gof(sample, y, K=2, B=1000, seed=0, _stop_above=1.5)
+    assert drawn == [(width, n) for width in stop_widths]
+    assert unstopped.to_dict() == report.to_dict()
+    drawn.clear()
+    flm_gof(sample, y, K=2, B=999, seed=0, _stop_above=1.5)
+    assert drawn[-1] == (stop_widths[-1] - 1, n)
 
 
 def test_process_statistic_errors():
@@ -223,6 +237,22 @@ def test_fdr_combine_properties(pvalues):
     assert combined >= ordered[0] - 1e-12
     assert combined <= min(k * ordered[0], 1.0) + 1e-12
     assert fdr_combine(p[::-1]) == pytest.approx(combined, abs=1e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_early_stop_decisions_hold_for_larger_counts(data):
+    # counts only grow as the bootstrap goes on, so an envelope that has
+    # reached a level stays there: the early stop changes no decision
+    K = data.draw(st.integers(1, 25))
+    B = data.draw(st.integers(1, 2000))
+    final = np.array(data.draw(st.lists(st.integers(0, B), min_size=K, max_size=K)))
+    low = np.array([data.draw(st.integers(0, int(count))) for count in final])
+    for positive_correction in (False, True):
+        at_stop = _fdr_envelope(_bootstrap_pvalues(low, B, positive_correction))
+        at_end = _fdr_envelope(_bootstrap_pvalues(final, B, positive_correction))
+        for alpha in ALPHAS:
+            assert at_end >= alpha or not at_stop >= alpha
 
 
 def test_fdr_combine_errors():
@@ -569,6 +599,16 @@ def test_seedsequence_reused_gives_identical_reports():
     assert first.to_dict() == simple_gof(
         sample, y, K=3, B=60, seed=np.random.SeedSequence(21, spawn_key=(1,))
     ).to_dict()
+    # a SeedSequence that has spawned already gives the streams of the
+    # children its next spawn(2) would make, and stays as it was
+    spawned = np.random.SeedSequence(21, spawn_key=(1,))
+    spawned.spawn(3)
+    twin = np.random.SeedSequence(21, spawn_key=(1,), n_children_spawned=3)
+    for stream, child in zip(rptest._streams(spawned), twin.spawn(2)):
+        assert np.array_equal(stream.random(8), philox(child).random(8))
+    first = flm_gof(sample, y, K=3, B=60, seed=spawned)
+    assert flm_gof(sample, y, K=3, B=60, seed=spawned).to_dict() == first.to_dict()
+    assert spawned.n_children_spawned == 3
 
 
 def test_streamed_bootstrap_matches_one_shot_reference():

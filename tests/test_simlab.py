@@ -25,7 +25,7 @@ from flmgof.processes import (
     ornstein_uhlenbeck,
     ou_kernel,
 )
-from flmgof import simlab
+from flmgof import rptest, simlab
 from flmgof.rptest import _fdr_envelope
 from flmgof.simlab import _deviation_rows
 
@@ -467,11 +467,63 @@ def test_run_study_forks_no_more_workers_than_trials(tmp_path, monkeypatch):
     assert len(list(tmp_path.iterdir())) == 2
 
 
-def test_run_study_validation():
-    with pytest.raises(ValueError):
-        run_study([1], [0], [25], M=0)
-    with pytest.raises(ValueError):
-        run_study([1], [0], [25], M=1, threads=0)
+def test_run_study_validation(monkeypatch):
+    # every setting is checked before a pool starts or a trial runs, also
+    # a bad value at the end of a list
+    work = []
+    monkeypatch.setattr(simlab, "_study_trial", work.append)
+    monkeypatch.setattr(simlab, "ProcessPoolExecutor", lambda *a, **k: work.append(a))
+    study = dict(scenarios=[1], d_values=[0], n_values=[25], M=30, threads=2)
+    for bad in (dict(M=0), dict(threads=0), dict(K=0), dict(B=0), dict(kind="foo"),
+                dict(sampler="x"), dict(r=0.0), dict(d_values=[0, 1, 3]),
+                dict(n_values=[25, 3]), dict(scenarios=[1, 10])):
+        with pytest.raises(ValueError):
+            run_study(**{**study, **bad})
+    assert work == []
+
+
+def test_early_stop_keeps_every_decision():
+    # a report that stops early is the full report whenever p_fdr < 0.1;
+    # otherwise both are at least 0.1, so no study decision changes
+    decided = set()
+    for index in (1, 3, 7):
+        spec = scenario(index)
+        for d in (0, 1):
+            for trial in range(4):
+                rng = philox((index, d, trial))
+                X = gen_process(spec.process, 50, spec.grid, rng)
+                y = gen_response(spec, X, d, rng)
+                for kind in ("cvm", "ks"):
+                    args = dict(K=5, B=500, kind=kind, seed=trial)
+                    full = simlab.test_flm(X, y, **args)
+                    stopped = simlab.test_flm(X, y, **args, _stop_above=0.1)
+                    if stopped.p_fdr < 0.1:
+                        assert stopped.to_dict() == full.to_dict()
+                    else:
+                        assert full.p_fdr >= 0.1
+                    decided.add(stopped.p_fdr < 0.1)
+    assert decided == {False, True}
+
+
+def test_null_study_trials_stop_early(monkeypatch):
+    # the early stop must keep saving replicates: a null trial that settles
+    # p_fdr >= 0.1 draws 128 or 256 of its B = 500
+    drawn = []
+    draw = rptest.golden_multipliers
+
+    def recording(rng, size):
+        drawn.append(size[0])
+        return draw(rng, size)
+
+    monkeypatch.setattr(rptest, "golden_multipliers", recording)
+    spec = scenario(1)
+    per_trial = []
+    for trial in range(10):
+        drawn.clear()
+        simlab._study_trial((spec, 0, 50, 5, 500, "cvm", 0.95, "i", 0, trial))
+        per_trial.append(sum(drawn))
+    assert min(per_trial) <= 256
+    assert sum(per_trial) < 0.8 * 10 * 500
 
 
 # ------------------------------------------------------------ fdr discreteness
