@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Trials per second of `run_study` at threads 1 and 2.
 
-Times one study, S1 at d=0, n=50, M=500, K=5, B=500, seed 0, at threads=1
-and threads=2, after a small warm-up study. Each round's table is hashed and
-the distinct hashes are reported, so a table that changes with the thread
-count or between trees shows.
+Times two studies at threads=1 and threads=2, both with K=5, B=500, n=50,
+seed 0: S1 at d=0 with M=500, and the benchmark's 60-trial study, S1 and S7
+at d=0 and 1 with M=15. A round runs, after a small warm-up study, the long
+study once at each thread count and the short one 12 times, the thread
+counts alternating; its time is the median over repeats. Each study's table
+is hashed and the distinct hashes are reported, so a table that changes with
+the thread count or between trees shows.
 
 Each `--src [LABEL=]DIR` names a package source tree (default: this
 checkout's `src`). With several, every round runs each tree in a fresh
@@ -26,25 +29,42 @@ import time
 
 import numpy as np
 
-STUDY = dict(scenarios=[1], d_values=[0], n_values=[50], M=500, K=5, B=500, seed=0)
+COMMON = dict(n_values=[50], K=5, B=500, seed=0)
+# name: (study, repeats per round)
+STUDIES = {
+    "S1 d=0 M=500": (dict(scenarios=[1], d_values=[0], M=500, **COMMON), 1),
+    "S1,S7 d=0,1 M=15": (dict(scenarios=[1, 7], d_values=[0, 1], M=15, **COMMON), 12),
+}
 THREADS = (1, 2)
 ROUNDS = 5  # fresh interpreters per tree
 
 
+def trials(study):
+    return len(study["scenarios"]) * len(study["d_values"]) * len(study["n_values"]) * study["M"]
+
+
 def measure(src):
-    """One round in this interpreter: {threads: {"seconds": .., "table": ..}}."""
+    """One round in this interpreter: {study: {threads: {"seconds": .., "tables": ..}}}."""
     sys.path.insert(0, src)
     from flmgof import run_study
 
-    run_study(**{**STUDY, "M": 4})  # lazy imports and the noise variance
+    run_study(scenarios=[1, 7], d_values=[0], M=2, **COMMON)  # lazy imports, noise variances
     rows = {}
-    for threads in THREADS:
-        started = time.perf_counter()
-        results = run_study(**STUDY, threads=threads)
-        seconds = time.perf_counter() - started
-        table = [(r.rejection_rates, r.mean_rank, r.sd_rank) for r in results]
-        digest = hashlib.sha256(repr(table).encode()).hexdigest()
-        rows[threads] = {"seconds": seconds, "table": digest[:16]}
+    for name, (study, repeats) in STUDIES.items():
+        seconds = {threads: [] for threads in THREADS}
+        tables = {threads: set() for threads in THREADS}
+        for _ in range(repeats):
+            for threads in THREADS:
+                started = time.perf_counter()
+                results = run_study(**study, threads=threads)
+                seconds[threads].append(time.perf_counter() - started)
+                table = [(r.rejection_rates, r.mean_rank, r.sd_rank) for r in results]
+                tables[threads].add(hashlib.sha256(repr(table).encode()).hexdigest()[:16])
+        rows[name] = {
+            threads: {"seconds": statistics.median(seconds[threads]),
+                      "tables": sorted(tables[threads])}
+            for threads in THREADS
+        }
     return rows
 
 
@@ -69,22 +89,26 @@ def main(argv=None):
             result = subprocess.run(command, check=True, capture_output=True, text=True)
             runs[label].append(json.loads(result.stdout))
 
-    def summary(label, threads):
-        rounds = [run[str(threads)] for run in runs[label]]
+    def summary(label, name, threads):
+        rounds = [run[name][str(threads)] for run in runs[label]]
         seconds = [row["seconds"] for row in rounds]
         return {
-            "trials_per_s": round(STUDY["M"] / statistics.median(seconds), 2),
-            "seconds": [round(value, 3) for value in seconds],
-            "tables": sorted({row["table"] for row in rounds}),
+            "trials_per_s": round(trials(STUDIES[name][0]) / statistics.median(seconds), 2),
+            "seconds": [round(value, 4) for value in seconds],
+            "tables": sorted({table for row in rounds for table in row["tables"]}),
         }
 
     report = {
-        "settings": {**STUDY, "threads": THREADS, "rounds": ROUNDS},
+        "settings": {"studies": STUDIES, "threads": THREADS, "rounds": ROUNDS},
         "machine": {"nproc": os.cpu_count(), "platform": platform.platform(),
                     "python": platform.python_version(), "numpy": np.__version__},
-        "note": "trials/s from the median study wall time over rounds",
+        "note": "trials/s from the median over rounds of each round's study"
+                " wall time (the median over its repeats)",
         "results": {
-            label: {threads: summary(label, threads) for threads in THREADS}
+            label: {
+                name: {threads: summary(label, name, threads) for threads in THREADS}
+                for name in STUDIES
+            }
             for label in runs
         },
     }

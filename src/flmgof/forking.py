@@ -1,4 +1,5 @@
-"""Work split over forked processes: the platform rule and a line-range loadtxt.
+"""Work split over forked processes: the platform rule, a line-range loadtxt
+and a strided map.
 
 Where `fork_supported()`, worker processes are forked, so callers need no
 `__main__` guard and children start with the caller's imports in place.
@@ -21,6 +22,12 @@ holds, or disagrees with another on the number of columns, the whole file
 is parsed again serially here, which returns that result or raises that
 error. Every child is waited for on every path, and killed first on any
 path but success.
+
+`strided_map(function, items, workers, dtype)` runs item i in worker
+i mod `workers`: this process is worker 0 and forked children are the
+others. A child writes each result as one fixed-size numpy record to its
+own pipe, with no pickling, and this process yields the results in item
+order. An item whose child failed runs again here (see `strided_map`).
 """
 
 from __future__ import annotations
@@ -180,40 +187,101 @@ def _gather(first, children):
     return out
 
 
+def strided_map(function, items, workers, dtype):
+    """Yield `function(item)` for every item, in order, from `workers` processes.
+
+    Item i goes to worker i mod `workers`. Worker 0 is this process, which
+    runs its items as the iterator reaches them; each other worker is a child
+    forked at the first `next`, which runs its items in order and writes each
+    result to its own pipe as one record of the numpy `dtype`. A result is
+    read back as `record.item()`. If a child's pipe ends before a record,
+    that item and the rest of that child's items run here: a seeded item then
+    raises the child's exception, or returns its result if the child was
+    killed from outside. If a fork fails, the items of the workers not yet
+    forked run here too. Closing the iterator, or an exception here, kills
+    every child still running; every child is waited for on every path.
+    """
+    children = []  # (pid, read end of the pipe the child writes to)
+    try:
+        for worker in range(1, workers):
+            work = functools.partial(
+                _write_records, function, items[worker::workers], dtype
+            )
+            try:
+                _fork(work, children)
+            except OSError:  # no pipe or fork: the rest run here
+                break
+        pipes = [None] + [pipe for _, pipe in children]
+        pipes += [None] * (workers - len(pipes))
+        record = np.empty((), dtype)
+        for index, item in enumerate(items):
+            worker = index % workers
+            if pipes[worker] is not None and _fill(pipes[worker], record):
+                yield record.item()
+            else:
+                pipes[worker] = None
+                yield function(item)
+    finally:
+        _reap(children, kill=True)
+
+
+def _write_records(function, items, dtype, pipe):
+    """A child's work in `strided_map`: one record per item, each flushed
+    as soon as it is computed."""
+    with open(pipe, "wb") as out:
+        for item in items:
+            out.write(np.array(function(item), dtype))
+            out.flush()
+    return True
+
+
 def _fork_parser(path, start, end, kwargs, children):
     """Fork a child that parses bytes [start, end) and writes the shape and
     the rows to a pipe; add (pid, read end) to `children`."""
+
+    def work(pipe):
+        rows = _parse_range(path, start, end, kwargs)
+        if rows is not None:
+            with open(pipe, "wb") as out:
+                out.write(np.array(rows.shape, dtype=np.int64))
+                out.write(np.ascontiguousarray(rows))
+        return rows is not None
+
+    _fork(work, children)
+
+
+def _fork(work, children):
+    """Fork a child that runs `work(write end of a new pipe)` and exits; add
+    (pid, read end) to `children`.
+
+    The child exits with 0 if `work` returns true, else with 1; it never
+    returns here, and runs no exit handlers. It closes the read ends of the
+    children forked before it, so if this process dies, each child fails at
+    its next write instead of running on.
+    """
     read_end, write_end = os.pipe()
     try:
         with _sigint_held(), warnings.catch_warnings():
             # Python >= 3.12 warns after a fork in a process with threads
             # (here BLAS threads); under an error filter that warning would
-            # raise here and lose the child. The child only parses and exits.
+            # raise here and lose the child. The child only works and exits.
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
             if pid == 0:
-                _run_child(path, start, end, kwargs, write_end)
+                code = 1
+                try:
+                    os.close(read_end)
+                    for _, pipe in children:
+                        os.close(pipe)
+                    code = 0 if work(write_end) else 1
+                finally:
+                    os._exit(code)
             children.append((pid, read_end))
     except OSError:
         os.close(read_end)
         raise
     finally:
         os.close(write_end)
-
-
-def _run_child(path, start, end, kwargs, pipe):
-    """The forked child: parse the range, write the rows and exit, never
-    returning; on any failure it exits with 1 and writes nothing more."""
-    code = 1
-    try:
-        rows = _parse_range(path, start, end, kwargs)
-        if rows is not None:
-            with open(pipe, "wb") as out:
-                out.write(np.array(rows.shape, dtype=np.int64))
-                out.write(np.ascontiguousarray(rows))
-            code = 0
-    finally:
-        os._exit(code)
 
 
 def _parse_range(path, start, end, kwargs):

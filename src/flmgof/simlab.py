@@ -12,19 +12,20 @@ grid points and w the quadrature weights.
 
 Every trial is seeded by (study seed, scenario, deviation level, n, trial)
 through a counter-based generator, so results do not depend on how trials are
-scheduled across workers. `run_study(threads=N)` with N > 1 sends all trials
-of all cells through one process pool of at most N workers, forked where the
-platform allows it, and pins each worker's OpenBLAS to one thread. Trials
-that run in the calling process run its OpenBLAS on one thread too, and the
-caller's thread count is restored afterwards, so every trial computes with
-the same BLAS thread count whatever `threads` is.
+scheduled across workers. `run_study(threads=N)` runs the trials of all
+cells on at most N workers, no more than the trials or the usable CPUs.
+Where the platform forks, the calling process is one worker and forked
+children are the others, each taking every w-th trial (`forking.strided_map`);
+elsewhere a process pool runs them. Every worker, the calling process
+included, runs its OpenBLAS on one thread, and the caller's thread count is
+restored afterwards, so every trial computes with the same BLAS thread count
+whatever `threads` is.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
-import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .forking import _openblas_function, fork_supported
+from .forking import _openblas_function, _usable_cpus, fork_supported, strided_map
 from .funspace import FunctionalSample, Grid, _frozen, uniform_grid
 from .processes import (
     bb_kernel,
@@ -328,10 +329,11 @@ def run_study(
     Returns one MonteCarloResult per (scenario, d, n) combination, in that
     nesting order. Identical output for any `threads` value: each trial owns
     a seed derived from (seed, scenario, d, n, trial) and aggregation follows
-    trial order. With threads > 1 every trial of every cell goes through one
-    process pool; each cell's wall time runs from the end of the previous
-    cell, so the first cell includes the pool start-up. Every setting is
-    checked before any trial runs.
+    trial order. With threads > 1 the trials of every cell are split over
+    the same workers; each cell's wall time runs from the end of the
+    previous cell, so the first cell includes starting the workers (the
+    forks, or the pool). Every setting is checked before any worker starts
+    or any trial runs.
     """
     if M < 1:
         raise ValueError("M must be a positive integer")
@@ -347,8 +349,8 @@ def run_study(
     cells = [
         (specs[index], d, n) for index in scenarios for d in d_values for n in n_values
     ]
-    # sigma2 is cached on each spec before the payloads are sent, so a worker
-    # receives it with the spec
+    # sigma2 is cached on each spec before any worker starts, so every worker
+    # has it with the spec
     for spec in specs.values():
         spec.sigma2
     payloads = [
@@ -384,30 +386,35 @@ def run_study(
     return results
 
 
+# a trial's outcome as a forked worker sends it through its pipe
+_OUTCOME = np.dtype([("p_fdr", np.float64), ("rank", np.int64)])
+
+
 @contextlib.contextmanager
 def _trial_outcomes(payloads, threads):
     """Yield an iterator over the trial outcomes in payload order.
 
-    With one worker's worth of trials or threads == 1, the trials run here,
-    one at a time, with this process's BLAS on one thread. Otherwise one
-    pool of at most `threads` workers, never more than the trials, runs them
-    in chunks of about a quarter of each worker's share. Workers are forked
-    where the platform allows it, so callers need no `__main__` guard, and
-    each runs its BLAS on one thread: a forked worker keeps the parent's BLAS
-    thread count, and `threads` workers would otherwise oversubscribe the
-    cores.
+    The trials run on w = min(threads, trials, usable CPUs) workers. Where
+    the platform forks, this process is one of them and w - 1 forked
+    children are the others (`forking.strided_map`: trial i runs in worker
+    i mod w, so cheap and costly cells are spread evenly), all with OpenBLAS
+    on one thread; the caller's thread count comes back on exit. Elsewhere,
+    with w > 1, a pool of w workers started the platform's default way runs
+    them, each worker with its OpenBLAS on one thread, in chunks of about a
+    quarter of each worker's share.
     """
-    workers = min(threads, len(payloads))
-    if workers <= 1:
-        with _blas_on_one_thread():
-            yield map(_study_trial, payloads)
+    workers = min(threads, len(payloads), _usable_cpus())
+    if workers > 1 and not fork_supported():
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_one_blas_thread
+        ) as pool:
+            chunk = max(1, len(payloads) // (workers * 4))
+            yield pool.map(_study_trial, payloads, chunksize=chunk)
         return
-    context = multiprocessing.get_context("fork" if fork_supported() else None)
-    with ProcessPoolExecutor(
-        max_workers=workers, mp_context=context, initializer=_one_blas_thread
-    ) as pool:
-        chunk = max(1, len(payloads) // (threads * 4))
-        yield pool.map(_study_trial, payloads, chunksize=chunk)
+    with _blas_on_one_thread(), contextlib.closing(
+        strided_map(_study_trial, payloads, workers, _OUTCOME)
+    ) as outcomes:
+        yield outcomes
 
 
 def _one_blas_thread():

@@ -1,10 +1,28 @@
 """Shared helpers for the test suite."""
 
+import os
+
 import numpy as np
+import pytest
 
 from flmgof import FunctionalSample, center, gen_process, uniform_grid
 from flmgof.flm import _check_response, _hat_apply_rows
 from flmgof.funspace import _as_float_vector
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process unreaped, running or exited."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    if pid == 0:
+        pytest.fail("the test left a running child process")
+    pytest.fail(f"the test left child process {pid} unreaped")
 
 
 def brute_process_norms(projections, marks):

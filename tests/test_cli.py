@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from flmgof import gen_process, uniform_grid
+from flmgof import gen_process, simlab, uniform_grid
 from flmgof.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -18,6 +18,7 @@ from flmgof.cli import (
     read_functional_sample,
     write_table,
 )
+from flmgof.rptest import DegenerateProjectionError
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -447,6 +448,23 @@ def test_fdr_floor_curves_script(capsys):
     assert all(row[:3] == ["5", "100", "2000"] for row in rows)
     assert script.main(args) == 0
     assert capsys.readouterr().out == out
+
+
+def test_simulate_maps_a_child_trial_failure_to_exit_3(monkeypatch, capsys):
+    trial = simlab._study_trial
+
+    def degenerate(payload):
+        if payload[-1] == 1:  # at two workers, trial 1 runs in the child
+            raise DegenerateProjectionError("degenerate directions in trial 1")
+        return trial(payload)
+
+    monkeypatch.setattr(simlab, "_study_trial", degenerate)
+    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
+    args = ["simulate", "--scenario", "S1", "--n", "20", "--M", "4",
+            "--projections", "2", "--bootstrap", "30"]
+    serial = run_cli(args + ["--threads", "1"], capsys)
+    assert serial == (EXIT_NUMERICAL, "", "numerical failure: degenerate directions in trial 1\n")
+    assert run_cli(args + ["--threads", "2"], capsys) == serial
 
 
 def test_simulate_usage_errors(capsys):

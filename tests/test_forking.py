@@ -8,6 +8,7 @@ import gzip
 import os
 import signal
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -233,3 +234,51 @@ def test_split_parse_keeps_the_blas_thread_count(tmp_path, split):
     forking.loadtxt(path, delimiter=",", comments="#")
     assert split["parsed"] == [True]
     assert get_num_threads() == before
+
+
+RECORD = np.dtype([("value", np.float64), ("pid", np.int64)])
+
+
+def value_and_pid(item):
+    return item / 3.0, os.getpid()
+
+
+def test_strided_map_runs_item_i_in_worker_i_mod_w(monkeypatch):
+    items = list(range(7))
+    for workers in (1, 2, 3):
+        results = list(forking.strided_map(value_and_pid, items, workers, RECORD))
+        assert [value for value, _ in results] == [item / 3.0 for item in items]
+        pids = [pid for _, pid in results]
+        assert pids[0] == os.getpid() and len(set(pids)) == workers
+        assert pids == [pids[i % workers] for i in items]
+    # a fork that fails leaves its worker's items to this process
+    fork = os.fork
+    forked = []
+
+    def second_fork_fails():
+        forked.append(None)
+        if len(forked) > 1:
+            raise OSError("no fork")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    pids = [pid for _, pid in forking.strided_map(value_and_pid, items, 3, RECORD)]
+    assert len(forked) == 2 and len(set(pids)) == 2
+    assert [i for i in items if pids[i] != os.getpid()] == [1, 4]
+
+
+def test_strided_map_kills_children_when_closed_early():
+    parent = os.getpid()
+
+    def slow_in_children(item):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return value_and_pid(item)
+
+    started = time.perf_counter()
+    outcomes = forking.strided_map(slow_in_children, list(range(6)), 2, RECORD)
+    assert next(outcomes) == (0.0, parent)
+    outcomes.close()
+    assert time.perf_counter() - started < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -1,5 +1,7 @@
 import multiprocessing
 import os
+import signal
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -359,9 +361,39 @@ def test_run_study_smoke():
         assert res.wall_time_s > 0.0
 
 
-def test_run_study_threads_do_not_change_results():
-    # 4 cells x 5 trials: at threads=2 the chunks of 2 trials do not divide
-    # M, so cells straddle chunk boundaries; threads=3 sends chunks of 1
+def table(results):
+    return [
+        (res.scenario, res.d, res.n, res.rejection_rates, res.mean_rank, res.sd_rank)
+        for res in results
+    ]
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Record every os.fork call; calls past the third fork nothing and
+    raise OSError, so a broken worker cap cannot start many processes."""
+    calls = []
+    fork = os.fork
+
+    def counting_fork():
+        calls.append(None)
+        if len(calls) > 3:
+            raise OSError("no more forks in this test")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+def test_run_study_threads_do_not_change_results(monkeypatch):
+    # 4 cells x 5 trials: at 2 and 3 workers every cell's trials are split
+    # over all workers, and each cell starts in another worker than the last
+    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 3)
     study = dict(scenarios=[1, 7], d_values=[0, 1], n_values=[25], M=5, K=2, B=50)
     tables = {
         threads: run_study(**study, seed=7, threads=threads) for threads in (1, 2, 3)
@@ -370,16 +402,11 @@ def test_run_study_threads_do_not_change_results():
         assert [(res.scenario, res.d) for res in results] == [
             ("S1", 0), ("S1", 1), ("S7", 0), ("S7", 1)
         ]
-        for res, ref in zip(results, tables[1]):
-            assert res.rejection_rates == ref.rejection_rates
-            assert res.mean_rank == ref.mean_rank
-            assert res.sd_rank == ref.sd_rank
-            assert res.wall_time_s > 0.0
+        assert table(results) == table(tables[1])
+        assert all(res.wall_time_s > 0.0 for res in results)
     # a cell's trials do not depend on the cells around it
     (alone,) = run_study([7], [1], [25], M=5, K=2, B=50, seed=7)
-    assert alone.rejection_rates == tables[1][3].rejection_rates
-    assert alone.mean_rank == tables[1][3].mean_rank
-    assert alone.sd_rank == tables[1][3].sd_rank
+    assert table([alone]) == table(tables[1][3:])
 
 
 def test_run_study_golden_table():
@@ -441,45 +468,154 @@ def test_serial_study_runs_blas_on_one_thread(monkeypatch):
         run_study([1], [0], [20], M=2, K=2, B=30, threads=1)
         assert seen == [1, 1]
         assert get_num_threads() == caller
-        run_study([1], [0], [20], M=1, K=2, B=30, threads=2)  # one trial: no pool
+        run_study([1], [0], [20], M=1, K=2, B=30, threads=2)  # one trial: no fork
         assert seen == [1, 1, 1]
         assert get_num_threads() == caller
     finally:
         set_num_threads(before)
 
 
-def test_run_study_forks_no_more_workers_than_trials(tmp_path, monkeypatch):
-    pin = simlab._one_blas_thread
+def test_forked_workers_split_trials_and_run_blas_on_one_thread(monkeypatch):
+    get_num_threads = simlab._openblas_function("get_num_threads")
+    if get_num_threads is None:
+        pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
+    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(
+        simlab, "_study_trial", lambda payload: (get_num_threads(), os.getpid())
+    )
+    before = get_num_threads()
+    with simlab._trial_outcomes(list(range(7)), threads=3) as outcomes:
+        seen = list(outcomes)
+    assert [count for count, _ in seen] == [1] * 7
+    # trial i runs in worker i mod 3, and worker 0 is this process
+    pids = [pid for _, pid in seen]
+    assert pids[0] == os.getpid() and len(set(pids[:3])) == 3
+    assert pids == [pids[i % 3] for i in range(7)]
+    assert get_num_threads() == before
 
-    def record_worker():
-        pin()
-        (tmp_path / str(os.getpid())).touch()
 
-    monkeypatch.setattr(simlab, "_one_blas_thread", record_worker)
+def test_run_study_forks_no_more_workers_than_trials(forks, monkeypatch):
+    # the calling process is one of the workers, so w workers take w - 1 forks
+    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 4)
     parallel = run_study([1], [0], [20], M=2, K=2, B=30, threads=4)
-    serial = run_study([1], [0], [20], M=2, K=2, B=30, threads=1)
-    assert len(list(tmp_path.iterdir())) == 2
-    assert parallel[0].rejection_rates == serial[0].rejection_rates
-    assert parallel[0].mean_rank == serial[0].mean_rank
-    # one trial, or none, runs here without a pool
+    assert len(forks) == 1
+    assert table(parallel) == table(run_study([1], [0], [20], M=2, K=2, B=30))
+    # one trial, or none, runs here without a fork
     run_study([1], [0], [20], M=1, K=2, B=30, threads=4)
     assert run_study([], [0], [20], M=3, threads=2) == []
-    assert len(list(tmp_path.iterdir())) == 2
+    assert len(forks) == 1
 
 
-def test_run_study_validation(monkeypatch):
-    # every setting is checked before a pool starts or a trial runs, also
-    # a bad value at the end of a list
-    work = []
-    monkeypatch.setattr(simlab, "_study_trial", work.append)
-    monkeypatch.setattr(simlab, "ProcessPoolExecutor", lambda *a, **k: work.append(a))
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_run_study_workers_capped_at_usable_cpus(forks, monkeypatch, cpus):
+    monkeypatch.setattr(simlab, "_usable_cpus", lambda: cpus)
+    results = run_study([1], [0], [20], M=6, K=2, B=30, threads=64)
+    assert len(forks) == cpus - 1
+    assert table(results) == table(run_study([1], [0], [20], M=6, K=2, B=30))
+
+
+def test_run_study_validation(forks, monkeypatch):
+    # every setting is checked before a worker is forked or a trial runs,
+    # also a bad value at the end of a list
+    trials = []
+    monkeypatch.setattr(simlab, "_study_trial", trials.append)
+    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
     study = dict(scenarios=[1], d_values=[0], n_values=[25], M=30, threads=2)
     for bad in (dict(M=0), dict(threads=0), dict(K=0), dict(B=0), dict(kind="foo"),
                 dict(sampler="x"), dict(r=0.0), dict(d_values=[0, 1, 3]),
                 dict(n_values=[25, 3]), dict(scenarios=[1, 10])):
         with pytest.raises(ValueError):
             run_study(**{**study, **bad})
-    assert work == []
+    assert forks == [] and trials == []
+
+
+def test_pool_path_keeps_the_table(monkeypatch):
+    # where the platform cannot fork, a pool started the default way runs
+    # the trials, each worker with its OpenBLAS on one thread
+    started = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, **kwargs):
+            started.append(kwargs)
+            super().__init__(**kwargs)
+
+    monkeypatch.setattr(simlab, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simlab, "fork_supported", lambda: False)
+    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
+    study = dict(scenarios=[1, 7], d_values=[0, 1], n_values=[25], M=3, K=2, B=50)
+    assert table(run_study(**study, threads=2)) == table(run_study(**study))
+    assert started == [dict(max_workers=2, initializer=simlab._one_blas_thread)]
+
+
+def test_trial_error_in_a_child_is_the_serial_error(forks, monkeypatch):
+    trial = simlab._study_trial
+
+    def failing(payload):
+        if payload[-1] == 1:  # at two workers, trial 1 runs in the child
+            raise ArithmeticError(f"trial 1 of {payload[0].id} failed")
+        return trial(payload)
+
+    monkeypatch.setattr(simlab, "_study_trial", failing)
+    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
+    errors = []
+    for threads in (1, 2):
+        with pytest.raises(ArithmeticError) as caught:
+            run_study([1], [0], [20], M=4, K=2, B=30, threads=threads)
+        errors.append((type(caught.value), str(caught.value)))
+        assert_no_child()
+    assert len(forks) == 1
+    assert errors == [(ArithmeticError, "trial 1 of S1 failed")] * 2
+
+
+def test_trials_of_a_killed_child_run_here(monkeypatch):
+    parent, trial = os.getpid(), simlab._study_trial
+
+    def killed(payload):
+        if os.getpid() != parent and payload[-1] == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return trial(payload)
+
+    monkeypatch.setattr(simlab, "_study_trial", killed)
+    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
+    study = dict(scenarios=[1], d_values=[0, 1], n_values=[20], M=4, K=2, B=30)
+    assert table(run_study(**study, threads=2)) == table(run_study(**study))
+    assert_no_child()
+
+
+def children_sleep_caller_fails(monkeypatch, error):
+    """Rebind the study trial: in a forked worker it sleeps for a minute, in
+    this process it raises `error`, or returns an outcome if `error` is None."""
+    parent = os.getpid()
+
+    def trial(payload):
+        if os.getpid() != parent:
+            time.sleep(60)
+        if error is not None:
+            raise error("the caller's trial failed")
+        return 0.5, 3
+
+    monkeypatch.setattr(simlab, "_study_trial", trial)
+    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_children_killed_when_the_caller_fails(monkeypatch, error):
+    children_sleep_caller_fails(monkeypatch, error)
+    started = time.perf_counter()
+    with pytest.raises(error):
+        run_study([1], [0], [20], M=4, K=2, B=30, threads=2)
+    assert time.perf_counter() - started < 30
+    assert_no_child()
+    assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+
+
+def test_children_killed_when_the_outcomes_close_early(monkeypatch):
+    children_sleep_caller_fails(monkeypatch, None)
+    started = time.perf_counter()
+    with simlab._trial_outcomes(list(range(6)), threads=2) as outcomes:
+        assert next(outcomes) == (0.5, 3)  # this process's own first trial
+    assert time.perf_counter() - started < 30
+    assert_no_child()
 
 
 def test_early_stop_keeps_every_decision():
