@@ -317,8 +317,11 @@ def _reap(children, kill):
     """Wait for every child, killing it first if asked, and close its pipe.
 
     True if every child exited with 0. Ctrl-C is held meanwhile, so no
-    child leaves the list unreaped.
+    child leaves the list unreaped. With no children this returns at once,
+    so a serial `strided_map` runs where signal masks do not exist (Windows).
     """
+    if not children:
+        return True
     clean = True
     with _sigint_held():
         while children:

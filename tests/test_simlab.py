@@ -547,6 +547,21 @@ def test_pool_path_keeps_the_table(monkeypatch):
     assert started == [dict(max_workers=2, initializer=simlab._one_blas_thread)]
 
 
+@pytest.mark.parametrize(
+    "threads, cells", [(1, dict(scenarios=[1, 7], d_values=[0, 1])), (2, {})]
+)
+def test_serial_study_needs_no_signal_mask(forks, monkeypatch, threads, cells):
+    # a serial study (one thread, or one trial) forks nothing, so it runs
+    # where signal.pthread_sigmask does not exist, as on Windows
+    study = dict(scenarios=[1], d_values=[0], n_values=[25], M=1, K=2, B=50)
+    study.update(cells, M=3 if cells else 1)
+    expected = table(run_study(**study))
+    monkeypatch.delattr(signal, "pthread_sigmask")
+    monkeypatch.setattr(simlab, "fork_supported", lambda: False)
+    assert table(run_study(**study, threads=threads)) == expected
+    assert forks == []
+
+
 def test_trial_error_in_a_child_is_the_serial_error(forks, monkeypatch):
     trial = simlab._study_trial
 
