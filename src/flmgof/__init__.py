@@ -13,6 +13,7 @@ from .rptest import (
     DegenerateProjectionError,
     TestReport,
     fdr_combine,
+    fdr_null_rejection_rate,
     golden_multipliers,
     process_statistic,
     sample_direction_datadriven,
@@ -23,7 +24,6 @@ from .simlab import (
     MonteCarloResult,
     ScenarioSpec,
     deviation,
-    fdr_discretization_experiment,
     gen_process,
     gen_response,
     run_study,
@@ -46,7 +46,7 @@ __all__ = [
     "deviation",
     "estimate_rho",
     "fdr_combine",
-    "fdr_discretization_experiment",
+    "fdr_null_rejection_rate",
     "gen_process",
     "gen_response",
     "golden_multipliers",

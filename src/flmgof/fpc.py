@@ -93,7 +93,7 @@ class FpcBasis:
         return spread
 
 
-def compute_fpc(sample: FunctionalSample, max_rank: int | None = None) -> FpcBasis:
+def compute_fpc(sample: FunctionalSample) -> FpcBasis:
     """Eigendecompose the sample covariance operator of the centered sample.
 
     Parameters
@@ -101,16 +101,15 @@ def compute_fpc(sample: FunctionalSample, max_rank: int | None = None) -> FpcBas
     sample : FunctionalSample
         At least two curves; they are centered here, so the scores are those
         of `center(sample)`.
-    max_rank : int, optional
-        Upper bound on the number of retained components; defaults to
-        min(n - 1, G). Fewer may be returned when trailing eigenvalues fall
-        below the relative floor.
+
+    At most min(n - 1, G) components are kept, fewer when trailing
+    eigenvalues fall below the relative floor.
     """
     centered = center(sample)
-    return _compute_fpc(centered, centered.data * centered.grid.weights, max_rank)
+    return _compute_fpc(centered, centered.data * centered.grid.weights)
 
 
-def _compute_fpc(sample, weighted, max_rank=None):
+def _compute_fpc(sample, weighted):
     """`compute_fpc` of a centered sample, with the curves times the grid
     weights, X * w, given.
 
@@ -120,11 +119,6 @@ def _compute_fpc(sample, weighted, max_rank=None):
     n, num_points = sample.data.shape
     if n < 2:
         raise ValueError("principal components need at least two curves")
-    limit = min(n - 1, num_points)
-    if max_rank is None:
-        max_rank = limit
-    if not 1 <= max_rank <= limit:
-        raise ValueError(f"max_rank must lie in [1, {limit}], got {max_rank}")
 
     sqrt_w = np.sqrt(sample.grid.weights)
     root_weighted = sample.data * sqrt_w  # n x G
@@ -136,7 +130,8 @@ def _compute_fpc(sample, weighted, max_rank=None):
     vals, vecs = np.linalg.eigh(covariance)
     order = np.argsort(vals)[::-1]
     vals = vals[order]
-    keep = min(_positive_rank(vals), max_rank)
+    # vals has at most G entries, and n centered curves span n - 1 dimensions
+    keep = min(_positive_rank(vals), n - 1)
     if keep == 0:
         raise ValueError("sample covariance has no positive eigenvalues")
     vals = vals[:keep]

@@ -42,6 +42,7 @@ replicates as one without the threshold.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,7 @@ __all__ = [
     "sample_direction_datadriven",
     "process_statistic",
     "fdr_combine",
+    "fdr_null_rejection_rate",
     "test_flm",
     "test_simple",
 ]
@@ -279,6 +281,48 @@ def _fdr_envelope(pvalues):
     k = pvalues.shape[-1]
     ordered = np.sort(pvalues, axis=-1)
     return np.minimum(np.min(ordered * (k / np.arange(1.0, k + 1.0)), axis=-1), 1.0)
+
+
+def fdr_null_rejection_rate(K, B, alpha, positive_correction=False) -> float:
+    """Exact chance that `fdr_combine` of K i.i.d. null p-values is below alpha.
+
+    Under the null each count out of B replicates is uniform on {0, ..., B}.
+    With t_k the number of atoms a of `_bootstrap_pvalues` that have
+    a * (K/k) < alpha, formed as in `_fdr_envelope`, the rule rejects iff at
+    least k counts lie below t_k for some k. The t_k never decrease in k, so a
+    recursion over them gives the rate (Noe, 1972): the exact null size of
+    Simes' (Benjamini and Hochberg's) rule at a finite B.
+    """
+    if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (K, B)):
+        raise ValueError("K and B must be positive integers")
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must lie in (0, 1]")
+    atoms = _bootstrap_pvalues(np.arange(B + 1), B, positive_correction)
+    # The top atom is 1, which no alpha <= 1 rejects, so every t_k <= B.
+    thresholds = [np.count_nonzero(atoms * f < alpha) for f in K / np.arange(1.0, K + 1.0)]
+    log_factorial = np.array([math.lgamma(i + 1.0) for i in range(K + 1)])
+    j, s = np.arange(K)[:, None], np.arange(K + 1)
+
+    # alive[j]: the chance that j counts lie below the last threshold and no
+    # k so far rejected. Summing the mass each threshold rejects keeps the
+    # relative accuracy of a small rate.
+    alive = np.zeros(K)
+    alive[0] = 1.0
+    rate = 0.0
+    for k, (lower, t) in enumerate(zip([0, *thresholds], thresholds), start=1):
+        if t == lower:
+            continue
+        # Of j counts below `lower`, s lie below t: j plus a binomial draw
+        # from the other K - j. Entries with s < j are masked.
+        step = (t - lower) / (B + 1 - lower)
+        log_pmf = (
+            log_factorial[K - j] - log_factorial[s - j] - log_factorial[K - s]
+            + (s - j) * math.log(step) + (K - s) * math.log1p(-step)
+        )
+        below = alive @ np.exp(np.where(s >= j, log_pmf, -np.inf))
+        rate += below[k:].sum()  # k or more counts below t_k reject at k
+        alive = np.where(s[:K] < k, below[:K], 0.0)
+    return float(rate)
 
 
 def sample_direction_datadriven(

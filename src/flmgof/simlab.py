@@ -46,7 +46,7 @@ from .processes import (
     ornstein_uhlenbeck,
     ou_kernel,
 )
-from .rptest import _check_settings, _fdr_envelope, test_flm
+from .rptest import _check_settings, test_flm
 
 __all__ = [
     "ALPHAS",
@@ -57,7 +57,6 @@ __all__ = [
     "scenario",
     "gen_response",
     "run_study",
-    "fdr_discretization_experiment",
 ]
 
 ALPHAS = (0.01, 0.05, 0.10)
@@ -439,42 +438,3 @@ def _blas_on_one_thread():
     finally:
         set_num_threads(before)
 
-
-def fdr_discretization_experiment(
-    k_values, b_values, M: int, alphas=ALPHAS, seed: int = 0
-):
-    """Rejection rates of the FDR combination fed i.i.d. discrete-uniform p-values.
-
-    Each single-projection p-value is uniform on {0, 1/B, ..., 1}, the exact
-    null law of the uncorrected bootstrap p-value. For every (K, B) pair the
-    experiment reports the rejection rate at each alpha, the same rate for
-    the positive-corrected variant (count + 1) / (B + 1), and the frequency
-    of combined p-values equal to zero (the discreteness floor,
-    1 - (B / (B + 1))^K in expectation).
-    """
-    if M < 1:
-        raise ValueError("M must be a positive integer")
-    if any(K < 1 for K in k_values) or any(B < 1 for B in b_values):
-        raise ValueError("every K and B must be a positive integer")
-    rows = []
-    for K in k_values:
-        for B in b_values:
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence((seed, K, B)))
-            )
-            counts = rng.integers(0, B + 1, size=(M, K))
-            plain = _fdr_envelope(counts / B)
-            corrected = _fdr_envelope((counts + 1.0) / (B + 1.0))
-            for alpha in alphas:
-                rows.append(
-                    {
-                        "K": K,
-                        "B": B,
-                        "M": M,
-                        "alpha": alpha,
-                        "rate": float(np.mean(plain < alpha)),
-                        "rate_positive_correction": float(np.mean(corrected < alpha)),
-                        "zero_rate": float(np.mean(plain == 0.0)),
-                    }
-                )
-    return rows

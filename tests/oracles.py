@@ -8,16 +8,22 @@ for the empirical-process machinery.
 
 Normal cdf/pdf go through the C library's erfc, accurate to double precision,
 so the oracle values are bit-stable for a given platform.
+
+Two oracles for the null law of the FDR combination close the module: the
+rejection rate over every count vector, and a Monte Carlo sample of the
+combined p-value. `flmgof.fdr_null_rejection_rate` is checked against both.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from flmgof.funspace import _frozen
+from flmgof.rptest import _bootstrap_pvalues, _fdr_envelope
 
 __all__ = [
     "GaussianFlmSpec",
@@ -28,6 +34,8 @@ __all__ = [
     "tnx_sequence",
     "tnx_limit",
     "tnx_truncation_bound",
+    "enumerated_fdr_rejection_rate",
+    "simulated_fdr_combined",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -167,3 +175,25 @@ def tnx_truncation_bound(spec: GaussianFlmSpec, x: float, kn: int) -> float:
     weights = spec.h_coef**2 * spec.eigenvalues
     tail_ratio = float(np.sum(weights[kn:])) / spec.projection_variance
     return tnx_limit(spec, x) * tail_ratio
+
+
+def enumerated_fdr_rejection_rate(K, B, alpha, positive_correction) -> float:
+    """Null rejection rate of the FDR envelope over all (B + 1)^K count vectors.
+
+    Under the null each of the K exceedance counts out of B replicates is
+    uniform on {0, ..., B}, so every count vector has the same chance.
+    """
+    counts = np.array(list(itertools.product(range(B + 1), repeat=K)))
+    combined = _fdr_envelope(_bootstrap_pvalues(counts, B, positive_correction))
+    return np.count_nonzero(combined < alpha) / (B + 1) ** K
+
+
+def simulated_fdr_combined(K, B, M, rng, positive_correction) -> np.ndarray:
+    """M Monte Carlo draws of the FDR-combined p-value of K i.i.d. null p-values.
+
+    Each count is drawn uniform on {0, ..., B}. np.mean(draws < alpha)
+    estimates the rejection rate at alpha with standard error
+    sqrt(rate (1 - rate) / M).
+    """
+    counts = rng.integers(0, B + 1, size=(M, K))
+    return _fdr_envelope(_bootstrap_pvalues(counts, B, positive_correction))

@@ -18,7 +18,7 @@ from conftest import brute_process_norms, centered_bm_sample, inner_product
 from flmgof import (
     compute_fpc,
     estimate_rho,
-    fdr_discretization_experiment,
+    fdr_null_rejection_rate,
     golden_multipliers,
     process_statistic,
     run_study,
@@ -265,25 +265,26 @@ def test_criterion_10_truncated_norm_limit():
 
 
 def test_criterion_11_fdr_floor():
-    wide = fdr_discretization_experiment([25], [500], M=2000, seed=0)
-    rate_wide = [row for row in wide if row["alpha"] == 0.01][0]["rate"]
+    # exact null rates; the bands are those set for 2000-draw estimates
+    rate_wide = fdr_null_rejection_rate(25, 500, 0.01)
     floor_threshold = 0.0487 - 3.0 * math.sqrt(0.0487 * 0.9513 / 2000)
 
-    narrow = fdr_discretization_experiment([5], [1000], M=2000, seed=0)
-    row = [r for r in narrow if r["alpha"] == 0.05][0]
+    # at the smallest positive alpha only a combined p-value of 0 rejects
+    zero_rate = fdr_null_rejection_rate(5, 1000, np.nextafter(0.0, 1.0))
+    rate_narrow = fdr_null_rejection_rate(5, 1000, 0.05)
     floor = 1.0 - (1000.0 / 1001.0) ** 5
     zero_band = 3.0 * math.sqrt(floor * (1.0 - floor) / 2000)
     ok = (
         rate_wide >= floor_threshold
-        and abs(row["zero_rate"] - floor) <= zero_band
-        and 0.03 <= row["rate"] <= 0.07
+        and abs(zero_rate - floor) <= zero_band
+        and 0.03 <= rate_narrow <= 0.07
     )
     verdict(
         11,
         ok,
         f"K=25 B=500 rate at 0.01 is {rate_wide:.4f} (>= {floor_threshold:.4f}); "
-        f"K=5 B=1000 zero rate {row['zero_rate']:.4f} vs floor {floor:.4f} "
-        f"(+-{zero_band:.4f}), rate at 0.05 is {row['rate']:.4f} in [0.03, 0.07]",
+        f"K=5 B=1000 zero rate {zero_rate:.4f} vs floor {floor:.4f} "
+        f"(+-{zero_band:.4f}), rate at 0.05 is {rate_narrow:.4f} in [0.03, 0.07]",
     )
 
 

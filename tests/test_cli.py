@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from flmgof import gen_process, simlab, uniform_grid
+from flmgof import fdr_null_rejection_rate, gen_process, simlab, uniform_grid
 from flmgof.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -436,18 +436,52 @@ def load_script(name):
     return module
 
 
+@pytest.mark.parametrize("name", sorted(path.stem for path in (REPO / "scripts").glob("*.py")))
+def test_every_script_prints_its_help(name, capsys):
+    # a script that no longer imports, or whose parser breaks, fails here
+    # rather than on its next run
+    with pytest.raises(SystemExit) as exit_info:
+        load_script(name).main(["--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ")
+
+
 def test_fdr_floor_curves_script(capsys):
     script = load_script("fdr_floor_curves")
-    args = ["--K", "5", "--B", "100", "--M", "2000", "--alphas", "0.01,0.05,0.1"]
+    args = ["--K", "5", "--B", "100", "--alphas", "0.01,0.05,0.1"]
     assert script.main(args) == 0
     out = capsys.readouterr().out
     lines = out.strip().split("\n")
-    assert lines[0] == "K,B,M,alpha,rate,rate_positive_correction,zero_rate"
+    assert lines[0] == "K,B,alpha,rate,rate_positive_correction,zero_rate"
     rows = [line.split(",") for line in lines[1:]]
-    assert [float(row[3]) for row in rows] == [0.01, 0.05, 0.10]
-    assert all(row[:3] == ["5", "100", "2000"] for row in rows)
+    assert [float(row[2]) for row in rows] == [0.01, 0.05, 0.10]
+    assert all(row[:2] == ["5", "100"] for row in rows)
+    assert [float(row[3]) for row in rows] == [
+        fdr_null_rejection_rate(5, 100, alpha) for alpha in (0.01, 0.05, 0.1)
+    ]
+    assert all(float(row[5]) == 1.0 - (100 / 101.0) ** 5 for row in rows)
     assert script.main(args) == 0
     assert capsys.readouterr().out == out
+    # the rates are exact: the Monte Carlo options are gone
+    for extra in (["--M", "2000"], ["--seed", "1"]):
+        with pytest.raises(SystemExit) as exit_info:
+            script.main(args + extra)
+        assert exit_info.value.code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--K", ","), ("--K", "0"), ("--K", "-3"), ("--K", "2.5"), ("--K", "x"),
+     ("--B", ""), ("--B", "0"), ("--alphas", ""), ("--alphas", "0"),
+     ("--alphas", "1.5"), ("--alphas", "nan"), ("--alphas", "0.05,x")],
+)
+def test_fdr_floor_curves_rejects_bad_lists(flag, value, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        load_script("fdr_floor_curves").main([flag, value])
+    assert exit_info.value.code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and flag in err
 
 
 def test_simulate_maps_a_child_trial_failure_to_exit_3(monkeypatch, capsys):

@@ -116,20 +116,7 @@ def test_wide_and_tall_samples_share_invariants():
         assert np.allclose(score_var, basis.eigenvalues, rtol=1e-8)
 
 
-def test_max_rank_truncates():
-    sample = centered_bm_sample(50, num_points=51, seed=9)
-    basis = compute_fpc(sample, max_rank=4)
-    assert basis.m == 4
-    full = compute_fpc(sample)
-    assert np.allclose(basis.eigenvalues, full.eigenvalues[:4])
-
-
 def test_compute_fpc_errors():
-    sample = centered_bm_sample(10, num_points=21, seed=10)
-    with pytest.raises(ValueError):
-        compute_fpc(sample, max_rank=0)
-    with pytest.raises(ValueError):
-        compute_fpc(sample, max_rank=10)  # exceeds n - 1
     grid = uniform_grid(21)
     with pytest.raises(ValueError):
         compute_fpc(FunctionalSample(grid=grid, data=np.zeros((4, 21))))

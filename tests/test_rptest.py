@@ -1,3 +1,4 @@
+import math
 import weakref
 
 import numpy as np
@@ -14,6 +15,7 @@ from flmgof import (
     compute_fpc,
     estimate_rho,
     fdr_combine,
+    fdr_null_rejection_rate,
     gen_process,
     golden_multipliers,
     process_statistic,
@@ -37,6 +39,7 @@ from flmgof.rptest import (
     _SortedProjections,
 )
 from flmgof.simlab import ALPHAS
+from oracles import enumerated_fdr_rejection_rate, simulated_fdr_combined
 
 
 def philox(seed):
@@ -277,6 +280,76 @@ def test_fdr_size_on_independent_uniforms():
             rate = np.mean(combined <= alpha)
             band = 3.5 * np.sqrt(alpha * (1 - alpha) / m)
             assert abs(rate - alpha) <= band
+
+
+def test_fdr_envelope_rows_are_fdr_combine():
+    # the envelope combines each row of a (M, K) p-value matrix with the
+    # rule that `fdr_combine` applies to one vector, bit for bit
+    counts = philox(5).integers(0, 21, size=(400, 7))
+    for pvalues in (counts / 20, (counts + 1.0) / 21.0):
+        by_row = np.array([fdr_combine(row) for row in pvalues])
+        assert np.array_equal(_fdr_envelope(pvalues), by_row)
+
+
+# --------------------------------------------- exact null rate of the fdr rule
+
+
+@pytest.mark.parametrize("positive_correction", [False, True])
+def test_fdr_null_rejection_rate_matches_enumeration(positive_correction):
+    for K, B in ((1, 7), (2, 9), (3, 20), (4, 6), (5, 4)):
+        for alpha in (0.01, 0.05, 0.1, 0.3, 0.5, 1.0):
+            exact = enumerated_fdr_rejection_rate(K, B, alpha, positive_correction)
+            rate = fdr_null_rejection_rate(K, B, alpha, positive_correction)
+            assert abs(rate - exact) <= 1e-12
+
+
+def test_fdr_null_rejection_rate_matches_simulation():
+    M = 20000
+    for K, B in ((1, 500), (5, 500), (5, 1000), (10, 100), (3, 20)):
+        for positive_correction in (False, True):
+            combined = simulated_fdr_combined(K, B, M, philox(1000 * K + B), positive_correction)
+            for alpha in ALPHAS:
+                rate = fdr_null_rejection_rate(K, B, alpha, positive_correction)
+                se = math.sqrt(rate * (1.0 - rate) / M)
+                assert abs(np.mean(combined < alpha) - rate) <= 4.0 * se
+
+
+def test_fdr_null_rejection_rate_single_projection():
+    # with K = 1 the rule rejects the t_1 atoms below alpha, each with chance
+    # 1/(B+1); the recursion's exp and log leave a few ulps
+    for B in (1, 7, 500):
+        for positive_correction in (False, True):
+            atoms = _bootstrap_pvalues(np.arange(B + 1), B, positive_correction)
+            for alpha in (0.01, 0.05, 0.1, 0.5, 1.0):
+                below = np.count_nonzero(atoms < alpha)
+                rate = fdr_null_rejection_rate(1, B, alpha, positive_correction)
+                assert rate == pytest.approx(below / (B + 1), rel=1e-15, abs=0.0)
+
+
+def test_fdr_null_rejection_rate_floor():
+    assert round(fdr_null_rejection_rate(25, 500, 0.01), 6) == 0.048723
+    # at the smallest positive alpha only a combined p-value of 0 rejects:
+    # some count is 0 for the plain p-value, never for the corrected one
+    tiny = np.nextafter(0.0, 1.0)
+    for K, B in ((1, 10), (5, 1000), (25, 500)):
+        floor = 1.0 - (B / (B + 1.0)) ** K
+        assert fdr_null_rejection_rate(K, B, tiny) == pytest.approx(floor, rel=1e-12)
+        assert fdr_null_rejection_rate(K, B, tiny, positive_correction=True) == 0.0
+        for alpha in ALPHAS:
+            plain = fdr_null_rejection_rate(K, B, alpha)
+            assert floor <= plain + 1e-15
+            # the corrected p-value dominates the plain one pointwise
+            assert fdr_null_rejection_rate(K, B, alpha, True) <= plain + 1e-15
+
+
+@pytest.mark.parametrize(
+    "K, B, alpha",
+    [(0, 100, 0.05), (5, 0, 0.05), (2.5, 100, 0.05), (5, 100, 0.0),
+     (5, 100, 1.5), (5, 100, float("nan"))],
+)
+def test_fdr_null_rejection_rate_validation(K, B, alpha):
+    with pytest.raises(ValueError):
+        fdr_null_rejection_rate(K, B, alpha)
 
 
 # ------------------------------------------------------------ wild multipliers

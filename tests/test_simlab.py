@@ -11,8 +11,6 @@ from conftest import gbm_mean
 from flmgof import (
     FunctionalSample,
     deviation,
-    fdr_combine,
-    fdr_discretization_experiment,
     gen_process,
     gen_response,
     make_grid,
@@ -28,7 +26,6 @@ from flmgof.processes import (
     ou_kernel,
 )
 from flmgof import rptest, simlab
-from flmgof.rptest import _fdr_envelope
 from flmgof.simlab import _deviation_rows
 
 
@@ -675,53 +672,3 @@ def test_null_study_trials_stop_early(monkeypatch):
         per_trial.append(sum(drawn))
     assert min(per_trial) <= 256
     assert sum(per_trial) < 0.8 * 10 * 500
-
-
-# ------------------------------------------------------------ fdr discreteness
-
-
-def test_fdr_discretization_floor():
-    rows = fdr_discretization_experiment([25], [500], M=20000, seed=1)
-    assert len(rows) == 3
-    floor = 1.0 - (500.0 / 501.0) ** 25
-    for row in rows:
-        assert row["K"] == 25 and row["B"] == 500 and row["M"] == 20000
-        band = 4.0 * np.sqrt(floor * (1 - floor) / row["M"])
-        assert abs(row["zero_rate"] - floor) <= band
-        assert row["rate"] >= row["zero_rate"]
-        # the corrected p-value dominates the plain one pointwise
-        assert row["rate_positive_correction"] <= row["rate"] + 1e-12
-    alphas = [row["alpha"] for row in rows]
-    assert alphas == [0.01, 0.05, 0.10]
-    rates = [row["rate"] for row in rows]
-    assert rates[0] <= rates[1] <= rates[2]
-
-
-def test_fdr_discretization_validation(monkeypatch):
-    draws = []
-    monkeypatch.setattr(simlab.np.random, "Philox", lambda *a: draws.append(a))
-    for k_values, b_values, M in (([5], [100], 0), ([5, 0], [100], 10),
-                                  ([5], [100, 0], 10)):
-        with pytest.raises(ValueError, match="positive integer"):
-            fdr_discretization_experiment(k_values, b_values, M=M)
-    assert draws == []
-
-
-def test_fdr_experiment_row_rule_is_fdr_combine():
-    # the experiment combines each row of a (M, K) p-value matrix with the
-    # rule that `fdr_combine` applies to one vector, bit for bit
-    counts = philox(5).integers(0, 21, size=(400, 7))
-    for pvalues in (counts / 20, (counts + 1.0) / 21.0):
-        by_row = np.array([fdr_combine(row) for row in pvalues])
-        assert np.array_equal(_fdr_envelope(pvalues), by_row)
-
-    M, K, B, seed = 500, 4, 30, 3
-    rows = fdr_discretization_experiment([K], [B], M=M, seed=seed)
-    rng = philox(np.random.SeedSequence((seed, K, B)))
-    counts = rng.integers(0, B + 1, size=(M, K))
-    plain = np.array([fdr_combine(row) for row in counts / B])
-    corrected = np.array([fdr_combine(row) for row in (counts + 1.0) / (B + 1.0)])
-    for row in rows:
-        assert row["rate"] == float(np.mean(plain < row["alpha"]))
-        assert row["rate_positive_correction"] == float(np.mean(corrected < row["alpha"]))
-        assert row["zero_rate"] == float(np.mean(plain == 0.0))
