@@ -15,7 +15,6 @@ instead of the G x G kernel, which is the cheaper path for short samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -42,9 +41,6 @@ class FpcBasis:
         sign fixed so its largest-magnitude value is positive.
     scores : ndarray, shape (n, m)
         scores[i, j] = <X_i, e_j>.
-
-    The direction sampler's constants, `variance_ratios` and
-    `score_spread(k)`, are made on first use and kept with the basis.
     """
 
     grid: Grid
@@ -65,32 +61,6 @@ class FpcBasis:
     @property
     def n(self) -> int:
         return int(self.scores.shape[0])
-
-    @cached_property
-    def variance_ratios(self) -> np.ndarray:
-        """sum_{j<=k} lambda_j^2 / sum_{j<=m} lambda_j^2 for k = 1..m, read-only."""
-        cumulative = np.cumsum(self.eigenvalues**2)
-        ratios = cumulative / cumulative[-1]
-        ratios.setflags(write=False)
-        return ratios
-
-    @cached_property
-    def _score_spreads(self) -> dict:
-        return {}
-
-    def score_spread(self, components: int) -> np.ndarray:
-        """np.std(scores[:, :components], axis=0, ddof=1), made once per count.
-
-        Each count keeps its own array rather than a slice of the spread of
-        every column: numpy sums a single column pairwise but several columns
-        row by row, so a one-column spread can differ in its last bit.
-        """
-        spread = self._score_spreads.get(components)
-        if spread is None:
-            spread = np.std(self.scores[:, :components], axis=0, ddof=1)
-            spread.setflags(write=False)
-            self._score_spreads[components] = spread
-        return spread
 
 
 def compute_fpc(sample: FunctionalSample) -> FpcBasis:

@@ -23,6 +23,11 @@ __all__ = [
     "gbm_kernel",
 ]
 
+# Shared by each generator and its covariance kernel; all have unit volatility.
+COSINE_TERMS = 20
+OU_MEAN_REVERSION = 1.0 / 3.0
+GBM_DRIFT, GBM_INITIAL = 0.5, 2.0
+
 
 def _bm_paths(n, points, rng):
     steps = np.empty((n, points.size))
@@ -48,25 +53,25 @@ def brownian_bridge(n: int, grid: Grid, rng) -> np.ndarray:
     return paths - np.outer(paths[:, -1], points)
 
 
-def cosine_expansion(n: int, grid: Grid, rng, decay: float, terms: int = 20) -> np.ndarray:
+def cosine_expansion(n: int, grid: Grid, rng, decay: float) -> np.ndarray:
     """Finite cosine series sum_j xi_j sqrt(2) cos(j pi t), xi_j ~ N(0, j^-decay)."""
-    j = np.arange(1, terms + 1)
+    j = np.arange(1, COSINE_TERMS + 1)
     sd = j ** (-decay / 2.0)
-    coeffs = rng.normal(0.0, 1.0, (n, terms)) * sd
+    coeffs = rng.normal(0.0, 1.0, (n, COSINE_TERMS)) * sd
     basis = np.sqrt(2.0) * np.cos(np.pi * np.outer(j, grid.points))
     return coeffs @ basis
 
 
 def ornstein_uhlenbeck(
-    n: int, grid: Grid, rng, mean_reversion: float = 1.0 / 3.0, volatility: float = 1.0
+    n: int, grid: Grid, rng, mean_reversion: float = OU_MEAN_REVERSION
 ) -> np.ndarray:
-    """Stationary Ornstein-Uhlenbeck path, X(0) ~ N(0, sigma^2 / (2 alpha)).
+    """Stationary Ornstein-Uhlenbeck path, X(0) ~ N(0, 1 / (2 alpha)).
 
     Exact transition recursion on the grid, so the marginal variance is
-    sigma^2 / (2 alpha) at every point.
+    1 / (2 alpha) at every point.
     """
     alpha = mean_reversion
-    stationary_var = volatility**2 / (2.0 * alpha)
+    stationary_var = 1.0 / (2.0 * alpha)
     points = grid.points
     # one path per column, so each step of the recursion is a contiguous row
     paths = np.empty((points.size, n))
@@ -85,18 +90,11 @@ def ornstein_uhlenbeck(
     return np.ascontiguousarray(paths.T)
 
 
-def geometric_brownian_motion(
-    n: int,
-    grid: Grid,
-    rng,
-    drift: float = 0.5,
-    volatility: float = 1.0,
-    initial: float = 2.0,
-) -> np.ndarray:
-    """Geometric Brownian motion s0 exp((mu - sigma^2/2) t + sigma B(t))."""
+def geometric_brownian_motion(n: int, grid: Grid, rng) -> np.ndarray:
+    """Geometric Brownian motion GBM_INITIAL exp((GBM_DRIFT - 1/2) t + B(t))."""
     bm = _bm_paths(n, grid.points, rng)
-    exponent = (drift - volatility**2 / 2.0) * grid.points + volatility * bm
-    return initial * np.exp(exponent)
+    exponent = (GBM_DRIFT - 0.5) * grid.points + bm
+    return GBM_INITIAL * np.exp(exponent)
 
 
 def bm_kernel(s, t):
@@ -107,17 +105,18 @@ def bb_kernel(s, t):
     return np.minimum(s, t) - np.asarray(s) * np.asarray(t)
 
 
-def ou_kernel(s, t, mean_reversion=1.0 / 3.0, volatility=1.0):
-    stationary_var = volatility**2 / (2.0 * mean_reversion)
-    return stationary_var * np.exp(-mean_reversion * np.abs(np.asarray(s) - np.asarray(t)))
+def ou_kernel(s, t):
+    stationary_var = 1.0 / (2.0 * OU_MEAN_REVERSION)
+    distance = np.abs(np.asarray(s) - np.asarray(t))
+    return stationary_var * np.exp(-OU_MEAN_REVERSION * distance)
 
 
-def gbm_kernel(s, t, drift=0.5, volatility=1.0, initial=2.0):
+def gbm_kernel(s, t):
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     return (
-        initial**2
-        * np.exp(drift * (s + t))
-        * (np.exp(volatility**2 * np.minimum(s, t)) - 1.0)
+        GBM_INITIAL**2
+        * np.exp(GBM_DRIFT * (s + t))
+        * (np.exp(np.minimum(s, t)) - 1.0)
     )
 

@@ -332,8 +332,9 @@ def sample_direction_datadriven(
 
     Variants
     --------
-    "i"   Gaussian coefficients on the leading eigenfunctions, one standard
-          deviation per component taken from the observed score spread.
+    "i"   Gaussian coefficients on the leading eigenfunctions, each with the
+          ddof=1 spread of its scores, sqrt(n lambda_j / (n - 1)) in closed
+          form since the centered scores have Gram matrix n diag(lambda).
     "ii"  Same expansion with unit-variance coefficients.
     "iii" An Ornstein-Uhlenbeck path (mean reversion 1/2, volatility 1)
           drawn independently of the data.
@@ -342,16 +343,17 @@ def sample_direction_datadriven(
     sum_{j<=k} lambda_j^2 / sum_{j<=m} lambda_j^2 >= r.
     """
     _check_sampler(variant)
+    _check_threshold(r)
     if rng is None:
         raise ValueError("an np.random.Generator is required")
     if variant == "iii":
         return ornstein_uhlenbeck(1, basis.grid, rng, mean_reversion=0.5)[0]
 
-    _check_threshold(r)
-    j_n = int(np.argmax(basis.variance_ratios >= r)) + 1
+    cumulative = np.cumsum(basis.eigenvalues**2)
+    j_n = int(np.argmax(cumulative / cumulative[-1] >= r)) + 1
     coefficients = rng.normal(0.0, 1.0, j_n)
     if variant == "i":
-        coefficients *= basis.score_spread(j_n)
+        coefficients *= np.sqrt(basis.eigenvalues[:j_n] * (basis.n / (basis.n - 1.0)))
     return coefficients @ basis.eigenfunctions[:j_n]
 
 
@@ -557,6 +559,8 @@ def test_flm(
     p-values, with p_fdr at least `_stop_above`. A report whose p_fdr is
     below it equals the report without it.
     """
+    if isinstance(rank, bool) or not isinstance(rank, (int, np.integer, type(None))):
+        raise ValueError(f"rank must be an integer or None, got {rank!r}")
     kind, y, basis, layouts, multiplier_rng = _prepare(
         X, y, K, B, kind, r, sampler, seed
     )

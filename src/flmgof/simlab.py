@@ -36,6 +36,7 @@ import numpy as np
 from .forking import _openblas_function, _usable_cpus, fork_supported, strided_map
 from .funspace import FunctionalSample, Grid, _frozen, uniform_grid
 from .processes import (
+    COSINE_TERMS,
     bb_kernel,
     bm_kernel,
     brownian_bridge,
@@ -245,8 +246,8 @@ def _signal_variance(process, rho, grid):
     weighted_rho = grid.weights * rho
     points = grid.points
     if process in _COSINE_DECAYS:
-        # C = sum_j j^-decay phi_j phi_j^T over the 20 terms of cosine_expansion
-        j = np.arange(1, 21)
+        # C = sum_j j^-decay phi_j phi_j^T over the terms of cosine_expansion
+        j = np.arange(1, COSINE_TERMS + 1)
         loadings = (np.sqrt(2.0) * np.cos(np.pi * np.outer(j, points))) @ weighted_rho
         return float(np.sum(j ** -_COSINE_DECAYS[process] * loadings**2))
     kernel = _KERNELS[process](points[:, None], points[None, :])

@@ -8,6 +8,7 @@ import pytest
 from flmgof import FunctionalSample, center, gen_process, uniform_grid
 from flmgof.flm import _check_response, _hat_apply_rows
 from flmgof.funspace import _as_float_vector
+from flmgof.processes import GBM_DRIFT, GBM_INITIAL
 
 
 @pytest.fixture(autouse=True)
@@ -84,6 +85,6 @@ def hat_apply(fit, v):
     return _hat_apply_rows(fit, v[None, :])[0]
 
 
-def gbm_mean(t, drift=0.5, initial=2.0):
+def gbm_mean(t):
     """Mean curve of `processes.geometric_brownian_motion`."""
-    return initial * np.exp(drift * np.asarray(t, dtype=float))
+    return GBM_INITIAL * np.exp(GBM_DRIFT * np.asarray(t, dtype=float))

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import math
 import weakref
 
@@ -17,9 +20,11 @@ from flmgof import (
     fdr_combine,
     fdr_null_rejection_rate,
     gen_process,
+    gen_response,
     golden_multipliers,
     process_statistic,
     sample_direction_datadriven,
+    scenario,
     uniform_grid,
 )
 from flmgof import test_flm as flm_gof
@@ -38,7 +43,8 @@ from flmgof.rptest import (
     _replay_residuals,
     _SortedProjections,
 )
-from flmgof.simlab import ALPHAS
+from flmgof.processes import ornstein_uhlenbeck
+from flmgof.simlab import ALPHAS, _blas_on_one_thread
 from oracles import enumerated_fdr_rejection_rate, simulated_fdr_combined
 
 
@@ -414,75 +420,95 @@ def test_direction_metadata_and_validation():
         sample_direction_datadriven(basis, rng=philox(0), variant="nope")
     with pytest.raises(ValueError):
         sample_direction_datadriven(basis, rng=None)
-    with pytest.raises(ValueError):
-        sample_direction_datadriven(basis, r=0.0, rng=philox(0))
-    with pytest.raises(ValueError):
-        sample_direction_datadriven(basis, r=1.5, rng=philox(0))
+    for variant in ("i", "ii", "iii"):
+        for r in (0.0, 1.5, 5.0, float("nan")):
+            with pytest.raises(ValueError, match="variance threshold r"):
+                sample_direction_datadriven(basis, r=r, rng=philox(0), variant=variant)
 
 
-def per_draw_direction(basis, r, rng, variant):
-    """Variants i and ii as the sampler computed them on every draw."""
-    squared = basis.eigenvalues**2
-    cumulative = np.cumsum(squared)
-    ratios = cumulative / cumulative[-1]
-    j_n = int(np.argmax(ratios >= r)) + 1
-    if variant == "i":
-        spread = np.std(basis.scores[:, :j_n], axis=0, ddof=1)
-    else:
-        spread = np.ones(j_n)
-    coefficients = rng.normal(0.0, 1.0, j_n) * spread
+def closed_form_spread(basis, components):
+    n = basis.n
+    return np.sqrt(basis.eigenvalues[:components] * (n / (n - 1.0)))
+
+
+def sample_spread(basis, components):
+    return np.std(basis.scores[:, :components], axis=0, ddof=1)
+
+
+def unit_spread(basis, components):
+    return np.ones(components)
+
+
+def per_draw_direction(basis, r, rng, spread):
+    """A direction of sampler i or ii with every constant made for the draw;
+    `spread(basis, j_n)` gives the coefficients' standard deviations."""
+    cumulative = np.cumsum(basis.eigenvalues**2)
+    j_n = int(np.argmax(cumulative / cumulative[-1] >= r)) + 1
+    coefficients = rng.normal(0.0, 1.0, j_n) * spread(basis, j_n)
     return coefficients @ basis.eigenfunctions[:j_n]
 
 
-@pytest.mark.parametrize("variant", ["i", "ii"])
-@pytest.mark.parametrize("r", [0.5, 0.95, 1.0])
-def test_direction_constants_match_the_per_draw_formula(variant, r):
+def direction_bases():
     # Brownian curves put over 95% of the squared spectrum on the first
-    # component (j_n = 1 below r = 1); the cosine curves spread it out, and
-    # n > G takes the G x G kernel path
+    # component (j_n = 1 below r = 1); the cosine curves spread it out. The
+    # first three samples take the n x n Gram path, the last two (n > G) the
+    # G x G kernel path
     grid = uniform_grid(41)
     samples = [centered_bm_sample(50, num_points=201, seed=31)]
     samples += [
         center(gen_process(kind, n, grid, philox(n)))
-        for kind, n in (("ou", 30), ("hhn1", 12), ("bm", 90))
+        for kind, n in (("ou", 30), ("hhn1", 12), ("bm", 90), ("ou", 60))
     ]
-    for index, sample in enumerate(samples):
-        basis = compute_fpc(sample)
+    return [compute_fpc(sample) for sample in samples]
+
+
+@pytest.mark.parametrize("r", [0.5, 0.95, 1.0])
+def test_sampler_i_spread_is_the_closed_form(r):
+    for index, basis in enumerate(direction_bases()):
         for draw in range(3):
             seed = (index, draw)
-            got = sample_direction_datadriven(basis, r=r, rng=philox(seed), variant=variant)
-            expected = per_draw_direction(basis, r, philox(seed), variant)
+            got = sample_direction_datadriven(basis, r=r, rng=philox(seed), variant="i")
+            expected = per_draw_direction(basis, r, philox(seed), closed_form_spread)
             assert np.array_equal(got, expected)
-    first = compute_fpc(samples[0])
-    assert int(np.argmax(first.variance_ratios >= 0.95)) == 0
+            estimated = per_draw_direction(basis, r, philox(seed), sample_spread)
+            assert np.max(np.abs(got - estimated)) <= 1e-11 * np.max(np.abs(estimated))
+        components = min(basis.m, 10)
+        assert np.allclose(
+            closed_form_spread(basis, components),
+            sample_spread(basis, components),
+            rtol=1e-11,
+            atol=0.0,
+        )
 
 
-def test_direction_constants_belong_to_their_basis():
-    one = compute_fpc(centered_bm_sample(40, num_points=51, seed=1))
-    two = compute_fpc(centered_bm_sample(40, num_points=51, seed=2))
-    for basis in (one, two):  # fill the first basis's caches before the second's
-        basis.variance_ratios, basis.score_spread(1), basis.score_spread(3)
-    for basis in (one, two):
-        cumulative = np.cumsum(basis.eigenvalues**2)
-        assert np.array_equal(basis.variance_ratios, cumulative / cumulative[-1])
-        for components in (1, 3):
-            assert np.array_equal(
-                basis.score_spread(components),
-                np.std(basis.scores[:, :components], axis=0, ddof=1),
-            )
-        with pytest.raises(ValueError):
-            basis.score_spread(1)[0] = 0.0
-    assert not np.array_equal(one.score_spread(3), two.score_spread(3))
-    # a basis with the same spectrum but doubled scores makes its own spreads
-    doubled = FpcBasis(
-        grid=one.grid,
-        eigenvalues=one.eigenvalues,
-        eigenfunctions=one.eigenfunctions,
-        scores=2.0 * one.scores,
-    )
-    assert np.array_equal(doubled.variance_ratios, one.variance_ratios)
-    assert doubled.variance_ratios is not one.variance_ratios
-    assert np.array_equal(doubled.score_spread(3), 2.0 * one.score_spread(3))
+def test_samplers_ii_and_iii_draw_as_before():
+    bases = direction_bases()
+    for index, basis in enumerate(bases):
+        for r in (0.5, 0.95, 1.0):
+            got = sample_direction_datadriven(basis, r=r, rng=philox(index), variant="ii")
+            expected = per_draw_direction(basis, r, philox(index), unit_spread)
+            assert np.array_equal(got, expected)
+        got = sample_direction_datadriven(basis, rng=philox(index), variant="iii")
+        expected = ornstein_uhlenbeck(1, basis.grid, philox(index), mean_reversion=0.5)
+        assert np.array_equal(got, expected[0])
+    squared = bases[0].eigenvalues ** 2
+    assert squared[0] >= 0.95 * squared.sum()  # j_n = 1 below r = 1
+
+
+def test_a_basis_holds_only_its_fields(monkeypatch):
+    bases = []
+    make_basis = rptest.compute_fpc
+
+    def recording(*args):
+        bases.append(make_basis(*args))
+        return bases[-1]
+
+    monkeypatch.setattr(rptest, "compute_fpc", recording)
+    sample, y = noisy_case(seed=37)
+    for sampler in ("i", "ii", "iii"):
+        flm_gof(sample, y, K=2, B=20, sampler=sampler, seed=0)
+    fields = {field.name for field in dataclasses.fields(FpcBasis)}
+    assert [set(vars(basis)) for basis in bases] == [fields] * 3
 
 
 def test_one_weighted_product_gives_scores_and_projections(monkeypatch):
@@ -779,8 +805,16 @@ def test_flm_rank_override():
     sample, y = noisy_case(seed=33)
     fixed = flm_gof(sample, y, K=3, B=100, rank=4, seed=2)
     assert fixed.settings["rank"] == 4
-    repeat = flm_gof(sample, y, K=3, B=100, rank=4, seed=2)
+    repeat = flm_gof(sample, y, K=3, B=100, rank=np.int64(4), seed=2)
     assert repeat.to_dict() == fixed.to_dict()
+    assert type(repeat.settings["rank"]) is int
+
+
+@pytest.mark.parametrize("rank", [2.7, 4.0, np.float64(3.9), True, np.bool_(True), "4"])
+def test_flm_rejects_a_rank_that_is_not_an_integer(rank):
+    sample, y = noisy_case(seed=33)
+    with pytest.raises(ValueError, match="rank must be an integer"):
+        flm_gof(sample, y, K=3, B=100, rank=rank, seed=2)
 
 
 def test_flm_rejects_quadratic_signal():
@@ -916,3 +950,29 @@ def test_simple_golden_report():
     for seed, values in zip(golden_seeds(), expected):
         report = simple_gof(sample, y, m0=truth, K=3, B=100, r=0.999, seed=seed)
         check_golden(report, *values)
+
+
+def test_nine_scenario_golden_digest():
+    # sha256 of every sampler's reports on S1..S9 at d = 1, recorded before
+    # the score spread of sampler "i" came from the eigenvalues; the FPC step
+    # runs on one BLAS thread so the digest does not depend on the host
+    digest = hashlib.sha256()
+    with _blas_on_one_thread():
+        for index in range(1, 10):
+            spec = scenario(index)
+            rng = philox(index)
+            X = gen_process(spec.process, 30, spec.grid, rng)
+            y = gen_response(spec, X, 1, rng)
+            m0 = X.data @ (spec.grid.weights * spec.rho)
+            for sampler in ("i", "ii", "iii"):
+                for kind in ("ks", "cvm"):
+                    common = dict(K=3, B=60, kind=kind, sampler=sampler, seed=index)
+                    for report in (
+                        flm_gof(X, y, **common),
+                        simple_gof(X, y, m0=m0, **common),
+                    ):
+                        text = json.dumps(report.to_dict(), sort_keys=True)
+                        digest.update(text.encode())
+    assert digest.hexdigest() == (
+        "37c606fb8c68e09d9cb58ea19d684c3a7514594b63eb8578328dff616369dca1"
+    )

@@ -19,6 +19,8 @@ from flmgof import (
     uniform_grid,
 )
 from flmgof.processes import (
+    COSINE_TERMS,
+    GBM_INITIAL,
     bb_kernel,
     bm_kernel,
     gbm_kernel,
@@ -45,8 +47,8 @@ def covariance_zscores(data, kernel_matrix, n):
     return z
 
 
-def truncated_cosine_kernel(points, decay, terms=20):
-    j = np.arange(1, terms + 1)
+def truncated_cosine_kernel(points, decay):
+    j = np.arange(1, COSINE_TERMS + 1)
     basis = np.sqrt(2.0) * np.cos(np.pi * np.outer(j, points))
     return (basis.T * j**-decay) @ basis
 
@@ -90,7 +92,7 @@ def test_gbm_mean_and_variance():
     sample = gen_process("gbm", n, grid, philox(13))
     truth_mean = gbm_mean(grid.points)
     assert np.max(np.abs(sample.data.mean(axis=0) / truth_mean - 1.0)) < 0.02
-    assert sample.data[0, 0] == 2.0
+    assert sample.data[0, 0] == GBM_INITIAL
     truth_var = gbm_kernel(grid.points, grid.points)
     emp_var = sample.data.var(axis=0, ddof=1)
     # heavy lognormal tails: compare only where the variance is nonzero
