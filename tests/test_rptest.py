@@ -481,18 +481,25 @@ def test_sampler_i_spread_is_the_closed_form(r):
         )
 
 
-def test_samplers_ii_and_iii_draw_as_before():
+@pytest.mark.parametrize("variant", ["ii"])
+@pytest.mark.parametrize("r", [0.5, 0.95, 1.0])
+def test_direction_constants_match_the_per_draw_formula(variant, r):
     bases = direction_bases()
     for index, basis in enumerate(bases):
-        for r in (0.5, 0.95, 1.0):
-            got = sample_direction_datadriven(basis, r=r, rng=philox(index), variant="ii")
-            expected = per_draw_direction(basis, r, philox(index), unit_spread)
+        for draw in range(3):
+            seed = (index, draw)
+            got = sample_direction_datadriven(basis, r=r, rng=philox(seed), variant=variant)
+            expected = per_draw_direction(basis, r, philox(seed), unit_spread)
             assert np.array_equal(got, expected)
+    squared = bases[0].eigenvalues ** 2
+    assert squared[0] >= 0.95 * squared.sum()  # j_n = 1 below r = 1
+
+
+def test_sampler_iii_draws_as_before():
+    for index, basis in enumerate(direction_bases()):
         got = sample_direction_datadriven(basis, rng=philox(index), variant="iii")
         expected = ornstein_uhlenbeck(1, basis.grid, philox(index), mean_reversion=0.5)
         assert np.array_equal(got, expected[0])
-    squared = bases[0].eigenvalues ** 2
-    assert squared[0] >= 0.95 * squared.sum()  # j_n = 1 below r = 1
 
 
 def test_a_basis_holds_only_its_fields(monkeypatch):
