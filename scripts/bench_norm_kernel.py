@@ -6,26 +6,19 @@ Brownian-motion curves with a linear response and fixed seeds. Stages come
 from the benchmark's span tracer (`perfbench/spans.py`), which times each
 layer from outside the package; `wall_ms` is the median untraced call.
 
-Each `--src [LABEL=]DIR` names a package source tree (default: this
-checkout's `src`). With several, every round runs each tree in a fresh
-interpreter, in turn, so two versions are measured on the same machine, seeds
-and tracer; results are keyed by LABEL (default DIR):
-
-    python3 scripts/bench_norm_kernel.py --src before=../old/src --src after=src
+Before/after runs over `--src [LABEL=]DIR` trees: see `_harness.py`.
 """
 
-import argparse
-import json
 import os
-import platform
 import statistics
-import subprocess
 import sys
 import time
 
 import numpy as np
 
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import _harness  # noqa: E402
+
 SIZES = (50, 256, 1024, 2048, 4096)
 K, B = 5, 1000
 ROUNDS, CALLS = 3, 3  # fresh interpreters per tree; timed calls in each
@@ -38,7 +31,7 @@ STAGES = (
 
 def measure(src):
     """One round in this interpreter: {n: {"wall_ms": .., stage: ..}}."""
-    sys.path[:0] = [src, REPO]
+    sys.path[:0] = [src, _harness.REPO]
     from flmgof import gen_process, test_flm, uniform_grid
     from perfbench.spans import Tracer, layer_metrics
 
@@ -66,25 +59,8 @@ def measure(src):
     return rows
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", action="append", help="package source tree")
-    parser.add_argument("--worker", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.worker:
-        json.dump(measure(args.worker), sys.stdout)
-        return 0
-
-    sources = {}
-    for spec in args.src or [os.path.join(REPO, "src")]:
-        label, _, src = spec.rpartition("=")
-        sources[label or src] = src
-    runs = {label: [] for label in sources}
-    for _ in range(ROUNDS):
-        for label, src in sources.items():
-            command = [sys.executable, __file__, "--worker", os.path.abspath(src)]
-            result = subprocess.run(command, check=True, capture_output=True, text=True)
-            runs[label].append(json.loads(result.stdout))
+def report(sources, run):
+    runs = _harness.rounds(sources, run, ROUNDS)
 
     def median_row(label, n):
         keys = runs[label][0][str(n)]
@@ -93,17 +69,16 @@ def main(argv=None):
             for key in keys
         }
 
-    report = {
+    return {
         "settings": {"sizes": SIZES, "K": K, "B": B, "rounds": ROUNDS,
                      "calls_per_round": CALLS, "seed": 0},
-        "machine": {"nproc": os.cpu_count(), "platform": platform.platform(),
-                    "python": platform.python_version(), "numpy": np.__version__},
         "note": "medians over rounds of per-call ms; stages are self times",
         "results": {label: {n: median_row(label, n) for n in SIZES} for label in runs},
     }
-    json.dump(report, sys.stdout, indent=1)
-    print()
-    return 0
+
+
+def main(argv=None):
+    return _harness.main(__file__, __doc__, measure, report, argv)
 
 
 if __name__ == "__main__":

@@ -9,25 +9,17 @@ counts alternating; its time is the median over repeats. Each study's table
 is hashed and the distinct hashes are reported, so a table that changes with
 the thread count or between trees shows.
 
-Each `--src [LABEL=]DIR` names a package source tree (default: this
-checkout's `src`). With several, every round runs each tree in a fresh
-interpreter, in turn, so two versions are measured on the same machine and
-seeds; results are keyed by LABEL (default DIR):
-
-    python3 scripts/bench_parallel_study.py --src before=../old/src --src after=src
+Before/after runs over `--src [LABEL=]DIR` trees: see `_harness.py`.
 """
 
-import argparse
 import hashlib
-import json
 import os
-import platform
 import statistics
-import subprocess
 import sys
 import time
 
-import numpy as np
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import _harness  # noqa: E402
 
 COMMON = dict(n_values=[50], K=5, B=500, seed=0)
 # name: (study, repeats per round)
@@ -68,26 +60,8 @@ def measure(src):
     return rows
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", action="append", help="package source tree")
-    parser.add_argument("--worker", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.worker:
-        json.dump(measure(args.worker), sys.stdout)
-        return 0
-
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    sources = {}
-    for spec in args.src or [os.path.join(repo, "src")]:
-        label, _, src = spec.rpartition("=")
-        sources[label or src] = src
-    runs = {label: [] for label in sources}
-    for _ in range(ROUNDS):
-        for label, src in sources.items():
-            command = [sys.executable, __file__, "--worker", os.path.abspath(src)]
-            result = subprocess.run(command, check=True, capture_output=True, text=True)
-            runs[label].append(json.loads(result.stdout))
+def report(sources, run):
+    runs = _harness.rounds(sources, run, ROUNDS)
 
     def summary(label, name, threads):
         rounds = [run[name][str(threads)] for run in runs[label]]
@@ -98,10 +72,8 @@ def main(argv=None):
             "tables": sorted({table for row in rounds for table in row["tables"]}),
         }
 
-    report = {
+    return {
         "settings": {"studies": STUDIES, "threads": THREADS, "rounds": ROUNDS},
-        "machine": {"nproc": os.cpu_count(), "platform": platform.platform(),
-                    "python": platform.python_version(), "numpy": np.__version__},
         "note": "trials/s from the median over rounds of each round's study"
                 " wall time (the median over its repeats)",
         "results": {
@@ -112,9 +84,10 @@ def main(argv=None):
             for label in runs
         },
     }
-    json.dump(report, sys.stdout, indent=1)
-    print()
-    return 0
+
+
+def main(argv=None):
+    return _harness.main(__file__, __doc__, measure, report, argv)
 
 
 if __name__ == "__main__":

@@ -16,28 +16,22 @@ of the SWEEP range sizes as well, in one more worker per file and round that
 cycles through the sizes call by call, so drift in the machine's speed falls
 on all of them alike. A file is split once it holds two ranges.
 
-Each `--src [LABEL=]DIR` names a package source tree (default: this
-checkout's `src`). With several, every round runs each tree in turn, so two
-versions are measured on the same machine, files and seeds; results are
-keyed by LABEL (default DIR):
-
-    python3 scripts/bench_parse.py --src before=../old/src --src after=src
+Before/after runs over `--src [LABEL=]DIR` trees: see `_harness.py`.
 """
 
-import argparse
 import hashlib
-import json
 import os
-import platform
 import resource
 import shutil
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 
 import numpy as np
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import _harness  # noqa: E402
 
 SIZES = (200, 500, 1024, 2048, 4096, 8192)
 GRID_POINTS = 201
@@ -53,12 +47,13 @@ def write_curves(path, n):
     np.savetxt(path, curves, delimiter=",", fmt="%.17g")
 
 
-def measure(src, path, n, sweep):
+def measure(src, path, n, sweep=""):
     """One worker on the file of n curves: {"parse_ms", "rss_mb", "sha256"}
-    as the tree is, or with `sweep` {range size: median parse ms}."""
+    as the tree is, or with `sweep` set {range size: median parse ms}."""
     sys.path.insert(0, src)
     from flmgof import cli
 
+    n = int(n)
     ballast = np.ones(BALLAST_MB[n] * 2**20 // 8)
     if sweep:
         from flmgof import forking
@@ -86,33 +81,11 @@ def measure(src, path, n, sweep):
     }
 
 
-def run_worker(src, path, n, sweep=False):
-    command = [sys.executable, __file__, "--worker", os.path.abspath(src), path, str(n)]
-    if sweep:
-        command.append("--sweep")
-    result = subprocess.run(command, check=True, capture_output=True, text=True)
-    return json.loads(result.stdout)
-
-
 def has_ranges(src):
     return os.path.isfile(os.path.join(src, "flmgof", "forking.py"))
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", action="append", help="package source tree")
-    parser.add_argument("--worker", nargs=3, help=argparse.SUPPRESS)
-    parser.add_argument("--sweep", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.worker:
-        src, path, n = args.worker
-        json.dump(measure(src, path, int(n), args.sweep), sys.stdout)
-        return 0
-
-    sources = {}
-    for spec in args.src or [os.path.join(os.path.dirname(__file__), "..", "src")]:
-        label, _, src = spec.rpartition("=")
-        sources[label or src] = src
+def report(sources, run):
     work = tempfile.mkdtemp(prefix="bench_parse-")
     try:
         files = {}
@@ -125,9 +98,9 @@ def main(argv=None):
         for _ in range(ROUNDS):
             for n in SIZES:
                 for label, src in sources.items():
-                    runs[label][n].append(run_worker(src, files[n], n))
+                    runs[label][n].append(run(src, files[n], n))
                 for label in sweeps:
-                    row = run_worker(sources[label], files[n], n, sweep=True)
+                    row = run(sources[label], files[n], n, "sweep")
                     for size in SWEEP:
                         sweeps[label][size][n].append(row[str(size)])
         bytes_per_file = {n: os.path.getsize(files[n]) for n in SIZES}
@@ -141,13 +114,10 @@ def main(argv=None):
             "sha256": sorted({r["sha256"] for r in rows}),
         }
 
-    report = {
+    return {
         "settings": {"sizes": SIZES, "grid_points": GRID_POINTS, "format": "%.17g",
                      "ballast_mb": BALLAST_MB, "rounds": ROUNDS,
                      "calls_per_round": CALLS, "file_bytes": bytes_per_file},
-        "machine": {"nproc": len(os.sched_getaffinity(0)),
-                    "platform": platform.platform(),
-                    "python": platform.python_version(), "numpy": np.__version__},
         "note": "medians over rounds; parse_ms is the median call of a round,"
                 " rss_mb the worker's peak RSS above the ballast; the sweep's"
                 " range sizes take turns call by call in one worker",
@@ -159,9 +129,10 @@ def main(argv=None):
             for label, by_size in sweeps.items()
         },
     }
-    json.dump(report, sys.stdout, indent=1)
-    print()
-    return 0
+
+
+def main(argv=None):
+    return _harness.main(__file__, __doc__, measure, report, argv)
 
 
 if __name__ == "__main__":

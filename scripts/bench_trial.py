@@ -15,26 +15,17 @@ per trial at each d, counted in one more pass, out of B unless the trial's
 bootstrap stopped early. Each worker runs OpenBLAS on one thread, as
 `run_study` runs its trials.
 
-Each `--src [LABEL=]DIR` names a package source tree (default: this
-checkout's `src`). With several, every round runs each tree in a fresh
-interpreter, in turn, so two versions are measured on the same machine, seeds
-and tracer; results are keyed by LABEL (default DIR):
-
-    python3 scripts/bench_trial.py --src before=../old/src --src after=src
+Before/after runs over `--src [LABEL=]DIR` trees: see `_harness.py`.
 """
 
-import argparse
-import json
 import os
-import platform
 import statistics
-import subprocess
 import sys
 import time
 
-import numpy as np
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import _harness  # noqa: E402
 
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CASES = ((1, "i"), (7, "i"), (1, "iii"))  # (scenario, direction sampler)
 D_VALUES = (0, 1)
 N, K, B = 50, 5, 500
@@ -72,7 +63,7 @@ def replicates_drawn(rptest, simlab, payloads):
 
 def measure(src):
     """One round in this interpreter: {"S1/i": {"wall_ms": .., stage: ..}, ..}."""
-    sys.path[:0] = [src, REPO]
+    sys.path[:0] = [src, _harness.REPO]
     from flmgof import rptest, simlab
     from perfbench.spans import Tracer, layer_metrics
 
@@ -112,28 +103,8 @@ def measure(src):
     return rows
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", action="append", help="package source tree")
-    parser.add_argument("--worker", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.worker:
-        json.dump(measure(args.worker), sys.stdout)
-        return 0
-
-    sources = {}
-    for spec in args.src or [os.path.join(REPO, "src")]:
-        label, _, src = spec.rpartition("=")
-        sources[label or src] = src
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    runs = {label: [] for label in sources}
-    for _ in range(ROUNDS):
-        for label, src in sources.items():
-            command = [sys.executable, __file__, "--worker", os.path.abspath(src)]
-            result = subprocess.run(
-                command, check=True, capture_output=True, text=True, env=env
-            )
-            runs[label].append(json.loads(result.stdout))
+def report(sources, run):
+    runs = _harness.rounds(sources, run, ROUNDS)
 
     def median_row(label, name):
         first = runs[label][0][name]
@@ -148,21 +119,21 @@ def main(argv=None):
         return row
 
     names = [f"S{index}/{sampler}" for index, sampler in CASES]
-    report = {
+    return {
         "settings": {"cases": names, "d_values": D_VALUES, "n": N, "K": K,
                      "B": B, "kind": "cvm", "r": 0.95, "seed": 0,
                      "trials": TRIALS, "rounds": ROUNDS, "passes": PASSES,
                      "blas_threads": 1},
-        "machine": {"nproc": os.cpu_count(), "platform": platform.platform(),
-                    "python": platform.python_version(), "numpy": np.__version__},
         "note": "medians over rounds of per-trial ms; stages are self times",
         "results": {
             label: {name: median_row(label, name) for name in names} for label in runs
         },
     }
-    json.dump(report, sys.stdout, indent=1)
-    print()
-    return 0
+
+
+def main(argv=None):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    return _harness.main(__file__, __doc__, measure, report, argv, env)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ That is not on macOS, whose system libraries are not fork-safe, nor on
 Windows, which has no fork; there `simlab` pools start workers the
 platform's default way and files are parsed serially. OpenBLAS's fork
 handler stops its threads before each fork; the line-range parse starts
-them again once its children are done (`_restart_blas_pool`).
+them again once its children are done (`_set_blas_threads`).
 
 `loadtxt(path, **kwargs)` returns what `np.loadtxt(path, ndmin=2,
 dtype=float, **kwargs)` returns. A plain file of `size` bytes is cut into
@@ -98,20 +98,25 @@ def _openblas_function(name):
     return None
 
 
-def _restart_blas_pool():
-    """Restart OpenBLAS's thread pool after a fork, before any BLAS call.
+def _set_blas_threads(count=None):
+    """Set numpy's OpenBLAS to `count` threads (default: the count it has).
 
+    Returns the count it had, or None, setting nothing, where no OpenBLAS is
+    found. Every set restarts the thread pool, which matters after a fork:
     OpenBLAS's fork handler stops its pool and frees the pool's work
     buffers. The next BLAS call would then take a freed pool buffer for this
     thread and leave the other for the pool, so each thread touches pages of
     a buffer it had not used, and the process's peak RSS grows (by 8 MB on
-    the large-n benchmark). Setting the thread count restarts the pool
-    first, and every thread gets its own buffer back.
+    the large-n benchmark). Restarting the pool first gives every thread its
+    own buffer back.
     """
     get_num_threads = _openblas_function("get_num_threads")
     set_num_threads = _openblas_function("set_num_threads")
-    if get_num_threads is not None and set_num_threads is not None:
-        set_num_threads(get_num_threads())
+    if get_num_threads is None or set_num_threads is None:
+        return None
+    before = get_num_threads()
+    set_num_threads(before if count is None else count)
+    return before
 
 
 def loadtxt(path, **kwargs):
@@ -159,7 +164,7 @@ def _parse_ranges(path, bounds, kwargs):
         return None
     finally:
         _reap(children, kill=True)
-        _restart_blas_pool()
+        _set_blas_threads()
 
 
 def _gather(first, children):

@@ -139,15 +139,23 @@ def _check_kind(kind: str) -> str:
     return normalized
 
 
+def _is_integer(value) -> bool:
+    """True for an int or a numpy integer, False for a bool or a float."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_count(name, value):
+    if not _is_integer(value) or value < 1:
+        raise ValueError(f"{name} must be a positive integer")
+
+
 def _check_settings(K, B, kind, r, sampler) -> str:
     """Check the settings every test takes; return the normalized kind."""
     kind = _check_kind(kind)
     _check_sampler(sampler)
     _check_threshold(r)
-    if K < 1:
-        raise ValueError("K must be a positive integer")
-    if B < 1:
-        raise ValueError("B must be a positive integer")
+    _check_count("K", K)
+    _check_count("B", B)
     return kind
 
 
@@ -293,8 +301,8 @@ def fdr_null_rejection_rate(K, B, alpha, positive_correction=False) -> float:
     recursion over them gives the rate (Noe, 1972): the exact null size of
     Simes' (Benjamini and Hochberg's) rule at a finite B.
     """
-    if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (K, B)):
-        raise ValueError("K and B must be positive integers")
+    _check_count("K", K)
+    _check_count("B", B)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     atoms = _bootstrap_pvalues(np.arange(B + 1), B, positive_correction)
@@ -559,7 +567,7 @@ def test_flm(
     p-values, with p_fdr at least `_stop_above`. A report whose p_fdr is
     below it equals the report without it.
     """
-    if isinstance(rank, bool) or not isinstance(rank, (int, np.integer, type(None))):
+    if rank is not None and not _is_integer(rank):
         raise ValueError(f"rank must be an integer or None, got {rank!r}")
     kind, y, basis, layouts, multiplier_rng = _prepare(
         X, y, K, B, kind, r, sampler, seed

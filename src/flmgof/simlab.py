@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .forking import _openblas_function, _usable_cpus, fork_supported, strided_map
+from .forking import _set_blas_threads, _usable_cpus, fork_supported, strided_map
 from .funspace import FunctionalSample, Grid, _frozen, uniform_grid
 from .processes import (
     COSINE_TERMS,
@@ -47,7 +47,7 @@ from .processes import (
     ornstein_uhlenbeck,
     ou_kernel,
 )
-from .rptest import _check_settings, test_flm
+from .rptest import _check_count, _check_settings, _is_integer, test_flm
 
 __all__ = [
     "ALPHAS",
@@ -223,7 +223,7 @@ class ScenarioSpec:
 
 def scenario(index: int, grid: Grid | None = None) -> ScenarioSpec:
     """Build scenario S1..S9 on the given grid (default: 201 equidistant points)."""
-    if index not in _SCENARIO_TABLE:
+    if not _is_integer(index) or index not in _SCENARIO_TABLE:
         raise ValueError(f"scenario index must be 1..9, got {index}")
     if grid is None:
         grid = uniform_grid(201)
@@ -335,16 +335,14 @@ def run_study(
     forks, or the pool). Every setting is checked before any worker starts
     or any trial runs.
     """
-    if M < 1:
-        raise ValueError("M must be a positive integer")
-    if threads < 1:
-        raise ValueError("threads must be a positive integer")
+    _check_count("M", M)
+    _check_count("threads", threads)
     _check_settings(K, B, kind, r, sampler)
-    if any(d not in (0, 1, 2) for d in d_values):
+    if any(not _is_integer(d) or d not in (0, 1, 2) for d in d_values):
         raise ValueError("deviation level d must be 0, 1 or 2")
     # rank selection needs n - 3 >= 1
-    if any(n < 4 for n in n_values):
-        raise ValueError("every n must be at least 4")
+    if any(not _is_integer(n) or n < 4 for n in n_values):
+        raise ValueError("every n must be an integer of at least 4")
     specs = {index: scenario(index) for index in scenarios}
     cells = [
         (specs[index], d, n) for index in scenarios for d in d_values for n in n_values
@@ -406,7 +404,7 @@ def _trial_outcomes(payloads, threads):
     workers = min(threads, len(payloads), _usable_cpus())
     if workers > 1 and not fork_supported():
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_one_blas_thread
+            max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
         ) as pool:
             chunk = max(1, len(payloads) // (workers * 4))
             yield pool.map(_study_trial, payloads, chunksize=chunk)
@@ -417,25 +415,12 @@ def _trial_outcomes(payloads, threads):
         yield outcomes
 
 
-def _one_blas_thread():
-    """Pool worker initializer: run numpy's OpenBLAS, if found, on one thread."""
-    set_num_threads = _openblas_function("set_num_threads")
-    if set_num_threads is not None:
-        set_num_threads(1)
-
-
 @contextlib.contextmanager
 def _blas_on_one_thread():
     """Run numpy's OpenBLAS, if found, on one thread; restore the count on exit."""
-    get_num_threads = _openblas_function("get_num_threads")
-    set_num_threads = _openblas_function("set_num_threads")
-    if get_num_threads is None or set_num_threads is None:
-        yield
-        return
-    before = get_num_threads()
-    set_num_threads(1)
+    before = _set_blas_threads(1)
     try:
         yield
     finally:
-        set_num_threads(before)
+        _set_blas_threads(before)  # None, where no OpenBLAS was found, sets nothing
 

@@ -436,14 +436,67 @@ def load_script(name):
     return module
 
 
-@pytest.mark.parametrize("name", sorted(path.stem for path in (REPO / "scripts").glob("*.py")))
+@pytest.mark.parametrize(
+    "name", sorted(path.stem for path in (REPO / "scripts").glob("[!_]*.py"))
+)
 def test_every_script_prints_its_help(name, capsys):
     # a script that no longer imports, or whose parser breaks, fails here
-    # rather than on its next run
+    # rather than on its next run; _-prefixed files are helpers, not scripts
     with pytest.raises(SystemExit) as exit_info:
         load_script(name).main(["--help"])
     assert exit_info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: ")
+
+
+TINY_BENCH = """\
+import sys
+
+sys.path.insert(0, {scripts!r})
+import _harness
+
+
+def measure(src, *args):
+    return {{"src": src, "args": list(args)}}
+
+
+if __name__ == "__main__":
+    sys.exit(_harness.main(__file__, "Tiny bench.", measure, None))
+"""
+
+
+def test_bench_harness_runs_the_trees_in_turn(tmp_path, monkeypatch, capsys):
+    harness = load_script("_harness")
+    script = tmp_path / "bench_tiny.py"
+    script.write_text(TINY_BENCH.format(scripts=str(REPO / "scripts")))
+
+    def measure(src, *args):  # the tiny script's own
+        return {"src": src, "args": list(args)}
+
+    # a worker prints what its measure returns for the tree and the arguments
+    argv = ["--worker", "old", "curves.csv", "200", "sweep"]
+    assert harness.main(str(script), "Tiny bench.", measure, None, argv) == 0
+    assert json.loads(capsys.readouterr().out) == measure("old", "curves.csv", "200", "sweep")
+
+    # the lead runs a fresh worker per tree and round, the trees taking turns
+    monkeypatch.chdir(tmp_path)
+    trees = {"before": str(tmp_path / "old"), "after": str(tmp_path / "src")}
+    started = []
+
+    def report(sources, run):
+        def recording_run(src, *args):
+            started.append(src)
+            return run(src, *args)
+
+        return {"settings": {}, "results": harness.rounds(sources, recording_run, 2)}
+
+    argv = ["--src", f"before={trees['before']}", "--src", "after=src"]
+    assert harness.main(str(script), "Tiny bench.", None, report, argv) == 0
+    output = json.loads(capsys.readouterr().out)
+    assert list(output) == ["settings", "machine", "results"]
+    assert list(output["results"]) == ["before", "after"]
+    assert started == [trees["before"], trees["after"]] * 2
+    for label, tree in trees.items():
+        assert output["results"][label] == [measure(tree)] * 2
 
 
 def test_fdr_floor_curves_script(capsys):

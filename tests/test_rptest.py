@@ -822,6 +822,10 @@ def test_flm_rejects_a_rank_that_is_not_an_integer(rank):
     sample, y = noisy_case(seed=33)
     with pytest.raises(ValueError, match="rank must be an integer"):
         flm_gof(sample, y, K=3, B=100, rank=rank, seed=2)
+    # the same values are refused as K and as B
+    for name in ("K", "B"):
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            flm_gof(sample, y, **{"K": 3, "B": 100, name: rank}, seed=2)
 
 
 def test_flm_rejects_quadratic_signal():

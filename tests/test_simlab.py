@@ -27,7 +27,7 @@ from flmgof.processes import (
     ornstein_uhlenbeck,
     ou_kernel,
 )
-from flmgof import rptest, simlab
+from flmgof import forking, rptest, simlab
 from flmgof.simlab import _deviation_rows
 
 
@@ -426,12 +426,12 @@ def test_run_study_golden_table():
 
 
 def _record_blas_threads(queue):
-    simlab._one_blas_thread()
-    queue.put((os.getpid(), simlab._openblas_function("get_num_threads")()))
+    forking._set_blas_threads(1)
+    queue.put((os.getpid(), forking._openblas_function("get_num_threads")()))
 
 
 def test_pool_workers_run_blas_on_one_thread():
-    get_num_threads = simlab._openblas_function("get_num_threads")
+    get_num_threads = forking._openblas_function("get_num_threads")
     if get_num_threads is None:
         pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
     before = get_num_threads()
@@ -448,8 +448,8 @@ def test_pool_workers_run_blas_on_one_thread():
 
 
 def test_serial_study_runs_blas_on_one_thread(monkeypatch):
-    get_num_threads = simlab._openblas_function("get_num_threads")
-    set_num_threads = simlab._openblas_function("set_num_threads")
+    get_num_threads = forking._openblas_function("get_num_threads")
+    set_num_threads = forking._openblas_function("set_num_threads")
     if get_num_threads is None or set_num_threads is None:
         pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
     before = get_num_threads()
@@ -475,7 +475,7 @@ def test_serial_study_runs_blas_on_one_thread(monkeypatch):
 
 
 def test_forked_workers_split_trials_and_run_blas_on_one_thread(monkeypatch):
-    get_num_threads = simlab._openblas_function("get_num_threads")
+    get_num_threads = forking._openblas_function("get_num_threads")
     if get_num_threads is None:
         pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
     monkeypatch.setattr(simlab, "_usable_cpus", lambda: 3)
@@ -522,7 +522,11 @@ def test_run_study_validation(forks, monkeypatch):
     study = dict(scenarios=[1], d_values=[0], n_values=[25], M=30, threads=2)
     for bad in (dict(M=0), dict(threads=0), dict(K=0), dict(B=0), dict(kind="foo"),
                 dict(sampler="x"), dict(r=0.0), dict(d_values=[0, 1, 3]),
-                dict(n_values=[25, 3]), dict(scenarios=[1, 10])):
+                dict(n_values=[25, 3]), dict(scenarios=[1, 10]),
+                # integer settings refuse a float or a bool
+                dict(M=2.0), dict(M=True), dict(threads=2.0), dict(K=2.0),
+                dict(B=20.0), dict(d_values=[0, 1.0]), dict(n_values=[25, 20.0]),
+                dict(scenarios=[1, 1.0]), dict(scenarios=[True])):
         with pytest.raises(ValueError):
             run_study(**{**study, **bad})
     assert forks == [] and trials == []
@@ -543,7 +547,9 @@ def test_pool_path_keeps_the_table(monkeypatch):
     monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
     study = dict(scenarios=[1, 7], d_values=[0, 1], n_values=[25], M=3, K=2, B=50)
     assert table(run_study(**study, threads=2)) == table(run_study(**study))
-    assert started == [dict(max_workers=2, initializer=simlab._one_blas_thread)]
+    assert started == [
+        dict(max_workers=2, initializer=forking._set_blas_threads, initargs=(1,))
+    ]
 
 
 @pytest.mark.parametrize(
