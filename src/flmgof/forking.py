@@ -7,7 +7,8 @@ That is not on macOS, whose system libraries are not fork-safe, nor on
 Windows, which has no fork; there `simlab` pools start workers the
 platform's default way and files are parsed serially. OpenBLAS's fork
 handler stops its threads before each fork; the line-range parse starts
-them again once its children are done (`_set_blas_threads`).
+them again once its children are done (`_set_blas_threads`), and a strided
+map runs every worker on one BLAS thread until its children are done.
 
 `loadtxt(path, **kwargs)` returns what `np.loadtxt(path, ndmin=2,
 dtype=float, **kwargs)` returns. A plain file of `size` bytes is cut into
@@ -205,8 +206,15 @@ def strided_map(function, items, workers, dtype):
     killed from outside. If a fork fails, the items of the workers not yet
     forked run here too. Closing the iterator, or an exception here, kills
     every child still running; every child is waited for on every path.
+
+    With more than one worker, numpy's OpenBLAS is set to one thread before
+    the forks, and its count restored once the children are done: the
+    workers fill the CPUs, and a BLAS pool started while they run (its
+    threads spin while they wait for work) made a split `test` bootstrap
+    slower than a serial one.
     """
     children = []  # (pid, read end of the pipe the child writes to)
+    threads = _set_blas_threads(1) if workers > 1 else None
     try:
         for worker in range(1, workers):
             work = functools.partial(
@@ -218,9 +226,10 @@ def strided_map(function, items, workers, dtype):
                 break
         pipes = [None] + [pipe for _, pipe in children]
         pipes += [None] * (workers - len(pipes))
-        record = np.empty((), dtype)
         for index, item in enumerate(items):
             worker = index % workers
+            # a record of its own: item() returns array fields as views
+            record = np.empty((), dtype)
             if pipes[worker] is not None and _fill(pipes[worker], record):
                 yield record.item()
             else:
@@ -228,6 +237,8 @@ def strided_map(function, items, workers, dtype):
                 yield function(item)
     finally:
         _reap(children, kill=True)
+        if threads not in (None, 1):
+            _set_blas_threads(threads)
 
 
 def _write_records(function, items, dtype, pipe):

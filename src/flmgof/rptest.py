@@ -37,16 +37,27 @@ under rounding, so the final p_fdr could be no smaller than the envelope at
 the stop, and no decision below the threshold can change. Consecutive blocks
 concatenate to one draw, so a bootstrap that does not stop counts the same
 replicates as one without the threshold.
+
+A large bootstrap that may not stop (n * B at least SPLIT_MIN_VALUES) is
+split where the platform forks: its blocks are cut into one contiguous share
+per worker, at most one per usable CPU, and `forking.strided_map` counts each
+share, with this process as worker 0. A share draws its multipliers from a
+copy of the multiplier stream advanced to its first replicate, so the shares
+concatenate to the serial draw, and counts do not depend on order: reports
+are the serial reports bit for bit, whatever the number of usable CPUs.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import forking
 from .flm import _check_response, _hat_apply_rows, estimate_rho, select_rank_sicc
 from .fpc import FpcBasis
 # The FPC step of a test takes the test's own X * w for the scores; it keeps the
@@ -92,6 +103,12 @@ BOOTSTRAP_BLOCK = 2**17
 # K=5, B=500, about half the null trials of a study settle p_fdr >= 0.1 after
 # 128 replicates and three quarters after 256.
 STOP_CHECK_BLOCK = 128
+# Values (n * B) from which a bootstrap is split over forked workers. In the
+# sweep (scripts/bench_split_bootstrap.py, BENCH_split_bootstrap.json; B=1000,
+# two CPUs) a split call took 21.9 against 19.3 ms serial at n=256, the same
+# at n=512, and 44 against 50 ms at n=1024, falling to 0.7 of the serial time
+# from n=4096 up. So every call of the paper's regime (n <= 500) stays serial.
+SPLIT_MIN_VALUES = 2**19
 
 
 class DegenerateProjectionError(RuntimeError):
@@ -477,6 +494,71 @@ def _block_widths(B, n, stop_early):
         start += width
 
 
+def _exceedances(layouts, marks, fit, kind, observed, rng, widths, stop=None):
+    """Per direction, the replicates whose norm reaches the observed one.
+
+    Draws consecutive blocks of `widths` replicates from `rng`; consecutive
+    (width, n) draws concatenate to one draw, so the block widths move no
+    count. Each block is transposed once for the kernel. `stop(counts,
+    drawn)`, checked after each block, ends the draw when true.
+    """
+    n = marks.size
+    counts = np.zeros(len(layouts), dtype=np.int64)
+    drawn = 0
+    for width in widths:
+        replicates = golden_multipliers(rng, (width, n))
+        replicates *= marks
+        if fit is not None:
+            replicates = _replay_residuals(fit, replicates)
+        columns = np.ascontiguousarray(replicates.T)
+        for k, layout in enumerate(layouts):
+            counts[k] += np.count_nonzero(layout.norms(columns, kind) >= observed[k])
+        drawn += width
+        if stop is not None and stop(counts, drawn):
+            break
+    return counts
+
+
+def _split_exceedances(count, rng, n, K, widths, workers):
+    """The K counts of `count(rng, widths)`, from `workers` processes.
+
+    The blocks are cut into `workers` contiguous shares, and
+    `forking.strided_map` runs share j in worker j, this process being
+    worker 0. Each share draws from its own copy of the fresh stream `rng`,
+    advanced to the share's first replicate, so the shares draw what one
+    serial pass would, and their counts add up to its counts.
+    """
+    state = rng.bit_generator.state  # before any draw
+    cuts = [len(widths) * j // workers for j in range(workers + 1)]
+    starts = list(itertools.accumulate(widths, initial=0))
+    shares = [(starts[a], widths[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+    def share_counts(share):
+        start, share_widths = share
+        return (count(_advanced(state, start * n), share_widths),)
+
+    dtype = np.dtype([("counts", np.int64, (K,))])
+    with contextlib.closing(
+        forking.strided_map(share_counts, shares, workers, dtype)
+    ) as records:
+        return sum(counts for (counts,) in records)
+
+
+def _advanced(state, skip):
+    """A generator on the Philox stream of the fresh `state`, `skip` values on.
+
+    A Philox counter step makes four 64-bit values and each double takes one,
+    so advancing the counter by skip // 4 and drawing skip % 4 doubles lands
+    on value `skip`.
+    """
+    bits = np.random.Philox()
+    bits.state = state
+    bits.advance(skip // 4)
+    rng = np.random.Generator(bits)
+    rng.random(skip % 4)
+    return rng
+
+
 def _bootstrap_pvalues(counts, B, positive_correction):
     """Bootstrap p-values from an array of exceedance counts out of B replicates."""
     return (counts + 1.0) / (B + 1.0) if positive_correction else counts / B
@@ -498,27 +580,19 @@ def _projection_test(
     n = marks.size
     observed = [float(layout.norms(marks, kind)) for layout in layouts]
 
-    # Consecutive (width, n) draws concatenate to one (B, n) draw, so the
-    # block widths move no p-value; each block is transposed once for the
-    # kernel.
-    counts = np.zeros(K, dtype=np.int64)
-    drawn = 0
-    for width in _block_widths(B, n, stop_above is not None):
-        replicates = golden_multipliers(multiplier_rng, (width, n))
-        replicates *= marks
-        if fit is not None:
-            replicates = _replay_residuals(fit, replicates)
-        columns = np.ascontiguousarray(replicates.T)
-        for k, layout in enumerate(layouts):
-            counts[k] += np.count_nonzero(layout.norms(columns, kind) >= observed[k])
-        drawn += width
-        if (
-            stop_above is not None
-            and drawn < B
-            and _fdr_envelope(_bootstrap_pvalues(counts, B, positive_correction))
-            >= stop_above
-        ):
-            break
+    def settled(counts, drawn):
+        pvalues = _bootstrap_pvalues(counts, B, positive_correction)
+        return drawn < B and _fdr_envelope(pvalues) >= stop_above
+
+    count = functools.partial(_exceedances, layouts, marks, fit, kind, observed)
+    widths = list(_block_widths(B, n, stop_above is not None))
+    workers = 1
+    if stop_above is None and n * B >= SPLIT_MIN_VALUES and forking.fork_supported():
+        workers = min(forking._usable_cpus(), len(widths))
+    if workers > 1:
+        counts = _split_exceedances(count, multiplier_rng, n, K, widths, workers)
+    else:
+        counts = count(multiplier_rng, widths, None if stop_above is None else settled)
 
     pvalues = _bootstrap_pvalues(counts, B, positive_correction)
     outcomes = [

@@ -282,3 +282,9 @@ def test_strided_map_kills_children_when_closed_early():
     assert time.perf_counter() - started < 30
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_strided_map_yields_array_fields_that_stay_put():
+    dtype = np.dtype([("c", np.int64, (3,))])
+    results = list(forking.strided_map(lambda i: (np.full(3, i),), list(range(6)), 2, dtype))
+    assert [row.tolist() for (row,) in results] == [[i] * 3 for i in range(6)]

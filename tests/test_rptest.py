@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import signal
+import sys
 import weakref
 
 import numpy as np
@@ -29,7 +32,7 @@ from flmgof import (
 )
 from flmgof import test_flm as flm_gof
 from flmgof import test_simple as simple_gof
-from flmgof import rptest
+from flmgof import forking, rptest, run_study
 from flmgof.rptest import (
     BOOTSTRAP_BLOCK,
     GOLDEN_PROBS,
@@ -761,6 +764,149 @@ def test_streamed_bootstrap_matches_one_shot_reference():
                 assert rec.statistic == pytest.approx(observed[column], rel=1e-12)
                 assert rec.pvalue == count / B
                 assert 0 < count < B
+
+
+# ------------------------------------------------------- split bootstrap
+
+# At n=51 a bootstrap block of 51 * 90 values holds 90 replicates, so B=819
+# draws ten blocks. Two shares then start at replicate 450, three at 270
+# and 540: start * n is not a multiple of four there, so those shares start
+# inside a Philox counter step.
+SPLIT_N, SPLIT_B, SPLIT_BLOCK = 51, 819, 51 * 90
+
+
+def split_cases():
+    """(test, sample, response, extra arguments): both nulls, plain and tied."""
+    plain = centered_bm_sample(SPLIT_N, num_points=31, seed=70)
+    rng = philox(71)
+    tied = center(
+        FunctionalSample(grid=plain.grid, data=plain.data[rng.integers(0, 17, SPLIT_N)])
+    )
+    for sample in (plain, tied):
+        y = sample.data[:, 10] + 0.5 * rng.standard_normal(SPLIT_N)
+        yield flm_gof, sample, y, {}
+        yield simple_gof, sample, y, {"m0": sample.data[:, 10]}
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Split every bootstrap of SPLIT_B replicates into ten blocks whatever
+    its size; record the pid of every fork."""
+    monkeypatch.setattr(rptest, "BOOTSTRAP_BLOCK", SPLIT_BLOCK)
+    monkeypatch.setattr(rptest, "SPLIT_MIN_VALUES", 0)
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def split_reports(monkeypatch, forks, cases, cpus_list=(1, 2, 3), kinds=STAT_KINDS):
+    """{cpus: [report JSON per case and kind]}, checking the forks per call."""
+    reports = {}
+    for cpus in cpus_list:
+        monkeypatch.setattr(forking, "_usable_cpus", lambda: cpus)
+        reports[cpus] = []
+        for gof, sample, y, extra in cases:
+            for kind in kinds:
+                forks.clear()
+                report = gof(sample, y, K=3, B=SPLIT_B, kind=kind, seed=5, **extra)
+                assert len(forks) == cpus - 1
+                reports[cpus].append(json.dumps(report.to_dict()))
+    return reports
+
+
+def test_advanced_stream_lands_on_any_value():
+    rng = philox(np.random.SeedSequence(9))
+    state = rng.bit_generator.state
+    draws = rng.random(700)
+    for skip in (0, 1, 2, 3, 4, 5, 8, 13, 100, 411):
+        advanced = rptest._advanced(state, skip)
+        assert np.array_equal(advanced.random(200), draws[skip : skip + 200])
+
+
+def test_split_bootstrap_reports_equal_the_serial_ones(forks, monkeypatch):
+    widths = list(rptest._block_widths(SPLIT_B, SPLIT_N, False))
+    assert len(widths) == 10
+    for workers in (2, 3):
+        cuts = [len(widths) * j // workers for j in range(1, workers)]
+        assert any(sum(widths[:cut]) * SPLIT_N % 4 for cut in cuts)
+    get_num_threads = forking._openblas_function("get_num_threads")
+    before = get_num_threads and get_num_threads()
+    reports = split_reports(monkeypatch, forks, list(split_cases()))
+    assert reports[2] == reports[1] and reports[3] == reports[1]
+    pvalues = [rec["p"] for text in reports[1] for rec in json.loads(text)["per_projection"]]
+    assert 0 < min(pvalues) and max(pvalues) < 1  # counts inside every share
+    assert get_num_threads is None or get_num_threads() == before
+
+
+def test_split_bootstrap_counts_only_from_the_threshold(forks, monkeypatch):
+    gof, sample, y, _ = next(split_cases())
+    monkeypatch.setattr(forking, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(rptest, "SPLIT_MIN_VALUES", SPLIT_N * SPLIT_B + 1)
+    below = gof(sample, y, K=3, B=SPLIT_B, seed=5)
+    assert forks == []
+    monkeypatch.setattr(rptest, "SPLIT_MIN_VALUES", SPLIT_N * SPLIT_B)
+    assert gof(sample, y, K=3, B=SPLIT_B, seed=5).to_dict() == below.to_dict()
+    assert len(forks) == 1
+
+
+def test_study_trials_and_stopping_bootstraps_never_fork(forks, monkeypatch):
+    gof, sample, y, _ = next(split_cases())
+    monkeypatch.setattr(forking, "_usable_cpus", lambda: 2)
+    gof(sample, y, K=3, B=SPLIT_B, seed=5, _stop_above=0.1)
+    gof(sample, y, K=3, B=SPLIT_B, seed=5, _stop_above=1.5)
+    run_study([1], [0, 1], [SPLIT_N], M=2, K=3, B=SPLIT_B, seed=5)
+    assert forks == []
+
+
+def test_split_bootstrap_is_serial_where_the_platform_cannot_fork(forks, monkeypatch):
+    cases = list(split_cases())[:2]
+    serial = split_reports(monkeypatch, forks, cases, cpus_list=(1,))[1]
+    monkeypatch.setattr(sys, "platform", "darwin")
+    monkeypatch.setattr(forking, "_usable_cpus", lambda: 2)
+    assert not forking.fork_supported()
+    reports = [
+        json.dumps(gof(sample, y, K=3, B=SPLIT_B, kind=kind, seed=5, **extra).to_dict())
+        for gof, sample, y, extra in cases
+        for kind in STAT_KINDS
+    ]
+    assert reports == serial and forks == []
+
+
+def test_killed_child_share_reruns_here(forks, monkeypatch):
+    cases = list(split_cases())[:2]
+    serial = split_reports(monkeypatch, forks, cases, cpus_list=(1,))[1]
+    caller, drawn, shares_here = os.getpid(), [], []
+
+    def dying(rng, size):
+        # a child dies at its second block, in the middle of its share
+        if os.getpid() != caller:
+            drawn.append(size)
+            if len(drawn) == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return golden_multipliers(rng, size)
+
+    advanced = rptest._advanced
+
+    def recording_advanced(state, skip):
+        if os.getpid() == caller:
+            shares_here.append(skip)
+        return advanced(state, skip)
+
+    monkeypatch.setattr(rptest, "golden_multipliers", dying)
+    monkeypatch.setattr(rptest, "_advanced", recording_advanced)
+    reports = split_reports(monkeypatch, forks, cases, cpus_list=(2, 3))
+    assert reports[2] == serial and reports[3] == serial
+    # every share of every call ran here: its own, then each dead child's
+    calls = len(cases) * len(STAT_KINDS)
+    assert len(shares_here) == calls * (2 + 3) and drawn == []
 
 
 def test_flm_centers_the_sample_it_is_given():
