@@ -107,7 +107,8 @@ STOP_CHECK_BLOCK = 128
 # sweep (scripts/bench_split_bootstrap.py, BENCH_split_bootstrap.json; B=1000,
 # two CPUs) a split call took 21.9 against 19.3 ms serial at n=256, the same
 # at n=512, and 44 against 50 ms at n=1024, falling to 0.7 of the serial time
-# from n=4096 up. So every call of the paper's regime (n <= 500) stays serial.
+# from n=4096 up. So every call of the paper's regime (n <= 500, B = 1000)
+# stays serial.
 SPLIT_MIN_VALUES = 2**19
 
 
