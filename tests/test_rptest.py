@@ -807,14 +807,14 @@ def forks(monkeypatch):
     return pids
 
 
-def split_reports(monkeypatch, forks, cases, cpus_list=(1, 2, 3), kinds=STAT_KINDS):
+def split_reports(monkeypatch, forks, cases, cpus_list=(1, 2, 3)):
     """{cpus: [report JSON per case and kind]}, checking the forks per call."""
     reports = {}
     for cpus in cpus_list:
         monkeypatch.setattr(forking, "_usable_cpus", lambda: cpus)
         reports[cpus] = []
         for gof, sample, y, extra in cases:
-            for kind in kinds:
+            for kind in STAT_KINDS:
                 forks.clear()
                 report = gof(sample, y, K=3, B=SPLIT_B, kind=kind, seed=5, **extra)
                 assert len(forks) == cpus - 1
