@@ -255,11 +255,10 @@ def cmd_test(args):
 
 
 def _parse_scenario_id(text):
-    token = text.strip().upper().lstrip("S")
-    try:
-        index = int(token)
-    except ValueError:
+    token = text.strip().upper().removeprefix("S")
+    if not (token.isascii() and token.isdigit()):
         raise InputError(f"scenario id must look like S1..S9, got {text!r}")
+    index = int(token)
     if not 1 <= index <= 9:
         raise InputError(f"scenario id must be S1..S9, got {text!r}")
     return index

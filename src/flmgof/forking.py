@@ -1,34 +1,31 @@
-"""Work split over forked processes: the platform rule, a line-range loadtxt
-and a strided map.
+"""Work split over forked processes: the platform rule, a strided map and a
+line-range loadtxt built on it.
 
 Where `fork_supported()`, worker processes are forked, so callers need no
 `__main__` guard and children start with the caller's imports in place.
 That is not on macOS, whose system libraries are not fork-safe, nor on
 Windows, which has no fork; there `simlab` pools start workers the
-platform's default way and files are parsed serially. OpenBLAS's fork
-handler stops its threads before each fork; the line-range parse starts
-them again once its children are done (`_set_blas_threads`), and a strided
-map runs every worker on one BLAS thread until its children are done.
+platform's default way and files are parsed serially.
+
+`strided_map(function, items, workers)` is the one place that forks, with
+one protocol: item i runs in worker i mod `workers`, where this process is
+worker 0 and forked children are the others; a child pickles each result to
+its own pipe, and this process yields the results in item order. An item
+whose child failed runs again here. It is also the one place that pins
+numpy's OpenBLAS: every worker runs on one BLAS thread until the children
+are done, and the caller's count is then set again, which restarts the pool
+OpenBLAS's fork handler stopped (see `_set_blas_threads`).
 
 `loadtxt(path, **kwargs)` returns what `np.loadtxt(path, ndmin=2,
 dtype=float, **kwargs)` returns. A plain file of `size` bytes is cut into
 p = min(usable CPUs, size // MIN_RANGE_BYTES) byte ranges, each ending at a
-newline. With p >= 2, this process parses the first range while a forked
-child parses each other range with the same arguments. A child sends the
-shape of its rows, then their raw bytes, through a pipe straight into the
-one output array. Every line is parsed by the same parser from the same
-bytes, so the rows equal the serial parse bit for bit. A range of comments
-alone warns "no data" and is dropped. If a range fails, warns about rows it
-holds, or disagrees with another on the number of columns, the whole file
-is parsed again serially here, which returns that result or raises that
-error. Every child is waited for on every path, and killed first on any
-path but success.
-
-`strided_map(function, items, workers, dtype)` runs item i in worker
-i mod `workers`: this process is worker 0 and forked children are the
-others. A child writes each result as one fixed-size numpy record to its
-own pipe, with no pickling, and this process yields the results in item
-order. An item whose child failed runs again here (see `strided_map`).
+newline. With p >= 2, `strided_map` parses each range with the same
+arguments in a worker of its own, and the parts are joined in one array.
+Every line is parsed by the same parser from the same bytes, so the rows
+equal the serial parse bit for bit. A range of comments alone warns "no
+data" and is dropped. If a range fails, warns about rows it holds, or
+disagrees with another on the number of columns, the whole file is parsed
+again serially here, which returns that result or raises that error.
 """
 
 from __future__ import annotations
@@ -38,6 +35,7 @@ import functools
 import io
 import mmap
 import os
+import pickle
 import signal
 import sys
 import warnings
@@ -99,8 +97,8 @@ def _openblas_function(name):
     return None
 
 
-def _set_blas_threads(count=None):
-    """Set numpy's OpenBLAS to `count` threads (default: the count it has).
+def _set_blas_threads(count):
+    """Set numpy's OpenBLAS to `count` threads.
 
     Returns the count it had, or None, setting nothing, where no OpenBLAS is
     found. Every set restarts the thread pool, which matters after a fork:
@@ -116,7 +114,7 @@ def _set_blas_threads(count=None):
     if get_num_threads is None or set_num_threads is None:
         return None
     before = get_num_threads()
-    set_num_threads(before if count is None else count)
+    set_num_threads(count)
     return before
 
 
@@ -124,8 +122,10 @@ def loadtxt(path, **kwargs):
     """`np.loadtxt(path, ndmin=2, dtype=float, **kwargs)`, parsed in line ranges."""
     kwargs.update(ndmin=2, dtype=float)
     bounds = _line_ranges(path)
-    rows = _parse_ranges(path, bounds, kwargs) if len(bounds) > 2 else None
-    return np.loadtxt(path, **kwargs) if rows is None else rows
+    if len(bounds) > 2:
+        with contextlib.suppress(OSError, ValueError):  # parsed whole below
+            return _joined_ranges(path, bounds, kwargs)
+    return np.loadtxt(path, **kwargs)
 
 
 def _line_ranges(path):
@@ -151,119 +151,82 @@ def _line_ranges(path):
     return bounds + [size]
 
 
-def _parse_ranges(path, bounds, kwargs):
-    """The rows of all ranges in file order, or None if any range failed."""
-    children = []  # (pid, read end of the pipe the child writes to)
-    try:
-        for start, end in zip(bounds[1:-1], bounds[2:]):
-            _fork_parser(path, start, end, kwargs, children)
-        rows = _gather(_parse_range(path, bounds[0], bounds[1], kwargs), children)
-        if rows is not None and _reap(children, kill=False):
-            return rows
-        return None
-    except (OSError, ValueError):  # no pipe or fork, or the first range failed
-        return None
-    finally:
-        _reap(children, kill=True)
-        _set_blas_threads()
+def _joined_ranges(path, bounds, kwargs):
+    """The rows of every range, each parsed by a worker of its own, in one array.
 
-
-def _gather(first, children):
-    """The rows this process parsed, then every child's, in one array.
-
-    The array has a mapping of its own, so its pages go back to the system
-    when the caller drops it, whatever the state of the malloc heap.
+    Raises ValueError if a range does, if no range holds rows, or if ranges
+    disagree on the number of columns. The array has a mapping of its own,
+    so its pages go back to the system when the caller drops it, whatever
+    the state of the malloc heap.
     """
-    if first is None:
-        return None
-    shapes = [first.shape] + [_read_shape(pipe) for _, pipe in children]
-    if None in shapes:
-        return None
-    columns = {cols for rows, cols in shapes if rows}
-    if len(columns) != 1:
-        return None
-    shape = (sum(rows for rows, _ in shapes), columns.pop())
+    ranges = list(zip(bounds, bounds[1:]))
+    parse = functools.partial(_parse_range, path, kwargs)
+    parts = [rows for rows in strided_map(parse, ranges, len(ranges)) if len(rows)]
+    if not parts:
+        raise ValueError("no range holds rows")
+    shape = (sum(len(rows) for rows in parts), parts[0].shape[1])
     out = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1]), float).reshape(shape)
-    filled = len(first)
-    out[:filled] = first
-    for (rows, _), (_, pipe) in zip(shapes[1:], children):
-        if not _fill(pipe, out[filled : filled + rows]):
-            return None
-        filled += rows
-    return out
+    return np.concatenate(parts, out=out)
 
 
-def strided_map(function, items, workers, dtype):
+def strided_map(function, items, workers):
     """Yield `function(item)` for every item, in order, from `workers` processes.
 
     Item i goes to worker i mod `workers`. Worker 0 is this process, which
     runs its items as the iterator reaches them; each other worker is a child
-    forked at the first `next`, which runs its items in order and writes each
-    result to its own pipe as one record of the numpy `dtype`. A result is
-    read back as `record.item()`. If a child's pipe ends before a record,
-    that item and the rest of that child's items run here: a seeded item then
-    raises the child's exception, or returns its result if the child was
-    killed from outside. If a fork fails, the items of the workers not yet
-    forked run here too. Closing the iterator, or an exception here, kills
-    every child still running; every child is waited for on every path.
+    forked at the first `next`, which runs its items in order and pickles
+    each result to its own pipe as soon as it is computed. If a child's pipe
+    ends before a whole pickle, that item and the rest of that child's items
+    run here: a seeded item then raises the child's exception, or returns
+    its result if the child was killed from outside. If a fork fails, the
+    items of the workers not yet forked run here too. Closing the iterator,
+    or an exception here, kills every child still running; every child is
+    waited for on every path.
 
-    With more than one worker, numpy's OpenBLAS is set to one thread before
-    the forks, and its count restored once the children are done: the
-    workers fill the CPUs, and a BLAS pool started while they run (its
-    threads spin while they wait for work) made a split `test` bootstrap
-    slower than a serial one.
+    From the first `next` on, numpy's OpenBLAS runs on one thread, in this
+    process and in every child, whatever `workers` is; the count it had is
+    set again at the end, which also restarts the pool that OpenBLAS's fork
+    handler stopped. The workers fill the CPUs, and a BLAS pool started while
+    they run (its threads spin while they wait for work) made a split `test`
+    bootstrap slower than a serial one; with one worker, a study's trials
+    still compute at the thread count they have with more.
     """
     children = []  # (pid, read end of the pipe the child writes to)
-    threads = _set_blas_threads(1) if workers > 1 else None
+    threads = _set_blas_threads(1)
     try:
         for worker in range(1, workers):
-            work = functools.partial(
-                _write_records, function, items[worker::workers], dtype
-            )
+            work = functools.partial(_write_results, function, items[worker::workers])
             try:
                 _fork(work, children)
             except OSError:  # no pipe or fork: the rest run here
                 break
-        pipes = [None] + [pipe for _, pipe in children]
-        pipes += [None] * (workers - len(pipes))
+        # the pipes stay open until _reap closes them
+        readers = [None] + [open(pipe, "rb", closefd=False) for _, pipe in children]
+        readers += [None] * (workers - len(readers))
+        ended = object()
         for index, item in enumerate(items):
             worker = index % workers
-            # a record of its own: item() returns array fields as views
-            record = np.empty((), dtype)
-            if pipes[worker] is not None and _fill(pipes[worker], record):
-                yield record.item()
-            else:
-                pipes[worker] = None
-                yield function(item)
+            result = ended
+            if readers[worker] is not None:
+                with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                    result = pickle.load(readers[worker])
+            if result is ended:
+                readers[worker] = None
+                result = function(item)
+            yield result
     finally:
         _reap(children, kill=True)
-        if threads not in (None, 1):
-            _set_blas_threads(threads)
+        _set_blas_threads(threads)  # None, where no OpenBLAS was found, sets nothing
 
 
-def _write_records(function, items, dtype, pipe):
-    """A child's work in `strided_map`: one record per item, each flushed
-    as soon as it is computed."""
+def _write_results(function, items, pipe):
+    """A child's work in `strided_map`: one pickle per item, each flushed as
+    soon as it is computed."""
     with open(pipe, "wb") as out:
         for item in items:
-            out.write(np.array(function(item), dtype))
+            pickle.dump(function(item), out, pickle.HIGHEST_PROTOCOL)
             out.flush()
     return True
-
-
-def _fork_parser(path, start, end, kwargs, children):
-    """Fork a child that parses bytes [start, end) and writes the shape and
-    the rows to a pipe; add (pid, read end) to `children`."""
-
-    def work(pipe):
-        rows = _parse_range(path, start, end, kwargs)
-        if rows is not None:
-            with open(pipe, "wb") as out:
-                out.write(np.array(rows.shape, dtype=np.int64))
-                out.write(np.ascontiguousarray(rows))
-        return rows is not None
-
-    _fork(work, children)
 
 
 def _fork(work, children):
@@ -300,9 +263,14 @@ def _fork(work, children):
         os.close(write_end)
 
 
-def _parse_range(path, start, end, kwargs):
-    """np.loadtxt on the lines in bytes [start, end); None if it warned about
-    rows it returned (a range without rows warns "no data")."""
+def _parse_range(path, kwargs, span):
+    """np.loadtxt on the lines in bytes [start, end) of `span`.
+
+    A range without rows warns "no data", and its empty rows are returned.
+    A warning about rows the range holds raises ValueError, so the caller
+    parses the whole file and gives that warning as a serial parse would.
+    """
+    start, end = span
     with open(path, "rb", buffering=0) as file, warnings.catch_warnings(
         record=True
     ) as caught:
@@ -310,23 +278,9 @@ def _parse_range(path, start, end, kwargs):
         file.seek(start)
         reader = io.BufferedReader(_ByteRange(file, end - start), 2**16)
         rows = np.loadtxt(io.TextIOWrapper(reader), **kwargs)
-    return None if caught and len(rows) else rows
-
-
-def _read_shape(pipe):
-    shape = np.empty(2, dtype=np.int64)
-    return tuple(int(extent) for extent in shape) if _fill(pipe, shape) else None
-
-
-def _fill(pipe, array):
-    """Read exactly `array.nbytes` bytes into `array`; False if the pipe ends first."""
-    view = memoryview(array.reshape(-1).view(np.uint8))
-    while view:
-        count = os.readv(pipe, [view])
-        if not count:
-            return False
-        view = view[count:]
-    return True
+    if caught and len(rows):
+        raise ValueError(f"bytes [{start}, {end}) warned: {caught[0].message}")
+    return rows
 
 
 def _reap(children, kill):

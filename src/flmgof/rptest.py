@@ -41,10 +41,12 @@ replicates as one without the threshold.
 A large bootstrap that may not stop (n * B at least SPLIT_MIN_VALUES) is
 split where the platform forks: its blocks are cut into one contiguous share
 per worker, at most one per usable CPU, and `forking.strided_map` counts each
-share, with this process as worker 0. A share draws its multipliers from a
-copy of the multiplier stream advanced to its first replicate, so the shares
-concatenate to the serial draw, and counts do not depend on order: reports
-are the serial reports bit for bit, whatever the number of usable CPUs.
+share, with this process as worker 0 and every worker on one OpenBLAS
+thread; a child sends its share's count vector back pickled. A share draws
+its multipliers from a copy of the multiplier stream advanced to its first
+replicate, so the shares concatenate to the serial draw, and counts do not
+depend on order: reports are the serial reports bit for bit, whatever the
+number of usable CPUs.
 """
 
 from __future__ import annotations
@@ -167,13 +169,19 @@ def _check_count(name, value):
         raise ValueError(f"{name} must be a positive integer")
 
 
-def _check_settings(K, B, kind, r, sampler) -> str:
+def _check_flag(name, value):
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be True or False, got {value!r}")
+
+
+def _check_settings(K, B, kind, r, sampler, positive_correction=False) -> str:
     """Check the settings every test takes; return the normalized kind."""
     kind = _check_kind(kind)
     _check_sampler(sampler)
     _check_threshold(r)
     _check_count("K", K)
     _check_count("B", B)
+    _check_flag("positive_correction", positive_correction)
     return kind
 
 
@@ -321,6 +329,7 @@ def fdr_null_rejection_rate(K, B, alpha, positive_correction=False) -> float:
     """
     _check_count("K", K)
     _check_count("B", B)
+    _check_flag("positive_correction", positive_correction)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     atoms = _bootstrap_pvalues(np.arange(B + 1), B, positive_correction)
@@ -429,7 +438,7 @@ def _replay_residuals(fit, perturbed):
     return centered
 
 
-def _prepare(X, y, K, B, kind, r, sampler, seed):
+def _prepare(X, y, K, B, kind, r, sampler, seed, positive_correction):
     """Check the inputs both tests share; center X, compute its FPC basis and
     project the curves on K random directions.
 
@@ -438,7 +447,7 @@ def _prepare(X, y, K, B, kind, r, sampler, seed):
     scores and the projections; that n x G array is freed on return, before
     any bootstrap.
     """
-    kind = _check_settings(K, B, kind, r, sampler)
+    kind = _check_settings(K, B, kind, r, sampler, positive_correction)
     if not isinstance(X, FunctionalSample):
         raise ValueError("X must be a FunctionalSample")
     if X.n < 3:
@@ -520,8 +529,8 @@ def _exceedances(layouts, marks, fit, kind, observed, rng, widths, stop=None):
     return counts
 
 
-def _split_exceedances(count, rng, n, K, widths, workers):
-    """The K counts of `count(rng, widths)`, from `workers` processes.
+def _split_exceedances(count, rng, n, widths, workers):
+    """The counts of `count(rng, widths)`, from `workers` processes.
 
     The blocks are cut into `workers` contiguous shares, and
     `forking.strided_map` runs share j in worker j, this process being
@@ -536,13 +545,12 @@ def _split_exceedances(count, rng, n, K, widths, workers):
 
     def share_counts(share):
         start, share_widths = share
-        return (count(_advanced(state, start * n), share_widths),)
+        return count(_advanced(state, start * n), share_widths)
 
-    dtype = np.dtype([("counts", np.int64, (K,))])
     with contextlib.closing(
-        forking.strided_map(share_counts, shares, workers, dtype)
-    ) as records:
-        return sum(counts for (counts,) in records)
+        forking.strided_map(share_counts, shares, workers)
+    ) as counts:
+        return sum(counts)
 
 
 def _advanced(state, skip):
@@ -591,7 +599,7 @@ def _projection_test(
     if stop_above is None and n * B >= SPLIT_MIN_VALUES and forking.fork_supported():
         workers = min(forking._usable_cpus(), len(widths))
     if workers > 1:
-        counts = _split_exceedances(count, multiplier_rng, n, K, widths, workers)
+        counts = _split_exceedances(count, multiplier_rng, n, widths, workers)
     else:
         counts = count(multiplier_rng, widths, None if stop_above is None else settled)
 
@@ -602,14 +610,15 @@ def _projection_test(
     ]
 
     settings = {
-        "K": K,
-        "B": B,
+        # plain Python numbers, so the settings serialise whatever was passed
+        "K": int(K),
+        "B": int(B),
         "stat": kind,
         "rank": None if fit is None else fit.rank,
-        "r": r,
+        "r": float(r),
         "sampler": sampler,
         "seed": int(seed) if isinstance(seed, (int, np.integer)) else None,
-        "positive_correction": positive_correction,
+        "positive_correction": bool(positive_correction),
     }
     p_fdr = fdr_combine([rec.pvalue for rec in outcomes])
     return TestReport(per_projection=tuple(outcomes), p_fdr=p_fdr, settings=settings)
@@ -645,7 +654,7 @@ def test_flm(
     if rank is not None and not _is_integer(rank):
         raise ValueError(f"rank must be an integer or None, got {rank!r}")
     kind, y, basis, layouts, multiplier_rng = _prepare(
-        X, y, K, B, kind, r, sampler, seed
+        X, y, K, B, kind, r, sampler, seed, positive_correction
     )
     y_centered = y - y.mean()
     if rank is None:
@@ -680,7 +689,7 @@ def test_simple(
     directly, with no refit and no centering.
     """
     kind, y, _, layouts, multiplier_rng = _prepare(
-        X, y, K, B, kind, r, sampler, seed
+        X, y, K, B, kind, r, sampler, seed, positive_correction
     )
     if m0 is None:
         marks = y

@@ -15,11 +15,11 @@ through a counter-based generator, so results do not depend on how trials are
 scheduled across workers. `run_study(threads=N)` runs the trials of all
 cells on at most N workers, no more than the trials or the usable CPUs.
 Where the platform forks, the calling process is one worker and forked
-children are the others, each taking every w-th trial (`forking.strided_map`);
-elsewhere a process pool runs them. Every worker, the calling process
-included, runs its OpenBLAS on one thread, and the caller's thread count is
-restored afterwards, so every trial computes with the same BLAS thread count
-whatever `threads` is.
+children are the others, each taking every w-th trial (`forking.strided_map`,
+also at threads=1); elsewhere a process pool runs them. Every worker, the
+calling process included, runs its OpenBLAS on one thread, and the caller's
+thread count is restored afterwards, so every trial computes with the same
+BLAS thread count whatever `threads` is.
 """
 
 from __future__ import annotations
@@ -384,22 +384,18 @@ def run_study(
     return results
 
 
-# a trial's outcome as a forked worker sends it through its pipe
-_OUTCOME = np.dtype([("p_fdr", np.float64), ("rank", np.int64)])
-
-
 @contextlib.contextmanager
 def _trial_outcomes(payloads, threads):
     """Yield an iterator over the trial outcomes in payload order.
 
     The trials run on w = min(threads, trials, usable CPUs) workers. Where
-    the platform forks, this process is one of them and w - 1 forked
-    children are the others (`forking.strided_map`: trial i runs in worker
-    i mod w, so cheap and costly cells are spread evenly), all with OpenBLAS
-    on one thread; the caller's thread count comes back on exit. Elsewhere,
-    with w > 1, a pool of w workers started the platform's default way runs
-    them, each worker with its OpenBLAS on one thread, in chunks of about a
-    quarter of each worker's share.
+    the platform forks, `forking.strided_map` runs them: this process is one
+    worker and w - 1 forked children are the others, trial i runs in worker
+    i mod w, so cheap and costly cells are spread evenly, and every worker
+    runs OpenBLAS on one thread until the caller's count comes back on exit.
+    Elsewhere, with w > 1, a pool of w workers started the platform's default
+    way runs them, each worker with its OpenBLAS on one thread, in chunks of
+    about a quarter of each worker's share.
     """
     workers = min(threads, len(payloads), _usable_cpus())
     if workers > 1 and not fork_supported():
@@ -409,18 +405,5 @@ def _trial_outcomes(payloads, threads):
             chunk = max(1, len(payloads) // (workers * 4))
             yield pool.map(_study_trial, payloads, chunksize=chunk)
         return
-    with _blas_on_one_thread(), contextlib.closing(
-        strided_map(_study_trial, payloads, workers, _OUTCOME)
-    ) as outcomes:
+    with contextlib.closing(strided_map(_study_trial, payloads, workers)) as outcomes:
         yield outcomes
-
-
-@contextlib.contextmanager
-def _blas_on_one_thread():
-    """Run numpy's OpenBLAS, if found, on one thread; restore the count on exit."""
-    before = _set_blas_threads(1)
-    try:
-        yield
-    finally:
-        _set_blas_threads(before)  # None, where no OpenBLAS was found, sets nothing
-

@@ -1,11 +1,13 @@
 """Shared helpers for the test suite."""
 
+import contextlib
 import os
 
 import numpy as np
 import pytest
 
 from flmgof import FunctionalSample, center, gen_process, uniform_grid
+from flmgof.forking import _set_blas_threads
 from flmgof.flm import _check_response, _hat_apply_rows
 from flmgof.funspace import _as_float_vector
 from flmgof.processes import GBM_DRIFT, GBM_INITIAL
@@ -88,3 +90,13 @@ def hat_apply(fit, v):
 def gbm_mean(t):
     """Mean curve of `processes.geometric_brownian_motion`."""
     return GBM_INITIAL * np.exp(GBM_DRIFT * np.asarray(t, dtype=float))
+
+
+@contextlib.contextmanager
+def _blas_on_one_thread():
+    """Run numpy's OpenBLAS, if found, on one thread; restore the count on exit."""
+    before = _set_blas_threads(1)
+    try:
+        yield
+    finally:
+        _set_blas_threads(before)  # None, where no OpenBLAS was found, sets nothing

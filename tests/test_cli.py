@@ -554,6 +554,13 @@ def test_simulate_maps_a_child_trial_failure_to_exit_3(monkeypatch, capsys):
     assert run_cli(args + ["--threads", "2"], capsys) == serial
 
 
+@pytest.mark.parametrize("scenario", ["SS1", "S 3", "S+2", "S", "S١"])
+def test_scenario_id_is_one_s_then_digits(scenario, capsys):
+    code, out, err = run_cli(["simulate", "--scenario", scenario, "--M", "2"], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert "scenario id must look like S1..S9" in err
+
+
 def test_simulate_usage_errors(capsys):
     code, _, err = run_cli(["simulate", "--M", "3"], capsys)
     assert code == EXIT_USAGE

@@ -1,4 +1,5 @@
-"""The line-range parse of `forking.loadtxt` against one serial `np.loadtxt`.
+"""The line-range parse of `forking.loadtxt` against one serial `np.loadtxt`,
+and `forking.strided_map`, the one code path that forks.
 
 Ranges are made tiny here, so files of a few kilobytes split into four
 ranges, and every edge of the format falls at some range boundary.
@@ -6,6 +7,7 @@ ranges, and every edge of the format falls at some range boundary.
 
 import gzip
 import os
+import pickle
 import signal
 import sys
 import time
@@ -13,8 +15,10 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import centered_bm_sample
 
-from flmgof import forking
+from flmgof import forking, rptest, run_study, simlab
+from flmgof import test_flm as flm_gof
 from flmgof.cli import EXIT_USAGE, main, read_functional_sample
 
 RANGE_SIZES = (64, 100, 157, 333)
@@ -35,23 +39,35 @@ def lines_of(data):
 @pytest.fixture
 def split(monkeypatch):
     """Split files into ranges of RANGE_SIZES[0] bytes, four at most; record
-    whether each split parse succeeded and the pid of every fork."""
+    whether each split parse succeeded, with no whole-file np.loadtxt after
+    it, and the pid of every fork."""
     monkeypatch.setattr(forking, "MIN_RANGE_BYTES", RANGE_SIZES[0])
     monkeypatch.setattr(forking, "_usable_cpus", lambda: 4)
     record = {"parsed": [], "pids": []}
-    parse_ranges, fork = forking._parse_ranges, os.fork
+    loadtxt, np_loadtxt, fork = forking.loadtxt, np.loadtxt, os.fork
+    wholes = []  # np.loadtxt calls on a path, not on one range's stream
 
-    def recording_parse(*args):
-        rows = parse_ranges(*args)
-        record["parsed"].append(rows is not None)
-        return rows
+    def counting_np_loadtxt(source, *args, **kwargs):
+        if isinstance(source, (str, os.PathLike)):
+            wholes.append(source)
+        return np_loadtxt(source, *args, **kwargs)
+
+    def recording_loadtxt(path, **kwargs):
+        splits = len(forking._line_ranges(path)) > 2
+        fallbacks = len(wholes)
+        try:
+            return loadtxt(path, **kwargs)
+        finally:
+            if splits:
+                record["parsed"].append(len(wholes) == fallbacks)
 
     def recording_fork():
         pid = fork()
         record["pids"].append(pid)
         return pid
 
-    monkeypatch.setattr(forking, "_parse_ranges", recording_parse)
+    monkeypatch.setattr(np, "loadtxt", counting_np_loadtxt)
+    monkeypatch.setattr(forking, "loadtxt", recording_loadtxt)
     monkeypatch.setattr(os, "fork", recording_fork)
     return record
 
@@ -195,11 +211,15 @@ def test_children_reaped_on_keyboard_interrupt(tmp_path, split, monkeypatch):
     path = tmp_path / "curves.csv"
     path.write_text("\n".join(lines_of(curves())) + "\n")
 
-    def interrupted(first, children):
-        assert len(children) == 3
+    parse_range, parent = forking._parse_range, os.getpid()
+
+    def interrupted(*args):
+        if os.getpid() != parent:
+            return parse_range(*args)
+        assert len(split["pids"]) == 3  # the first range parses after the forks
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(forking, "_gather", interrupted)
+    monkeypatch.setattr(forking, "_parse_range", interrupted)
     with pytest.raises(KeyboardInterrupt):
         forking.loadtxt(path, delimiter=",", comments="#")
     assert len(split["pids"]) == 3
@@ -236,9 +256,6 @@ def test_split_parse_keeps_the_blas_thread_count(tmp_path, split):
     assert get_num_threads() == before
 
 
-RECORD = np.dtype([("value", np.float64), ("pid", np.int64)])
-
-
 def value_and_pid(item):
     return item / 3.0, os.getpid()
 
@@ -246,7 +263,7 @@ def value_and_pid(item):
 def test_strided_map_runs_item_i_in_worker_i_mod_w(monkeypatch):
     items = list(range(7))
     for workers in (1, 2, 3):
-        results = list(forking.strided_map(value_and_pid, items, workers, RECORD))
+        results = list(forking.strided_map(value_and_pid, items, workers))
         assert [value for value, _ in results] == [item / 3.0 for item in items]
         pids = [pid for _, pid in results]
         assert pids[0] == os.getpid() and len(set(pids)) == workers
@@ -262,7 +279,7 @@ def test_strided_map_runs_item_i_in_worker_i_mod_w(monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", second_fork_fails)
-    pids = [pid for _, pid in forking.strided_map(value_and_pid, items, 3, RECORD)]
+    pids = [pid for _, pid in forking.strided_map(value_and_pid, items, 3)]
     assert len(forked) == 2 and len(set(pids)) == 2
     assert [i for i in items if pids[i] != os.getpid()] == [1, 4]
 
@@ -276,7 +293,7 @@ def test_strided_map_kills_children_when_closed_early():
         return value_and_pid(item)
 
     started = time.perf_counter()
-    outcomes = forking.strided_map(slow_in_children, list(range(6)), 2, RECORD)
+    outcomes = forking.strided_map(slow_in_children, list(range(6)), 2)
     assert next(outcomes) == (0.0, parent)
     outcomes.close()
     assert time.perf_counter() - started < 30
@@ -285,6 +302,106 @@ def test_strided_map_kills_children_when_closed_early():
 
 
 def test_strided_map_yields_array_fields_that_stay_put():
-    dtype = np.dtype([("c", np.int64, (3,))])
-    results = list(forking.strided_map(lambda i: (np.full(3, i),), list(range(6)), 2, dtype))
+    results = list(forking.strided_map(lambda i: (np.full(3, i),), list(range(6)), 2))
     assert [row.tolist() for (row,) in results] == [[i] * 3 for i in range(6)]
+
+
+def split_bootstrap(monkeypatch):
+    """A composite test whose bootstrap of n * B = SPLIT_MIN_VALUES values is
+    cut into four blocks, so it splits over two workers."""
+    n, B = 40, 120
+    monkeypatch.setattr(rptest, "BOOTSTRAP_BLOCK", n * B // 4)
+    monkeypatch.setattr(rptest, "SPLIT_MIN_VALUES", n * B)
+    monkeypatch.setattr(forking, "_usable_cpus", lambda: 2)
+    sample = centered_bm_sample(n, num_points=31, seed=3)
+    y = sample.data[:, 10] + 0.5 * np.random.default_rng(4).standard_normal(n)
+    return flm_gof(sample, y, K=2, B=B, seed=1)
+
+
+def test_every_fork_is_made_inside_strided_map(tmp_path, split, monkeypatch):
+    fork, inside = os.fork, []
+
+    def spying_fork():
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not forking.strided_map.__code__:
+            frame = frame.f_back
+        inside.append(frame is not None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", spying_fork)
+    path = tmp_path / "curves.csv"
+    path.write_text("\n".join(lines_of(curves())) + "\n")
+    forking.loadtxt(path, delimiter=",", comments="#")
+    assert split["parsed"] == [True] and inside == [True] * 3
+    split_bootstrap(monkeypatch)
+    assert inside == [True] * 4
+    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
+    run_study([1], [0], [20], M=4, K=2, B=30, threads=2)
+    assert inside == [True] * 5
+    assert_reaped(split["pids"])
+
+
+def test_half_a_pickle_reruns_the_item_here(monkeypatch):
+    parent, dump = os.getpid(), pickle.dump
+
+    def half_then_exit(result, file, protocol):
+        if os.getpid() == parent:
+            return dump(result, file, protocol)
+        data = pickle.dumps(result, protocol)
+        file.write(data[: len(data) // 2])
+        file.flush()
+        os._exit(1)
+
+    def curve_and_pid(item):
+        return np.linspace(0.0, item, 5000), os.getpid()
+
+    monkeypatch.setattr(pickle, "dump", half_then_exit)
+    results = list(forking.strided_map(curve_and_pid, list(range(5)), 2))
+    assert all(pid == parent for _, pid in results)
+    for item, (curve, _) in enumerate(results):
+        assert np.array_equal(curve, curve_and_pid(item)[0])
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_no_descriptor_left_open(tmp_path, split):
+    def descriptors():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = descriptors()
+    assert len(list(forking.strided_map(value_and_pid, list(range(6)), 3))) == 6
+    assert descriptors() == before
+    outcomes = forking.strided_map(value_and_pid, list(range(6)), 3)
+    next(outcomes)
+    outcomes.close()
+    assert descriptors() == before
+    path = tmp_path / "ragged.csv"
+    lines = lines_of(curves())
+    path.write_text("\n".join(lines[:30] + ["1.0,2.0"] + lines[31:]) + "\n")
+    with pytest.raises(ValueError):
+        forking.loadtxt(path, delimiter=",", comments="#")
+    assert split["parsed"] == [False]
+    assert descriptors() == before
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_blas_thread_count_comes_back(tmp_path, split, monkeypatch, threads):
+    get_num_threads = forking._openblas_function("get_num_threads")
+    set_num_threads = forking._openblas_function("set_num_threads")
+    if get_num_threads is None or set_num_threads is None:
+        pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
+    before = get_num_threads()
+    set_num_threads(threads)
+    try:
+        run_study([1], [0], [20], M=2, K=2, B=30, threads=1)
+        assert get_num_threads() == threads
+        path = tmp_path / "curves.csv"
+        path.write_text("\n".join(lines_of(curves())) + "\n")
+        forking.loadtxt(path, delimiter=",", comments="#")
+        assert split["parsed"] == [True]
+        assert get_num_threads() == threads
+        forks = len(split["pids"])
+        split_bootstrap(monkeypatch)
+        assert len(split["pids"]) > forks
+        assert get_num_threads() == threads
+    finally:
+        set_num_threads(before)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.resources
 import json
 import math
 import os
@@ -7,12 +8,19 @@ import signal
 import sys
 import weakref
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_process_norms, centered_bm_sample, inner_product, project
+from conftest import (
+    _blas_on_one_thread,
+    brute_process_norms,
+    centered_bm_sample,
+    inner_product,
+    project,
+)
 from flmgof import (
     DegenerateProjectionError,
     FpcBasis,
@@ -47,7 +55,7 @@ from flmgof.rptest import (
     _SortedProjections,
 )
 from flmgof.processes import ornstein_uhlenbeck
-from flmgof.simlab import ALPHAS, _blas_on_one_thread
+from flmgof.simlab import ALPHAS
 from oracles import enumerated_fdr_rejection_rate, simulated_fdr_combined
 
 
@@ -972,6 +980,34 @@ def test_flm_rejects_a_rank_that_is_not_an_integer(rank):
     for name in ("K", "B"):
         with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
             flm_gof(sample, y, **{"K": 3, "B": 100, name: rank}, seed=2)
+
+
+def test_reports_with_numpy_settings_serialise_and_validate():
+    schema = json.loads(
+        importlib.resources.files("flmgof").joinpath("report_schema.json").read_text()
+    )
+    sample, y = noisy_case(seed=33)
+    numpy_settings = dict(
+        K=np.int64(3), B=np.int64(50), r=np.float32(0.9), positive_correction=np.True_
+    )
+    for gof in (flm_gof, simple_gof):
+        report = gof(sample, y, **numpy_settings, seed=2)
+        plain = gof(sample, y, K=3, B=50, r=float(np.float32(0.9)),
+                    positive_correction=True, seed=2)
+        assert report.to_dict() == plain.to_dict()
+        record = json.loads(json.dumps(report.to_dict()))
+        jsonschema.validate(record, schema)
+        assert record["settings"]["r"] == float(np.float32(0.9))
+
+
+@pytest.mark.parametrize("flag", ["no", 1, 0, None, np.float64(1.0)])
+def test_positive_correction_must_be_a_bool(flag):
+    sample, y = noisy_case(seed=33)
+    for gof in (flm_gof, simple_gof):
+        with pytest.raises(ValueError, match="positive_correction must be True or False"):
+            gof(sample, y, K=3, B=50, seed=2, positive_correction=flag)
+    with pytest.raises(ValueError, match="positive_correction must be True or False"):
+        fdr_null_rejection_rate(5, 100, 0.05, positive_correction=flag)
 
 
 def test_flm_rejects_quadratic_signal():
