@@ -15,13 +15,14 @@ sample back out in header-grid layout with round-trippable precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 import numpy as np
 
 from . import forking
-from .funspace import FunctionalSample, make_grid
+from .funspace import FunctionalSample, _adopt, make_grid
 from .rptest import DegenerateProjectionError, test_flm, test_simple
 from .simlab import ALPHAS, gen_process, gen_response, run_study, scenario
 
@@ -43,7 +44,8 @@ def read_functional_sample(path, grid_file=None, header_grid=False):
 
     Large files are parsed in line ranges by forked processes where the
     platform allows it (see `forking.loadtxt`); the rows, errors and warnings
-    are those of one `np.loadtxt` call on the whole file.
+    are those of one `np.loadtxt` call on the whole file. The sample holds
+    the parsed rows themselves, not a copy.
     """
     if header_grid and grid_file is not None:
         raise InputError("the grid comes from a grid file or a header row, not both")
@@ -67,7 +69,7 @@ def read_functional_sample(path, grid_file=None, header_grid=False):
         data = rows
     try:
         grid = make_grid(grid_points)
-        return FunctionalSample(grid=grid, data=data)
+        return _adopt(FunctionalSample, grid=grid, data=data)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -131,7 +133,9 @@ def _add_direction_flags(parser):
     parser.add_argument("--sampler", choices=("i", "ii", "iii"), default="i")
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process; parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="flmgof",
         description="Goodness-of-fit tests for the functional linear model",

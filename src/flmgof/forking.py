@@ -154,14 +154,20 @@ def _line_ranges(path):
 def _joined_ranges(path, bounds, kwargs):
     """The rows of every range, each parsed by a worker of its own, in one array.
 
-    Raises ValueError if a range does, if no range holds rows, or if ranges
-    disagree on the number of columns. The array has a mapping of its own,
-    so its pages go back to the system when the caller drops it, whatever
-    the state of the malloc heap.
+    Raises ValueError at the first range in order that fails, if no range
+    holds rows, or if ranges disagree on the number of columns. The array
+    has a mapping of its own, so its pages go back to the system when the
+    caller drops it, whatever the state of the malloc heap.
     """
     ranges = list(zip(bounds, bounds[1:]))
     parse = functools.partial(_parse_range, path, kwargs)
-    parts = [rows for rows in strided_map(parse, ranges, len(ranges)) if len(rows)]
+    parts = []
+    with contextlib.closing(strided_map(parse, ranges, len(ranges))) as results:
+        for (start, end), rows in zip(ranges, results):
+            if rows is None:
+                raise ValueError(f"bytes [{start}, {end}) did not parse")
+            if len(rows):
+                parts.append(rows)
     if not parts:
         raise ValueError("no range holds rows")
     shape = (sum(len(rows) for rows in parts), parts[0].shape[1])
@@ -264,23 +270,26 @@ def _fork(work, children):
 
 
 def _parse_range(path, kwargs, span):
-    """np.loadtxt on the lines in bytes [start, end) of `span`.
+    """np.loadtxt on the lines in bytes [start, end) of `span`, or None.
 
     A range without rows warns "no data", and its empty rows are returned.
-    A warning about rows the range holds raises ValueError, so the caller
-    parses the whole file and gives that warning as a serial parse would.
+    A range that fails, or warns about rows it holds, gives None, and the
+    caller then parses the whole file serially, which raises or warns as a
+    serial parse would. A child sends that None back as its result, so no
+    range is parsed twice.
     """
     start, end = span
-    with open(path, "rb", buffering=0) as file, warnings.catch_warnings(
-        record=True
-    ) as caught:
-        warnings.simplefilter("always")
-        file.seek(start)
-        reader = io.BufferedReader(_ByteRange(file, end - start), 2**16)
-        rows = np.loadtxt(io.TextIOWrapper(reader), **kwargs)
-    if caught and len(rows):
-        raise ValueError(f"bytes [{start}, {end}) warned: {caught[0].message}")
-    return rows
+    try:
+        with open(path, "rb", buffering=0) as file, warnings.catch_warnings(
+            record=True
+        ) as caught:
+            warnings.simplefilter("always")
+            file.seek(start)
+            reader = io.BufferedReader(_ByteRange(file, end - start), 2**16)
+            rows = np.loadtxt(io.TextIOWrapper(reader), **kwargs)
+    except (OSError, ValueError):
+        return None
+    return None if caught and len(rows) else rows
 
 
 def _reap(children, kill):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funspace import FunctionalSample, Grid, _frozen, center
+from .funspace import FunctionalSample, Grid, _adopt, _frozen, center
 
 __all__ = ["FpcBasis", "compute_fpc"]
 
@@ -49,9 +49,11 @@ class FpcBasis:
     scores: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", _frozen(self.eigenvalues))
-        object.__setattr__(self, "eigenfunctions", _frozen(self.eigenfunctions))
-        object.__setattr__(self, "scores", _frozen(self.scores))
+        self._freeze(_frozen)
+
+    def _freeze(self, freeze):
+        for name in ("eigenvalues", "eigenfunctions", "scores"):
+            object.__setattr__(self, name, freeze(getattr(self, name)))
 
     @property
     def m(self) -> int:
@@ -80,18 +82,24 @@ def compute_fpc(sample: FunctionalSample) -> FpcBasis:
 
 
 def _compute_fpc(sample, weighted):
-    """`compute_fpc` of a centered sample, with the curves times the grid
-    weights, X * w, given.
+    """`compute_fpc` of a centered sample made for this call, with the curves
+    times the grid weights, X * w, given.
 
     The scores are (X * w) @ e_j; a caller that also projects the curves
-    passes the product it projects with, so it is made once.
+    passes the product it projects with, so it is made once. The sample is
+    used up: X * sqrt(w) is formed in its curves' buffer, which is released
+    before the scores are, so the call adds no n x G array to the two it is
+    given. The sample keeps a NaN placeholder of the same shape as its data.
     """
     n, num_points = sample.data.shape
     if n < 2:
         raise ValueError("principal components need at least two curves")
 
     sqrt_w = np.sqrt(sample.grid.weights)
-    root_weighted = sample.data * sqrt_w  # n x G
+    root_weighted = sample.data  # n x G
+    object.__setattr__(sample, "data", np.broadcast_to(np.nan, root_weighted.shape))
+    root_weighted.setflags(write=True)
+    root_weighted *= sqrt_w
     gram_path = n <= num_points
     if gram_path:
         covariance = (root_weighted @ root_weighted.T) / n
@@ -110,7 +118,7 @@ def _compute_fpc(sample, weighted):
         # u_j = A^T v_j / sqrt(n lambda_j) is the unit eigenvector of A^T A / n
         basis_w = root_weighted.T @ basis_w
         basis_w /= np.sqrt(n * vals)
-    del root_weighted  # an n x G array; the scores use X * w
+    del root_weighted  # the sample's buffer; the scores use X * w
 
     # every step below works in place on the fresh G x m array
     basis_w /= sqrt_w[:, None]
@@ -120,7 +128,8 @@ def _compute_fpc(sample, weighted):
     eigenfunctions = basis_w.T  # m x G
     scores = weighted @ eigenfunctions.T
 
-    return FpcBasis(
+    return _adopt(
+        FpcBasis,
         grid=sample.grid,
         eigenvalues=vals,
         eigenfunctions=eigenfunctions,

@@ -38,6 +38,24 @@ def _frozen(arr):
     return arr
 
 
+def _read_only(arr):
+    """`arr` as floats, made read-only in place rather than copied."""
+    arr = np.asarray(arr, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
+def _adopt(cls, **fields):
+    """`cls(**fields)` for arrays the library has just made and holds nowhere
+    else: checked as by the constructor, which copies because a caller may
+    still write its arrays, but frozen in place instead of copied."""
+    instance = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(instance, name, value)
+    instance._freeze(_read_only)
+    return instance
+
+
 @dataclass(frozen=True)
 class Grid:
     """Quadrature grid: strictly increasing points in [0, 1], positive weights."""
@@ -106,6 +124,9 @@ class FunctionalSample:
     data: np.ndarray
 
     def __post_init__(self):
+        self._freeze(_frozen)
+
+    def _freeze(self, freeze):
         data = np.asarray(self.data, dtype=float)
         if data.ndim != 2:
             raise ValueError("sample data must be a 2-d array (rows = curves)")
@@ -115,7 +136,7 @@ class FunctionalSample:
             raise ValueError("sample width does not match the grid")
         if not np.all(np.isfinite(data)):
             raise ValueError("sample data contains non-finite values")
-        object.__setattr__(self, "data", _frozen(data))
+        object.__setattr__(self, "data", freeze(data))
 
     @property
     def n(self) -> int:
@@ -129,4 +150,4 @@ def center(sample: FunctionalSample) -> FunctionalSample:
     for n = 1 the single curve becomes identically zero.
     """
     mean_curve = sample.data.mean(axis=0)
-    return FunctionalSample(grid=sample.grid, data=sample.data - mean_curve)
+    return _adopt(FunctionalSample, grid=sample.grid, data=sample.data - mean_curve)

@@ -55,6 +55,7 @@ import contextlib
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,8 +149,11 @@ def _check_sampler(variant):
 
 
 def _check_threshold(r):
-    if not 0.0 < r <= 1.0:
-        raise ValueError("variance threshold r must lie in (0, 1]")
+    # a bool is an int, but True is no threshold
+    if isinstance(r, bool) or not isinstance(r, numbers.Real) or not 0.0 < r <= 1.0:
+        raise ValueError(
+            f"variance threshold r must be a real number in (0, 1], got {r!r}"
+        )
 
 
 def _check_kind(kind: str) -> str:
@@ -397,12 +401,17 @@ def _direction_inputs(sample):
 
     (X * w) @ h are the projections <X_i, h>, and (X * w) @ e_j the FPC
     scores. Both are n x G passes, made once per test rather than once per
-    draw.
+    draw. The norms are summed over blocks of rows of at most BOOTSTRAP_BLOCK
+    values, each row as in one pass over the whole array, so no n x G
+    temporary is made for them.
     """
-    squares = np.square(sample.data)
-    squares *= sample.grid.weights
-    curve_scale = np.sqrt(np.max(np.sum(squares, axis=1)))
-    return curve_scale, sample.data * sample.grid.weights
+    data, weights = sample.data, sample.grid.weights
+    rows = max(1, BOOTSTRAP_BLOCK // data.shape[1])
+    largest = max(
+        np.max(np.sum(np.square(data[start : start + rows]) * weights, axis=1))
+        for start in range(0, data.shape[0], rows)
+    )
+    return np.sqrt(largest), data * weights
 
 
 def _draw_nondegenerate_direction(curve_scale, weighted, basis, r, variant, rng, draw):

@@ -8,7 +8,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from flmgof import fdr_null_rejection_rate, gen_process, simlab, uniform_grid
+from flmgof import cli, forking, simlab
+from flmgof import fdr_null_rejection_rate, gen_process, uniform_grid
 from flmgof.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -122,6 +123,34 @@ def test_repeated_runs_are_byte_identical(dataset, capsys):
     _, first, _ = run_cli(args, capsys)
     _, second, _ = run_cli(args, capsys)
     assert first == second
+
+
+def test_parser_is_built_once_per_process(dataset, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    args = base_args(dataset, "--seed", "5")
+    usage = ["test", "--data", "x", "--response", "y", "--wat"]
+    first, bad, again, bad_again = (run_cli(argv, capsys) for argv in (args, usage) * 2)
+    assert first == again and first[0] == EXIT_OK
+    assert bad == bad_again and bad[0] == EXIT_USAGE and "--wat" in bad[2]
+
+
+@pytest.mark.parametrize("header_grid", [False, True])
+def test_the_sample_holds_the_parsed_rows(dataset, header_grid, tmp_path, monkeypatch):
+    data_path, _ = dataset
+    if header_grid:
+        rows = np.loadtxt(data_path, delimiter=",")
+        data_path = tmp_path / "header.csv"
+        np.savetxt(data_path, np.vstack([uniform_grid(21).points, rows]), delimiter=",")
+    parsed, loadtxt = [], forking.loadtxt
+
+    def recording_loadtxt(*args, **kwargs):
+        parsed.append(loadtxt(*args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(forking, "loadtxt", recording_loadtxt)
+    sample = read_functional_sample(data_path, header_grid=header_grid)
+    # no copy: the sample freezes the rows the parse made
+    assert np.shares_memory(sample.data, parsed[0]) and not sample.data.flags.writeable
 
 
 def test_simple_null_rejects_a_real_signal(dataset, capsys):

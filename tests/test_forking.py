@@ -207,6 +207,37 @@ def test_bad_row_fails_as_serial(tmp_path, split, capsys, monkeypatch):
     assert_reaped(split["pids"])
 
 
+@pytest.mark.parametrize("index", [2, 39])  # a bad row in the first or the last range
+def test_a_failed_range_is_parsed_once(tmp_path, split, capsys, monkeypatch, index):
+    # every range is parsed at most once, in whichever process, before the
+    # one serial parse of the whole file gives the error
+    calls = tmp_path / "calls.txt"
+    parse_range = forking._parse_range
+
+    def counted(path, kwargs, span):
+        with open(calls, "a") as log:
+            log.write(f"{span[0]}\n")
+        return parse_range(path, kwargs, span)
+
+    monkeypatch.setattr(forking, "_parse_range", counted)
+    response = tmp_path / "y.txt"
+    np.savetxt(response, np.zeros(40))
+    lines = lines_of(curves())
+    path = tmp_path / "ragged.csv"
+    path.write_text("\n".join(lines[:index] + ["1.0,2.0"] + lines[index + 1 :]) + "\n")
+    argv = ["test", "--data", str(path), "--response", str(response), "--B", "20"]
+    assert main(argv) == EXIT_USAGE
+    starts = calls.read_text().split()
+    assert starts and len(starts) == len(set(starts))
+    assert len(forking._line_ranges(path)) - 1 == 4
+    assert split["parsed"] == [False]
+    assert_reaped(split["pids"])
+    message = capsys.readouterr().err
+    monkeypatch.setattr(forking, "MIN_RANGE_BYTES", 2**40)
+    assert main(argv) == EXIT_USAGE
+    assert message == capsys.readouterr().err and "cannot read data file" in message
+
+
 def test_children_reaped_on_keyboard_interrupt(tmp_path, split, monkeypatch):
     path = tmp_path / "curves.csv"
     path.write_text("\n".join(lines_of(curves())) + "\n")

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import curve_norm, inner_product
-from flmgof import FunctionalSample, center, make_grid, uniform_grid
+from flmgof import FpcBasis, FunctionalSample, center, make_grid, uniform_grid
+from flmgof.funspace import _adopt
 
 
 def test_trapezoid_weights_three_points():
@@ -82,6 +83,28 @@ def test_sample_validation():
     bad[1, 4] = np.inf
     with pytest.raises(ValueError):
         FunctionalSample(grid=grid, data=bad)
+
+
+def test_a_callers_arrays_are_copied_and_fresh_ones_adopted():
+    grid = uniform_grid(5)
+    data = np.arange(10.0).reshape(2, 5)
+    sample = FunctionalSample(grid=grid, data=data)
+    scores = np.ones((2, 1))
+    basis = FpcBasis(grid=grid, eigenvalues=np.ones(1), eigenfunctions=np.ones((1, 5)),
+                     scores=scores)
+    for mine, held in ((data, sample.data), (scores, basis.scores)):
+        assert not np.shares_memory(mine, held)
+        assert mine.flags.writeable and not held.flags.writeable
+        mine[0, 0] = -1.0
+        assert held[0, 0] != -1.0
+
+    # the library's own fresh arrays are frozen in place, after the same checks
+    fresh = np.arange(10.0).reshape(2, 5)
+    adopted = _adopt(FunctionalSample, grid=grid, data=fresh)
+    assert adopted.data is fresh and not fresh.flags.writeable
+    assert adopted.grid is grid and set(vars(adopted)) == {"grid", "data"}
+    with pytest.raises(ValueError, match="non-finite"):
+        _adopt(FunctionalSample, grid=grid, data=np.full((2, 5), np.nan))
 
 
 def test_center_removes_column_means():

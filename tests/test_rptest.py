@@ -6,6 +6,7 @@ import math
 import os
 import signal
 import sys
+import tracemalloc
 import weakref
 
 import jsonschema
@@ -40,7 +41,7 @@ from flmgof import (
 )
 from flmgof import test_flm as flm_gof
 from flmgof import test_simple as simple_gof
-from flmgof import forking, rptest, run_study
+from flmgof import forking, rptest, run_study, simlab
 from flmgof.rptest import (
     BOOTSTRAP_BLOCK,
     GOLDEN_PROBS,
@@ -565,6 +566,54 @@ def test_one_weighted_product_gives_scores_and_projections(monkeypatch):
     simple_gof(raw, y, K=2, B=20, seed=0)
     assert len(products) == 2
     assert vars(raw) == attributes
+
+
+def test_working_set_of_a_large_test():
+    # Before its first bootstrap block a test holds its centered curves, X * w
+    # and the scores, at most about two n x G arrays beyond its input: the
+    # fresh arrays are frozen in place, not copied, and X * sqrt(w) is formed
+    # in the centered curves' buffer, which is released before the scores.
+    n, grid = 8192, uniform_grid(201)
+    sample = gen_process("bm", n, grid, philox(8))
+    y = sample.data @ grid.weights + philox(9).standard_normal(n)
+    tracemalloc.start()
+    try:
+        flm_gof(sample, y, K=2, B=50, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * sample.data.nbytes
+
+
+def test_inputs_stay_as_they_were():
+    # only arrays the library made are frozen or reused in place, also when
+    # the input is itself a sample the library made
+    raw = gen_process("bm", 40, uniform_grid(21), philox(6))
+    y = raw.data @ raw.grid.weights + 0.1 * philox(7).standard_normal(raw.n)
+    for sample in (raw, center(raw)):
+        data, bits = sample.data, sample.data.tobytes()
+        center(sample)
+        compute_fpc(sample)
+        flm_gof(sample, y, K=2, B=20, seed=0)
+        simple_gof(sample, y, K=2, B=20, seed=0)
+        assert sample.data is data
+        assert data.tobytes() == bits and not data.flags.writeable
+
+
+@pytest.mark.parametrize("r", ["0.9", True, np.True_, None, [0.5], 1 + 0j])
+def test_threshold_must_be_a_real_number(r, monkeypatch):
+    # refused before any work, as a bool is for the integer settings
+    sample = centered_bm_sample(20, num_points=21, seed=3)
+    y = philox(4).standard_normal(sample.n)
+    calls, trials = [], []
+    monkeypatch.setattr(rptest, "compute_fpc", lambda *args: calls.append(args))
+    monkeypatch.setattr(simlab, "_study_trial", trials.append)
+    for gof in (flm_gof, simple_gof):
+        with pytest.raises(ValueError, match="variance threshold r"):
+            gof(sample, y, K=2, B=10, r=r)
+    with pytest.raises(ValueError, match="variance threshold r"):
+        run_study([1], [0], [20], M=2, K=2, B=10, r=r)
+    assert calls == [] and trials == []
 
 
 @pytest.mark.parametrize("sampler", ["i", "ii", "iii"])
