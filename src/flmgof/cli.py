@@ -24,7 +24,7 @@ import numpy as np
 from . import forking
 from .funspace import FunctionalSample, _adopt, make_grid
 from .rptest import DegenerateProjectionError, test_flm, test_simple
-from .simlab import ALPHAS, gen_process, gen_response, run_study, scenario
+from .simlab import ALPHAS, _trial_data, run_study, scenario
 
 __all__ = ["main", "entry"]
 
@@ -53,6 +53,8 @@ def read_functional_sample(path, grid_file=None, header_grid=False):
         rows = forking.loadtxt(path, delimiter=",", comments="#")
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read data file {path}: {exc}") from exc
+    if rows.size == 0:  # comments alone parse to shape (0, 1)
+        raise InputError(f"data file {path} holds no curves")
     if header_grid:
         if rows.shape[0] < 2:
             raise InputError("header-grid data needs a grid row plus curves")
@@ -334,11 +336,7 @@ def bench_composite_test(n_values, trials, K, B, kind, seed):
         elapsed = 0.0
         first_p = None
         for trial in range(trials):
-            root = np.random.SeedSequence((seed, n, trial))
-            data_seed, test_seed = root.spawn(2)
-            rng = np.random.Generator(np.random.Philox(data_seed))
-            X = gen_process(spec.process, n, spec.grid, rng)
-            y = gen_response(spec, X, 0, rng)
+            X, y, test_seed = _trial_data((seed, n, trial), spec, 0, n)
             started = time.perf_counter()
             report = test_flm(X, y, K=K, B=B, kind=kind, seed=test_seed)
             elapsed += time.perf_counter() - started

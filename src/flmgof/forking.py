@@ -201,9 +201,8 @@ def strided_map(function, items, workers):
     threads = _set_blas_threads(1)
     try:
         for worker in range(1, workers):
-            work = functools.partial(_write_results, function, items[worker::workers])
             try:
-                _fork(work, children)
+                _fork(function, items[worker::workers], children)
             except OSError:  # no pipe or fork: the rest run here
                 break
         # the pipes stay open until _reap closes them
@@ -221,28 +220,18 @@ def strided_map(function, items, workers):
                 result = function(item)
             yield result
     finally:
-        _reap(children, kill=True)
+        _reap(children)
         _set_blas_threads(threads)  # None, where no OpenBLAS was found, sets nothing
 
 
-def _write_results(function, items, pipe):
-    """A child's work in `strided_map`: one pickle per item, each flushed as
-    soon as it is computed."""
-    with open(pipe, "wb") as out:
-        for item in items:
-            pickle.dump(function(item), out, pickle.HIGHEST_PROTOCOL)
-            out.flush()
-    return True
+def _fork(function, items, children):
+    """Fork a child that pickles `function(item)` for each of `items` to the
+    write end of a new pipe, flushing each result as soon as it is computed,
+    and exits; add (pid, read end) to `children`.
 
-
-def _fork(work, children):
-    """Fork a child that runs `work(write end of a new pipe)` and exits; add
-    (pid, read end) to `children`.
-
-    The child exits with 0 if `work` returns true, else with 1; it never
-    returns here, and runs no exit handlers. It closes the read ends of the
-    children forked before it, so if this process dies, each child fails at
-    its next write instead of running on.
+    The child never returns here, and runs no exit handlers. It closes the
+    read ends of the children forked before it, so if this process dies,
+    each child fails at its next write instead of running on.
     """
     read_end, write_end = os.pipe()
     try:
@@ -253,14 +242,16 @@ def _fork(work, children):
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
             if pid == 0:
-                code = 1
                 try:
                     os.close(read_end)
                     for _, pipe in children:
                         os.close(pipe)
-                    code = 0 if work(write_end) else 1
+                    with open(write_end, "wb") as out:
+                        for item in items:
+                            pickle.dump(function(item), out, pickle.HIGHEST_PROTOCOL)
+                            out.flush()
                 finally:
-                    os._exit(code)
+                    os._exit(0)
             children.append((pid, read_end))
     except OSError:
         os.close(read_end)
@@ -292,24 +283,21 @@ def _parse_range(path, kwargs, span):
     return None if caught and len(rows) else rows
 
 
-def _reap(children, kill):
-    """Wait for every child, killing it first if asked, and close its pipe.
+def _reap(children):
+    """Kill every child, wait for it and close its pipe.
 
-    True if every child exited with 0. Ctrl-C is held meanwhile, so no
-    child leaves the list unreaped. With no children this returns at once,
-    so a serial `strided_map` runs where signal masks do not exist (Windows).
+    Ctrl-C is held meanwhile, so no child leaves the list unreaped. With no
+    children this returns at once, so a serial `strided_map` runs where
+    signal masks do not exist (Windows).
     """
     if not children:
-        return True
-    clean = True
+        return
     with _sigint_held():
         while children:
             pid, pipe = children.pop()
-            if kill:
-                os.kill(pid, signal.SIGKILL)
-            clean &= os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
             os.close(pipe)
-    return clean
 
 
 @contextlib.contextmanager

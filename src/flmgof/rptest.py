@@ -23,7 +23,11 @@ min_k (K/k) p_(k), clamped to [0, 1].
 The bootstrap is streamed: replicates are drawn, replayed and reduced to the
 requested norm (KS or CvM, not both) in blocks of b replicates laid out one
 per column, b = BOOTSTRAP_BLOCK // n rounded down to even, so its memory is
-O(n * b), a few MB whatever B is, instead of O(n * B).
+O(n * b), a few MB whatever B is, instead of O(n * B). A block (start, width)
+draws replicates start .. start + width - 1 of the one multiplier stream,
+which it first sets to value start * n, so every block draws what one (B, n)
+draw holds in its rows, and the counts of the blocks add up to its counts in
+any order. A bootstrap is one map of the blocks to their counts.
 
 A Monte Carlo study reads a trial only as the decisions p_fdr < alpha, so a
 study trial may stop its bootstrap early (`test_flm`'s private `_stop_above`,
@@ -34,24 +38,22 @@ expression. Once their envelope reaches the threshold the bootstrap stops.
 The stop is exact: counts only grow, both p-value expressions are monotone in
 the count, and sorting, scaling by K/k and taking a minimum are monotone
 under rounding, so the final p_fdr could be no smaller than the envelope at
-the stop, and no decision below the threshold can change. Consecutive blocks
-concatenate to one draw, so a bootstrap that does not stop counts the same
-replicates as one without the threshold.
+the stop, and no decision below the threshold can change. A bootstrap that
+does not stop counts the same replicates as one without the threshold.
 
 A large bootstrap that may not stop (n * B at least SPLIT_MIN_VALUES) is
-split where the platform forks: its blocks are cut into one contiguous share
-per worker, at most one per usable CPU, and `forking.strided_map` counts each
-share, with this process as worker 0 and every worker on one OpenBLAS
-thread; a child sends its share's count vector back pickled. A share draws
-its multipliers from a copy of the multiplier stream advanced to its first
-replicate, so the shares concatenate to the serial draw, and counts do not
-depend on order: reports are the serial reports bit for bit, whatever the
-number of usable CPUs.
+split where the platform forks: `forking.strided_map` runs block i in worker
+i mod w, with w at most the number of usable CPUs, this process as worker 0
+and every worker on one OpenBLAS thread; a child sends each block's count
+vector back pickled. Since each block seeks its own place in the stream,
+reports are the serial reports bit for bit, whatever the number of usable
+CPUs.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import functools
 import itertools
 import math
@@ -148,12 +150,11 @@ def _check_sampler(variant):
         raise ValueError(f"sampler variant must be one of {SAMPLER_VARIANTS}")
 
 
-def _check_threshold(r):
-    # a bool is an int, but True is no threshold
-    if isinstance(r, bool) or not isinstance(r, numbers.Real) or not 0.0 < r <= 1.0:
-        raise ValueError(
-            f"variance threshold r must be a real number in (0, 1], got {r!r}"
-        )
+def _check_fraction(name, value):
+    # a bool is an int, but True is no fraction
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not real or not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} must be a real number in (0, 1], got {value!r}")
 
 
 def _check_kind(kind: str) -> str:
@@ -182,7 +183,7 @@ def _check_settings(K, B, kind, r, sampler, positive_correction=False) -> str:
     """Check the settings every test takes; return the normalized kind."""
     kind = _check_kind(kind)
     _check_sampler(sampler)
-    _check_threshold(r)
+    _check_fraction("variance threshold r", r)
     _check_count("K", K)
     _check_count("B", B)
     _check_flag("positive_correction", positive_correction)
@@ -334,8 +335,7 @@ def fdr_null_rejection_rate(K, B, alpha, positive_correction=False) -> float:
     _check_count("K", K)
     _check_count("B", B)
     _check_flag("positive_correction", positive_correction)
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
+    _check_fraction("alpha", alpha)
     atoms = _bootstrap_pvalues(np.arange(B + 1), B, positive_correction)
     # The top atom is 1, which no alpha <= 1 rejects, so every t_k <= B.
     thresholds = [np.count_nonzero(atoms * f < alpha) for f in K / np.arange(1.0, K + 1.0)]
@@ -382,7 +382,7 @@ def sample_direction_datadriven(
     sum_{j<=k} lambda_j^2 / sum_{j<=m} lambda_j^2 >= r.
     """
     _check_sampler(variant)
-    _check_threshold(r)
+    _check_fraction("variance threshold r", r)
     if rng is None:
         raise ValueError("an np.random.Generator is required")
     if variant == "iii":
@@ -480,17 +480,10 @@ def _streams(seed):
     root = seed
     if not isinstance(root, np.random.SeedSequence):
         root = np.random.SeedSequence(seed)
-    # The two children root.spawn(2) would make, built without spawning:
     # spawning advances a SeedSequence, and the caller's object must give the
-    # same report on every call.
-    children = (
-        np.random.SeedSequence(
-            root.entropy,
-            spawn_key=root.spawn_key + (root.n_children_spawned + i,),
-            pool_size=root.pool_size,
-        )
-        for i in range(2)
-    )
+    # same report on every call, so a copy spawns; spawning reads the entropy
+    # and pool and writes only the copy's child count, so a shallow copy will do
+    children = copy.copy(root).spawn(2)
     return [np.random.Generator(np.random.Philox(child)) for child in children]
 
 
@@ -513,68 +506,39 @@ def _block_widths(B, n, stop_early):
         start += width
 
 
-def _exceedances(layouts, marks, fit, kind, observed, rng, widths, stop=None):
-    """Per direction, the replicates whose norm reaches the observed one.
+def _block_exceedances(layouts, marks, fit, kind, observed, rng, state, block):
+    """Per direction, the replicates of one block whose norm reaches the
+    observed one.
 
-    Draws consecutive blocks of `widths` replicates from `rng`; consecutive
-    (width, n) draws concatenate to one draw, so the block widths move no
-    count. Each block is transposed once for the kernel. `stop(counts,
-    drawn)`, checked after each block, ends the draw when true.
+    The block (start, width) draws replicates start .. start + width - 1 of
+    the multiplier stream that starts at the fresh `state`: `rng` is first
+    set to value start * n of that stream. Blocks of one stream are
+    independent, so their counts add up to the counts of one (B, n) draw in
+    any order. The block is transposed once for the kernel.
     """
+    start, width = block
     n = marks.size
-    counts = np.zeros(len(layouts), dtype=np.int64)
-    drawn = 0
-    for width in widths:
-        replicates = golden_multipliers(rng, (width, n))
-        replicates *= marks
-        if fit is not None:
-            replicates = _replay_residuals(fit, replicates)
-        columns = np.ascontiguousarray(replicates.T)
-        for k, layout in enumerate(layouts):
-            counts[k] += np.count_nonzero(layout.norms(columns, kind) >= observed[k])
-        drawn += width
-        if stop is not None and stop(counts, drawn):
-            break
-    return counts
+    _seek(rng, state, start * n)
+    replicates = golden_multipliers(rng, (width, n))
+    replicates *= marks
+    if fit is not None:
+        replicates = _replay_residuals(fit, replicates)
+    columns = np.ascontiguousarray(replicates.T)
+    norms = (layout.norms(columns, kind) for layout in layouts)
+    hits = [np.count_nonzero(norm >= value) for norm, value in zip(norms, observed)]
+    return np.array(hits)
 
 
-def _split_exceedances(count, rng, n, widths, workers):
-    """The counts of `count(rng, widths)`, from `workers` processes.
-
-    The blocks are cut into `workers` contiguous shares, and
-    `forking.strided_map` runs share j in worker j, this process being
-    worker 0. Each share draws from its own copy of the fresh stream `rng`,
-    advanced to the share's first replicate, so the shares draw what one
-    serial pass would, and their counts add up to its counts.
-    """
-    state = rng.bit_generator.state  # before any draw
-    cuts = [len(widths) * j // workers for j in range(workers + 1)]
-    starts = list(itertools.accumulate(widths, initial=0))
-    shares = [(starts[a], widths[a:b]) for a, b in zip(cuts, cuts[1:])]
-
-    def share_counts(share):
-        start, share_widths = share
-        return count(_advanced(state, start * n), share_widths)
-
-    with contextlib.closing(
-        forking.strided_map(share_counts, shares, workers)
-    ) as counts:
-        return sum(counts)
-
-
-def _advanced(state, skip):
-    """A generator on the Philox stream of the fresh `state`, `skip` values on.
+def _seek(rng, state, skip):
+    """Set `rng` to value `skip` of the Philox stream of the fresh `state`.
 
     A Philox counter step makes four 64-bit values and each double takes one,
     so advancing the counter by skip // 4 and drawing skip % 4 doubles lands
-    on value `skip`.
+    on value `skip`. The generator is reused, so no Philox is built.
     """
-    bits = np.random.Philox()
-    bits.state = state
-    bits.advance(skip // 4)
-    rng = np.random.Generator(bits)
+    rng.bit_generator.state = state
+    rng.bit_generator.advance(skip // 4)
     rng.random(skip % 4)
-    return rng
 
 
 def _bootstrap_pvalues(counts, B, positive_correction):
@@ -597,20 +561,25 @@ def _projection_test(
     """
     n = marks.size
     observed = [float(layout.norms(marks, kind)) for layout in layouts]
-
-    def settled(counts, drawn):
-        pvalues = _bootstrap_pvalues(counts, B, positive_correction)
-        return drawn < B and _fdr_envelope(pvalues) >= stop_above
-
-    count = functools.partial(_exceedances, layouts, marks, fit, kind, observed)
     widths = list(_block_widths(B, n, stop_above is not None))
-    workers = 1
+    blocks = list(zip(itertools.accumulate(widths, initial=0), widths))
+    count = functools.partial(
+        _block_exceedances, layouts, marks, fit, kind, observed,
+        multiplier_rng, multiplier_rng.bit_generator.state,
+    )
     if stop_above is None and n * B >= SPLIT_MIN_VALUES and forking.fork_supported():
-        workers = min(forking._usable_cpus(), len(widths))
-    if workers > 1:
-        counts = _split_exceedances(count, multiplier_rng, n, widths, workers)
+        workers = min(forking._usable_cpus(), len(blocks))
+        per_block = forking.strided_map(count, blocks, workers)
     else:
-        counts = count(multiplier_rng, widths, None if stop_above is None else settled)
+        per_block = (count(block) for block in blocks)
+    counts = np.zeros(K, dtype=np.int64)
+    with contextlib.closing(per_block):
+        for (start, width), block_counts in zip(blocks, per_block):
+            counts += block_counts
+            if stop_above is not None and start + width < B:
+                pvalues = _bootstrap_pvalues(counts, B, positive_correction)
+                if _fdr_envelope(pvalues) >= stop_above:
+                    break
 
     pvalues = _bootstrap_pvalues(counts, B, positive_correction)
     outcomes = [

@@ -290,6 +290,19 @@ class MonteCarloResult:
     wall_time_s: float
 
 
+def _trial_data(key, spec, d, n):
+    """The curves, the response and the test seed of the trial with seed `key`.
+
+    SeedSequence(key).spawn(2) gives the seed of a Philox stream, on which
+    the n curves and then their responses at deviation d are drawn, and the
+    seed of the trial's test.
+    """
+    data_seed, test_seed = np.random.SeedSequence(key).spawn(2)
+    rng = np.random.Generator(np.random.Philox(data_seed))
+    X = gen_process(spec.process, n, spec.grid, rng)
+    return X, gen_response(spec, X, d, rng), test_seed
+
+
 def _study_trial(args):
     """One trial of a study cell: (p_fdr, chosen rank).
 
@@ -299,11 +312,7 @@ def _study_trial(args):
     a lower bound of its p_fdr, one that is at least max(ALPHAS).
     """
     (spec, d, n, K, B, kind, r, sampler, seed, trial) = args
-    root = np.random.SeedSequence((seed, spec.index, d, n, trial))
-    data_seed, test_seed = root.spawn(2)
-    rng = np.random.Generator(np.random.Philox(data_seed))
-    X = gen_process(spec.process, n, spec.grid, rng)
-    y = gen_response(spec, X, d, rng)
+    X, y, test_seed = _trial_data((seed, spec.index, d, n, trial), spec, d, n)
     report = test_flm(
         X, y, K=K, B=B, kind=kind, r=r, rank=None, sampler=sampler, seed=test_seed,
         _stop_above=max(ALPHAS),

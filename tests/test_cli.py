@@ -277,6 +277,26 @@ def test_dump_round_trip(dataset, tmp_path, capsys):
     assert first_report == second_report
 
 
+@pytest.mark.filterwarnings("ignore:.*no data")  # np.loadtxt warns on an empty file
+@pytest.mark.parametrize("grid_source", ["default", "grid-file", "header-grid"])
+def test_a_data_file_of_comments_alone_exits_2(grid_source, dataset, tmp_path, capsys):
+    _, resp_path = dataset
+    data_path = tmp_path / "comments.csv"
+    data_path.write_text("# no curves\n# at all\n")
+    grid_path = tmp_path / "grid.txt"
+    grid_path.write_text("0\n0.5\n1\n")
+    extra = {
+        "default": [],
+        "grid-file": ["--grid-file", str(grid_path)],
+        "header-grid": ["--header-grid"],
+    }[grid_source]
+    code, out, err = run_cli(
+        ["test", "--data", str(data_path), "--response", str(resp_path), *extra], capsys
+    )
+    assert code == EXIT_USAGE and out == ""
+    assert f"data file {data_path} holds no curves" in err
+
+
 def test_grid_file_and_comments(tmp_path, capsys):
     points = np.sqrt(np.linspace(0.0, 1.0, 15))
     rng = np.random.default_rng(5)

@@ -370,6 +370,15 @@ def test_fdr_null_rejection_rate_validation(K, B, alpha):
         fdr_null_rejection_rate(K, B, alpha)
 
 
+@pytest.mark.parametrize("alpha", ["0.05", True, np.True_, float("nan"), 0])
+def test_fdr_null_rejection_rate_alpha_must_be_a_real_number(alpha):
+    # the check the variance threshold r has, as True would run as 1.0
+    with pytest.raises(ValueError, match=r"alpha must be a real number in \(0, 1\]"):
+        fdr_null_rejection_rate(5, 100, alpha)
+    rate = fdr_null_rejection_rate(5, 100, np.float64(0.05))
+    assert rate == fdr_null_rejection_rate(5, 100, 0.05)
+
+
 # ------------------------------------------------------------ wild multipliers
 
 
@@ -884,8 +893,35 @@ def test_advanced_stream_lands_on_any_value():
     state = rng.bit_generator.state
     draws = rng.random(700)
     for skip in (0, 1, 2, 3, 4, 5, 8, 13, 100, 411):
-        advanced = rptest._advanced(state, skip)
-        assert np.array_equal(advanced.random(200), draws[skip : skip + 200])
+        rptest._seek(rng, state, skip)
+        assert np.array_equal(rng.random(200), draws[skip : skip + 200])
+
+
+def test_block_counts_add_up_in_any_order(monkeypatch):
+    """The counts of a bootstrap's blocks, summed in shuffled order, are the
+    counts its report holds."""
+    monkeypatch.setattr(rptest, "BOOTSTRAP_BLOCK", SPLIT_BLOCK)
+    block_exceedances = rptest._block_exceedances
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return block_exceedances(*args)
+
+    monkeypatch.setattr(rptest, "_block_exceedances", recording)
+    shuffle = philox(72)
+    for gof, sample, y, extra in list(split_cases())[:2]:
+        for kind in STAT_KINDS:
+            calls.clear()
+            report = gof(sample, y, K=3, B=SPLIT_B, kind=kind, seed=5, **extra)
+            assert len(calls) == 10
+            assert sum(width for *_, (start, width) in calls) == SPLIT_B
+            counts = sum(
+                block_exceedances(*calls[i]) for i in shuffle.permutation(len(calls))
+            )
+            pvalues = [rec.pvalue for rec in report.per_projection]
+            assert pvalues == list(counts / SPLIT_B)
+            assert 0 < min(pvalues) and max(pvalues) < 1
 
 
 def test_split_bootstrap_reports_equal_the_serial_ones(forks, monkeypatch):
@@ -940,30 +976,31 @@ def test_split_bootstrap_is_serial_where_the_platform_cannot_fork(forks, monkeyp
 def test_killed_child_share_reruns_here(forks, monkeypatch):
     cases = list(split_cases())[:2]
     serial = split_reports(monkeypatch, forks, cases, cpus_list=(1,))[1]
-    caller, drawn, shares_here = os.getpid(), [], []
+    caller, drawn, blocks_here = os.getpid(), [], []
 
     def dying(rng, size):
-        # a child dies at its second block, in the middle of its share
+        # a child dies at its second block, after delivering its first
         if os.getpid() != caller:
             drawn.append(size)
             if len(drawn) == 2:
                 os.kill(os.getpid(), signal.SIGKILL)
         return golden_multipliers(rng, size)
 
-    advanced = rptest._advanced
+    seek = rptest._seek
 
-    def recording_advanced(state, skip):
+    def recording_seek(rng, state, skip):
         if os.getpid() == caller:
-            shares_here.append(skip)
-        return advanced(state, skip)
+            blocks_here.append(skip)
+        return seek(rng, state, skip)
 
     monkeypatch.setattr(rptest, "golden_multipliers", dying)
-    monkeypatch.setattr(rptest, "_advanced", recording_advanced)
+    monkeypatch.setattr(rptest, "_seek", recording_seek)
     reports = split_reports(monkeypatch, forks, cases, cpus_list=(2, 3))
     assert reports[2] == serial and reports[3] == serial
-    # every share of every call ran here: its own, then each dead child's
+    # of ten blocks, this process runs its own and each dead child's after the
+    # one the child delivered: 5 + 4 at two workers, 4 + 2 + 2 at three
     calls = len(cases) * len(STAT_KINDS)
-    assert len(shares_here) == calls * (2 + 3) and drawn == []
+    assert len(blocks_here) == calls * (9 + 8) == 68 and drawn == []
 
 
 def test_flm_centers_the_sample_it_is_given():
