@@ -15,7 +15,11 @@ per trial at each d, counted in one more pass, out of B unless the trial's
 bootstrap stopped early. Each worker runs OpenBLAS on one thread, as
 `run_study` runs its trials.
 
-Before/after runs over `--src [LABEL=]DIR` trees: see `_harness.py`.
+Before/after runs over `--src [LABEL=]DIR` trees: see `_harness.py`. A tree
+with a settings record (`rptest._Settings`) gets (spec, d, n, settings,
+trial) payloads; an older tree gets the ten-field payload (spec, d, n, K, B,
+kind, r, sampler, seed, trial) that its `_study_trial` unpacks. Trees older
+than `simlab._study_trial` cannot be timed.
 """
 
 import os
@@ -37,6 +41,13 @@ STAGES = (
     "rptest.multipliers_ms", "rptest.replay_ms", "rptest.norms_ms",
     "rptest.fdr_ms", "rptest.other_ms",
 )
+
+
+def trial_payload(rptest, spec, d, sampler, trial):
+    """The `_study_trial` payload of one trial, in the tree's own layout."""
+    if hasattr(rptest, "_Settings"):
+        return (spec, d, N, rptest._Settings(K, B, "cvm", 0.95, sampler, 0), trial)
+    return (spec, d, N, K, B, "cvm", 0.95, sampler, 0, trial)
 
 
 def replicates_drawn(rptest, simlab, payloads):
@@ -72,8 +83,7 @@ def measure(src):
         spec = simlab.scenario(index)
         spec.sigma2  # the study computes it once, before its trials
         payloads = [
-            (spec, D_VALUES[trial % len(D_VALUES)], N, K, B, "cvm", 0.95, sampler, 0,
-             trial)
+            trial_payload(rptest, spec, D_VALUES[trial % len(D_VALUES)], sampler, trial)
             for trial in range(TRIALS)
         ]
         for payload in payloads[: len(D_VALUES)]:

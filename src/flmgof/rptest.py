@@ -145,9 +145,9 @@ class TestReport:
         }
 
 
-def _check_sampler(variant):
-    if variant not in SAMPLER_VARIANTS:
-        raise ValueError(f"sampler variant must be one of {SAMPLER_VARIANTS}")
+def _check_choice(name, value, choices):
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
 def _check_fraction(name, value):
@@ -155,13 +155,6 @@ def _check_fraction(name, value):
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     if not real or not 0.0 < value <= 1.0:
         raise ValueError(f"{name} must be a real number in (0, 1], got {value!r}")
-
-
-def _check_kind(kind: str) -> str:
-    normalized = str(kind).lower()
-    if normalized not in STAT_KINDS:
-        raise ValueError(f"statistic kind must be one of {STAT_KINDS}, got {kind!r}")
-    return normalized
 
 
 def _is_integer(value) -> bool:
@@ -179,15 +172,45 @@ def _check_flag(name, value):
         raise ValueError(f"{name} must be True or False, got {value!r}")
 
 
-def _check_settings(K, B, kind, r, sampler, positive_correction=False) -> str:
-    """Check the settings every test takes; return the normalized kind."""
-    kind = _check_kind(kind)
-    _check_sampler(sampler)
-    _check_fraction("variance threshold r", r)
-    _check_count("K", K)
-    _check_count("B", B)
-    _check_flag("positive_correction", positive_correction)
-    return kind
+@dataclass(frozen=True)
+class _Settings:
+    """The settings of one test, named as `test_flm` takes them and checked
+    once, when built. K and B are kept as ints, `kind` in lower case, `r` as
+    a float, `positive_correction` as a bool and an integer seed as an int, so
+    a report's `settings` serialise whatever was passed.
+    """
+
+    K: int = 5
+    B: int = 1000
+    kind: str = "cvm"
+    r: float = 0.95
+    sampler: str = "i"
+    seed: object = None
+    positive_correction: bool = False
+
+    def __post_init__(self):
+        kind, seed = str(self.kind).lower(), self.seed
+        _check_choice("statistic kind", kind, STAT_KINDS)
+        _check_choice("sampler variant", self.sampler, SAMPLER_VARIANTS)
+        _check_fraction("variance threshold r", self.r)
+        _check_count("K", self.K)
+        _check_count("B", self.B)
+        _check_flag("positive_correction", self.positive_correction)
+        kept = seed is None or isinstance(seed, np.random.SeedSequence)
+        if not (kept or _is_integer(seed) and seed >= 0):
+            raise ValueError(
+                f"seed must be None, an integer >= 0 or a SeedSequence, got {seed!r}"
+            )
+        vars(self).update(K=int(self.K), B=int(self.B), kind=kind, r=float(self.r),
+                          seed=seed if kept else int(seed),
+                          positive_correction=bool(self.positive_correction))
+
+    def to_dict(self, rank) -> dict:
+        """A report's `settings`, with the rank of its fit (None without one)."""
+        seed = self.seed if isinstance(self.seed, int) else None
+        return {"K": self.K, "B": self.B, "stat": self.kind, "rank": rank, "r": self.r,
+                "sampler": self.sampler, "seed": seed,
+                "positive_correction": self.positive_correction}
 
 
 def golden_multipliers(rng, size) -> np.ndarray:
@@ -332,11 +355,9 @@ def fdr_null_rejection_rate(K, B, alpha, positive_correction=False) -> float:
     recursion over them gives the rate (Noe, 1972): the exact null size of
     Simes' (Benjamini and Hochberg's) rule at a finite B.
     """
-    _check_count("K", K)
-    _check_count("B", B)
-    _check_flag("positive_correction", positive_correction)
+    settings = _Settings(K, B, positive_correction=positive_correction)
     _check_fraction("alpha", alpha)
-    atoms = _bootstrap_pvalues(np.arange(B + 1), B, positive_correction)
+    atoms = _bootstrap_pvalues(np.arange(B + 1), settings)
     # The top atom is 1, which no alpha <= 1 rejects, so every t_k <= B.
     thresholds = [np.count_nonzero(atoms * f < alpha) for f in K / np.arange(1.0, K + 1.0)]
     log_factorial = np.array([math.lgamma(i + 1.0) for i in range(K + 1)])
@@ -381,7 +402,7 @@ def sample_direction_datadriven(
     For variants i and ii the number of components j_n is the smallest k with
     sum_{j<=k} lambda_j^2 / sum_{j<=m} lambda_j^2 >= r.
     """
-    _check_sampler(variant)
+    _check_choice("sampler variant", variant, SAMPLER_VARIANTS)
     _check_fraction("variance threshold r", r)
     if rng is None:
         raise ValueError("an np.random.Generator is required")
@@ -414,16 +435,17 @@ def _direction_inputs(sample):
     return np.sqrt(largest), data * weights
 
 
-def _draw_nondegenerate_direction(curve_scale, weighted, basis, r, variant, rng, draw):
+def _draw_nondegenerate_direction(curve_scale, weighted, basis, settings, rng, draw):
     """Resample until the projections carry signal, up to a fixed budget.
 
-    Returns the projections <X_i, h> of the accepted direction h.
-    `curve_scale` and `weighted` come from `_direction_inputs` of the sample
-    that `basis` was computed from.
+    Returns the projections <X_i, h> of the accepted direction h, drawn with
+    the sampler and threshold r of `settings`. `curve_scale` and `weighted`
+    come from `_direction_inputs` of the sample that `basis` was computed
+    from.
     """
     weights = basis.grid.weights
     for _ in range(MAX_DIRECTION_ATTEMPTS):
-        values = sample_direction_datadriven(basis, r=r, rng=rng, variant=variant)
+        values = sample_direction_datadriven(basis, settings.r, rng, settings.sampler)
         projections = weighted @ values
         # the quadrature norm ||h||, sqrt(sum_g w_g h_g^2)
         scale = curve_scale * np.sqrt(np.sum(weights * values * values))
@@ -447,16 +469,14 @@ def _replay_residuals(fit, perturbed):
     return centered
 
 
-def _prepare(X, y, K, B, kind, r, sampler, seed, positive_correction):
-    """Check the inputs both tests share; center X, compute its FPC basis and
-    project the curves on K random directions.
+def _prepare(X, y, settings):
+    """Check the data both tests share; center X, compute its FPC basis and
+    project the curves on the K random directions of `settings`.
 
-    Besides the checked inputs and the basis, returns the K sorted
-    projections and the stream of bootstrap multipliers. X * w gives both the
-    scores and the projections; that n x G array is freed on return, before
-    any bootstrap.
+    Returns the checked response, the basis, the K sorted projections and
+    the stream of bootstrap multipliers. X * w gives both the scores and the
+    projections; that n x G array is freed on return, before any bootstrap.
     """
-    kind = _check_settings(K, B, kind, r, sampler, positive_correction)
     if not isinstance(X, FunctionalSample):
         raise ValueError("X must be a FunctionalSample")
     if X.n < 3:
@@ -465,21 +485,20 @@ def _prepare(X, y, K, B, kind, r, sampler, seed, positive_correction):
     sample = center(X)
     curve_scale, weighted = _direction_inputs(sample)
     basis = compute_fpc(sample, weighted)
-    direction_rng, multiplier_rng = _streams(seed)
-    layouts = []
-    for draw in range(1, K + 1):
-        projections = _draw_nondegenerate_direction(
-            curve_scale, weighted, basis, r, sampler, direction_rng, draw
-        )
-        layouts.append(_SortedProjections(projections))
-    return kind, y, basis, layouts, multiplier_rng
+    direction_rng, multiplier_rng = _streams(settings)
+    inputs = (curve_scale, weighted, basis, settings, direction_rng)
+    layouts = [
+        _SortedProjections(_draw_nondegenerate_direction(*inputs, draw))
+        for draw in range(1, settings.K + 1)
+    ]
+    return y, basis, layouts, multiplier_rng
 
 
-def _streams(seed):
-    """The direction and multiplier generators of a test with this seed."""
-    root = seed
+def _streams(settings):
+    """The direction and multiplier generators of a test with these settings."""
+    root = settings.seed
     if not isinstance(root, np.random.SeedSequence):
-        root = np.random.SeedSequence(seed)
+        root = np.random.SeedSequence(root)
     # spawning advances a SeedSequence, and the caller's object must give the
     # same report on every call, so a copy spawns; spawning reads the entropy
     # and pool and writes only the copy's child count, so a shallow copy will do
@@ -487,14 +506,15 @@ def _streams(seed):
     return [np.random.Generator(np.random.Philox(child)) for child in children]
 
 
-def _block_widths(B, n, stop_early):
-    """Widths of the consecutive bootstrap blocks that draw B replicates.
+def _block_widths(settings, n, stop_early):
+    """Widths of the consecutive bootstrap blocks that draw the B replicates.
 
     Blocks are BOOTSTRAP_BLOCK // n replicates wide, rounded down to even so
     the kernel can sum its columns in pairs; only an odd B leaves an odd last
     block. A bootstrap that may stop early starts with two blocks of at most
     STOP_CHECK_BLOCK, so it can stop after 128 or 256 replicates.
     """
+    B = settings.B
     rows = min(B, BOOTSTRAP_BLOCK // n)
     rows = max(1, rows - rows % 2)
     widths = [min(STOP_CHECK_BLOCK, rows)] * 2 if stop_early else []
@@ -506,9 +526,9 @@ def _block_widths(B, n, stop_early):
         start += width
 
 
-def _block_exceedances(layouts, marks, fit, kind, observed, rng, state, block):
-    """Per direction, the replicates of one block whose norm reaches the
-    observed one.
+def _block_exceedances(settings, layouts, marks, fit, observed, rng, state, block):
+    """Per direction, the replicates of one block whose `settings.kind` norm
+    reaches the observed one.
 
     The block (start, width) draws replicates start .. start + width - 1 of
     the multiplier stream that starts at the fresh `state`: `rng` is first
@@ -524,7 +544,7 @@ def _block_exceedances(layouts, marks, fit, kind, observed, rng, state, block):
     if fit is not None:
         replicates = _replay_residuals(fit, replicates)
     columns = np.ascontiguousarray(replicates.T)
-    norms = (layout.norms(columns, kind) for layout in layouts)
+    norms = (layout.norms(columns, settings.kind) for layout in layouts)
     hits = [np.count_nonzero(norm >= value) for norm, value in zip(norms, observed)]
     return np.array(hits)
 
@@ -541,30 +561,29 @@ def _seek(rng, state, skip):
     rng.random(skip % 4)
 
 
-def _bootstrap_pvalues(counts, B, positive_correction):
+def _bootstrap_pvalues(counts, settings):
     """Bootstrap p-values from an array of exceedance counts out of B replicates."""
-    return (counts + 1.0) / (B + 1.0) if positive_correction else counts / B
+    B = settings.B
+    return (counts + 1.0) / (B + 1.0) if settings.positive_correction else counts / B
 
 
-def _projection_test(
-    layouts, multiplier_rng, marks, fit, K, B, kind, r, sampler, seed,
-    positive_correction, stop_above=None,
-):
+def _projection_test(settings, layouts, multiplier_rng, marks, fit, stop_above=None):
     """Score the K projections of the marked process and combine them.
 
-    One stream of B golden-ratio multiplier vectors calibrates every
-    direction. With a `fit` (composite null) the perturbed marks are replayed
-    through the fit at its rank; without one (simple null) they are used as
-    drawn. With `stop_above`, the bootstrap stops after the first block at
-    which the combined p-value of the counts so far reaches it; the report
-    then carries those p-values, lower bounds of the full bootstrap's.
+    `settings` give the norm, B and the p-value rule, and the report's
+    `settings`. One stream of B golden-ratio multiplier vectors calibrates
+    every direction. With a `fit` (composite null) the perturbed marks are
+    replayed through the fit at its rank; without one (simple null) they are
+    used as drawn. With `stop_above`, the bootstrap stops after the first
+    block at which the combined p-value of the counts so far reaches it; the
+    report then carries those p-values, lower bounds of the full bootstrap's.
     """
-    n = marks.size
-    observed = [float(layout.norms(marks, kind)) for layout in layouts]
-    widths = list(_block_widths(B, n, stop_above is not None))
+    n, B = marks.size, settings.B
+    observed = [float(layout.norms(marks, settings.kind)) for layout in layouts]
+    widths = list(_block_widths(settings, n, stop_above is not None))
     blocks = list(zip(itertools.accumulate(widths, initial=0), widths))
     count = functools.partial(
-        _block_exceedances, layouts, marks, fit, kind, observed,
+        _block_exceedances, settings, layouts, marks, fit, observed,
         multiplier_rng, multiplier_rng.bit_generator.state,
     )
     if stop_above is None and n * B >= SPLIT_MIN_VALUES and forking.fork_supported():
@@ -572,34 +591,23 @@ def _projection_test(
         per_block = forking.strided_map(count, blocks, workers)
     else:
         per_block = (count(block) for block in blocks)
-    counts = np.zeros(K, dtype=np.int64)
+    counts = np.zeros(settings.K, dtype=np.int64)
     with contextlib.closing(per_block):
         for (start, width), block_counts in zip(blocks, per_block):
             counts += block_counts
             if stop_above is not None and start + width < B:
-                pvalues = _bootstrap_pvalues(counts, B, positive_correction)
+                pvalues = _bootstrap_pvalues(counts, settings)
                 if _fdr_envelope(pvalues) >= stop_above:
                     break
 
-    pvalues = _bootstrap_pvalues(counts, B, positive_correction)
+    pvalues = _bootstrap_pvalues(counts, settings)
     outcomes = [
         ProjectionOutcome(index=draw, statistic=statistic, pvalue=float(pvalue))
         for draw, (statistic, pvalue) in enumerate(zip(observed, pvalues), start=1)
     ]
-
-    settings = {
-        # plain Python numbers, so the settings serialise whatever was passed
-        "K": int(K),
-        "B": int(B),
-        "stat": kind,
-        "rank": None if fit is None else fit.rank,
-        "r": float(r),
-        "sampler": sampler,
-        "seed": int(seed) if isinstance(seed, (int, np.integer)) else None,
-        "positive_correction": bool(positive_correction),
-    }
     p_fdr = fdr_combine([rec.pvalue for rec in outcomes])
-    return TestReport(per_projection=tuple(outcomes), p_fdr=p_fdr, settings=settings)
+    rank = None if fit is None else fit.rank
+    return TestReport(tuple(outcomes), p_fdr, settings.to_dict(rank))
 
 
 def test_flm(
@@ -621,7 +629,7 @@ def test_flm(
     Fits the model once (rank chosen by SICc unless `rank` is given), then
     scores K random projections of the residual-marked process, calibrating
     each with a wild bootstrap of B replicates. Reproducible for a fixed
-    `seed` (int or SeedSequence) regardless of available parallelism.
+    `seed` (int >= 0 or SeedSequence) regardless of available parallelism.
 
     `_stop_above` is for Monte Carlo studies, which read only whether p_fdr
     falls below a level: the bootstrap stops once p_fdr can no longer fall
@@ -631,9 +639,8 @@ def test_flm(
     """
     if rank is not None and not _is_integer(rank):
         raise ValueError(f"rank must be an integer or None, got {rank!r}")
-    kind, y, basis, layouts, multiplier_rng = _prepare(
-        X, y, K, B, kind, r, sampler, seed, positive_correction
-    )
+    settings = _Settings(K, B, kind, r, sampler, seed, positive_correction)
+    y, basis, layouts, multiplier_rng = _prepare(X, y, settings)
     y_centered = y - y.mean()
     if rank is None:
         max_rank = min(basis.m, basis.n - 3)
@@ -642,8 +649,7 @@ def test_flm(
         rank, _ = select_rank_sicc(y_centered, basis, max_rank)
     fit = estimate_rho(y_centered, basis, int(rank))
     return _projection_test(
-        layouts, multiplier_rng, fit.residuals, fit, K, B, kind, r, sampler, seed,
-        positive_correction, _stop_above,
+        settings, layouts, multiplier_rng, fit.residuals, fit, _stop_above
     )
 
 
@@ -666,9 +672,8 @@ def test_simple(
     estimated under this null, so the bootstrap multiplies the marks
     directly, with no refit and no centering.
     """
-    kind, y, _, layouts, multiplier_rng = _prepare(
-        X, y, K, B, kind, r, sampler, seed, positive_correction
-    )
+    settings = _Settings(K, B, kind, r, sampler, seed, positive_correction)
+    y, _, layouts, multiplier_rng = _prepare(X, y, settings)
     if m0 is None:
         marks = y
     else:
@@ -678,7 +683,4 @@ def test_simple(
         marks = y - predictions
     if not np.all(np.isfinite(marks)):
         raise ValueError("marks contain non-finite values")
-    return _projection_test(
-        layouts, multiplier_rng, marks, None, K, B, kind, r, sampler, seed,
-        positive_correction,
-    )
+    return _projection_test(settings, layouts, multiplier_rng, marks, None)

@@ -47,7 +47,7 @@ from .processes import (
     ornstein_uhlenbeck,
     ou_kernel,
 )
-from .rptest import _check_count, _check_settings, _is_integer, test_flm
+from .rptest import _Settings, _check_count, _is_integer, test_flm
 
 __all__ = [
     "ALPHAS",
@@ -310,13 +310,12 @@ def _study_trial(args):
     test's bootstrap stops once p_fdr cannot fall below max(ALPHAS). Every
     decision is that of the full bootstrap, but a trial that stopped returns
     a lower bound of its p_fdr, one that is at least max(ALPHAS).
+    `args` is (spec, d, n, settings, trial); settings.seed is the study seed.
     """
-    (spec, d, n, K, B, kind, r, sampler, seed, trial) = args
-    X, y, test_seed = _trial_data((seed, spec.index, d, n, trial), spec, d, n)
-    report = test_flm(
-        X, y, K=K, B=B, kind=kind, r=r, rank=None, sampler=sampler, seed=test_seed,
-        _stop_above=max(ALPHAS),
-    )
+    spec, d, n, settings, trial = args
+    X, y, test_seed = _trial_data((settings.seed, spec.index, d, n, trial), spec, d, n)
+    options = {**vars(settings), "seed": test_seed}
+    report = test_flm(X, y, **options, _stop_above=max(ALPHAS))
     return report.p_fdr, report.settings["rank"]
 
 
@@ -342,11 +341,14 @@ def run_study(
     the same workers; each cell's wall time runs from the end of the
     previous cell, so the first cell includes starting the workers (the
     forks, or the pool). Every setting is checked before any worker starts
-    or any trial runs.
+    or any trial runs; the seed, part of every trial's key, must be an
+    integer of at least 0.
     """
     _check_count("M", M)
     _check_count("threads", threads)
-    _check_settings(K, B, kind, r, sampler)
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"a study seed must be an integer >= 0, got {seed!r}")
+    settings = _Settings(K, B, kind, r, sampler, seed)
     if any(not _is_integer(d) or d not in (0, 1, 2) for d in d_values):
         raise ValueError("deviation level d must be 0, 1 or 2")
     # rank selection needs n - 3 >= 1
@@ -360,11 +362,7 @@ def run_study(
     # has it with the spec
     for spec in specs.values():
         spec.sigma2
-    payloads = [
-        (spec, d, n, K, B, kind, r, sampler, seed, trial)
-        for spec, d, n in cells
-        for trial in range(M)
-    ]
+    payloads = [(*cell, settings, trial) for cell in cells for trial in range(M)]
     results = []
     started = time.perf_counter()
     with _trial_outcomes(payloads, threads) as outcomes:
@@ -379,9 +377,9 @@ def run_study(
                     scenario=spec.id,
                     d=d,
                     n=n,
-                    K=K,
-                    B=B,
-                    kind=kind,
+                    K=settings.K,
+                    B=settings.B,
+                    kind=settings.kind,
                     M=M,
                     rejection_rates=rates,
                     mean_rank=float(ranks.mean()),

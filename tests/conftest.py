@@ -11,6 +11,7 @@ from flmgof.forking import _set_blas_threads
 from flmgof.flm import _check_response, _hat_apply_rows
 from flmgof.funspace import _as_float_vector
 from flmgof.processes import GBM_DRIFT, GBM_INITIAL
+from flmgof.rptest import _Settings
 
 
 @pytest.fixture(autouse=True)
@@ -85,6 +86,15 @@ def hat_apply(fit, v):
     """Apply the hat matrix of the fit to a vector of length n."""
     v = _check_response(v, fit.n)
     return _hat_apply_rows(fit, v[None, :])[0]
+
+
+def study_payload(spec, d, n, trial, seed=0, **settings):
+    """The `simlab._study_trial` payload of one trial of a study cell.
+
+    `settings` are the test settings of the study, named as `test_flm` takes
+    them; the rest take `test_flm`'s defaults.
+    """
+    return (spec, d, n, _Settings(seed=seed, **settings), trial)
 
 
 def gbm_mean(t):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from flmgof.funspace import _frozen
-from flmgof.rptest import _bootstrap_pvalues, _fdr_envelope
+from flmgof.rptest import _Settings, _bootstrap_pvalues, _fdr_envelope
 
 __all__ = [
     "GaussianFlmSpec",
@@ -184,7 +184,8 @@ def enumerated_fdr_rejection_rate(K, B, alpha, positive_correction) -> float:
     uniform on {0, ..., B}, so every count vector has the same chance.
     """
     counts = np.array(list(itertools.product(range(B + 1), repeat=K)))
-    combined = _fdr_envelope(_bootstrap_pvalues(counts, B, positive_correction))
+    settings = _Settings(B=B, positive_correction=positive_correction)
+    combined = _fdr_envelope(_bootstrap_pvalues(counts, settings))
     return np.count_nonzero(combined < alpha) / (B + 1) ** K
 
 
@@ -196,4 +197,5 @@ def simulated_fdr_combined(K, B, M, rng, positive_correction) -> np.ndarray:
     sqrt(rate (1 - rate) / M).
     """
     counts = rng.integers(0, B + 1, size=(M, K))
-    return _fdr_envelope(_bootstrap_pvalues(counts, B, positive_correction))
+    settings = _Settings(B=B, positive_correction=positive_correction)
+    return _fdr_envelope(_bootstrap_pvalues(counts, settings))

@@ -629,6 +629,10 @@ def test_simulate_usage_errors(capsys):
     )
     assert code == EXIT_USAGE
     assert "threads" in err
+    code, out, err = run_cli(
+        ["simulate", "--scenario", "S1", "--M", "2", "--seed", "-1"], capsys
+    )
+    assert code == EXIT_USAGE and out == "" and "seed" in err
     for extra in (["--d", "0,5"], ["--n", "20,x"], ["--n", "20,3"],
                   ["--scenario", "S1,S11"], ["--scenario", ","]):
         code, out, _ = run_cli(["simulate", "--scenario", "S1", "--M", "2", *extra], capsys)

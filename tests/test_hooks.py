@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import study_payload
 from flmgof import cli, gen_process, scenario, simlab, uniform_grid
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -64,7 +65,7 @@ def test_traced_calls_record_every_span_they_reach():
          TEST_SPANS | FIT_SPANS, FIT_COUNTS),
         (lambda: cli.test_simple(sample, y, K=2, B=50, seed=0).to_dict(),
          TEST_SPANS, set()),
-        (lambda: simlab._study_trial((spec, 0, 30, 2, 50, "cvm", 0.95, "i", 0, 0)),
+        (lambda: simlab._study_trial(study_payload(spec, 0, 30, 0, K=2, B=50)),
          TEST_SPANS | FIT_SPANS | TRIAL_SPANS, FIT_COUNTS),
     )
     for call, expected_spans, fit_counts in calls:

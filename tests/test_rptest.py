@@ -53,6 +53,7 @@ from flmgof.rptest import (
     _fdr_envelope,
     _max_over_rows,
     _replay_residuals,
+    _Settings,
     _SortedProjections,
 )
 from flmgof.processes import ornstein_uhlenbeck
@@ -270,8 +271,9 @@ def test_early_stop_decisions_hold_for_larger_counts(data):
     final = np.array(data.draw(st.lists(st.integers(0, B), min_size=K, max_size=K)))
     low = np.array([data.draw(st.integers(0, int(count))) for count in final])
     for positive_correction in (False, True):
-        at_stop = _fdr_envelope(_bootstrap_pvalues(low, B, positive_correction))
-        at_end = _fdr_envelope(_bootstrap_pvalues(final, B, positive_correction))
+        settings = _Settings(B=B, positive_correction=positive_correction)
+        at_stop = _fdr_envelope(_bootstrap_pvalues(low, settings))
+        at_end = _fdr_envelope(_bootstrap_pvalues(final, settings))
         for alpha in ALPHAS:
             assert at_end >= alpha or not at_stop >= alpha
 
@@ -337,7 +339,8 @@ def test_fdr_null_rejection_rate_single_projection():
     # 1/(B+1); the recursion's exp and log leave a few ulps
     for B in (1, 7, 500):
         for positive_correction in (False, True):
-            atoms = _bootstrap_pvalues(np.arange(B + 1), B, positive_correction)
+            settings = _Settings(B=B, positive_correction=positive_correction)
+            atoms = _bootstrap_pvalues(np.arange(B + 1), settings)
             for alpha in (0.01, 0.05, 0.1, 0.5, 1.0):
                 below = np.count_nonzero(atoms < alpha)
                 rate = fdr_null_rejection_rate(1, B, alpha, positive_correction)
@@ -637,6 +640,10 @@ def test_threshold_and_sampler_are_checked_before_any_work(sampler, monkeypatch)
                 gof(sample, y, K=2, B=10, r=r, sampler=sampler)
         with pytest.raises(ValueError, match="sampler variant"):
             gof(sample, y, K=2, B=10, sampler=sampler + "v")
+        # a seed is None, an integer >= 0 or a SeedSequence
+        for seed in (-1, 1.5, True, "7"):
+            with pytest.raises(ValueError, match="seed"):
+                gof(sample, y, K=2, B=10, sampler=sampler, seed=seed)
     assert calls == []
 
 
@@ -692,7 +699,8 @@ def test_degenerate_direction_guard():
     )
     with pytest.raises(DegenerateProjectionError):
         _draw_nondegenerate_direction(
-            *_direction_inputs(sample), orthogonal_basis, 0.95, "ii", philox(0), draw=1
+            *_direction_inputs(sample), orthogonal_basis, _Settings(sampler="ii"),
+            philox(0), draw=1,
         )
 
 
@@ -779,7 +787,7 @@ def test_seedsequence_reused_gives_identical_reports():
     spawned = np.random.SeedSequence(21, spawn_key=(1,))
     spawned.spawn(3)
     twin = np.random.SeedSequence(21, spawn_key=(1,), n_children_spawned=3)
-    for stream, child in zip(rptest._streams(spawned), twin.spawn(2)):
+    for stream, child in zip(rptest._streams(_Settings(seed=spawned)), twin.spawn(2)):
         assert np.array_equal(stream.random(8), philox(child).random(8))
     first = flm_gof(sample, y, K=3, B=60, seed=spawned)
     assert flm_gof(sample, y, K=3, B=60, seed=spawned).to_dict() == first.to_dict()
@@ -803,7 +811,7 @@ def test_streamed_bootstrap_matches_one_shot_reference():
     direction_rng = philox(direction_child)
     inputs = _direction_inputs(sample)
     projections = [
-        _draw_nondegenerate_direction(*inputs, basis, 0.95, "i", direction_rng, draw)
+        _draw_nondegenerate_direction(*inputs, basis, _Settings(), direction_rng, draw)
         for draw in range(1, K + 1)
     ]
     assert all(np.unique(p).size < n for p in projections)
@@ -925,7 +933,7 @@ def test_block_counts_add_up_in_any_order(monkeypatch):
 
 
 def test_split_bootstrap_reports_equal_the_serial_ones(forks, monkeypatch):
-    widths = list(rptest._block_widths(SPLIT_B, SPLIT_N, False))
+    widths = list(rptest._block_widths(_Settings(B=SPLIT_B), SPLIT_N, False))
     assert len(widths) == 10
     for workers in (2, 3):
         cuts = [len(widths) * j // workers for j in range(1, workers)]

@@ -7,7 +7,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import gbm_mean
+from conftest import gbm_mean, study_payload
 from flmgof import (
     FunctionalSample,
     deviation,
@@ -526,10 +526,23 @@ def test_run_study_validation(forks, monkeypatch):
                 # integer settings refuse a float or a bool
                 dict(M=2.0), dict(M=True), dict(threads=2.0), dict(K=2.0),
                 dict(B=20.0), dict(d_values=[0, 1.0]), dict(n_values=[25, 20.0]),
-                dict(scenarios=[1, 1.0]), dict(scenarios=[True])):
+                dict(scenarios=[1, 1.0]), dict(scenarios=[True]),
+                # the seed is part of every trial's key: an integer >= 0
+                dict(seed=-1), dict(seed=1.5), dict(seed=True), dict(seed="7"),
+                dict(seed=None), dict(seed=np.random.SeedSequence(0))):
         with pytest.raises(ValueError):
             run_study(**{**study, **bad})
     assert forks == [] and trials == []
+
+
+def test_study_results_hold_the_settings_the_trials_ran():
+    # the kind as the trials ran it, and K and B as plain ints
+    study = dict(scenarios=[1], d_values=[0], n_values=[20], M=2)
+    [result] = run_study(**study, K=np.int64(2), B=np.int64(30), kind="CVM")
+    [expected] = run_study(**study, K=2, B=30, kind="cvm")
+    assert (result.kind, result.K, result.B) == ("cvm", 2, 30)
+    assert type(result.K) is int and type(result.B) is int
+    assert table([result]) == table([expected])
 
 
 def test_pool_path_keeps_the_table(monkeypatch):
@@ -676,7 +689,7 @@ def test_null_study_trials_stop_early(monkeypatch):
     per_trial = []
     for trial in range(10):
         drawn.clear()
-        simlab._study_trial((spec, 0, 50, 5, 500, "cvm", 0.95, "i", 0, trial))
+        simlab._study_trial(study_payload(spec, 0, 50, trial, K=5, B=500))
         per_trial.append(sum(drawn))
     assert min(per_trial) <= 256
     assert sum(per_trial) < 0.8 * 10 * 500
