@@ -352,6 +352,8 @@ def cmd_bench(args):
         raise InputError("--n-list entries must be at least 4")
     if args.trials < 1:
         raise InputError("--trials must be positive")
+    if args.seed < 0:
+        raise InputError(f"seed must be an integer >= 0, got {args.seed}")
     try:
         rows = bench_composite_test(
             n_values, args.trials, args.projections, args.bootstrap, args.stat, args.seed

@@ -6,7 +6,7 @@ estimate truncated at rank d is
     rho_hat = sum_{j<=d} c_j e_j,   c_j = (1/(n lambda_j)) sum_i s_ij Y_i,
 
 which coincides with ordinary least squares of Y on the score columns because
-the score Gram matrix is exactly n diag(lambda_j). The induced hat matrix
+the score Gram matrix is n diag(lambda_j) (to rounding, see `fpc`). The induced hat matrix
 H = S diag(1/(n lambda_j)) S^T is idempotent, so a refit on fitted + e leaves
 residuals (I - H) e; the bootstrap leans on that identity.
 

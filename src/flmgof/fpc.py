@@ -7,9 +7,11 @@ L2 eigenproblem becomes the symmetric matrix problem
     W^(1/2) C W^(1/2) u = lambda u,      e = W^(-1/2) u,
 
 so the eigenfunctions e_j are orthonormal in the quadrature inner product and
-the score columns <X_i, e_j> have sample variance (divisor n) exactly
-lambda_j. When n < G the same spectrum is read off the n x n Gram matrix
-instead of the G x G kernel, which is the cheaper path for short samples.
+the scores S_ij = <X_i, e_j> = (A u_j)_i, with A = X W^(1/2), have Gram
+matrix S^T S = n diag(lambda). When n <= G the same spectrum is read off the
+n x n Gram matrix A A^T / n instead of the G x G kernel, the cheaper path for
+short samples; its unit eigenvectors v_j give the scores in closed form,
+sqrt(n lambda_j) v_j, which meet that identity to rounding.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class FpcBasis:
         Row j is the j-th eigenfunction, unit norm in the quadrature metric,
         sign fixed so its largest-magnitude value is positive.
     scores : ndarray, shape (n, m)
-        scores[i, j] = <X_i, e_j>.
+        scores[i, j] = <X_i, e_j>, with scores.T @ scores = n diag(eigenvalues).
     """
 
     grid: Grid
@@ -77,19 +79,16 @@ def compute_fpc(sample: FunctionalSample) -> FpcBasis:
     At most min(n - 1, G) components are kept, fewer when trailing
     eigenvalues fall below the relative floor.
     """
-    centered = center(sample)
-    return _compute_fpc(centered, centered.data * centered.grid.weights)
+    return _compute_fpc(center(sample))[0]
 
 
-def _compute_fpc(sample, weighted):
-    """`compute_fpc` of a centered sample made for this call, with the curves
-    times the grid weights, X * w, given.
+def _compute_fpc(sample):
+    """`compute_fpc` of a centered sample made for this call, and A = X * sqrt(w).
 
-    The scores are (X * w) @ e_j; a caller that also projects the curves
-    passes the product it projects with, so it is made once. The sample is
-    used up: X * sqrt(w) is formed in its curves' buffer, which is released
-    before the scores are, so the call adds no n x G array to the two it is
-    given. The sample keeps a NaN placeholder of the same shape as its data.
+    Returns (basis, A). A is formed in place of the sample's curves, which
+    the sample then holds, so the call adds no n x G array; a caller projects
+    the curves with A, as <X_i, h> = A_i . (sqrt(w) h). The scores are
+    sqrt(n lambda_j) v_j on the Gram path and A u_j on the kernel path.
     """
     n, num_points = sample.data.shape
     if n < 2:
@@ -97,9 +96,9 @@ def _compute_fpc(sample, weighted):
 
     sqrt_w = np.sqrt(sample.grid.weights)
     root_weighted = sample.data  # n x G
-    object.__setattr__(sample, "data", np.broadcast_to(np.nan, root_weighted.shape))
     root_weighted.setflags(write=True)
     root_weighted *= sqrt_w
+    root_weighted.setflags(write=False)
     gram_path = n <= num_points
     if gram_path:
         covariance = (root_weighted @ root_weighted.T) / n
@@ -113,28 +112,34 @@ def _compute_fpc(sample, weighted):
     if keep == 0:
         raise ValueError("sample covariance has no positive eigenvalues")
     vals = vals[:keep]
-    basis_w = vecs[:, order[:keep]]  # G x m, or n x m on the Gram path
+    vecs = vecs[:, order[:keep]]  # G x m, or n x m on the Gram path
     if gram_path:
-        # u_j = A^T v_j / sqrt(n lambda_j) is the unit eigenvector of A^T A / n
-        basis_w = root_weighted.T @ basis_w
-        basis_w /= np.sqrt(n * vals)
-    del root_weighted  # the sample's buffer; the scores use X * w
+        # u_j = A^T v_j / sqrt(n lambda_j) is the unit eigenvector of A^T A / n,
+        # and A u_j = A A^T v_j / sqrt(n lambda_j) = sqrt(n lambda_j) v_j
+        spread = np.sqrt(n * vals)
+        basis_w = root_weighted.T @ vecs
+        basis_w /= spread
+        scores = vecs
+        scores *= spread
+    else:
+        basis_w = vecs
+        scores = root_weighted @ basis_w
 
-    # every step below works in place on the fresh G x m array
+    # every step below works in place on the fresh G x m and n x m arrays
     basis_w /= sqrt_w[:, None]
     flip = np.sign(basis_w[np.argmax(np.abs(basis_w), axis=0), np.arange(keep)])
     flip[flip == 0] = 1.0
     basis_w *= flip
-    eigenfunctions = basis_w.T  # m x G
-    scores = weighted @ eigenfunctions.T
+    scores *= flip
 
-    return _adopt(
+    basis = _adopt(
         FpcBasis,
         grid=sample.grid,
         eigenvalues=vals,
-        eigenfunctions=eigenfunctions,
+        eigenfunctions=basis_w.T,  # m x G
         scores=scores,
     )
+    return basis, root_weighted
 
 
 def _positive_rank(sorted_vals):

@@ -65,8 +65,9 @@ import numpy as np
 from . import forking
 from .flm import _check_response, _hat_apply_rows, estimate_rho, select_rank_sicc
 from .fpc import FpcBasis
-# The FPC step of a test takes the test's own X * w for the scores; it keeps the
-# public name, under which perfbench/spans.py times it as `fpc.compute`.
+# The FPC step of a test takes the test's own centered sample and also returns
+# A = X * sqrt(w), which the projections use; it keeps the public name, under
+# which perfbench/spans.py times it as `fpc.compute`.
 from .fpc import _compute_fpc as compute_fpc
 from .funspace import FunctionalSample, center
 from .processes import ornstein_uhlenbeck
@@ -417,38 +418,24 @@ def sample_direction_datadriven(
     return coefficients @ basis.eigenfunctions[:j_n]
 
 
-def _direction_inputs(sample):
-    """max_i ||X_i|| and the curves times the grid weights, X * w.
-
-    (X * w) @ h are the projections <X_i, h>, and (X * w) @ e_j the FPC
-    scores. Both are n x G passes, made once per test rather than once per
-    draw. The norms are summed over blocks of rows of at most BOOTSTRAP_BLOCK
-    values, each row as in one pass over the whole array, so no n x G
-    temporary is made for them.
-    """
-    data, weights = sample.data, sample.grid.weights
-    rows = max(1, BOOTSTRAP_BLOCK // data.shape[1])
-    largest = max(
-        np.max(np.sum(np.square(data[start : start + rows]) * weights, axis=1))
-        for start in range(0, data.shape[0], rows)
-    )
-    return np.sqrt(largest), data * weights
-
-
-def _draw_nondegenerate_direction(curve_scale, weighted, basis, settings, rng, draw):
+def _draw_nondegenerate_direction(curve_scale, root_weighted, basis, settings, rng, draw):
     """Resample until the projections carry signal, up to a fixed budget.
 
-    Returns the projections <X_i, h> of the accepted direction h, drawn with
-    the sampler and threshold r of `settings`. `curve_scale` and `weighted`
-    come from `_direction_inputs` of the sample that `basis` was computed
-    from.
+    Returns the projections <X_i, h> = A_i . (sqrt(w) h) of the accepted
+    direction h, drawn with the sampler and threshold r of `settings`, where
+    A = X * sqrt(w) is `root_weighted` of the sample that `basis` was computed
+    from and `curve_scale` its largest row norm, max_i ||X_i||.
     """
-    weights = basis.grid.weights
+    sqrt_w = np.sqrt(basis.grid.weights)
     for _ in range(MAX_DIRECTION_ATTEMPTS):
         values = sample_direction_datadriven(basis, settings.r, rng, settings.sampler)
-        projections = weighted @ values
-        # the quadrature norm ||h||, sqrt(sum_g w_g h_g^2)
-        scale = curve_scale * np.sqrt(np.sum(weights * values * values))
+        root_h = sqrt_w * values
+        # einsum reduces every row in the same order, so identical curves get
+        # identical projections and tie; a BLAS gemv rounds its tail rows
+        # differently from the rest
+        projections = np.einsum("ij,j->i", root_weighted, root_h)
+        # the quadrature norm ||h|| is |sqrt(w) h|
+        scale = curve_scale * np.sqrt(root_h @ root_h)
         if np.max(np.abs(projections)) > DEGENERATE_RELATIVE_TOL * scale:
             return projections
     raise DegenerateProjectionError(
@@ -474,19 +461,20 @@ def _prepare(X, y, settings):
     project the curves on the K random directions of `settings`.
 
     Returns the checked response, the basis, the K sorted projections and
-    the stream of bootstrap multipliers. X * w gives both the scores and the
-    projections; that n x G array is freed on return, before any bootstrap.
+    the stream of bootstrap multipliers. The FPC step leaves A = X * sqrt(w)
+    in the centered curves' buffer, and the projections come from A; that
+    n x G array is freed on return, before any bootstrap.
     """
     if not isinstance(X, FunctionalSample):
         raise ValueError("X must be a FunctionalSample")
     if X.n < 3:
         raise ValueError("the test needs at least three observations")
     y = _check_response(y, X.n)
-    sample = center(X)
-    curve_scale, weighted = _direction_inputs(sample)
-    basis = compute_fpc(sample, weighted)
+    basis, root_weighted = compute_fpc(center(X))
+    # the largest curve norm, max_i ||X_i|| = max_i |A_i|
+    curve_scale = np.sqrt(np.max(np.einsum("ij,ij->i", root_weighted, root_weighted)))
     direction_rng, multiplier_rng = _streams(settings)
-    inputs = (curve_scale, weighted, basis, settings, direction_rng)
+    inputs = (curve_scale, root_weighted, basis, settings, direction_rng)
     layouts = [
         _SortedProjections(_draw_nondegenerate_direction(*inputs, draw))
         for draw in range(1, settings.K + 1)

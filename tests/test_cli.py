@@ -354,10 +354,12 @@ def test_degenerate_directions_exit_code(dataset, monkeypatch, capsys):
 
 # sha256 of stdout for fixed inputs, recorded before the CLI tables went
 # through one writer; the bench digest covers its header and p_fdr column only,
-# since its seconds vary
+# since its seconds vary. The `--null flm` digests moved when the scores and
+# projections came from X * sqrt(w): two statistics changed in their last
+# digits, the p-values did not
 GOLDEN_DIGESTS = {
-    ("test", "flm", "json"): "9ff31569c31f18bea2b18bb16dcf1c2d9cccdaa640b87e597d41c9a480e2a7d6",
-    ("test", "flm", "csv"): "272097b3f6e6faa2b4bcff55f977fae9498e970076fc66fa071a1177bb0cee27",
+    ("test", "flm", "json"): "e94db9edd71fc13301fca6d3af37e2f630e2a82789777c5f466917b066612204",
+    ("test", "flm", "csv"): "2d5a71f6da3708a3c2cdf4c03260e0c9ec51ec0372a911e0c6b3386a159c59f3",
     ("test", "simple", "json"): "8a9581dbec6c333e93e8a836dddee4106fca504733c5ff6b5d61bb5f16bb3b7c",
     ("test", "simple", "csv"): "c1fef357f937f8fae40e22fd75bae6029220e4d4322fb03815a1bf4628a0ee40",
     ("simulate", "json"): "25053b3a59ef472f7467202f2608c3432ab5b8edc00e7d167c8d7bf3ae4e1b35",
@@ -683,3 +685,13 @@ def test_bench_usage_errors(capsys):
                   ["--positive-correction"]):
         code, out, _ = run_cli(["bench", "--n-list", "8", *extra], capsys)
         assert code == EXIT_USAGE and out == ""
+
+
+def test_bench_names_a_negative_seed(monkeypatch, capsys):
+    # refused before any trial, as `test` and `simulate` refuse it
+    trials = []
+    monkeypatch.setattr(cli, "_trial_data", lambda *args: trials.append(args))
+    code, out, err = run_cli(["bench", "--n-list", "8", "--seed", "-1"], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: seed must be an integer >= 0, got -1\n"
+    assert trials == []

@@ -126,16 +126,37 @@ def test_compute_fpc_errors():
 
 def test_compute_fpc_centers_the_sample():
     # an uncentered sample gives, bit for bit, the basis of its centered copy
-    # as the test core computes it, on both the Gram and the kernel path
+    # as the test core computes it, on both the Gram and the kernel path; the
+    # test core's sample is left holding A = X * sqrt(w), the caller's as it was
     for n, num_points, seed in ((30, 41, 12), (60, 21, 13)):
         raw = gen_process("bm", n, uniform_grid(num_points), philox(seed))
+        bits = raw.data.tobytes()
         centered = center(raw)
-        reference = rptest.compute_fpc(
-            centered, centered.data * centered.grid.weights
-        )
+        product = centered.data * np.sqrt(centered.grid.weights)
+        reference, root_weighted = rptest.compute_fpc(centered)
+        assert centered.data is root_weighted
+        assert np.array_equal(root_weighted, product)
         basis = compute_fpc(raw)
         for name in ("eigenvalues", "eigenfunctions", "scores"):
             assert np.array_equal(getattr(basis, name), getattr(reference, name))
+        assert raw.data.tobytes() == bits
+
+
+@pytest.mark.parametrize("kind", ["ou", "bm"])
+@pytest.mark.parametrize("n, num_points", [(200, 201), (150, 51)])
+def test_score_gram_matrix_is_n_diag_lambda(kind, n, num_points):
+    # S^T S = n diag(lambda). On the Gram path (n <= G) the scores are the
+    # closed form sqrt(n lambda_j) v_j, and the identity holds to rounding
+    # relative to sqrt(lambda_i lambda_j) for every pair of components. On
+    # the kernel path the scores A u_j carry the residual of the G x G
+    # eigendecomposition, a few eps * lambda_1, which is up to 2e-12 of
+    # sqrt(lambda_i lambda_j) for the smallest components here
+    sample = gen_process(kind, n, uniform_grid(num_points), philox(n + num_points))
+    basis = compute_fpc(sample)
+    lam = basis.eigenvalues
+    error = np.abs(basis.scores.T @ basis.scores / n - np.diag(lam))
+    scale = np.sqrt(np.outer(lam, lam)) if n <= num_points else lam[0]
+    assert np.max(error / scale) <= 1e-13
 
 
 def test_determinism():

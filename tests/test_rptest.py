@@ -48,7 +48,6 @@ from flmgof.rptest import (
     GOLDEN_VALUES,
     STAT_KINDS,
     _bootstrap_pvalues,
-    _direction_inputs,
     _draw_nondegenerate_direction,
     _fdr_envelope,
     _max_over_rows,
@@ -530,9 +529,10 @@ def test_a_basis_holds_only_its_fields(monkeypatch):
     bases = []
     make_basis = rptest.compute_fpc
 
-    def recording(*args):
-        bases.append(make_basis(*args))
-        return bases[-1]
+    def recording(sample):
+        basis, root_weighted = make_basis(sample)
+        bases.append(basis)
+        return basis, root_weighted
 
     monkeypatch.setattr(rptest, "compute_fpc", recording)
     sample, y = noisy_case(seed=37)
@@ -542,49 +542,118 @@ def test_a_basis_holds_only_its_fields(monkeypatch):
     assert [set(vars(basis)) for basis in bases] == [fields] * 3
 
 
+def direction_inputs(sample):
+    """The basis of a test on `sample`, its largest curve norm and the
+    A = X * sqrt(w) it projects with."""
+    basis, root_weighted = rptest.compute_fpc(center(sample))
+    curve_scale = np.sqrt(np.max(np.sum(root_weighted**2, axis=1)))
+    return basis, curve_scale, root_weighted
+
+
+def ordered_eigh(matrix, m):
+    """The m leading eigenvalues and unit eigenvectors of a symmetric matrix."""
+    vals, vecs = np.linalg.eigh(matrix)
+    order = np.argsort(vals)[::-1][:m]
+    return vals[order], vecs[:, order]
+
+
 def test_one_weighted_product_gives_scores_and_projections(monkeypatch):
-    raw = gen_process("bm", 30, uniform_grid(41), philox(4))
-    attributes = dict(vars(raw))
-    basis = compute_fpc(raw)
-    sample = center(raw)
-    product = sample.data * sample.grid.weights
-    assert np.array_equal(basis.scores, product @ basis.eigenfunctions.T)
-    curve_scale, weighted = _direction_inputs(sample)
-    assert np.array_equal(weighted, product)
-    assert curve_scale == np.sqrt(
-        np.max(np.sum(sample.data**2 * sample.grid.weights, axis=1))
+    # A = X * sqrt(w) of the centered curves gives the covariance, the scores
+    # (in closed form on the n <= G Gram path, A u_j on the G x G kernel path)
+    # and the projections A (sqrt(w) h)
+    products, directions, projections = [], [], []
+    make_basis, draw, sampler = (
+        rptest.compute_fpc, rptest._draw_nondegenerate_direction,
+        rptest.sample_direction_datadriven,
     )
-    shared = rptest.compute_fpc(sample, weighted)
-    for name in ("eigenvalues", "eigenfunctions", "scores"):
-        assert np.array_equal(getattr(shared, name), getattr(basis, name))
 
-    # the test's product is gone before its first multiplier block is drawn,
-    # and nothing is left on the caller's sample
-    products = []
+    def recording_basis(sample):
+        basis, root_weighted = make_basis(sample)
+        products.append(weakref.ref(root_weighted))
+        return basis, root_weighted
 
-    def direction_inputs(sample):
-        curve_scale, weighted = _direction_inputs(sample)
-        products.append(weakref.ref(weighted))
-        return curve_scale, weighted
+    def recording_draw(*args, **kwargs):
+        projections.append(draw(*args, **kwargs))
+        return projections[-1]
+
+    def recording_sampler(*args):
+        directions.append(sampler(*args))
+        return directions[-1]
 
     def multipliers(*args):
         assert products[-1]() is None
         return golden_multipliers(*args)
 
-    monkeypatch.setattr(rptest, "_direction_inputs", direction_inputs)
-    monkeypatch.setattr(rptest, "golden_multipliers", multipliers)
-    y = basis.scores[:, 0] + 0.1 * philox(5).standard_normal(raw.n)
-    flm_gof(raw, y, K=2, B=20, seed=0)
-    simple_gof(raw, y, K=2, B=20, seed=0)
-    assert len(products) == 2
-    assert vars(raw) == attributes
+    for n, num_points in ((30, 41), (60, 21)):
+        raw = gen_process("bm", n, uniform_grid(num_points), philox(4))
+        attributes, bits = dict(vars(raw)), raw.data.tobytes()
+        sqrt_w = np.sqrt(raw.grid.weights)
+        product = center(raw).data * sqrt_w
+        basis, root_weighted = make_basis(center(raw))
+        assert np.array_equal(root_weighted, product)
+        assert not root_weighted.flags.writeable
+        if n <= num_points:
+            vals, vecs = ordered_eigh((product @ product.T) / n, basis.m)
+            expected = np.abs(vecs) * np.sqrt(n * vals)
+        else:
+            vals, vecs = ordered_eigh((product.T @ product) / n, basis.m)
+            expected = np.abs(product @ vecs)
+        assert np.array_equal(basis.eigenvalues, vals)
+        assert np.array_equal(np.abs(basis.scores), expected)
+        public = compute_fpc(raw)
+        for name in ("eigenvalues", "eigenfunctions", "scores"):
+            assert np.array_equal(getattr(public, name), getattr(basis, name))
+
+        # each test's A gives its projections and is gone before its first
+        # multiplier block is drawn; nothing is left on the caller's sample
+        for recorded in (products, directions, projections):
+            recorded.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(rptest, "compute_fpc", recording_basis)
+            patch.setattr(rptest, "_draw_nondegenerate_direction", recording_draw)
+            patch.setattr(rptest, "sample_direction_datadriven", recording_sampler)
+            patch.setattr(rptest, "golden_multipliers", multipliers)
+            y = basis.scores[:, 0] + 0.1 * philox(5).standard_normal(n)
+            for sampler_name in ("i", "iii"):
+                flm_gof(raw, y, K=2, B=20, sampler=sampler_name, seed=0)
+                simple_gof(raw, y, K=2, B=20, sampler=sampler_name, seed=0)
+        assert len(products) == 4 and len(directions) == len(projections) == 8
+        for h, got in zip(directions, projections):
+            assert np.array_equal(got, np.einsum("ij,j->i", product, sqrt_w * h))
+            assert np.allclose(got, project(center(raw), h), rtol=1e-12, atol=1e-15)
+        assert vars(raw) == attributes and raw.data.tobytes() == bits
+
+
+@pytest.mark.parametrize("gof", [flm_gof, simple_gof])
+@pytest.mark.parametrize("sampler", ["i", "ii", "iii"])
+def test_identical_curves_tie_exactly(gof, sampler, monkeypatch):
+    # every curve twice, at n = 2m with n mod 4 = 2, where a BLAS gemv rounds
+    # the last rows differently: each curve's two copies must project alike,
+    # so the process has exactly one block end per distinct curve
+    layouts = []
+    make_layout = rptest._SortedProjections
+
+    def recording(projections):
+        layouts.append(make_layout(projections))
+        return layouts[-1]
+
+    monkeypatch.setattr(rptest, "_SortedProjections", recording)
+    grid = uniform_grid(201)
+    for m in (15, 25, 51, 125):
+        curves = gen_process("bm", m, grid, philox(m)).data
+        sample = FunctionalSample(grid=grid, data=np.vstack([curves, curves]))
+        y = philox(m + 1).standard_normal(2 * m)
+        layouts.clear()
+        gof(sample, y, K=5, B=10, sampler=sampler, seed=m)
+        assert len(layouts) == 5
+        assert [layout.ends.size for layout in layouts] == [m] * 5
 
 
 def test_working_set_of_a_large_test():
-    # Before its first bootstrap block a test holds its centered curves, X * w
-    # and the scores, at most about two n x G arrays beyond its input: the
-    # fresh arrays are frozen in place, not copied, and X * sqrt(w) is formed
-    # in the centered curves' buffer, which is released before the scores.
+    # Before its first bootstrap block a test holds A = X * sqrt(w) and the
+    # scores, at most about two n x G arrays beyond its input: the fresh
+    # arrays are frozen in place, not copied, and A is formed in the centered
+    # curves' buffer.
     n, grid = 8192, uniform_grid(201)
     sample = gen_process("bm", n, grid, philox(8))
     y = sample.data @ grid.weights + philox(9).standard_normal(n)
@@ -697,9 +766,10 @@ def test_degenerate_direction_guard():
         eigenfunctions=g[None, :],
         scores=np.zeros((2, 1)),
     )
+    _, curve_scale, root_weighted = direction_inputs(sample)
     with pytest.raises(DegenerateProjectionError):
         _draw_nondegenerate_direction(
-            *_direction_inputs(sample), orthogonal_basis, _Settings(sampler="ii"),
+            curve_scale, root_weighted, orthogonal_basis, _Settings(sampler="ii"),
             philox(0), draw=1,
         )
 
@@ -802,17 +872,16 @@ def test_streamed_bootstrap_matches_one_shot_reference():
     rng = np.random.default_rng(62)
     curves = distinct.data[rng.integers(0, 40, n)]  # tied curves
     sample = center(FunctionalSample(grid=distinct.grid, data=curves))
-    basis = compute_fpc(sample)
+    basis, curve_scale, root_weighted = direction_inputs(sample)
     truth = basis.scores[:, 0]  # both nulls hold, so p-values are interior
     y = truth + 0.3 * rng.standard_normal(n)
     y_centered = y - y.mean()
 
     direction_child, multiplier_child = np.random.SeedSequence(seed).spawn(2)
     direction_rng = philox(direction_child)
-    inputs = _direction_inputs(sample)
+    inputs = (curve_scale, root_weighted, basis, _Settings(), direction_rng)
     projections = [
-        _draw_nondegenerate_direction(*inputs, basis, _Settings(), direction_rng, draw)
-        for draw in range(1, K + 1)
+        _draw_nondegenerate_direction(*inputs, draw) for draw in range(1, K + 1)
     ]
     assert all(np.unique(p).size < n for p in projections)
     multipliers = golden_multipliers(philox(multiplier_child), (B, n))
@@ -1240,9 +1309,11 @@ def test_simple_golden_report():
 
 
 def test_nine_scenario_golden_digest():
-    # sha256 of every sampler's reports on S1..S9 at d = 1, recorded before
-    # the score spread of sampler "i" came from the eigenvalues; the FPC step
-    # runs on one BLAS thread so the digest does not depend on the host
+    # sha256 of every sampler's reports on S1..S9 at d = 1, recorded when the
+    # scores and projections came from X * sqrt(w) (every `test_flm`
+    # statistic moved by at most 2.3e-13 relative, no p-value or rank moved);
+    # the FPC step runs on one BLAS thread so the digest does not depend on
+    # the host
     digest = hashlib.sha256()
     with _blas_on_one_thread():
         for index in range(1, 10):
@@ -1261,5 +1332,5 @@ def test_nine_scenario_golden_digest():
                         text = json.dumps(report.to_dict(), sort_keys=True)
                         digest.update(text.encode())
     assert digest.hexdigest() == (
-        "37c606fb8c68e09d9cb58ea19d684c3a7514594b63eb8578328dff616369dca1"
+        "b910722b9beeca0774dc9b79f805fc3a2b4713d4efdfba3742c4a14f8b490da8"
     )
