@@ -561,7 +561,7 @@ def test_one_weighted_product_gives_scores_and_projections(monkeypatch):
     # A = X * sqrt(w) of the centered curves gives the covariance, the scores
     # (in closed form on the n <= G Gram path, A u_j on the G x G kernel path)
     # and the projections A (sqrt(w) h)
-    products, directions, projections = [], [], []
+    products, directions, projections, scales = [], [], [], []
     make_basis, draw, sampler = (
         rptest.compute_fpc, rptest._draw_nondegenerate_direction,
         rptest.sample_direction_datadriven,
@@ -573,6 +573,7 @@ def test_one_weighted_product_gives_scores_and_projections(monkeypatch):
         return basis, root_weighted
 
     def recording_draw(*args, **kwargs):
+        scales.append(args[0])
         projections.append(draw(*args, **kwargs))
         return projections[-1]
 
@@ -604,9 +605,10 @@ def test_one_weighted_product_gives_scores_and_projections(monkeypatch):
         for name in ("eigenvalues", "eigenfunctions", "scores"):
             assert np.array_equal(getattr(public, name), getattr(basis, name))
 
-        # each test's A gives its projections and is gone before its first
-        # multiplier block is drawn; nothing is left on the caller's sample
-        for recorded in (products, directions, projections):
+        # each test's A gives its largest curve norm and its projections and
+        # is gone before its first multiplier block is drawn; nothing is left
+        # on the caller's sample
+        for recorded in (products, directions, projections, scales):
             recorded.clear()
         with monkeypatch.context() as patch:
             patch.setattr(rptest, "compute_fpc", recording_basis)
@@ -618,6 +620,9 @@ def test_one_weighted_product_gives_scores_and_projections(monkeypatch):
                 flm_gof(raw, y, K=2, B=20, sampler=sampler_name, seed=0)
                 simple_gof(raw, y, K=2, B=20, sampler=sampler_name, seed=0)
         assert len(products) == 4 and len(directions) == len(projections) == 8
+        largest = np.sqrt(np.max(np.sum(center(raw).data ** 2 * raw.grid.weights, axis=1)))
+        assert len(scales) == 8
+        assert np.allclose(scales, largest, rtol=1e-14, atol=0.0)
         for h, got in zip(directions, projections):
             assert np.array_equal(got, np.einsum("ij,j->i", product, sqrt_w * h))
             assert np.allclose(got, project(center(raw), h), rtol=1e-12, atol=1e-15)
