@@ -5,9 +5,11 @@ Times two studies at threads=1 and threads=2, both with K=5, B=500, n=50,
 seed 0: S1 at d=0 with M=500, and the benchmark's 60-trial study, S1 and S7
 at d=0 and 1 with M=15. A round runs, after a small warm-up study, the long
 study once at each thread count and the short one 12 times, the thread
-counts alternating; its time is the median over repeats. Each study's table
-is hashed and the distinct hashes are reported, so a table that changes with
-the thread count or between trees shows.
+counts alternating; its time is the median over repeats. Trials/s counts
+the entries of the table, one per (scenario, d, n, trial), also in a tree
+whose trials serve every d of their (scenario, n) at once. Each study's
+table is hashed and the distinct hashes are reported, so a table that
+changes with the thread count or between trees shows.
 
 Before/after runs over `--src [LABEL=]DIR` trees: see `_harness.py`.
 """

@@ -1,25 +1,31 @@
 #!/usr/bin/env python3
-"""Per-stage milliseconds of one Monte Carlo trial of `simulate`.
+"""Per-stage milliseconds of the Monte Carlo trials of `simulate`, per outcome.
 
 Times `simlab._study_trial`, the unit of work of `run_study`: path
-generation, the response, and one `test_flm` call at n=50, K=5, B=500, the
+generation, the responses, and the `test_flm` calls at n=50, K=5, B=500, the
 settings of the benchmark's simulate workloads. Scenarios S1 (Brownian
 motion) and S7 (Ornstein-Uhlenbeck) with the default direction sampler "i",
 and S1 with sampler "iii" (Ornstein-Uhlenbeck directions), are timed apart,
-each over TRIALS trials split evenly between d=0 and d=1. Stages come from the benchmark's span
-tracer (`perfbench/spans.py`), which times each layer from outside the
-package; `wall_ms` is the median of the untraced passes' per-trial means.
-`simlab.trial_ms` is the trial's own self time, outside every traced layer.
+each over TRIALS outcomes split evenly between d=0 and d=1. Every value is
+per outcome, one (trial, d) pair of a study table, so trees that run one
+trial for every level and trees that run one trial per level compare: a
+tree of the first kind runs TRIALS / 2 trials of both levels, one of the
+second kind TRIALS trials of one level each. Stages come from the
+benchmark's span tracer (`perfbench/spans.py`), which times each layer from
+outside the package; `wall_ms` is the median of the untraced passes' means.
+`simlab.trial_ms` is the trials' own self time, outside every traced layer.
 `replicates_d0` and `replicates_d1` are the mean bootstrap replicates drawn
-per trial at each d, counted in one more pass, out of B unless the trial's
+per test at each d, counted in one more pass, out of B unless the test's
 bootstrap stopped early. Each worker runs OpenBLAS on one thread, as
 `run_study` runs its trials.
 
 Before/after runs over `--src [LABEL=]DIR` trees: see `_harness.py`. A tree
-with a settings record (`rptest._Settings`) gets (spec, d, n, settings,
-trial) payloads; an older tree gets the ten-field payload (spec, d, n, K, B,
-kind, r, sampler, seed, trial) that its `_study_trial` unpacks. Trees older
-than `simlab._study_trial` cannot be timed.
+with a prepared test record (`rptest._Prepared`) gets (spec, d_values, n,
+settings, trial) payloads; a tree with only a settings record
+(`rptest._Settings`) gets (spec, d, n, settings, trial); an older tree gets
+the ten-field payload (spec, d, n, K, B, kind, r, sampler, seed, trial) that
+its `_study_trial` unpacks. Trees older than `simlab._study_trial` cannot be
+timed.
 """
 
 import os
@@ -33,7 +39,7 @@ import _harness  # noqa: E402
 CASES = ((1, "i"), (7, "i"), (1, "iii"))  # (scenario, direction sampler)
 D_VALUES = (0, 1)
 N, K, B = 50, 5, 500
-TRIALS = 60  # per scenario and pass, split evenly between the d values
+TRIALS = 60  # outcomes per scenario and pass, split evenly between the d values
 ROUNDS, PASSES = 5, 3  # fresh interpreters per tree; untraced passes in each
 STAGES = (
     "simlab.gen_process_ms", "simlab.gen_response_ms", "funspace.center_ms",
@@ -43,33 +49,47 @@ STAGES = (
 )
 
 
-def trial_payload(rptest, spec, d, sampler, trial):
-    """The `_study_trial` payload of one trial, in the tree's own layout."""
-    if hasattr(rptest, "_Settings"):
-        return (spec, d, N, rptest._Settings(K, B, "cvm", 0.95, sampler, 0), trial)
-    return (spec, d, N, K, B, "cvm", 0.95, sampler, 0, trial)
+def trial_payloads(rptest, spec, sampler):
+    """The `_study_trial` payloads of TRIALS outcomes, in the tree's own layout."""
+    levels = [D_VALUES[trial % len(D_VALUES)] for trial in range(TRIALS)]
+    if not hasattr(rptest, "_Settings"):
+        return [(spec, d, N, K, B, "cvm", 0.95, sampler, 0, trial)
+                for trial, d in enumerate(levels)]
+    settings = rptest._Settings(K, B, "cvm", 0.95, sampler, 0)
+    if hasattr(rptest, "_Prepared"):  # one trial for every level
+        return [(spec, D_VALUES, N, settings, trial)
+                for trial in range(TRIALS // len(D_VALUES))]
+    return [(spec, d, N, settings, trial) for trial, d in enumerate(levels)]
 
 
 def replicates_drawn(rptest, simlab, payloads):
-    """Mean bootstrap replicates drawn per trial, keyed by d."""
-    draw = rptest.golden_multipliers
-    drawn = []
+    """Mean bootstrap replicates drawn per test, keyed by d."""
+    draw, test = rptest.golden_multipliers, simlab.test_flm
+    drawn, per_test = [], []
 
     def counting(rng, size):
         drawn.append(size[0])
         return draw(rng, size)
 
+    def testing(*args, **kwargs):
+        drawn.clear()
+        report = test(*args, **kwargs)
+        per_test.append(sum(drawn))
+        return report
+
     totals = dict.fromkeys(D_VALUES, 0)
-    rptest.golden_multipliers = counting
+    rptest.golden_multipliers, simlab.test_flm = counting, testing
     try:
         for payload in payloads:
-            drawn.clear()
+            per_test.clear()
             simlab._study_trial(payload)
-            totals[payload[1]] += sum(drawn)
+            levels = payload[1] if isinstance(payload[1], tuple) else (payload[1],)
+            for d, replicates in zip(levels, per_test, strict=True):
+                totals[d] += replicates
     finally:
-        rptest.golden_multipliers = draw
-    trials = len(payloads) / len(D_VALUES)
-    return {f"replicates_d{d}": totals[d] / trials for d in D_VALUES}
+        rptest.golden_multipliers, simlab.test_flm = draw, test
+    tests = TRIALS / len(D_VALUES)
+    return {f"replicates_d{d}": totals[d] / tests for d in D_VALUES}
 
 
 def measure(src):
@@ -82,11 +102,10 @@ def measure(src):
     for index, sampler in CASES:
         spec = simlab.scenario(index)
         spec.sigma2  # the study computes it once, before its trials
-        payloads = [
-            trial_payload(rptest, spec, D_VALUES[trial % len(D_VALUES)], sampler, trial)
-            for trial in range(TRIALS)
-        ]
-        for payload in payloads[: len(D_VALUES)]:
+        payloads = trial_payloads(rptest, spec, sampler)
+        # trial spans per outcome: 1/2 where one trial serves both levels
+        per_outcome = len(payloads) / TRIALS
+        for payload in payloads[:2]:
             simlab._study_trial(payload)  # warm caches and lazy imports
         walls = []
         for _ in range(PASSES):
@@ -100,7 +119,7 @@ def measure(src):
                 simlab._study_trial(payload)
         metrics = layer_metrics(tracer, "simlab.trial")
         row = {"wall_ms": statistics.median(walls)}
-        row.update({stage: metrics[stage] for stage in STAGES})
+        row.update({stage: metrics[stage] * per_outcome for stage in STAGES})
         row["simlab.trial_ms"] = (
             1000.0 * tracer.self_times("simlab.trial")["simlab.trial"] / TRIALS
         )
@@ -134,7 +153,7 @@ def report(sources, run):
                      "B": B, "kind": "cvm", "r": 0.95, "seed": 0,
                      "trials": TRIALS, "rounds": ROUNDS, "passes": PASSES,
                      "blas_threads": 1},
-        "note": "medians over rounds of per-trial ms; stages are self times",
+        "note": "medians over rounds of ms per (trial, d) outcome; stages are self times",
         "results": {
             label: {name: median_row(label, name) for name in names} for label in runs
         },

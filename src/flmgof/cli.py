@@ -336,7 +336,7 @@ def bench_composite_test(n_values, trials, K, B, kind, seed):
         elapsed = 0.0
         first_p = None
         for trial in range(trials):
-            X, y, test_seed = _trial_data((seed, n, trial), spec, 0, n)
+            X, (y,), test_seed = _trial_data((seed, n, trial), spec, (0,), n)
             started = time.perf_counter()
             report = test_flm(X, y, K=K, B=B, kind=kind, seed=test_seed)
             elapsed += time.perf_counter() - started

@@ -456,30 +456,48 @@ def _replay_residuals(fit, perturbed):
     return centered
 
 
-def _prepare(X, y, settings):
-    """Check the data both tests share; center X, compute its FPC basis and
-    project the curves on the K random directions of `settings`.
+@dataclass(frozen=True)
+class _Prepared:
+    """What a test computes from its sample and settings alone. Every
+    bootstrap block seeks its place from `fresh_state`, so each response
+    tested with one record starts at value 0 of the multiplier stream."""
 
-    Returns the checked response, the basis, the K sorted projections and
-    the stream of bootstrap multipliers. The FPC step leaves A = X * sqrt(w)
-    in the centered curves' buffer, and the projections come from A; that
-    n x G array is freed on return, before any bootstrap.
-    """
+    sample: FunctionalSample
+    settings: _Settings
+    basis: FpcBasis
+    layouts: tuple
+    multiplier_rng: np.random.Generator
+    fresh_state: dict
+
+
+def _check_data(X, y):
+    """Check the sample and the response both tests share; return the response."""
     if not isinstance(X, FunctionalSample):
         raise ValueError("X must be a FunctionalSample")
     if X.n < 3:
         raise ValueError("the test needs at least three observations")
-    y = _check_response(y, X.n)
+    return _check_response(y, X.n)
+
+
+def _prepare(X, settings):
+    """Center the checked sample X, compute its FPC basis and project the
+    curves on the K random directions of `settings`.
+
+    The FPC step leaves A = X * sqrt(w) in the centered curves' buffer, and
+    the projections come from A; that n x G array is freed on return, before
+    any bootstrap.
+    """
     basis, root_weighted = compute_fpc(center(X))
     # the largest curve norm, max_i ||X_i|| = max_i |A_i|
     curve_scale = np.sqrt(np.max(np.einsum("ij,ij->i", root_weighted, root_weighted)))
     direction_rng, multiplier_rng = _streams(settings)
     inputs = (curve_scale, root_weighted, basis, settings, direction_rng)
-    layouts = [
+    layouts = tuple(
         _SortedProjections(_draw_nondegenerate_direction(*inputs, draw))
         for draw in range(1, settings.K + 1)
-    ]
-    return y, basis, layouts, multiplier_rng
+    )
+    return _Prepared(X, settings, basis, layouts, multiplier_rng,
+                     multiplier_rng.bit_generator.state)
 
 
 def _streams(settings):
@@ -514,25 +532,26 @@ def _block_widths(settings, n, stop_early):
         start += width
 
 
-def _block_exceedances(settings, layouts, marks, fit, observed, rng, state, block):
-    """Per direction, the replicates of one block whose `settings.kind` norm
-    reaches the observed one.
+def _block_exceedances(prepared, marks, fit, observed, block):
+    """Per direction, the replicates of one block whose norm reaches the
+    observed one.
 
     The block (start, width) draws replicates start .. start + width - 1 of
-    the multiplier stream that starts at the fresh `state`: `rng` is first
-    set to value start * n of that stream. Blocks of one stream are
-    independent, so their counts add up to the counts of one (B, n) draw in
-    any order. The block is transposed once for the kernel.
+    the multiplier stream that starts at the record's fresh state: the
+    generator is first set to value start * n of that stream. Blocks of one
+    stream are independent, so their counts add up to the counts of one
+    (B, n) draw in any order. The block is transposed once for the kernel.
     """
     start, width = block
-    n = marks.size
-    _seek(rng, state, start * n)
+    n, rng = marks.size, prepared.multiplier_rng
+    _seek(rng, prepared.fresh_state, start * n)
     replicates = golden_multipliers(rng, (width, n))
     replicates *= marks
     if fit is not None:
         replicates = _replay_residuals(fit, replicates)
     columns = np.ascontiguousarray(replicates.T)
-    norms = (layout.norms(columns, settings.kind) for layout in layouts)
+    kind = prepared.settings.kind
+    norms = (layout.norms(columns, kind) for layout in prepared.layouts)
     hits = [np.count_nonzero(norm >= value) for norm, value in zip(norms, observed)]
     return np.array(hits)
 
@@ -555,25 +574,24 @@ def _bootstrap_pvalues(counts, settings):
     return (counts + 1.0) / (B + 1.0) if settings.positive_correction else counts / B
 
 
-def _projection_test(settings, layouts, multiplier_rng, marks, fit, stop_above=None):
+def _projection_test(prepared, marks, fit, stop_above=None):
     """Score the K projections of the marked process and combine them.
 
-    `settings` give the norm, B and the p-value rule, and the report's
-    `settings`. One stream of B golden-ratio multiplier vectors calibrates
-    every direction. With a `fit` (composite null) the perturbed marks are
-    replayed through the fit at its rank; without one (simple null) they are
-    used as drawn. With `stop_above`, the bootstrap stops after the first
-    block at which the combined p-value of the counts so far reaches it; the
-    report then carries those p-values, lower bounds of the full bootstrap's.
+    The record's settings give the norm, B and the p-value rule, and the
+    report's `settings`. One stream of B golden-ratio multiplier vectors
+    calibrates every direction. With a `fit` (composite null) the perturbed
+    marks are replayed through the fit at its rank; without one (simple
+    null) they are used as drawn. With `stop_above`, the bootstrap stops
+    after the first block at which the combined p-value of the counts so far
+    reaches it; the report then carries those p-values, lower bounds of the
+    full bootstrap's.
     """
+    settings, layouts = prepared.settings, prepared.layouts
     n, B = marks.size, settings.B
     observed = [float(layout.norms(marks, settings.kind)) for layout in layouts]
     widths = list(_block_widths(settings, n, stop_above is not None))
     blocks = list(zip(itertools.accumulate(widths, initial=0), widths))
-    count = functools.partial(
-        _block_exceedances, settings, layouts, marks, fit, observed,
-        multiplier_rng, multiplier_rng.bit_generator.state,
-    )
+    count = functools.partial(_block_exceedances, prepared, marks, fit, observed)
     if stop_above is None and n * B >= SPLIT_MIN_VALUES and forking.fork_supported():
         workers = min(forking._usable_cpus(), len(blocks))
         per_block = forking.strided_map(count, blocks, workers)
@@ -611,6 +629,7 @@ def test_flm(
     positive_correction: bool = False,
     *,
     _stop_above: float | None = None,
+    _prepared: _Prepared | None = None,
 ) -> TestReport:
     """Composite goodness-of-fit test of the functional linear model.
 
@@ -624,11 +643,18 @@ def test_flm(
     below `_stop_above`, and the report then holds lower bounds of the
     p-values, with p_fdr at least `_stop_above`. A report whose p_fdr is
     below it equals the report without it.
+
+    `_prepared`, the `_prepare` record of this X object and these settings,
+    lets a study test several responses on one basis, directions and stream.
     """
     if rank is not None and not _is_integer(rank):
         raise ValueError(f"rank must be an integer or None, got {rank!r}")
     settings = _Settings(K, B, kind, r, sampler, seed, positive_correction)
-    y, basis, layouts, multiplier_rng = _prepare(X, y, settings)
+    y = _check_data(X, y)
+    prepared = _prepare(X, settings) if _prepared is None else _prepared
+    if prepared.sample is not X or prepared.settings != settings:
+        raise ValueError("the prepared test state belongs to another sample or settings")
+    basis = prepared.basis
     y_centered = y - y.mean()
     if rank is None:
         max_rank = min(basis.m, basis.n - 3)
@@ -636,9 +662,7 @@ def test_flm(
             raise ValueError("too few observations to select a rank; pass rank=")
         rank, _ = select_rank_sicc(y_centered, basis, max_rank)
     fit = estimate_rho(y_centered, basis, int(rank))
-    return _projection_test(
-        settings, layouts, multiplier_rng, fit.residuals, fit, _stop_above
-    )
+    return _projection_test(prepared, fit.residuals, fit, _stop_above)
 
 
 def test_simple(
@@ -661,7 +685,8 @@ def test_simple(
     directly, with no refit and no centering.
     """
     settings = _Settings(K, B, kind, r, sampler, seed, positive_correction)
-    y, _, layouts, multiplier_rng = _prepare(X, y, settings)
+    y = _check_data(X, y)
+    prepared = _prepare(X, settings)
     if m0 is None:
         marks = y
     else:
@@ -671,4 +696,4 @@ def test_simple(
         marks = y - predictions
     if not np.all(np.isfinite(marks)):
         raise ValueError("marks contain non-finite values")
-    return _projection_test(settings, layouts, multiplier_rng, marks, None)
+    return _projection_test(prepared, marks, None)

@@ -10,10 +10,11 @@ sigma^2 = Var(<X, rho>) (1 - R^2) / R^2, the variance computed exactly on the
 scenario grid as (w rho)^T C (w rho), with C the covariance kernel of X at the
 grid points and w the quadrature weights.
 
-Every trial is seeded by (study seed, scenario, deviation level, n, trial)
-through a counter-based generator, so results do not depend on how trials are
-scheduled across workers. `run_study(threads=N)` runs the trials of all
-cells on at most N workers, no more than the trials or the usable CPUs.
+Every trial is seeded by (study seed, scenario, n, trial) through a
+counter-based generator, so results do not depend on how trials are scheduled
+across workers; its deviation levels share its curves, noise, directions and
+multipliers (common random numbers). `run_study(threads=N)` runs the trials
+on at most N workers, no more than the trials or the usable CPUs.
 Where the platform forks, the calling process is one worker and forked
 children are the others, each taking every w-th trial (`forking.strided_map`,
 also at threads=1); elsewhere a process pool runs them. Every worker, the
@@ -24,6 +25,7 @@ BLAS thread count whatever `threads` is.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import itertools
 import time
@@ -47,7 +49,7 @@ from .processes import (
     ornstein_uhlenbeck,
     ou_kernel,
 )
-from .rptest import _Settings, _check_count, _is_integer, test_flm
+from .rptest import _Settings, _check_count, _is_integer, _prepare, test_flm
 
 __all__ = [
     "ALPHAS",
@@ -290,33 +292,44 @@ class MonteCarloResult:
     wall_time_s: float
 
 
-def _trial_data(key, spec, d, n):
-    """The curves, the response and the test seed of the trial with seed `key`.
+def _trial_data(key, spec, d_values, n):
+    """The curves, their responses and the test seed of the trial with seed `key`.
 
-    SeedSequence(key).spawn(2) gives the seed of a Philox stream, on which
-    the n curves and then their responses at deviation d are drawn, and the
-    seed of the trial's test.
+    SeedSequence(key).spawn(2) gives the seed of the trial's test and of a
+    Philox stream, which draws the n curves and then, from the same state
+    after them, the noise of the response at each level in `d_values`.
     """
     data_seed, test_seed = np.random.SeedSequence(key).spawn(2)
     rng = np.random.Generator(np.random.Philox(data_seed))
     X = gen_process(spec.process, n, spec.grid, rng)
-    return X, gen_response(spec, X, d, rng), test_seed
+    after_curves = rng.bit_generator.state
+    responses = []
+    for d in d_values:
+        rng.bit_generator.state = after_curves
+        responses.append(gen_response(spec, X, d, rng))
+    return X, responses, test_seed
 
 
 def _study_trial(args):
-    """One trial of a study cell: (p_fdr, chosen rank).
+    """One trial of a study: (p_fdr, chosen rank) per deviation level, each
+    that of its own `test_flm` call, with one `_prepare` for all of them.
 
-    The study reads p_fdr only as p_fdr < alpha for alpha in ALPHAS, so the
+    The study reads p_fdr only as p_fdr < alpha for alpha in ALPHAS, so each
     test's bootstrap stops once p_fdr cannot fall below max(ALPHAS). Every
-    decision is that of the full bootstrap, but a trial that stopped returns
+    decision is that of the full bootstrap, but a test that stopped returns
     a lower bound of its p_fdr, one that is at least max(ALPHAS).
-    `args` is (spec, d, n, settings, trial); settings.seed is the study seed.
+    `args` is (spec, d_values, n, settings, trial); settings.seed is the study seed.
     """
-    spec, d, n, settings, trial = args
-    X, y, test_seed = _trial_data((settings.seed, spec.index, d, n, trial), spec, d, n)
+    spec, d_values, n, settings, trial = args
+    key = (settings.seed, spec.index, n, trial)
+    X, responses, test_seed = _trial_data(key, spec, d_values, n)
     options = {**vars(settings), "seed": test_seed}
-    report = test_flm(X, y, **options, _stop_above=max(ALPHAS))
-    return report.p_fdr, report.settings["rank"]
+    prepared = _prepare(X, _Settings(**options))
+    reports = (
+        test_flm(X, y, **options, _stop_above=max(ALPHAS), _prepared=prepared)
+        for y in responses
+    )
+    return [(report.p_fdr, report.settings["rank"]) for report in reports]
 
 
 def run_study(
@@ -335,14 +348,14 @@ def run_study(
     """Run the rejection-rate study over a grid of cells.
 
     Returns one MonteCarloResult per (scenario, d, n) combination, in that
-    nesting order. Identical output for any `threads` value: each trial owns
-    a seed derived from (seed, scenario, d, n, trial) and aggregation follows
-    trial order. With threads > 1 the trials of every cell are split over
-    the same workers; each cell's wall time runs from the end of the
-    previous cell, so the first cell includes starting the workers (the
-    forks, or the pool). Every setting is checked before any worker starts
-    or any trial runs; the seed, part of every trial's key, must be an
-    integer of at least 0.
+    nesting order. Each trial is keyed by (seed, scenario, n, trial) and
+    serves every d, so each row equals the row of its cell run alone.
+    Identical output for any `threads` value: aggregation follows trial
+    order. A (scenario, n) group's wall time runs from the end of the
+    previous group, so the first includes starting the workers (the forks,
+    or the pool), and is split evenly over its rows. Every setting is
+    checked before any worker starts or any trial runs; the seed, part of
+    every trial's key, must be an integer of at least 0.
     """
     _check_count("M", M)
     _check_count("threads", threads)
@@ -355,39 +368,46 @@ def run_study(
     if any(not _is_integer(n) or n < 4 for n in n_values):
         raise ValueError("every n must be an integer of at least 4")
     specs = {index: scenario(index) for index in scenarios}
-    cells = [
-        (specs[index], d, n) for index in scenarios for d in d_values for n in n_values
-    ]
+    cells = [(index, d, n) for index in scenarios for d in d_values for n in n_values]
+    # each distinct level and group runs once, whatever the lists repeat
+    levels = tuple(dict.fromkeys(d_values))
+    groups = list(dict.fromkeys((index, n) for index, _, n in cells))
     # sigma2 is cached on each spec before any worker starts, so every worker
     # has it with the spec
     for spec in specs.values():
         spec.sigma2
-    payloads = [(*cell, settings, trial) for cell in cells for trial in range(M)]
-    results = []
+    payloads = [(specs[index], levels, n, settings, trial)
+                for index, n in groups for trial in range(M)]
+    outcomes, elapsed = {}, {}
     started = time.perf_counter()
-    with _trial_outcomes(payloads, threads) as outcomes:
-        for spec, d, n in cells:
-            cell = list(itertools.islice(outcomes, M))
-            pvalues = np.array([p for p, _ in cell])
-            ranks = np.array([rank for _, rank in cell], dtype=float)
-            rates = tuple(float(np.mean(pvalues < alpha)) for alpha in ALPHAS)
+    with _trial_outcomes(payloads, threads) as trials:
+        for group in groups:
+            outcomes[group] = list(itertools.islice(trials, M))
             finished = time.perf_counter()
-            results.append(
-                MonteCarloResult(
-                    scenario=spec.id,
-                    d=d,
-                    n=n,
-                    K=settings.K,
-                    B=settings.B,
-                    kind=settings.kind,
-                    M=M,
-                    rejection_rates=rates,
-                    mean_rank=float(ranks.mean()),
-                    sd_rank=float(ranks.std(ddof=1)) if M > 1 else 0.0,
-                    wall_time_s=finished - started,
-                )
-            )
+            elapsed[group] = finished - started
             started = finished
+    readers = collections.Counter((index, n) for index, _, n in cells)
+    results = []
+    for index, d, n in cells:
+        column = [trial[levels.index(d)] for trial in outcomes[index, n]]
+        pvalues = np.array([p for p, _ in column])
+        ranks = np.array([rank for _, rank in column], dtype=float)
+        rates = tuple(float(np.mean(pvalues < alpha)) for alpha in ALPHAS)
+        results.append(
+            MonteCarloResult(
+                scenario=specs[index].id,
+                d=d,
+                n=n,
+                K=settings.K,
+                B=settings.B,
+                kind=settings.kind,
+                M=M,
+                rejection_rates=rates,
+                mean_rank=float(ranks.mean()),
+                sd_rank=float(ranks.std(ddof=1)) if M > 1 else 0.0,
+                wall_time_s=elapsed[index, n] / readers[index, n],
+            )
+        )
     return results
 
 

@@ -88,13 +88,15 @@ def hat_apply(fit, v):
     return _hat_apply_rows(fit, v[None, :])[0]
 
 
-def study_payload(spec, d, n, trial, seed=0, **settings):
-    """The `simlab._study_trial` payload of one trial of a study cell.
+def study_payload(spec, d_values, n, trial, seed=0, **settings):
+    """The `simlab._study_trial` payload of one trial of a study group.
 
-    `settings` are the test settings of the study, named as `test_flm` takes
-    them; the rest take `test_flm`'s defaults.
+    `d_values` is a tuple of deviation levels, or one level; `settings` are
+    the test settings of the study, named as `test_flm` takes them; the rest
+    take `test_flm`'s defaults.
     """
-    return (spec, d, n, _Settings(seed=seed, **settings), trial)
+    levels = (d_values,) if isinstance(d_values, int) else tuple(d_values)
+    return (spec, levels, n, _Settings(seed=seed, **settings), trial)
 
 
 def gbm_mean(t):

@@ -356,14 +356,15 @@ def test_degenerate_directions_exit_code(dataset, monkeypatch, capsys):
 # through one writer; the bench digest covers its header and p_fdr column only,
 # since its seconds vary. The `--null flm` digests moved when the scores and
 # projections came from X * sqrt(w): two statistics changed in their last
-# digits, the p-values did not
+# digits, the p-values did not. The `simulate` digests moved when a study trial
+# came to be keyed by (seed, scenario, n, trial), without the deviation level
 GOLDEN_DIGESTS = {
     ("test", "flm", "json"): "e94db9edd71fc13301fca6d3af37e2f630e2a82789777c5f466917b066612204",
     ("test", "flm", "csv"): "2d5a71f6da3708a3c2cdf4c03260e0c9ec51ec0372a911e0c6b3386a159c59f3",
     ("test", "simple", "json"): "8a9581dbec6c333e93e8a836dddee4106fca504733c5ff6b5d61bb5f16bb3b7c",
     ("test", "simple", "csv"): "c1fef357f937f8fae40e22fd75bae6029220e4d4322fb03815a1bf4628a0ee40",
-    ("simulate", "json"): "25053b3a59ef472f7467202f2608c3432ab5b8edc00e7d167c8d7bf3ae4e1b35",
-    ("simulate", "csv"): "1d2d35e9fb5a4913549f8aded9c34e6e9bcd90357dad85f63342427d2ce08f89",
+    ("simulate", "json"): "5eaa699332bba5268b79ce052ef15a605211a026ce9cda971d1be1ff82787c73",
+    ("simulate", "csv"): "da59caa6ef1908b96c00ca46bcdcee1fc592463cebd34dd695e792ad6fd67c50",
     ("bench", "csv"): "e3f46ac7c54e540af7753517b2fd2888820a940caa64fc44cc81141b8d927712",
 }
 SIMULATE_CELL = [

@@ -1,3 +1,4 @@
+import functools
 import multiprocessing
 import os
 import signal
@@ -6,6 +7,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gbm_mean, study_payload
 from flmgof import (
@@ -390,8 +393,9 @@ def forks(monkeypatch):
 
 
 def test_run_study_threads_do_not_change_results(monkeypatch):
-    # 4 cells x 5 trials: at 2 and 3 workers every cell's trials are split
-    # over all workers, and each cell starts in another worker than the last
+    # 2 groups x 5 trials: at 2 and 3 workers every group's trials are split
+    # over all workers, and the second group starts in another worker than
+    # the first
     monkeypatch.setattr(simlab, "_usable_cpus", lambda: 3)
     study = dict(scenarios=[1, 7], d_values=[0, 1], n_values=[25], M=5, K=2, B=50)
     tables = {
@@ -409,20 +413,96 @@ def test_run_study_threads_do_not_change_results(monkeypatch):
 
 
 def test_run_study_golden_table():
-    # rows recorded before the per-basis direction constants, the row-wise
-    # Ornstein-Uhlenbeck recursion and the shared X * w product; S7 draws
-    # Ornstein-Uhlenbeck paths
+    # rows recorded when the deviation levels came to share each trial; S7
+    # draws Ornstein-Uhlenbeck paths
     results = run_study([1, 7], [0, 1], [50], M=10, K=5, B=200, seed=7)
     rows = [
         (res.scenario, res.d, res.rejection_rates, res.mean_rank, res.sd_rank)
         for res in results
     ]
     assert rows == [
-        ("S1", 0, (0.0, 0.1, 0.1), 3.2, 0.4216370213557839),
-        ("S1", 1, (0.0, 0.5, 0.6), 3.5, 0.5270462766947299),
-        ("S7", 0, (0.0, 0.1, 0.2), 4.4, 0.6992058987801011),
-        ("S7", 1, (1.0, 1.0, 1.0), 3.3, 0.6749485577105528),
+        ("S1", 0, (0.0, 0.0, 0.1), 3.6, 0.5163977794943223),
+        ("S1", 1, (0.0, 0.0, 0.0), 3.6, 0.5163977794943223),
+        ("S7", 0, (0.0, 0.2, 0.3), 4.1, 0.7378647873726218),
+        ("S7", 1, (1.0, 1.0, 1.0), 3.3, 0.9486832980505138),
     ]
+
+
+def test_shared_trial_equals_standalone_tests():
+    # every level of a shared trial is the test of its own response: curves
+    # and noise redrawn from the trial's data seed, the same test seed and
+    # the same early stop
+    decided = set()
+    for index in (1, 3, 7):
+        spec = scenario(index)
+        for trial in range(10):
+            payload = study_payload(spec, (0, 1, 2), 50, trial, seed=4, K=5, B=500)
+            shared = simlab._study_trial(payload)
+            for d, outcome in zip((0, 1, 2), shared):
+                data_seed, test_seed = np.random.SeedSequence((4, index, 50, trial)).spawn(2)
+                rng = philox(data_seed)
+                X = gen_process(spec.process, 50, spec.grid, rng)
+                y = gen_response(spec, X, d, rng)
+                report = simlab.test_flm(X, y, K=5, B=500, seed=test_seed, _stop_above=0.1)
+                assert outcome == (report.p_fdr, report.settings["rank"])
+                decided.add(report.p_fdr < 0.1)
+    assert decided == {False, True}
+
+
+def test_prepared_state_belongs_to_its_sample_and_settings():
+    spec = scenario(1)
+    rng = philox(11)
+    X = gen_process(spec.process, 30, spec.grid, rng)
+    y = gen_response(spec, X, 1, rng)
+    options = dict(K=3, B=60, kind="cvm", seed=2)
+    prepared = rptest._prepare(X, rptest._Settings(**options))
+    expected = simlab.test_flm(X, y, **options).to_dict()
+    # a record serves any number of responses, each bootstrap from value 0
+    for _ in range(2):
+        assert simlab.test_flm(X, y, **options, _prepared=prepared).to_dict() == expected
+    twin = FunctionalSample(grid=X.grid, data=X.data.copy())
+    with pytest.raises(ValueError, match="another sample or settings"):
+        simlab.test_flm(twin, y, **options, _prepared=prepared)
+    for other in (dict(B=61), dict(K=2), dict(kind="ks"), dict(seed=3), dict(r=0.9),
+                  dict(sampler="ii"), dict(positive_correction=True)):
+        with pytest.raises(ValueError, match="another sample or settings"):
+            simlab.test_flm(X, y, **{**options, **other}, _prepared=prepared)
+
+
+@functools.cache
+def single_level_row(index, d, n):
+    [row] = run_study([index], [d], [n], M=3, K=2, B=30, seed=5)
+    return table([row])[0]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(st.sampled_from((0, 1, 2)), min_size=1, max_size=4),
+    st.sampled_from((1, 2)),
+)
+def test_every_row_is_its_single_level_study(d_values, threads):
+    # any order, subset or repetition of the levels, at any thread count
+    scenarios, n_values = [7, 1], [16]
+    started = time.perf_counter()
+    results = run_study(scenarios, d_values, n_values, M=3, K=2, B=30, seed=5,
+                        threads=threads)
+    elapsed = time.perf_counter() - started
+    assert table(results) == [
+        single_level_row(index, d, n)
+        for index in scenarios for d in d_values for n in n_values
+    ]
+    # a group's time is split over its rows, so the rows add up to the study
+    assert all(res.wall_time_s > 0.0 for res in results)
+    assert sum(res.wall_time_s for res in results) <= elapsed
+
+
+def test_empty_study_lists_run_no_trial(forks, monkeypatch):
+    trials = []
+    monkeypatch.setattr(simlab, "_study_trial", trials.append)
+    for empty in (dict(scenarios=[]), dict(d_values=[]), dict(n_values=[])):
+        study = {**dict(scenarios=[1], d_values=[0], n_values=[20]), **empty}
+        assert run_study(**study, M=3, threads=2) == []
+    assert trials == [] and forks == []
 
 
 def _record_blas_threads(queue):
