@@ -6,9 +6,10 @@ estimate truncated at rank d is
     rho_hat = sum_{j<=d} c_j e_j,   c_j = (1/(n lambda_j)) sum_i s_ij Y_i,
 
 which coincides with ordinary least squares of Y on the score columns because
-the score Gram matrix is n diag(lambda_j) (to rounding, see `fpc`). The induced hat matrix
-H = S diag(1/(n lambda_j)) S^T is idempotent, so a refit on fitted + e leaves
-residuals (I - H) e; the bootstrap leans on that identity.
+the score Gram matrix is n diag(lambda_j) (to rounding, see `fpc`). Scores of
+centered curves sum to zero, so the fit's design Q = [1/sqrt(n) | s_j /
+sqrt(n lambda_j)] has orthonormal columns and Q Q^T = 11^T/n + H, with H the
+hat matrix: a centered refit on fitted + e leaves residuals e - Q (Q^T e).
 
 Rank selection minimizes a small-sample corrected Schwarz criterion,
 SICc(d) = log(RSS_d / n) + d log(n) / (n - d - 2), taking the smallest
@@ -17,19 +18,20 @@ minimizer on ties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fpc import FpcBasis
-from .funspace import _frozen
+from .funspace import _adopt, _frozen, _read_only
 
 __all__ = ["FlmFit", "estimate_rho", "select_rank_sicc"]
 
 
 @dataclass(frozen=True)
 class FlmFit:
-    """Fitted functional linear model at a fixed rank."""
+    """Fitted functional linear model at a fixed rank, with the n x (rank + 1)
+    design Q of the module docstring built C-contiguous and read-only."""
 
     basis: FpcBasis
     rank: int
@@ -37,12 +39,20 @@ class FlmFit:
     rho_hat: np.ndarray
     fitted: np.ndarray
     residuals: np.ndarray
+    design: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "coef", _frozen(self.coef))
-        object.__setattr__(self, "rho_hat", _frozen(self.rho_hat))
-        object.__setattr__(self, "fitted", _frozen(self.fitted))
-        object.__setattr__(self, "residuals", _frozen(self.residuals))
+        self._freeze(_frozen)
+
+    def _freeze(self, freeze):
+        for name in ("coef", "rho_hat", "fitted", "residuals"):
+            object.__setattr__(self, name, freeze(getattr(self, name)))
+        n, rank = self.basis.n, self.rank
+        spread = np.sqrt(n * self.basis.eigenvalues[:rank])
+        design = np.empty((n, rank + 1))  # C order, whatever the scores' order
+        design[:, 0] = 1 / np.sqrt(n)
+        np.divide(self.basis.scores[:, :rank], spread, out=design[:, 1:])
+        object.__setattr__(self, "design", _read_only(design))
 
     @property
     def n(self) -> int:
@@ -78,21 +88,8 @@ def estimate_rho(y, basis: FpcBasis, rank: int) -> FlmFit:
     fitted = scores @ coef
     residuals = y - fitted
     rho_hat = coef @ basis.eigenfunctions[:rank]
-    return FlmFit(
-        basis=basis,
-        rank=rank,
-        coef=coef,
-        rho_hat=rho_hat,
-        fitted=fitted,
-        residuals=residuals,
-    )
-
-
-def _hat_apply_rows(fit: FlmFit, rows: np.ndarray) -> np.ndarray:
-    """Hat matrix applied to each row of a (B, n) array."""
-    scores = fit.basis.scores[:, : fit.rank]
-    prec = 1.0 / (fit.n * fit.basis.eigenvalues[: fit.rank])
-    return ((rows @ scores) * prec) @ scores.T
+    return _adopt(FlmFit, basis=basis, rank=rank, coef=coef, rho_hat=rho_hat,
+                  fitted=fitted, residuals=residuals)
 
 
 # RSS values this far below the response's total sum of squares are pure

@@ -12,9 +12,9 @@ the integral of T^2 against the empirical law of the projections, i.e.
 Null calibration is a wild bootstrap: residuals are multiplied by i.i.d.
 two-point golden-ratio weights with mean 0 and second and third moments 1,
 and the fitting pipeline is replayed on the perturbed response at the same
-rank. Because the pipeline centers the response before regressing on the
-score columns, the replay collapses to re-centering the perturbed residuals
-and applying (I - H); both constraints the observed residuals satisfy (zero
+rank. The pipeline centers the response and regresses on the score columns,
+so the replay is one projection through the fit's orthonormal design Q
+(`flm`), e - Q (Q^T e); both constraints the observed residuals satisfy (zero
 sum and score orthogonality) are thereby imposed on every replicate. One
 projection gives a p-value p_hat = (1/B) #{ ||T*_b|| >= ||T|| }; K
 projections are combined by the false-discovery-rate envelope
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forking
-from .flm import _check_response, _hat_apply_rows, estimate_rho, select_rank_sicc
+from .flm import _check_response, estimate_rho, select_rank_sicc
 from .fpc import FpcBasis
 # The FPC step of a test takes the test's own centered sample and also returns
 # A = X * sqrt(w), which the projections use; it keeps the public name, under
@@ -449,11 +449,11 @@ def _replay_residuals(fit, perturbed):
     The bootstrap response Y* = fitted + e goes through the same pipeline as
     the data: subtract the sample mean (the fitted values already have mean
     zero), then regress on the score columns, so the replicate residuals are
-    (I - H)(e - mean(e)).
+    e - Q (Q^T e), Q the fit's design, for each row e; `perturbed` is kept.
     """
-    centered = perturbed - perturbed.mean(axis=-1, keepdims=True)
-    centered -= _hat_apply_rows(fit, centered)
-    return centered
+    design = fit.design
+    projected = (perturbed @ design) @ design.T
+    return np.subtract(perturbed, projected, out=projected)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ import pytest
 
 from flmgof import FunctionalSample, center, gen_process, uniform_grid
 from flmgof.forking import _set_blas_threads
-from flmgof.flm import _check_response, _hat_apply_rows
 from flmgof.funspace import _as_float_vector
 from flmgof.processes import GBM_DRIFT, GBM_INITIAL
 from flmgof.rptest import _Settings
@@ -82,10 +81,16 @@ def reconstruct(basis, rank):
     return FunctionalSample(grid=basis.grid, data=data)
 
 
+def hat_matrix(fit):
+    """Dense n x n hat matrix S_r diag(1/(n lambda)) S_r^T of the fit's basis."""
+    scores = fit.basis.scores[:, : fit.rank]
+    precision = 1.0 / (fit.n * fit.basis.eigenvalues[: fit.rank])
+    return scores @ np.diag(precision) @ scores.T
+
+
 def hat_apply(fit, v):
-    """Apply the hat matrix of the fit to a vector of length n."""
-    v = _check_response(v, fit.n)
-    return _hat_apply_rows(fit, v[None, :])[0]
+    """The dense hat matrix of the fit applied to a vector of length n."""
+    return hat_matrix(fit) @ np.asarray(v, dtype=float)
 
 
 def study_payload(spec, d_values, n, trial, seed=0, **settings):

@@ -9,9 +9,11 @@ for the empirical-process machinery.
 Normal cdf/pdf go through the C library's erfc, accurate to double precision,
 so the oracle values are bit-stable for a given platform.
 
-Two oracles for the null law of the FDR combination close the module: the
-rejection rate over every count vector, and a Monte Carlo sample of the
-combined p-value. `flmgof.fdr_null_rejection_rate` is checked against both.
+Two oracles for the null law of the FDR combination follow: the rejection
+rate over every count vector, and a Monte Carlo sample of the combined
+p-value. `flmgof.fdr_null_rejection_rate` is checked against both. The
+module closes with the exact law of the wild bootstrap at small n, where
+every multiplier vector can be enumerated.
 """
 
 from __future__ import annotations
@@ -23,7 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from flmgof.funspace import _frozen
-from flmgof.rptest import _Settings, _bootstrap_pvalues, _fdr_envelope
+from flmgof.rptest import (
+    GOLDEN_PROBS,
+    GOLDEN_VALUES,
+    _bootstrap_pvalues,
+    _fdr_envelope,
+    _replay_residuals,
+    _Settings,
+)
 
 __all__ = [
     "GaussianFlmSpec",
@@ -36,6 +45,8 @@ __all__ = [
     "tnx_truncation_bound",
     "enumerated_fdr_rejection_rate",
     "simulated_fdr_combined",
+    "exact_bootstrap_pvalues",
+    "binomial_tails",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -199,3 +210,31 @@ def simulated_fdr_combined(K, B, M, rng, positive_correction) -> np.ndarray:
     counts = rng.integers(0, B + 1, size=(M, K))
     settings = _Settings(B=B, positive_correction=positive_correction)
     return _fdr_envelope(_bootstrap_pvalues(counts, settings))
+
+
+def exact_bootstrap_pvalues(fit, layouts, kind) -> np.ndarray:
+    """B = infinity bootstrap p-values of a composite test, one per layout.
+
+    The golden-ratio law has two points, so at small n all 2^n multiplier
+    vectors can be enumerated. Each replicate V * residuals is replayed
+    through `fit` with `_replay_residuals`, and a direction's p-value is the
+    total chance of the vectors whose `kind` norm reaches the observed one.
+    A report's exceedance count out of B is then Binomial(B, p).
+    """
+    choice = np.array(list(itertools.product((0, 1), repeat=fit.n)))
+    chance = np.prod(np.asarray(GOLDEN_PROBS)[choice], axis=1)
+    replicates = np.asarray(GOLDEN_VALUES)[choice] * fit.residuals
+    columns = np.ascontiguousarray(_replay_residuals(fit, replicates).T)
+    return np.array([
+        chance[layout.norms(columns, kind) >= layout.norms(fit.residuals, kind)].sum()
+        for layout in layouts
+    ])
+
+
+def binomial_tails(count, B, p) -> tuple[float, float]:
+    """(P(X <= count), P(X >= count)) for X ~ Binomial(B, p), 0 < p < 1."""
+    k = np.arange(B + 1)
+    # log C(B, k) as a running sum of log((B - i + 1) / i), i = 1..k
+    log_choose = np.cumsum(np.log(np.r_[1.0, (B - k[1:] + 1.0) / k[1:]]))
+    pmf = np.exp(log_choose + k * math.log(p) + (B - k) * math.log1p(-p))
+    return float(pmf[: count + 1].sum()), float(pmf[count:].sum())

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import centered_bm_sample, hat_apply, inner_product
-from flmgof import compute_fpc, estimate_rho, select_rank_sicc
+from conftest import centered_bm_sample, hat_apply, hat_matrix, inner_product
+from flmgof import FlmFit, compute_fpc, estimate_rho, gen_process, select_rank_sicc
+from flmgof import uniform_grid
 
 
 def make_regression(n=80, num_points=101, rank=3, noise=0.1, seed=0):
@@ -44,7 +45,11 @@ def test_hat_matrix_is_orthogonal_projection():
     sample, basis, y, _ = make_regression(n=40, num_points=31, seed=3)
     fit = estimate_rho(y, basis, 4)
     scores = basis.scores[:, :4]
-    dense = scores @ np.diag(1.0 / (sample.n * basis.eigenvalues[:4])) @ scores.T
+    dense = hat_matrix(fit)
+    # the fit's design spans the constant and the score columns: Q Q^T is
+    # the projector of centering and then regressing
+    centering = np.full((sample.n, sample.n), 1.0 / sample.n)
+    assert np.allclose(fit.design @ fit.design.T, dense + centering, atol=1e-12)
     rng = np.random.default_rng(7)
     v = rng.standard_normal(sample.n)
     hv = hat_apply(fit, v)
@@ -56,6 +61,50 @@ def test_hat_matrix_is_orthogonal_projection():
     for j in range(4):
         col = scores[:, j]
         assert np.allclose(hat_apply(fit, col), col, atol=1e-9 * np.abs(col).max())
+
+
+@pytest.mark.parametrize("kind", ["ou", "bm"])
+@pytest.mark.parametrize("n, num_points", [(200, 201), (150, 51)])
+def test_design_is_orthonormal(kind, n, num_points):
+    # Q = [1/sqrt(n) | s_j / sqrt(n lambda_j)] at the largest rank. The score
+    # block is S^T S / (n sqrt(lambda_i lambda_j)), so it takes the bounds of
+    # test_score_gram_matrix_is_n_diag_lambda: per pair on the Gram path
+    # (n <= G), relative to lambda_1 on the kernel path. The constant column
+    # meets score column j to rounding relative to lambda_1 / lambda_j on
+    # both paths: on the Gram path eigh leaves v_j a component of about
+    # eps * lambda_1 / lambda_j along the null vector of the centered curves
+    sample = gen_process(kind, n, uniform_grid(num_points), np.random.default_rng(n))
+    basis = compute_fpc(sample)
+    lam = basis.eigenvalues
+    y = basis.scores[:, 0] + np.random.default_rng(n + 1).standard_normal(n)
+    fit = estimate_rho(y - y.mean(), basis, basis.m)
+    design = fit.design
+    assert design.shape == (n, basis.m + 1)
+    assert design.flags.c_contiguous and not design.flags.writeable
+    assert np.all(design[:, 0] == 1.0 / np.sqrt(n))
+    error = np.abs(design.T @ design - np.eye(basis.m + 1))
+    pair = np.sqrt(np.outer(lam, lam))
+    scale = pair if n <= num_points else lam[0]
+    assert np.max(error[1:, 1:] * pair / scale) <= 1e-13
+    assert np.max(error[0, 1:] * lam / lam[0]) <= 1e-13
+
+
+def test_a_hand_built_fit_gets_the_design_of_estimate_rho():
+    sample, basis, y, _ = make_regression(n=40, num_points=31, seed=12)
+    fit = estimate_rho(y, basis, 3)
+    names = ("coef", "rho_hat", "fitted", "residuals")
+    assert not any(getattr(fit, name).flags.writeable for name in names)
+    arrays = {name: np.array(getattr(fit, name)) for name in names}
+    before = {name: array.copy() for name, array in arrays.items()}
+    built = FlmFit(basis=basis, rank=3, **arrays)
+    assert np.array_equal(built.design, fit.design)
+    assert built.design.flags.c_contiguous and not built.design.flags.writeable
+    for name, array in arrays.items():
+        # the fit holds read-only copies; the caller's arrays stay as they were
+        assert array.flags.writeable and np.array_equal(array, before[name])
+        assert getattr(built, name) is not array
+        assert not getattr(built, name).flags.writeable
+        assert np.array_equal(getattr(built, name), array)
 
 
 def test_refit_residual_identity():

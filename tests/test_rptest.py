@@ -19,6 +19,7 @@ from conftest import (
     _blas_on_one_thread,
     brute_process_norms,
     centered_bm_sample,
+    hat_matrix,
     inner_product,
     project,
 )
@@ -57,7 +58,12 @@ from flmgof.rptest import (
 )
 from flmgof.processes import ornstein_uhlenbeck
 from flmgof.simlab import ALPHAS
-from oracles import enumerated_fdr_rejection_rate, simulated_fdr_combined
+from oracles import (
+    binomial_tails,
+    enumerated_fdr_rejection_rate,
+    exact_bootstrap_pvalues,
+    simulated_fdr_combined,
+)
 
 
 def philox(seed):
@@ -797,13 +803,111 @@ def test_replay_matches_refit_from_scratch():
     # center the response, then fit again at the same rank
     sample, basis, fit = small_fit()
     perturbations = philox(24).standard_normal((6, sample.n)) + 0.3
+    given = perturbations.copy()
     replayed = _replay_residuals(fit, perturbations)
+    # the replay returns a new array and leaves its input as it was
+    assert np.array_equal(perturbations, given)
     assert replayed.shape == perturbations.shape
     for e, row in zip(perturbations, replayed):
         response = fit.fitted + e
         refit = estimate_rho(response - response.mean(), basis, fit.rank)
         assert np.allclose(row, refit.residuals, atol=1e-10)
         assert np.allclose(_replay_residuals(fit, e), refit.residuals, atol=1e-10)
+    assert np.array_equal(perturbations, given)
+
+
+@pytest.mark.parametrize("n, num_points", [(50, 51), (60, 31)])
+def test_replay_equals_centering_then_hat_projection(n, num_points):
+    # the one projection against the two steps it replaces, (I - H)(e - mean(e))
+    # with a dense H, at rank 1, a middle rank and the largest rank a test
+    # selects, on the Gram path (n <= G) and the kernel path. They differ by
+    # mean(e) H 1, zero where the scores sum to zero; on the Gram path the
+    # eigenvectors of small components carry about eps * lambda_1 / lambda_j
+    # along 1, so there the largest rank is compared with that term kept
+    sample = centered_bm_sample(n, num_points=num_points, seed=25)
+    basis = compute_fpc(sample)
+    y = basis.scores[:, 0] + 0.5 * philox(26).standard_normal(n)
+    perturbations = philox(27).standard_normal((6, n)) + 0.3
+    means = perturbations.mean(axis=1, keepdims=True)
+    top = min(basis.m, n - 3)
+    for rank in (1, top // 2, top):
+        fit = estimate_rho(y - y.mean(), basis, rank)
+        hat = hat_matrix(fit)
+        two_step = (perturbations - means) @ (np.eye(n) - hat)  # H is symmetric
+        drift = means * hat.sum(axis=1)
+        replayed = _replay_residuals(fit, perturbations)
+        bound = 1e-13 * np.max(np.abs(perturbations))
+        assert np.max(np.abs(replayed - (two_step - drift))) <= bound
+        if rank < top or n > num_points:
+            assert np.max(np.abs(replayed - two_step)) <= bound
+
+
+def test_bootstrap_counts_follow_the_exact_bootstrap_law():
+    # At n=12 the 2^12 golden-ratio multiplier vectors give each direction's
+    # B = infinity p-value p through the replay, so a report's count out of B
+    # is Binomial(B, p). Per count, both exact binomial tails must reach the
+    # normal tail at 4.5 SE. Over datasets, which are independent, the counts'
+    # summed deviation from B p must lie within 4 SE, taking each dataset's
+    # deviations as perfectly correlated (a direction's KS and CvM counts
+    # share the multipliers), which only widens the band
+    n, K, B, datasets = 12, 3, 2000, 60
+    tail = 0.5 * math.erfc(4.5 / math.sqrt(2.0))
+    spec = scenario(1)
+    deviation, variance, cells = 0.0, 0.0, 0
+    for dataset in range(datasets):
+        rng = philox(dataset)
+        X = gen_process(spec.process, n, spec.grid, rng)
+        y = gen_response(spec, X, 0, rng)
+        dataset_deviation, dataset_spread = 0.0, 0.0
+        for kind in STAT_KINDS:
+            report = flm_gof(X, y, K=K, B=B, kind=kind, seed=dataset)
+            prepared = rptest._prepare(X, _Settings(K, B, kind, seed=dataset))
+            fit = estimate_rho(y - y.mean(), prepared.basis, report.settings["rank"])
+            exact = exact_bootstrap_pvalues(fit, prepared.layouts, kind)
+            for rec, layout, p in zip(report.per_projection, prepared.layouts, exact):
+                assert rec.statistic == layout.norms(fit.residuals, kind)
+                count = round(rec.pvalue * B)
+                if p in (0.0, 1.0):
+                    assert count == p * B
+                    continue
+                assert min(binomial_tails(count, B, p)) >= tail
+                dataset_deviation += count - B * p
+                dataset_spread += math.sqrt(B * p * (1.0 - p))
+                cells += 1
+        deviation += dataset_deviation
+        variance += dataset_spread**2
+    assert cells >= 0.9 * datasets * K * len(STAT_KINDS)
+    assert abs(deviation) <= 4.0 * math.sqrt(variance)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(8, 60), st.sampled_from(("i", "ii", "iii")))
+def test_power_of_two_scalings_keep_every_decision(seed, n, sampler):
+    # Scaling y by 8 scales the residuals, every replicate and so every norm
+    # by a power of two, exactly. Scaling X by 4 scales the eigenvalues by 16
+    # and the scores and projections by 4 and 16, exactly, which leaves the
+    # design Q, the marks and every order as they were. Either way each rank,
+    # p-value and p_fdr keeps its bits. On 31 grid points n <= 31
+    # takes the Gram path and n > 31 the kernel path
+    grid = uniform_grid(31)
+    rng = philox(seed)
+    X = gen_process("bm", n, grid, rng)
+    y = X.data @ (grid.weights * np.sin(2.0 * np.pi * grid.points))
+    y = y + 0.3 * rng.standard_normal(n)
+    scaled_X = FunctionalSample(grid=grid, data=4.0 * X.data)
+    for gof in (flm_gof, simple_gof):
+        for kind in STAT_KINDS:
+            options = {"K": 3, "B": 100, "kind": kind, "sampler": sampler, "seed": seed}
+            base = gof(X, y, **options)
+            growth = 64.0 if kind == "cvm" else 8.0
+            scaled = ((gof(X, 8.0 * y, **options), growth),
+                      (gof(scaled_X, y, **options), 1.0))
+            for report, factor in scaled:
+                assert report.settings == base.settings  # the rank among them
+                assert report.p_fdr == base.p_fdr
+                for rec, ref in zip(report.per_projection, base.per_projection):
+                    assert rec.pvalue == ref.pvalue
+                    assert rec.statistic == factor * ref.statistic
 
 
 # ------------------------------------------------------------ composite tests
