@@ -1,10 +1,24 @@
 #!/usr/bin/env python3
-"""Per-stage milliseconds of one `test_flm` call across sample sizes.
+"""Per-stage milliseconds of one `test_flm` call across sample sizes, and a
+sweep of the side-by-side norm kernel against the per-direction one.
 
 Times `test_flm` at n in {50, 256, 1024, 2048, 4096}, K=5, B=1000, on
 Brownian-motion curves with a linear response and fixed seeds. Stages come
 from the benchmark's span tracer (`perfbench/spans.py`), which times each
 layer from outside the package; `wall_ms` is the median untraced call.
+
+The sweep times the norms of one bootstrap block of L levels, b replicates
+each, for K=5 directions on untied projections, as the (n, L, b) blocks in
+SWEEP: `_SideBySide.norms` (one call for every direction) against one
+`_SortedProjections.norms` call per direction on all L levels, or, in a
+tree whose kernel takes one level at a time, one call per direction and
+level. It covers a study's blocks (n=50, b = 128, 244 and 500, L = 1..3),
+rows of K * L * b values on either side of SIDE_BY_SIDE_MIN_ROW, and blocks
+on either side of the BOOTSTRAP_BLOCK budget. Values are medians over
+rounds of the mean microseconds per block. The side-by-side kernel reuses
+its scratch arrays, so past the budget it times the work on arrays larger
+than the caches, not the page faults of making them. A tree without
+`_SideBySide` reports the per-direction kernel only.
 
 Before/after runs over `--src [LABEL=]DIR` trees: see `_harness.py`.
 """
@@ -22,6 +36,17 @@ import _harness  # noqa: E402
 SIZES = (50, 256, 1024, 2048, 4096)
 K, B = 5, 1000
 ROUNDS, CALLS = 3, 3  # fresh interpreters per tree; timed calls in each
+# (n, levels, width) blocks of the kernel sweep
+SWEEP = (
+    *((50, levels, width) for width in (128, 244, 500) for levels in (1, 2, 3)),
+    # rows of K * L * b = 160, 240, 320, 480 and 640 values within the budget
+    *((n, 1, width) for n in (50, 200, 400) for width in (32, 48, 64, 96, 128)
+      if n * K * width <= 2**17),
+    (800, 1, 32),
+    # past the budget of 2**17 values
+    (100, 2, 244), (200, 1, 654), (50, 5, 500),
+)
+SWEEP_REPEATS, SWEEP_CALLS = 7, 40  # timed repeats per round; blocks in each
 STAGES = (
     "fpc.compute_ms", "flm.sicc_ms", "flm.fit_ms", "rptest.directions_ms",
     "rptest.multipliers_ms", "rptest.replay_ms", "rptest.norms_ms",
@@ -30,9 +55,10 @@ STAGES = (
 
 
 def measure(src):
-    """One round in this interpreter: {n: {"wall_ms": .., stage: ..}}."""
+    """One round in this interpreter: {"calls": {n: {"wall_ms": .., stage: ..}},
+    "sweep": `sweep`'s rows}."""
     sys.path[:0] = [src, _harness.REPO]
-    from flmgof import gen_process, test_flm, uniform_grid
+    from flmgof import gen_process, rptest, test_flm, uniform_grid
     from perfbench.spans import Tracer, layer_metrics
 
     grid = uniform_grid(101)
@@ -56,24 +82,67 @@ def measure(src):
         metrics = layer_metrics(tracer, "rptest.test")
         rows[n] = {"wall_ms": statistics.median(walls)}
         rows[n].update({stage: metrics[stage] for stage in STAGES})
+    return {"calls": rows, "sweep": sweep(rptest)}
+
+
+def sweep(rptest):
+    """{"n=50 L=2 b=128": {"per_direction_us": .., "side_by_side_us": ..}}"""
+    side_by_side = getattr(rptest, "_SideBySide", None)
+    rows = {}
+    for n, levels, width in SWEEP:
+        rng = np.random.Generator(np.random.Philox(n * levels * width))
+        layouts = [rptest._SortedProjections(rng.standard_normal(n)) for _ in range(K)]
+        columns = rng.standard_normal((n, levels, width))
+        per_level = [np.ascontiguousarray(columns[:, level]) for level in range(levels)]
+        row = {"values": n * K * levels * width, "row": K * levels * width}
+        for kind in ("cvm", "ks"):
+            if side_by_side is None:  # a kernel of one level at a time
+                kernels = {"per_direction_us": lambda: [
+                    layout.norms(level, kind) for layout in layouts for level in per_level]}
+            else:
+                record = side_by_side(layouts)
+                kernels = {
+                    "per_direction_us": lambda: [layout.norms(columns, kind) for layout in layouts],
+                    "side_by_side_us": lambda: record.norms(columns, kind),
+                }
+            times = {name: [] for name in kernels}
+            for _ in range(SWEEP_REPEATS):  # the kernels take turns
+                for name, kernel in kernels.items():
+                    kernel()
+                    start = time.perf_counter()
+                    for _ in range(SWEEP_CALLS):
+                        kernel()
+                    times[name].append(1e6 * (time.perf_counter() - start) / SWEEP_CALLS)
+            row.update({f"{kind}_{name}": statistics.median(values)
+                        for name, values in times.items()})
+        rows[f"n={n} L={levels} b={width}"] = row
     return rows
 
 
 def report(sources, run):
     runs = _harness.rounds(sources, run, ROUNDS)
 
-    def median_row(label, n):
-        keys = runs[label][0][str(n)]
+    def median_row(label, part, key):
+        first = runs[label][0][part][key]
         return {
-            key: round(statistics.median(run[str(n)][key] for run in runs[label]), 3)
-            for key in keys
+            name: round(statistics.median(run[part][key][name] for run in runs[label]), 3)
+            for name in first
         }
 
     return {
         "settings": {"sizes": SIZES, "K": K, "B": B, "rounds": ROUNDS,
-                     "calls_per_round": CALLS, "seed": 0},
-        "note": "medians over rounds of per-call ms; stages are self times",
-        "results": {label: {n: median_row(label, n) for n in SIZES} for label in runs},
+                     "calls_per_round": CALLS, "seed": 0, "sweep": SWEEP,
+                     "sweep_repeats": SWEEP_REPEATS, "sweep_calls": SWEEP_CALLS},
+        "note": "medians over rounds: per-call ms, stages as self times; "
+                "per-block microseconds in the sweep",
+        "results": {
+            label: {
+                "calls": {n: median_row(label, "calls", str(n)) for n in SIZES},
+                "sweep": {key: median_row(label, "sweep", key)
+                          for key in runs[label][0]["sweep"]},
+            }
+            for label in runs
+        },
     }
 
 

@@ -14,20 +14,21 @@ second kind TRIALS trials of one level each. Stages come from the
 benchmark's span tracer (`perfbench/spans.py`), which times each layer from
 outside the package; `wall_ms` is the median of the untraced passes' means.
 `simlab.trial_ms` is the trials' own self time, outside every traced layer.
-`replicates_d0` and `replicates_d1` are the mean bootstrap replicates drawn
-per test at each d, counted in one more pass, out of B unless the test's
-bootstrap stopped early. Each worker runs OpenBLAS on one thread, as
+`replicates_d0` and `replicates_d1` are the mean bootstrap replicates
+replayed per test at each d, counted in one more pass, out of B unless that
+level's bootstrap stopped early. Each worker runs OpenBLAS on one thread, as
 `run_study` runs its trials.
 
 Before/after runs over `--src [LABEL=]DIR` trees: see `_harness.py`. A tree
-with a prepared test record (`rptest._Prepared`) gets (spec, d_values, n,
-settings, trial) payloads; a tree with only a settings record
-(`rptest._Settings`) gets (spec, d, n, settings, trial); an older tree gets
-the ten-field payload (spec, d, n, K, B, kind, r, sampler, seed, trial) that
-its `_study_trial` unpacks. Trees older than `simlab._study_trial` cannot be
-timed.
+whose `simlab._trial_data` draws the responses of several levels (it takes
+`d_values`) gets (spec, d_values, n, settings, trial) payloads; a tree with
+only a settings record (`rptest._Settings`) gets (spec, d, n, settings,
+trial); an older tree gets the ten-field payload (spec, d, n, K, B, kind, r,
+sampler, seed, trial) that its `_study_trial` unpacks. Trees older than
+`simlab._study_trial` cannot be timed.
 """
 
+import inspect
 import os
 import statistics
 import sys
@@ -49,45 +50,45 @@ STAGES = (
 )
 
 
-def trial_payloads(rptest, spec, sampler):
+def trial_payloads(rptest, simlab, spec, sampler):
     """The `_study_trial` payloads of TRIALS outcomes, in the tree's own layout."""
     levels = [D_VALUES[trial % len(D_VALUES)] for trial in range(TRIALS)]
     if not hasattr(rptest, "_Settings"):
         return [(spec, d, N, K, B, "cvm", 0.95, sampler, 0, trial)
                 for trial, d in enumerate(levels)]
     settings = rptest._Settings(K, B, "cvm", 0.95, sampler, 0)
-    if hasattr(rptest, "_Prepared"):  # one trial for every level
+    if "d_values" in inspect.signature(simlab._trial_data).parameters:
+        # one trial for every level
         return [(spec, D_VALUES, N, settings, trial)
                 for trial in range(TRIALS // len(D_VALUES))]
     return [(spec, d, N, settings, trial) for trial, d in enumerate(levels)]
 
 
 def replicates_drawn(rptest, simlab, payloads):
-    """Mean bootstrap replicates drawn per test, keyed by d."""
-    draw, test = rptest.golden_multipliers, simlab.test_flm
-    drawn, per_test = [], []
+    """Mean bootstrap replicates per test, keyed by d: the replicates each
+    level's fit replays, in the order the trial's fits first replay, which
+    is the order of its levels whether one `test_flm` call serves them all
+    or one call serves each."""
+    replay = rptest._replay_residuals
+    # id(fit) -> [fit, replicates] in first-replay order; holding the fit
+    # keeps its id from going to a later one
+    replayed = {}
 
-    def counting(rng, size):
-        drawn.append(size[0])
-        return draw(rng, size)
-
-    def testing(*args, **kwargs):
-        drawn.clear()
-        report = test(*args, **kwargs)
-        per_test.append(sum(drawn))
-        return report
+    def counting(fit, perturbed):
+        replayed.setdefault(id(fit), [fit, 0])[1] += len(perturbed)
+        return replay(fit, perturbed)
 
     totals = dict.fromkeys(D_VALUES, 0)
-    rptest.golden_multipliers, simlab.test_flm = counting, testing
+    rptest._replay_residuals = counting
     try:
         for payload in payloads:
-            per_test.clear()
+            replayed.clear()
             simlab._study_trial(payload)
             levels = payload[1] if isinstance(payload[1], tuple) else (payload[1],)
-            for d, replicates in zip(levels, per_test, strict=True):
+            for d, (_, replicates) in zip(levels, replayed.values(), strict=True):
                 totals[d] += replicates
     finally:
-        rptest.golden_multipliers, simlab.test_flm = draw, test
+        rptest._replay_residuals = replay
     tests = TRIALS / len(D_VALUES)
     return {f"replicates_d{d}": totals[d] / tests for d in D_VALUES}
 
@@ -102,7 +103,7 @@ def measure(src):
     for index, sampler in CASES:
         spec = simlab.scenario(index)
         spec.sigma2  # the study computes it once, before its trials
-        payloads = trial_payloads(rptest, spec, sampler)
+        payloads = trial_payloads(rptest, simlab, spec, sampler)
         # trial spans per outcome: 1/2 where one trial serves both levels
         per_outcome = len(payloads) / TRIALS
         for payload in payloads[:2]:

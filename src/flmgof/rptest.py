@@ -24,10 +24,22 @@ The bootstrap is streamed: replicates are drawn, replayed and reduced to the
 requested norm (KS or CvM, not both) in blocks of b replicates laid out one
 per column, b = BOOTSTRAP_BLOCK // n rounded down to even, so its memory is
 O(n * b), a few MB whatever B is, instead of O(n * B). A block (start, width)
-draws replicates start .. start + width - 1 of the one multiplier stream,
-which it first sets to value start * n, so every block draws what one (B, n)
-draw holds in its rows, and the counts of the blocks add up to its counts in
-any order. A bootstrap is one map of the blocks to their counts.
+draws replicates start .. start + width - 1 of the one multiplier stream, at
+value start * n of it, so every block draws what one (B, n) draw holds in its
+rows, and the counts of the blocks add up to its counts in any order. A
+bootstrap is one map of the blocks to their counts. The generator is set to
+that value only when it does not already stand there, so a serial bootstrap
+never seeks.
+
+`test_flm` takes L responses to the same curves as an (L, n) array and runs
+one bootstrap for all of them: each block draws its multipliers once, and
+every level replays them through its own fit into one (n, L, b) array. When
+the K directions' rows of that block, K * L * b values each, are wide
+enough and the block fits in BOOTSTRAP_BLOCK values, they are gathered side
+by side and cumulated with one np.add per row (`_SideBySide`); otherwise
+each direction cumulates all L levels at once. Every column is still summed
+in row order, and each CvM norm is a gemv over exactly its level's b
+columns, so each level's report is that of its own call, bit for bit.
 
 A Monte Carlo study reads a trial only as the decisions p_fdr < alpha, so a
 study trial may stop its bootstrap early (`test_flm`'s private `_stop_above`,
@@ -39,7 +51,8 @@ The stop is exact: counts only grow, both p-value expressions are monotone in
 the count, and sorting, scaling by K/k and taking a minimum are monotone
 under rounding, so the final p_fdr could be no smaller than the envelope at
 the stop, and no decision below the threshold can change. A bootstrap that
-does not stop counts the same replicates as one without the threshold.
+does not stop counts the same replicates as one without the threshold. Each
+response of a multi-response call stops on its own counts; the others go on.
 
 A large bootstrap that may not stop (n * B at least SPLIT_MIN_VALUES) is
 split where the platform forks: `forking.strided_map` runs block i in worker
@@ -58,6 +71,7 @@ import functools
 import itertools
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +119,15 @@ SAMPLER_VARIANTS = ("i", "ii", "iii")
 # were slower at n >= 4096 (too few replicates per kernel call) and larger
 # ones at n >= 512.
 BOOTSTRAP_BLOCK = 2**17
+# Narrowest row, K * L * b values, at which the K directions of a block of L
+# levels, b replicates each, are cumulated side by side (`_SideBySide`), one
+# np.add per row; the gathered (n, K * L * b) array must also fit in
+# BOOTSTRAP_BLOCK values. In the sweep (scripts/bench_norm_kernel.py,
+# BENCH_stacked_trial.json) rows of 320 values or more took 0.41-0.98 of the
+# time of one kernel call per direction, rows of 240 up to 1.11x and rows
+# of 160 up to 1.50x (n=800). Past the budget the gain shrank, and the
+# gathered array, 5.2 MB at n=200, B=1000, raised peak RSS by 8 MB or more.
+SIDE_BY_SIDE_MIN_ROW = 320
 # Width of the first two blocks of a bootstrap that may stop early: at n=50,
 # K=5, B=500, about half the null trials of a study settle p_fdr >= 0.1 after
 # 128 replicates and three quarters after 256.
@@ -261,29 +284,111 @@ class _SortedProjections:
     def norms(self, columns, kind):
         """The `kind` norm of the process for marks in observation order.
 
-        `columns` is (n,) for one mark vector or (n, b) for b of them, one
-        per column; the norms come back as a float or a (b,) vector. Only the
-        requested norm is computed, and the one buffer allocated has the shape
-        of `columns`, so memory is O(n * b) for a block of b replicates. An
-        even b is cumulated two columns at a time, with the same sums.
+        `columns` is (n,) for one mark vector, (n, b) for b of them, one per
+        column, or (n, L, b) for the b replicates of each of L levels side by
+        side; the norms come back as a float, a (b,) vector or an (L, b)
+        array. Only the requested norm is computed, and the one buffer
+        allocated has the shape of `columns`, so memory is O(n * L * b). An
+        even number of columns is cumulated two at a time, with the same sums.
+        A record of K directions (`_SideBySide`) takes (n, L, b) columns and
+        returns (K, L, b) norms.
         """
+        if self.order.ndim == 2:
+            return _side_by_side_norms(self, columns, kind)
         # np.take copies whole rows, faster than fancy indexing on narrow ones
         sums = np.take(np.asarray(columns, dtype=float), self.order, axis=0)
-        if sums.ndim == 2 and sums.shape[1] % 2 == 0:
+        rows = sums.reshape(self.n, -1)  # a view: every column of every level
+        if rows.shape[1] % 2 == 0:
             # a complex add is two independent float adds: the same bits as
             # np.cumsum per column, with half the elements in numpy's
             # accumulate loop
-            pairs = sums.view(np.complex128)
-            np.cumsum(pairs, axis=0, out=pairs)
-        else:
-            np.cumsum(sums, axis=0, out=sums)
+            rows = rows.view(np.complex128)
+        np.cumsum(rows, axis=0, out=rows)
         if kind == "cvm":
-            return self.weights @ np.square(sums, out=sums)
+            np.square(sums, out=sums)
+            if sums.ndim < 3:
+                return self.weights @ sums
+            # one gemv per level, as wide as one level's block (see
+            # `_side_by_side_norms`)
+            return self.weights @ sums.transpose(1, 0, 2)
         if self.ends is not None:
             sums = np.take(sums, self.ends, axis=0)
         # rounding is monotone, so scaling the maximum equals the maximum of
         # the scaled process values bit for bit
         return _max_over_rows(np.abs(sums, out=sums)) * self.scale
+
+
+class _SideBySide(_SortedProjections):
+    """The sorted layouts of a test's K directions in one record.
+
+    Its `norms` gathers every direction's rows of the (n, L, b) columns side
+    by side into one (n, K * L * b) array and cumulates it with one np.add
+    per row instead of one np.cumsum per direction, which on narrow blocks
+    costs mostly its fixed overhead. Each column is still added in row
+    order, so every sum has the bits of `_SortedProjections.norms`.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, layouts):
+        first = layouts[0]
+        self.n, self.scale = first.n, first.scale
+        # column k is direction k's order, so one np.take gathers all K
+        self.order = np.array([layout.order for layout in layouts]).T.copy()
+        self.ends = tuple(layout.ends for layout in layouts)
+        self.weights = np.array([layout.weights for layout in layouts])
+
+
+# Per thread, the arrays of the side-by-side kernel, reused by every block
+_scratch_arrays = threading.local()
+
+
+def _scratch(name, shape):
+    """A float array of `shape` in this thread's buffer `name`.
+
+    The buffer holds at least BOOTSTRAP_BLOCK values and lives as long as the
+    thread, so a side-by-side block, up to 1 MB, allocates and frees nothing.
+    Freeing arrays that large would also raise glibc's mmap threshold for the
+    rest of the process, which moves the cost of every later allocation in
+    it. Its contents last until the next call with the same name.
+    """
+    size = math.prod(shape)
+    buffer = getattr(_scratch_arrays, name, None)
+    if buffer is None or buffer.size < size:
+        buffer = np.empty(max(size, BOOTSTRAP_BLOCK))
+        setattr(_scratch_arrays, name, buffer)
+    return buffer[:size].reshape(shape)
+
+
+def _side_by_side_norms(record, columns, kind):
+    """(K, L, b) norms of (n, L, b) columns for the K directions of `record`."""
+    n, levels, width = columns.shape
+    sums = _scratch("gathered", (n, len(record.ends), levels, width))
+    # mode="clip" writes straight to `sums`; "raise" would buffer a copy
+    np.take(columns, record.order, axis=0, out=sums, mode="clip")
+    rows = sums.reshape(n, -1)
+    row_views = list(rows)  # made at once, faster than while iterating
+    for previous, row in zip(row_views, row_views[1:]):
+        np.add(previous, row, out=row)
+    if kind == "cvm":
+        np.square(rows, out=rows)
+        # matmul runs one gemv per direction and level over exactly that
+        # level's b columns, the gemv a single-response call runs; a gemv
+        # over more columns rounds some of them differently
+        weights = record.weights[:, None, None, :]
+        return (weights @ sums.transpose(1, 2, 0, 3))[:, :, 0]
+    np.abs(rows, out=rows)
+    # a tied direction reads its block ends only, before the fold below
+    # overwrites the rows
+    tied = {
+        k: _max_over_rows(np.take(sums[:, k], ends, axis=0))
+        for k, ends in enumerate(record.ends)
+        if ends is not None
+    }
+    norms = _max_over_rows(rows).reshape(sums.shape[1:])
+    for k, maxima in tied.items():
+        norms[k] = maxima
+    return norms * record.scale
 
 
 def _max_over_rows(values):
@@ -456,27 +561,55 @@ def _replay_residuals(fit, perturbed):
     return np.subtract(perturbed, projected, out=projected)
 
 
+class _Stream:
+    """The golden-ratio multiplier stream of one bootstrap, drawn in blocks.
+
+    `draw(start, width)` returns replicates start .. start + width - 1 of the
+    stream as a (width, n) array: the generator is first set to value
+    start * n of the stream from its fresh state, unless it already stands
+    there, as it does for the first block of a fresh generator and for the
+    block after the one drawn last. So a serial bootstrap never seeks, and
+    a forked worker seeks each block that does not follow its last one.
+    """
+
+    def __init__(self, rng, n):
+        self.rng, self.n = rng, n
+        self.fresh_state = rng.bit_generator.state
+        self.position = 0  # the value of the stream the generator stands at
+
+    def draw(self, start, width):
+        skip = start * self.n
+        if skip != self.position:
+            _seek(self.rng, self.fresh_state, skip)
+        draws = golden_multipliers(self.rng, (width, self.n))
+        self.position = skip + width * self.n
+        return draws
+
+
 @dataclass(frozen=True)
 class _Prepared:
-    """What a test computes from its sample and settings alone. Every
-    bootstrap block seeks its place from `fresh_state`, so each response
-    tested with one record starts at value 0 of the multiplier stream."""
+    """What a test computes from its sample and settings alone: the FPC
+    basis, the sorted layout of each direction, the K of them side by side,
+    and the multiplier stream of its bootstrap."""
 
-    sample: FunctionalSample
     settings: _Settings
     basis: FpcBasis
     layouts: tuple
-    multiplier_rng: np.random.Generator
-    fresh_state: dict
+    directions: _SideBySide
+    stream: _Stream
 
 
-def _check_data(X, y):
-    """Check the sample and the response both tests share; return the response."""
+def _check_data(X, y, several=False):
+    """Check the sample and the response both tests share; return the
+    responses as an (L, n) array. With `several`, `y` holds L >= 1
+    responses as rows."""
     if not isinstance(X, FunctionalSample):
         raise ValueError("X must be a FunctionalSample")
     if X.n < 3:
         raise ValueError("the test needs at least three observations")
-    return _check_response(y, X.n)
+    if several and len(y) > 0:
+        return np.array([_check_response(row, X.n) for row in y])
+    return _check_response(y, X.n)[None]
 
 
 def _prepare(X, settings):
@@ -496,8 +629,8 @@ def _prepare(X, settings):
         _SortedProjections(_draw_nondegenerate_direction(*inputs, draw))
         for draw in range(1, settings.K + 1)
     )
-    return _Prepared(X, settings, basis, layouts, multiplier_rng,
-                     multiplier_rng.bit_generator.state)
+    return _Prepared(settings, basis, layouts, _SideBySide(layouts),
+                     _Stream(multiplier_rng, X.n))
 
 
 def _streams(settings):
@@ -532,28 +665,47 @@ def _block_widths(settings, n, stop_early):
         start += width
 
 
-def _block_exceedances(prepared, marks, fit, observed, block):
-    """Per direction, the replicates of one block whose norm reaches the
-    observed one.
+def _block_exceedances(prepared, marks, fits, observed, levels, block):
+    """Per level in `levels` and per direction, the replicates of one block
+    whose norm reaches the level's observed one: K counts per level, the
+    levels one after another.
 
     The block (start, width) draws replicates start .. start + width - 1 of
-    the multiplier stream that starts at the record's fresh state: the
-    generator is first set to value start * n of that stream. Blocks of one
+    the record's multiplier stream once for every level. Blocks of one
     stream are independent, so their counts add up to the counts of one
-    (B, n) draw in any order. The block is transposed once for the kernel.
+    (B, n) draw in any order. Each level multiplies the draws by its marks
+    and replays them through its fit, if it has one, into its slice of one
+    (n, levels, width) array, one replicate per column. The K directions'
+    norms come from one `_SideBySide` call when the gathered (n, K * levels
+    * width) array fits in BOOTSTRAP_BLOCK values and its rows are at least
+    SIDE_BY_SIDE_MIN_ROW wide, else from one call per direction.
     """
     start, width = block
-    n, rng = marks.size, prepared.multiplier_rng
-    _seek(rng, prepared.fresh_state, start * n)
-    replicates = golden_multipliers(rng, (width, n))
-    replicates *= marks
-    if fit is not None:
-        replicates = _replay_residuals(fit, replicates)
-    columns = np.ascontiguousarray(replicates.T)
-    kind = prepared.settings.kind
-    norms = (layout.norms(columns, kind) for layout in prepared.layouts)
-    hits = [np.count_nonzero(norm >= value) for norm, value in zip(norms, observed)]
-    return np.array(hits)
+    settings = prepared.settings
+    draws = prepared.stream.draw(start, width)
+    n = draws.shape[1]
+    row_width = settings.K * len(levels) * width
+    side_by_side = n * row_width <= BOOTSTRAP_BLOCK and row_width >= SIDE_BY_SIDE_MIN_ROW
+    shape, columns = (n, len(levels), width), None
+    for column, level in enumerate(levels):
+        if column < len(levels) - 1:
+            replicates = draws * marks[level]
+        else:  # the last level takes over the draws' buffer
+            replicates, draws = np.multiply(draws, marks[level], out=draws), None
+        if fits is not None:
+            replicates = _replay_residuals(fits[level], replicates)
+        if columns is None:
+            # made after the first replay, so a single level's draws, freed
+            # by then, leave their memory to it
+            columns = _scratch("columns", shape) if side_by_side else np.empty(shape)
+        columns[:, column] = replicates.T
+    if side_by_side:
+        norms = prepared.directions.norms(columns, settings.kind)
+    else:
+        norms = np.array([layout.norms(columns, settings.kind) for layout in prepared.layouts])
+    # norms[k, j] against the observed norm of direction k at level levels[j]
+    hits = (norms >= observed[levels].T[:, :, None]).sum(axis=2)
+    return hits.T.ravel()
 
 
 def _seek(rng, state, skip):
@@ -574,46 +726,57 @@ def _bootstrap_pvalues(counts, settings):
     return (counts + 1.0) / (B + 1.0) if settings.positive_correction else counts / B
 
 
-def _projection_test(prepared, marks, fit, stop_above=None):
-    """Score the K projections of the marked process and combine them.
+def _projection_test(prepared, marks, fits, stop_above=None):
+    """Score the K projections of the marked process of each level and
+    combine them, one report per level.
 
-    The record's settings give the norm, B and the p-value rule, and the
-    report's `settings`. One stream of B golden-ratio multiplier vectors
-    calibrates every direction. With a `fit` (composite null) the perturbed
-    marks are replayed through the fit at its rank; without one (simple
-    null) they are used as drawn. With `stop_above`, the bootstrap stops
-    after the first block at which the combined p-value of the counts so far
-    reaches it; the report then carries those p-values, lower bounds of the
-    full bootstrap's.
+    `marks` holds one mark vector per level, and `fits` one fit per level
+    (composite null), whose replay each replicate goes through, or is None
+    (simple null), when the perturbed marks are used as drawn. The record's
+    settings give the norm, B and the p-value rule, and the reports'
+    `settings`. One stream of B golden-ratio multiplier vectors calibrates
+    every direction of every level. With `stop_above`, a level's bootstrap
+    stops after the first block at which the combined p-value of its counts
+    so far reaches it; its report then carries those p-values, lower bounds
+    of the full bootstrap's. The other levels go on without it.
     """
     settings, layouts = prepared.settings, prepared.layouts
-    n, B = marks.size, settings.B
-    observed = [float(layout.norms(marks, settings.kind)) for layout in layouts]
+    n, B = len(marks[0]), settings.B
+    observed = np.array([[layout.norms(level, settings.kind) for layout in layouts]
+                         for level in marks])
     widths = list(_block_widths(settings, n, stop_above is not None))
     blocks = list(zip(itertools.accumulate(widths, initial=0), widths))
-    count = functools.partial(_block_exceedances, prepared, marks, fit, observed)
+    # the levels still bootstrapped; the serial loop below drops stopped ones
+    # from this list, which each next block then reads
+    active = list(range(len(marks)))
+    count = functools.partial(_block_exceedances, prepared, marks, fits, observed, active)
     if stop_above is None and n * B >= SPLIT_MIN_VALUES and forking.fork_supported():
         workers = min(forking._usable_cpus(), len(blocks))
         per_block = forking.strided_map(count, blocks, workers)
     else:
         per_block = (count(block) for block in blocks)
-    counts = np.zeros(settings.K, dtype=np.int64)
+    counts = np.zeros(observed.shape, dtype=np.int64)
     with contextlib.closing(per_block):
         for (start, width), block_counts in zip(blocks, per_block):
-            counts += block_counts
+            counts[active] += block_counts.reshape(len(active), settings.K)
             if stop_above is not None and start + width < B:
-                pvalues = _bootstrap_pvalues(counts, settings)
-                if _fdr_envelope(pvalues) >= stop_above:
+                envelopes = _fdr_envelope(_bootstrap_pvalues(counts[active], settings))
+                active[:] = [level for level, envelope in zip(active, envelopes)
+                             if envelope < stop_above]
+                if not active:
                     break
 
-    pvalues = _bootstrap_pvalues(counts, settings)
-    outcomes = [
-        ProjectionOutcome(index=draw, statistic=statistic, pvalue=float(pvalue))
-        for draw, (statistic, pvalue) in enumerate(zip(observed, pvalues), start=1)
-    ]
-    p_fdr = fdr_combine([rec.pvalue for rec in outcomes])
-    rank = None if fit is None else fit.rank
-    return TestReport(tuple(outcomes), p_fdr, settings.to_dict(rank))
+    reports = []
+    for level, level_counts in enumerate(counts):
+        pvalues = _bootstrap_pvalues(level_counts, settings)
+        outcomes = [
+            ProjectionOutcome(index=draw, statistic=float(statistic), pvalue=float(pvalue))
+            for draw, (statistic, pvalue) in enumerate(zip(observed[level], pvalues), start=1)
+        ]
+        p_fdr = fdr_combine([rec.pvalue for rec in outcomes])
+        rank = None if fits is None else fits[level].rank
+        reports.append(TestReport(tuple(outcomes), p_fdr, settings.to_dict(rank)))
+    return reports
 
 
 def test_flm(
@@ -629,8 +792,7 @@ def test_flm(
     positive_correction: bool = False,
     *,
     _stop_above: float | None = None,
-    _prepared: _Prepared | None = None,
-) -> TestReport:
+) -> TestReport | list:
     """Composite goodness-of-fit test of the functional linear model.
 
     Fits the model once (rank chosen by SICc unless `rank` is given), then
@@ -638,31 +800,35 @@ def test_flm(
     each with a wild bootstrap of B replicates. Reproducible for a fixed
     `seed` (int >= 0 or SeedSequence) regardless of available parallelism.
 
-    `_stop_above` is for Monte Carlo studies, which read only whether p_fdr
-    falls below a level: the bootstrap stops once p_fdr can no longer fall
-    below `_stop_above`, and the report then holds lower bounds of the
-    p-values, with p_fdr at least `_stop_above`. A report whose p_fdr is
-    below it equals the report without it.
+    `y` is one response vector, or an (L, n) array of L responses to the
+    same curves; these give a list of L reports, each the report of its own
+    response with the same seed, from one bootstrap that shares the basis,
+    the directions and the multiplier draws of every block.
 
-    `_prepared`, the `_prepare` record of this X object and these settings,
-    lets a study test several responses on one basis, directions and stream.
+    `_stop_above` is for Monte Carlo studies, which read only whether p_fdr
+    falls below a level: a response's bootstrap stops once its p_fdr can no
+    longer fall below `_stop_above`, and its report then holds lower bounds
+    of the p-values, with p_fdr at least `_stop_above`. A report whose p_fdr
+    is below it equals the report without it.
     """
     if rank is not None and not _is_integer(rank):
         raise ValueError(f"rank must be an integer or None, got {rank!r}")
     settings = _Settings(K, B, kind, r, sampler, seed, positive_correction)
-    y = _check_data(X, y)
-    prepared = _prepare(X, settings) if _prepared is None else _prepared
-    if prepared.sample is not X or prepared.settings != settings:
-        raise ValueError("the prepared test state belongs to another sample or settings")
+    several = np.ndim(y) == 2
+    responses = _check_data(X, y, several)
+    prepared = _prepare(X, settings)
     basis = prepared.basis
-    y_centered = y - y.mean()
     if rank is None:
         max_rank = min(basis.m, basis.n - 3)
         if max_rank < 1:
             raise ValueError("too few observations to select a rank; pass rank=")
-        rank, _ = select_rank_sicc(y_centered, basis, max_rank)
-    fit = estimate_rho(y_centered, basis, int(rank))
-    return _projection_test(prepared, fit.residuals, fit, _stop_above)
+    fits = []
+    for response in responses:
+        y_centered = response - response.mean()
+        level_rank = select_rank_sicc(y_centered, basis, max_rank)[0] if rank is None else rank
+        fits.append(estimate_rho(y_centered, basis, int(level_rank)))
+    reports = _projection_test(prepared, [fit.residuals for fit in fits], fits, _stop_above)
+    return reports if several else reports[0]
 
 
 def test_simple(
@@ -685,7 +851,7 @@ def test_simple(
     directly, with no refit and no centering.
     """
     settings = _Settings(K, B, kind, r, sampler, seed, positive_correction)
-    y = _check_data(X, y)
+    [y] = _check_data(X, y)
     prepared = _prepare(X, settings)
     if m0 is None:
         marks = y
@@ -696,4 +862,5 @@ def test_simple(
         marks = y - predictions
     if not np.all(np.isfinite(marks)):
         raise ValueError("marks contain non-finite values")
-    return _projection_test(prepared, marks, None)
+    [report] = _projection_test(prepared, [marks], None)
+    return report

@@ -49,7 +49,7 @@ from .processes import (
     ornstein_uhlenbeck,
     ou_kernel,
 )
-from .rptest import _Settings, _check_count, _is_integer, _prepare, test_flm
+from .rptest import _Settings, _check_count, _is_integer, test_flm
 
 __all__ = [
     "ALPHAS",
@@ -311,24 +311,20 @@ def _trial_data(key, spec, d_values, n):
 
 
 def _study_trial(args):
-    """One trial of a study: (p_fdr, chosen rank) per deviation level, each
-    that of its own `test_flm` call, with one `_prepare` for all of them.
+    """One trial of a study: (p_fdr, chosen rank) per deviation level, from
+    one `test_flm` call on the responses of every level.
 
     The study reads p_fdr only as p_fdr < alpha for alpha in ALPHAS, so each
-    test's bootstrap stops once p_fdr cannot fall below max(ALPHAS). Every
-    decision is that of the full bootstrap, but a test that stopped returns
-    a lower bound of its p_fdr, one that is at least max(ALPHAS).
+    level's bootstrap stops once its p_fdr cannot fall below max(ALPHAS).
+    Every decision is that of the full bootstrap, but a level that stopped
+    returns a lower bound of its p_fdr, one that is at least max(ALPHAS).
     `args` is (spec, d_values, n, settings, trial); settings.seed is the study seed.
     """
     spec, d_values, n, settings, trial = args
     key = (settings.seed, spec.index, n, trial)
     X, responses, test_seed = _trial_data(key, spec, d_values, n)
     options = {**vars(settings), "seed": test_seed}
-    prepared = _prepare(X, _Settings(**options))
-    reports = (
-        test_flm(X, y, **options, _stop_above=max(ALPHAS), _prepared=prepared)
-        for y in responses
-    )
+    reports = test_flm(X, responses, **options, _stop_above=max(ALPHAS))
     return [(report.p_fdr, report.settings["rank"]) for report in reports]
 
 

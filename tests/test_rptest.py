@@ -1162,7 +1162,7 @@ def test_split_bootstrap_is_serial_where_the_platform_cannot_fork(forks, monkeyp
 def test_killed_child_share_reruns_here(forks, monkeypatch):
     cases = list(split_cases())[:2]
     serial = split_reports(monkeypatch, forks, cases, cpus_list=(1,))[1]
-    caller, drawn, blocks_here = os.getpid(), [], []
+    caller, drawn, blocks_here, seeks_here = os.getpid(), [], [], []
 
     def dying(rng, size):
         # a child dies at its second block, after delivering its first
@@ -1170,13 +1170,15 @@ def test_killed_child_share_reruns_here(forks, monkeypatch):
             drawn.append(size)
             if len(drawn) == 2:
                 os.kill(os.getpid(), signal.SIGKILL)
+        else:
+            blocks_here.append(size)
         return golden_multipliers(rng, size)
 
     seek = rptest._seek
 
     def recording_seek(rng, state, skip):
         if os.getpid() == caller:
-            blocks_here.append(skip)
+            seeks_here.append(skip)
         return seek(rng, state, skip)
 
     monkeypatch.setattr(rptest, "golden_multipliers", dying)
@@ -1187,6 +1189,216 @@ def test_killed_child_share_reruns_here(forks, monkeypatch):
     # one the child delivered: 5 + 4 at two workers, 4 + 2 + 2 at three
     calls = len(cases) * len(STAT_KINDS)
     assert len(blocks_here) == calls * (9 + 8) == 68 and drawn == []
+    # it draws block 0 where the fresh stream stands and seeks its next
+    # block, after a gap; from the dead child's block on it runs every
+    # block in order, each where the last one left the stream: block 2 and
+    # 3..9 at two workers, 3 and 4..9 at three (a block is SPLIT_BLOCK
+    # values of the stream)
+    assert seeks_here == [2 * SPLIT_BLOCK] * calls + [3 * SPLIT_BLOCK] * calls
+
+
+# ------------------------------------------------------- several responses
+
+
+def side_by_side_case(n, directions, tied, seed):
+    """K layouts on n projections, every other one tied if `tied`."""
+    rng = philox(seed)
+    layouts = []
+    for k in range(directions):
+        projections = rng.standard_normal(n)
+        if tied and k % 2 == 0:
+            projections = np.round(projections, 1)
+        layouts.append(_SortedProjections(projections))
+    return layouts
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("levels, width", [
+    # K=5, n=50: rows of 310 and 320 values, either side of the row width,
+    # and 131,000 and 132,000 gathered values, either side of the budget;
+    # an odd width as an odd B leaves it
+    (1, 62), (1, 64), (2, 262), (2, 264), (3, 37),
+])
+def test_side_by_side_kernel_equals_the_per_direction_kernel(tied, levels, width):
+    n, K = 50, 5
+    layouts = side_by_side_case(n, K, tied, seed=levels * width)
+    assert any(layout.ends is not None for layout in layouts) == tied
+    record = rptest._SideBySide(layouts)
+    columns = philox(width).standard_normal((n, levels, width))
+    for kind in STAT_KINDS:
+        norms = record.norms(columns, kind)
+        assert norms.shape == (K, levels, width)
+        for k, layout in enumerate(layouts):
+            # the per-direction kernel on all levels at once, and on each
+            # level's contiguous (n, b) block, as a single response has it
+            assert np.array_equal(norms[k], layout.norms(columns, kind))
+            for level in range(levels):
+                single = layout.norms(np.ascontiguousarray(columns[:, level]), kind)
+                assert np.array_equal(norms[k, level], single)
+
+
+def test_block_routine_stacks_within_the_row_width_and_the_budget(monkeypatch):
+    # the block routine takes the side-by-side kernel exactly where the
+    # gathered rows are SIDE_BY_SIDE_MIN_ROW wide or more and the array
+    # holds at most BOOTSTRAP_BLOCK values
+    calls = []
+    stacked = rptest._side_by_side_norms
+
+    def recording(record, columns, kind):
+        calls.append(columns.shape)
+        return stacked(record, columns, kind)
+
+    monkeypatch.setattr(rptest, "_side_by_side_norms", recording)
+    cases = {
+        # K=5, n=50: rows of 310 and 320 values; 131,000, 132,000, 96,000
+        # and 183,000 gathered values
+        (5, 50): [((0,), 62, False), ((0,), 64, True), ((0, 1), 262, True),
+                  ((0, 2), 264, False), ((0, 1, 2), 128, True), ((0, 1, 2), 244, False)],
+        # K=4, n=64: exactly 2**17 gathered values, and 512 more
+        (4, 64): [((0,), 512, True), ((0,), 514, False)],
+    }
+    for (K, n), blocks in cases.items():
+        prepared = rptest._prepare(centered_bm_sample(n, num_points=31, seed=2),
+                                   _Settings(K=K, B=1000, seed=0))
+        marks = list(philox(3).standard_normal((3, n)))
+        observed = np.zeros((3, K))
+        for levels, width, expected in blocks:
+            calls.clear()
+            counts = rptest._block_exceedances(prepared, marks, None, observed,
+                                               list(levels), (0, width))
+            assert counts.shape == (len(levels) * K,)
+            assert calls == ([(n, len(levels), width)] if expected else [])
+            row = K * len(levels) * width
+            assert expected == (row >= rptest.SIDE_BY_SIDE_MIN_ROW
+                                and n * row <= BOOTSTRAP_BLOCK)
+
+
+@pytest.mark.parametrize("kind", STAT_KINDS)
+def test_a_levels_norms_do_not_depend_on_the_levels_beside_it(kind):
+    n, K, width = 40, 4, 90
+    layouts = side_by_side_case(n, K, tied=True, seed=8)
+    record = rptest._SideBySide(layouts)
+    columns = philox(9).standard_normal((n, 3, width))
+    alone = [record.norms(np.ascontiguousarray(columns[:, [level]]), kind)[:, 0]
+             for level in range(3)]
+    for levels in ([0, 1, 2], [2, 0], [1, 2], [0, 0, 1]):
+        together = record.norms(np.ascontiguousarray(columns[:, levels]), kind)
+        per_direction = np.array([layout.norms(np.ascontiguousarray(columns[:, levels]), kind)
+                                  for layout in layouts])
+        for column, level in enumerate(levels):
+            assert np.array_equal(together[:, column], alone[level])
+            assert np.array_equal(per_direction[:, column], alone[level])
+
+
+def several_responses(n, levels, tied, seed):
+    """A sample on 31 grid points and `levels` responses to it, from a
+    linear null to a quadratic alternative; tied samples hold every curve
+    twice."""
+    grid = uniform_grid(31)
+    rng = philox(seed)
+    curves = gen_process("bm", (n + 1) // 2 if tied else n, grid, rng).data
+    if tied:
+        curves = np.vstack([curves, curves])[:n]
+    X = FunctionalSample(grid=grid, data=curves)
+    signal = X.data @ (grid.weights * np.sin(2.0 * np.pi * grid.points))
+    noise = rng.standard_normal((levels, n))
+    strength = np.arange(levels)[:, None]
+    return X, signal + 0.3 * noise + strength * signal**2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(8, 100),
+    st.integers(1, 3),
+    st.sampled_from(STAT_KINDS),
+    st.booleans(),
+    st.sampled_from(("i", "iii")),
+    st.sampled_from((15, 99, 200)),
+)
+def test_several_responses_equal_single_response_calls(seed, n, levels, kind, tied,
+                                                       sampler, B):
+    # one bootstrap for every response gives each response's own report
+    # byte for byte: with ties (KS block ends, CvM tie weights), with an odd
+    # B's odd last block, on both sides of the row width (B=15 gives rows
+    # of K * L * 15 <= 135 values) and of the budget (n * K * L * B
+    # reaches 180,000 values)
+    X, Y = several_responses(n, levels, tied, seed)
+    options = dict(K=3, B=B, kind=kind, sampler=sampler, seed=seed)
+    reports = flm_gof(X, Y, **options)
+    assert isinstance(reports, list) and len(reports) == levels
+    singles = [flm_gof(X, y, **options) for y in Y]
+    assert [json.dumps(report.to_dict()) for report in reports] == [
+        json.dumps(report.to_dict()) for report in singles
+    ]
+
+
+def test_responses_stop_after_their_own_blocks(monkeypatch):
+    # with _stop_above each response's bootstrap stops after its own block
+    # (128, 256 or all 500 replicates), and every report equals the
+    # single-response call's; the others go on without it
+    replay = rptest._replay_residuals
+    replayed = {}
+
+    def counting(fit, perturbed):
+        replayed.setdefault(id(fit), [fit, 0])[1] += len(perturbed)
+        return replay(fit, perturbed)
+
+    monkeypatch.setattr(rptest, "_replay_residuals", counting)
+    spec = scenario(7)
+    stops, mixed = set(), 0
+    for trial in range(8):
+        rng = philox((7, trial))
+        X = gen_process(spec.process, 50, spec.grid, rng)
+        Y = [gen_response(spec, X, d, rng) for d in (0, 1, 2, 0)]
+        for kind in STAT_KINDS:
+            options = dict(K=5, B=500, kind=kind, seed=trial, _stop_above=0.1)
+            replayed.clear()
+            reports = flm_gof(X, Y, **options)
+            per_level = [replicates for _, replicates in replayed.values()]
+            assert len(per_level) == len(Y)
+            stops.update(per_level)
+            mixed += len(set(per_level)) > 1
+            for report, y in zip(reports, Y):
+                assert report.to_dict() == flm_gof(X, y, **options).to_dict()
+    assert stops == {128, 256, 500} and mixed > 0
+
+
+def test_one_draw_serves_every_response_and_no_serial_block_seeks(monkeypatch):
+    # every block draws its multipliers once for all responses, and a serial
+    # bootstrap never seeks: its first block starts where the fresh stream
+    # stands, and each other where the block before it left the stream
+    drawn, seeks = [], []
+
+    def recording(rng, size):
+        drawn.append(size)
+        return golden_multipliers(rng, size)
+
+    seek = rptest._seek
+
+    def recording_seek(rng, state, skip):
+        seeks.append(skip)
+        return seek(rng, state, skip)
+
+    monkeypatch.setattr(rptest, "golden_multipliers", recording)
+    monkeypatch.setattr(rptest, "_seek", recording_seek)
+    X, Y = several_responses(200, 3, tied=False, seed=4)
+    for gof, responses in ((flm_gof, Y), (flm_gof, Y[0]), (simple_gof, Y[0])):
+        drawn.clear()
+        seeks.clear()
+        gof(X, responses, K=2, B=1000, seed=0)
+        assert drawn == [(654, 200), (346, 200)] and seeks == []
+
+
+def test_several_responses_are_checked_one_by_one():
+    X, Y = several_responses(30, 2, tied=False, seed=6)
+    assert len(flm_gof(X, Y[:1], K=2, B=20, seed=0)) == 1
+    bad_rows = (np.empty((0, 30)), Y[:, :-1], np.r_[Y, [[np.nan] * 30]])
+    for bad in bad_rows:
+        with pytest.raises(ValueError):
+            flm_gof(X, bad, K=2, B=20, seed=0)
+    with pytest.raises(ValueError):
+        simple_gof(X, Y, K=2, B=20, seed=0)  # one response only
 
 
 def test_flm_centers_the_sample_it_is_given():

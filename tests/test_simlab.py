@@ -449,26 +449,6 @@ def test_shared_trial_equals_standalone_tests():
     assert decided == {False, True}
 
 
-def test_prepared_state_belongs_to_its_sample_and_settings():
-    spec = scenario(1)
-    rng = philox(11)
-    X = gen_process(spec.process, 30, spec.grid, rng)
-    y = gen_response(spec, X, 1, rng)
-    options = dict(K=3, B=60, kind="cvm", seed=2)
-    prepared = rptest._prepare(X, rptest._Settings(**options))
-    expected = simlab.test_flm(X, y, **options).to_dict()
-    # a record serves any number of responses, each bootstrap from value 0
-    for _ in range(2):
-        assert simlab.test_flm(X, y, **options, _prepared=prepared).to_dict() == expected
-    twin = FunctionalSample(grid=X.grid, data=X.data.copy())
-    with pytest.raises(ValueError, match="another sample or settings"):
-        simlab.test_flm(twin, y, **options, _prepared=prepared)
-    for other in (dict(B=61), dict(K=2), dict(kind="ks"), dict(seed=3), dict(r=0.9),
-                  dict(sampler="ii"), dict(positive_correction=True)):
-        with pytest.raises(ValueError, match="another sample or settings"):
-            simlab.test_flm(X, y, **{**options, **other}, _prepared=prepared)
-
-
 @functools.cache
 def single_level_row(index, d, n):
     [row] = run_study([index], [d], [n], M=3, K=2, B=30, seed=5)
