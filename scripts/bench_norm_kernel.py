@@ -9,16 +9,20 @@ layer from outside the package; `wall_ms` is the median untraced call.
 
 The sweep times the norms of one bootstrap block of L levels, b replicates
 each, for K=5 directions on untied projections, as the (n, L, b) blocks in
-SWEEP: `_SideBySide.norms` (one call for every direction) against one
-`_SortedProjections.norms` call per direction on all L levels, or, in a
-tree whose kernel takes one level at a time, one call per direction and
-level. It covers a study's blocks (n=50, b = 128, 244 and 500, L = 1..3),
-rows of K * L * b values on either side of SIDE_BY_SIDE_MIN_ROW, and blocks
-on either side of the BOOTSTRAP_BLOCK budget. Values are medians over
-rounds of the mean microseconds per block. The side-by-side kernel reuses
-its scratch arrays, so past the budget it times the work on arrays larger
-than the caches, not the page faults of making them. A tree without
-`_SideBySide` reports the per-direction kernel only.
+SWEEP: the side-by-side kernel (one np.add per row for every direction)
+against the per-direction one (one np.cumsum per direction on all L
+levels). A tree whose `_SortedProjections` holds all K directions runs
+either branch of its one `norms` call, each forced by setting the rule's
+bounds, SIDE_BY_SIDE_MIN_ROW and BOOTSTRAP_BLOCK, for the block; a tree with
+`_SideBySide` times that record against one call per direction; and a tree
+whose kernel takes one level at a time times one call per direction and
+level, and reports the per-direction kernel only. It covers a study's
+blocks (n=50, b = 128, 244 and 500, L = 1..3), rows of K * L * b values on
+either side of SIDE_BY_SIDE_MIN_ROW, and blocks on either side of the
+BOOTSTRAP_BLOCK budget. Values are medians over rounds of the mean
+microseconds per block. The side-by-side kernel reuses its scratch array, so
+past the budget it times the work on arrays larger than the caches, not the
+page faults of making them.
 
 Before/after runs over `--src [LABEL=]DIR` trees: see `_harness.py`.
 """
@@ -85,29 +89,47 @@ def measure(src):
     return {"calls": rows, "sweep": sweep(rptest)}
 
 
+def kernels(rptest, projections, columns, kind):
+    """{"per_direction_us": call, "side_by_side_us": call} of this tree, each
+    call giving the norms of the K directions for the (n, L, b) `columns`."""
+    layouts = [rptest._SortedProjections(vector) for vector in projections]
+    if hasattr(rptest, "_SideBySide"):
+        record = rptest._SideBySide(layouts)
+        return {"per_direction_us": lambda: [layout.norms(columns, kind) for layout in layouts],
+                "side_by_side_us": lambda: record.norms(columns, kind)}
+    if not hasattr(rptest, "SIDE_BY_SIDE_MIN_ROW"):  # a kernel of one level at a time
+        per_level = [np.ascontiguousarray(columns[:, level]) for level in range(columns.shape[1])]
+        return {"per_direction_us": lambda: [
+            layout.norms(level, kind) for layout in layouts for level in per_level]}
+    record = rptest._SortedProjections(projections)
+    row = len(projections) * columns[0].size
+    budget = rptest.BOOTSTRAP_BLOCK
+
+    def forced(min_row, block):
+        def call():
+            rptest.SIDE_BY_SIDE_MIN_ROW, rptest.BOOTSTRAP_BLOCK = min_row, block
+            return record.norms(columns, kind)
+        return call
+
+    return {"per_direction_us": forced(row + 1, budget),
+            "side_by_side_us": forced(row, max(budget, len(columns) * row))}
+
+
 def sweep(rptest):
     """{"n=50 L=2 b=128": {"per_direction_us": .., "side_by_side_us": ..}}"""
-    side_by_side = getattr(rptest, "_SideBySide", None)
+    bounds = {name: getattr(rptest, name, None)
+              for name in ("SIDE_BY_SIDE_MIN_ROW", "BOOTSTRAP_BLOCK")}
     rows = {}
     for n, levels, width in SWEEP:
         rng = np.random.Generator(np.random.Philox(n * levels * width))
-        layouts = [rptest._SortedProjections(rng.standard_normal(n)) for _ in range(K)]
+        projections = rng.standard_normal((K, n))
         columns = rng.standard_normal((n, levels, width))
-        per_level = [np.ascontiguousarray(columns[:, level]) for level in range(levels)]
         row = {"values": n * K * levels * width, "row": K * levels * width}
         for kind in ("cvm", "ks"):
-            if side_by_side is None:  # a kernel of one level at a time
-                kernels = {"per_direction_us": lambda: [
-                    layout.norms(level, kind) for layout in layouts for level in per_level]}
-            else:
-                record = side_by_side(layouts)
-                kernels = {
-                    "per_direction_us": lambda: [layout.norms(columns, kind) for layout in layouts],
-                    "side_by_side_us": lambda: record.norms(columns, kind),
-                }
-            times = {name: [] for name in kernels}
+            calls = kernels(rptest, projections, columns, kind)
+            times = {name: [] for name in calls}
             for _ in range(SWEEP_REPEATS):  # the kernels take turns
-                for name, kernel in kernels.items():
+                for name, kernel in calls.items():
                     kernel()
                     start = time.perf_counter()
                     for _ in range(SWEEP_CALLS):
@@ -116,6 +138,9 @@ def sweep(rptest):
             row.update({f"{kind}_{name}": statistics.median(values)
                         for name, values in times.items()})
         rows[f"n={n} L={levels} b={width}"] = row
+    for name, value in bounds.items():
+        if value is not None:
+            setattr(rptest, name, value)
     return rows
 
 

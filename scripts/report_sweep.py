@@ -9,7 +9,10 @@ Ornstein-Uhlenbeck ("ou") and cosine-series ("hhn1") curves from the tree's
 twice, rows stacked), a null and an alternative response, both statistics
 and samplers "i", "ii" and "iii". The null response is y = <X, rho> + noise
 with rho(t) = sin(2 pi t) + t; the alternative adds <X, rho>^2. `test_simple`
-takes m0 = <X, rho> for both.
+takes m0 = <X, rho> for both. Per cell, statistic and sampler, one more
+`test_flm` call takes both responses at once and may stop early above p_fdr
+0.1, as a study trial does ("test_flm_stopped", one report per response):
+its blocks run the multi-response, early-stopping kernel.
 
 Every tree is compared with the first. For each test and for untied and
 duplicated samples apart, the report gives the number of reports, how many
@@ -43,6 +46,7 @@ RESPONSES = ("null", "alternative")
 KINDS = ("ks", "cvm")
 SAMPLERS = ("i", "ii", "iii")
 TESTS = ("test_flm", "test_simple")
+STOPPED, STOP_ABOVE = "test_flm_stopped", 0.1
 K, B, SEED = 5, 200, 0
 
 
@@ -88,13 +92,19 @@ def measure(src):
                 report = flmgof.test_simple(sample, y, m0=m0, **common)
             case = "/".join(map(str, (*cell, response, kind, sampler, test)))
             reports[case] = json.dumps(report.to_dict(), sort_keys=True)
+        for kind, sampler in itertools.product(KINDS, SAMPLERS):
+            stopped = flmgof.test_flm(sample, [y_null, y_alternative], K=K, B=B, kind=kind,
+                                      sampler=sampler, seed=SEED, _stop_above=STOP_ABOVE)
+            for response, report in zip(RESPONSES, stopped):
+                case = "/".join(map(str, (*cell, response, kind, sampler, STOPPED)))
+                reports[case] = json.dumps(report.to_dict(), sort_keys=True)
     return {"reports": reports, "inputs": digests}
 
 
 def compare(reference, other):
     """Counts per test and sample kind of how `other`'s reports match."""
     summary = {}
-    for test, sample_kind in itertools.product(TESTS, SAMPLES):
+    for test, sample_kind in itertools.product((*TESTS, STOPPED), SAMPLES):
         cases = [
             case for case in reference
             if case.endswith("/" + test) and case.split("/")[3] == sample_kind
@@ -137,8 +147,8 @@ def report(sources, run):
     return {
         "settings": {"grids": GRIDS, "sizes": SIZES, "processes": PROCESSES,
                      "samples": SAMPLES, "responses": RESPONSES, "kinds": KINDS,
-                     "samplers": SAMPLERS, "tests": TESTS, "K": K, "B": B,
-                     "seed": SEED},
+                     "samplers": SAMPLERS, "tests": (*TESTS, STOPPED), "K": K, "B": B,
+                     "seed": SEED, "stop_above": STOP_ABOVE},
         "note": f"every tree compared with {first!r}; one fresh interpreter per"
                 " tree with OpenBLAS on one thread; 'tied' samples hold every"
                 " curve twice",

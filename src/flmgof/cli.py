@@ -114,7 +114,7 @@ def write_table(rows, output):
 
 
 def _add_common_flags(parser, bootstrap_default):
-    parser.add_argument("--seed", type=int, default=0, help="master seed (u64)")
+    parser.add_argument("--seed", type=int, default=0, help="master seed (integer >= 0)")
     parser.add_argument("--stat", choices=("ks", "cvm"), default="cvm")
     parser.add_argument(
         "--projections", "--K", dest="projections", type=int, default=5,

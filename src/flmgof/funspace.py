@@ -1,9 +1,9 @@
-"""Discretized curves on [0, 1]: grids, quadrature inner products, centering.
+"""Discretized curves: grids, quadrature inner products, centering.
 
 Every curve in an analysis lives on one shared grid of strictly increasing
-abscissae. Integrals are composite trapezoid sums, so an inner product is a
-weighted dot product and all downstream linear algebra stays dense and exact
-with respect to that quadrature rule.
+abscissae, anywhere on the real line. Integrals are composite trapezoid sums,
+so an inner product is a weighted dot product and all downstream linear
+algebra stays dense and exact with respect to that quadrature rule.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def _adopt(cls, **fields):
 
 @dataclass(frozen=True)
 class Grid:
-    """Quadrature grid: strictly increasing points in [0, 1], positive weights."""
+    """Quadrature grid: strictly increasing points, positive weights."""
 
     points: np.ndarray
     weights: np.ndarray
@@ -70,8 +70,6 @@ class Grid:
             raise ValueError("a grid needs at least two points")
         if np.any(np.diff(points) <= 0):
             raise ValueError("grid points must be strictly increasing")
-        if points[0] < 0.0 or points[-1] > 1.0:
-            raise ValueError("grid points must lie in [0, 1]")
         if weights.shape != points.shape:
             raise ValueError("grid weights must match grid points in length")
         if np.any(weights <= 0):

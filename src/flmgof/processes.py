@@ -1,8 +1,10 @@
-"""Gaussian process paths on a grid in [0, 1].
+"""Gaussian process paths on a grid.
 
 Generators take an `np.random.Generator` and return an (n, G) array of paths
-evaluated at the grid points. Covariance helpers give the matching population
-kernels, used for validation and for the exact scenario signal variance.
+evaluated at the grid points. Brownian motion (plain and geometric) starts at
+time 0, or at a negative first point, and the bridge is pinned at 0 and 1.
+Covariance helpers give the matching population kernels (the bridge's on
+[0, 1]), used for validation and for the exact scenario signal variance.
 """
 
 from __future__ import annotations
@@ -43,14 +45,15 @@ def brownian_motion(n: int, grid: Grid, rng) -> np.ndarray:
 
 
 def brownian_bridge(n: int, grid: Grid, rng) -> np.ndarray:
-    """Brownian bridge B(t) - t B(1), pinned at both ends."""
-    points = grid.points
-    if points[-1] < 1.0:
-        extended = np.append(points, 1.0)
-        paths = _bm_paths(n, extended, rng)
-        return paths[:, :-1] - np.outer(paths[:, -1], points)
-    paths = _bm_paths(n, points, rng)
-    return paths - np.outer(paths[:, -1], points)
+    """Brownian bridge B(t) - t B(1), pinned at t = 0 and t = 1.
+
+    B(1) is drawn at t = 1 whether or not the grid holds that point.
+    """
+    extended = np.union1d(grid.points, 1.0)
+    one = np.searchsorted(extended, 1.0)
+    paths = _bm_paths(n, extended, rng)
+    paths -= np.outer(paths[:, one], extended)
+    return paths if extended.size == grid.size else np.delete(paths, one, axis=1)
 
 
 def cosine_expansion(n: int, grid: Grid, rng, decay: float) -> np.ndarray:

@@ -33,13 +33,15 @@ never seeks.
 
 `test_flm` takes L responses to the same curves as an (L, n) array and runs
 one bootstrap for all of them: each block draws its multipliers once, and
-every level replays them through its own fit into one (n, L, b) array. When
-the K directions' rows of that block, K * L * b values each, are wide
-enough and the block fits in BOOTSTRAP_BLOCK values, they are gathered side
-by side and cumulated with one np.add per row (`_SideBySide`); otherwise
-each direction cumulates all L levels at once. Every column is still summed
-in row order, and each CvM norm is a gemv over exactly its level's b
-columns, so each level's report is that of its own call, bit for bit.
+every level replays them through its own fit into one (n, L, b) array. One
+record holds the sorted layouts of the K directions (`_SortedProjections`),
+and one call of its `norms` gives every direction's norms of a block. When
+the K directions' rows, K * L * b values each, are wide enough and the block
+fits in BOOTSTRAP_BLOCK values, the rows are gathered side by side and
+cumulated with one np.add per row; otherwise each direction cumulates all L
+levels at once. Every column is still summed in row order, and each CvM
+norm is a gemv over exactly its level's b columns, so each level's report is
+that of its own call, bit for bit.
 
 A Monte Carlo study reads a trial only as the decisions p_fdr < alpha, so a
 study trial may stop its bootstrap early (`test_flm`'s private `_stop_above`,
@@ -120,13 +122,14 @@ SAMPLER_VARIANTS = ("i", "ii", "iii")
 # ones at n >= 512.
 BOOTSTRAP_BLOCK = 2**17
 # Narrowest row, K * L * b values, at which the K directions of a block of L
-# levels, b replicates each, are cumulated side by side (`_SideBySide`), one
-# np.add per row; the gathered (n, K * L * b) array must also fit in
-# BOOTSTRAP_BLOCK values. In the sweep (scripts/bench_norm_kernel.py,
-# BENCH_stacked_trial.json) rows of 320 values or more took 0.41-0.98 of the
-# time of one kernel call per direction, rows of 240 up to 1.11x and rows
-# of 160 up to 1.50x (n=800). Past the budget the gain shrank, and the
-# gathered array, 5.2 MB at n=200, B=1000, raised peak RSS by 8 MB or more.
+# levels, b replicates each, are cumulated side by side
+# (`_SortedProjections.norms`), one np.add per row; the gathered
+# (n, K * L * b) array must also fit in BOOTSTRAP_BLOCK values. In the sweep
+# (scripts/bench_norm_kernel.py, BENCH_stacked_trial.json) rows of 320 values
+# or more took 0.41-0.98 of the time of one kernel call per direction, rows
+# of 240 up to 1.11x and rows of 160 up to 1.50x (n=800). Past the budget the
+# gain shrank, and the gathered array, 5.2 MB at n=200, B=1000, raised peak
+# RSS by 8 MB or more.
 SIDE_BY_SIDE_MIN_ROW = 320
 # Width of the first two blocks of a bootstrap that may stop early: at n=50,
 # K=5, B=500, about half the null trials of a study settle p_fdr >= 0.1 after
@@ -255,140 +258,144 @@ def golden_multipliers(rng, size) -> np.ndarray:
 
 
 class _SortedProjections:
-    """Sorted layout of one projection vector, reusable across mark vectors.
+    """Sorted layouts of one projection vector or of k of them, reusable
+    across mark vectors.
 
     Ties share a jump: the process value attached to every observation in a
     tie block is the cumulative sum at the end of the block, so only block
     ends carry process values, each weighted by the size of its block.
+    Direction k has the sort order `order[k]`, the block ends `ends[k]` (None
+    without ties) and the weights `weights[k]`.
     """
 
-    __slots__ = ("n", "order", "ends", "weights", "scale")
+    __slots__ = ("n", "single", "order", "ends", "weights", "scale")
 
     def __init__(self, projections):
         projections = np.asarray(projections, dtype=float)
-        if projections.ndim != 1 or projections.size == 0:
-            raise ValueError("projections must be a non-empty vector")
+        if projections.ndim not in (1, 2) or projections.size == 0:
+            raise ValueError("projections must be a non-empty vector or (k, n) array")
         if not np.all(np.isfinite(projections)):
             raise ValueError("projections contain non-finite values")
-        self.n = projections.size
-        self.order = np.argsort(projections, kind="stable")
-        ordered = projections[self.order]
-        block_end = np.searchsorted(ordered, ordered, side="right") - 1
-        sizes = np.bincount(block_end, minlength=self.n)
-        self.ends = np.flatnonzero(sizes) if sizes.max() > 1 else None
+        self.single = projections.ndim == 1
+        projections = np.atleast_2d(projections)
+        self.n = projections.shape[1]
+        self.order = np.argsort(projections, axis=1, kind="stable")
+        ends, sizes = [], []
+        for ordered in np.take_along_axis(projections, self.order, axis=1):
+            block_end = np.searchsorted(ordered, ordered, side="right") - 1
+            sizes.append(np.bincount(block_end, minlength=self.n))
+            ends.append(np.flatnonzero(sizes[-1]) if sizes[-1].max() > 1 else None)
+        self.ends = tuple(ends)
         # CvM is (1/n) sum_i T(p_i)^2 with T = cumsum / sqrt(n): each block end
         # enters once per member of its block, and both 1/n factors fold here.
-        self.weights = sizes / float(self.n) ** 2
+        self.weights = np.array(sizes) / float(self.n) ** 2
         self.scale = 1.0 / np.sqrt(self.n)
 
     def norms(self, columns, kind):
         """The `kind` norm of the process for marks in observation order.
 
         `columns` is (n,) for one mark vector, (n, b) for b of them, one per
-        column, or (n, L, b) for the b replicates of each of L levels side by
-        side; the norms come back as a float, a (b,) vector or an (L, b)
-        array. Only the requested norm is computed, and the one buffer
-        allocated has the shape of `columns`, so memory is O(n * L * b). An
-        even number of columns is cumulated two at a time, with the same sums.
-        A record of K directions (`_SideBySide`) takes (n, L, b) columns and
-        returns (K, L, b) norms.
+        column, or (n, L, b) for the b replicates of each of L levels. The
+        norms have the shape of `columns` past its first axis, behind a
+        leading axis of k directions unless the record holds one vector.
+
+        Rows of k * L * b values, at least SIDE_BY_SIDE_MIN_ROW and at most
+        BOOTSTRAP_BLOCK in all, are gathered side by side into this thread's
+        scratch array and cumulated with one np.add per row, since one
+        np.cumsum per direction costs mostly its fixed overhead on narrow
+        blocks; otherwise each direction gathers its own copy and cumulates it
+        with one np.cumsum. Either way each column is summed in row order and
+        each CvM norm is a gemv over exactly its level's b columns, so every
+        norm has the bits of its direction's own record and of its level's
+        own (n, b) block.
         """
-        if self.order.ndim == 2:
-            return _side_by_side_norms(self, columns, kind)
-        # np.take copies whole rows, faster than fancy indexing on narrow ones
-        sums = np.take(np.asarray(columns, dtype=float), self.order, axis=0)
-        rows = sums.reshape(self.n, -1)  # a view: every column of every level
-        if rows.shape[1] % 2 == 0:
-            # a complex add is two independent float adds: the same bits as
-            # np.cumsum per column, with half the elements in numpy's
-            # accumulate loop
-            rows = rows.view(np.complex128)
-        np.cumsum(rows, axis=0, out=rows)
-        if kind == "cvm":
-            np.square(sums, out=sums)
-            if sums.ndim < 3:
-                return self.weights @ sums
-            # one gemv per level, as wide as one level's block (see
-            # `_side_by_side_norms`)
-            return self.weights @ sums.transpose(1, 0, 2)
-        if self.ends is not None:
-            sums = np.take(sums, self.ends, axis=0)
-        # rounding is monotone, so scaling the maximum equals the maximum of
-        # the scaled process values bit for bit
-        return _max_over_rows(np.abs(sums, out=sums)) * self.scale
+        columns = np.asarray(columns, dtype=float)
+        n, count = self.n, len(self.ends)
+        row = count * columns[0].size
+        if row >= SIDE_BY_SIDE_MIN_ROW and n * row <= BOOTSTRAP_BLOCK:
+            blocks = columns.reshape(n, -1, columns.shape[-1] if columns.ndim > 1 else 1)
+            sums = _scratch((n, count, *blocks.shape[1:]))
+            # row i of the index holds every direction's i-th observation;
+            # mode="clip" writes straight to `sums`, "raise" would buffer a copy
+            np.take(blocks, self.order.T, axis=0, out=sums, mode="clip")
+            rows = sums.reshape(n, -1)
+            row_views = list(rows)  # made at once, faster than while iterating
+            for previous, row in zip(row_views, row_views[1:]):
+                np.add(previous, row, out=row)
+            if kind == "cvm":
+                np.square(rows, out=rows)
+                # matmul runs one gemv per direction and level over exactly
+                # that level's b columns; a gemv over more columns rounds
+                # some of them differently
+                by_level = _unit_stride(sums.transpose(1, 2, 0, 3))
+                norms = (self.weights[:, None, None, :] @ by_level)[:, :, 0]
+            else:
+                np.abs(rows, out=rows)
+                # a tied direction reads its block ends only, before the
+                # fold below overwrites the rows
+                tied = {k: _max_over_rows(np.take(sums[:, k], ends, axis=0))
+                        for k, ends in enumerate(self.ends) if ends is not None}
+                norms = _max_over_rows(rows).reshape(sums.shape[1:])
+                for k, maxima in tied.items():
+                    norms[k] = maxima
+                norms = norms * self.scale
+            norms = norms.reshape(count, *columns.shape[1:])
+        else:
+            norms = []
+            for order, ends, weights in zip(self.order, self.ends, self.weights):
+                # np.take copies whole rows, faster than fancy indexing on
+                # narrow ones
+                sums = np.take(columns, order, axis=0)
+                rows = sums.reshape(n, -1)  # a view: every column of every level
+                if rows.shape[1] % 2 == 0:
+                    # a complex add is two independent float adds: the same
+                    # bits as np.cumsum per column, with half the elements in
+                    # numpy's accumulate loop
+                    rows = rows.view(np.complex128)
+                np.cumsum(rows, axis=0, out=rows)
+                if kind == "cvm":
+                    np.square(sums, out=sums)
+                    # one gemv per level, as wide as one level's block
+                    if sums.ndim == 3:
+                        sums = _unit_stride(sums.transpose(1, 0, 2))
+                    norms.append(weights @ sums)
+                else:
+                    if ends is not None:
+                        sums = np.take(sums, ends, axis=0)
+                    # rounding is monotone, so scaling the maximum equals the
+                    # maximum of the scaled process values bit for bit
+                    norms.append(_max_over_rows(np.abs(sums, out=sums)) * self.scale)
+                del sums, rows  # freed before the next direction gathers its copy
+            norms = np.array(norms)
+        return norms[0] if self.single else norms
 
 
-class _SideBySide(_SortedProjections):
-    """The sorted layouts of a test's K directions in one record.
-
-    Its `norms` gathers every direction's rows of the (n, L, b) columns side
-    by side into one (n, K * L * b) array and cumulates it with one np.add
-    per row instead of one np.cumsum per direction, which on narrow blocks
-    costs mostly its fixed overhead. Each column is still added in row
-    order, so every sum has the bits of `_SortedProjections.norms`.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, layouts):
-        first = layouts[0]
-        self.n, self.scale = first.n, first.scale
-        # column k is direction k's order, so one np.take gathers all K
-        self.order = np.array([layout.order for layout in layouts]).T.copy()
-        self.ends = tuple(layout.ends for layout in layouts)
-        self.weights = np.array([layout.weights for layout in layouts])
-
-
-# Per thread, the arrays of the side-by-side kernel, reused by every block
+# Per thread, the array the side-by-side kernel gathers into, reused by
+# every block
 _scratch_arrays = threading.local()
 
 
-def _scratch(name, shape):
-    """A float array of `shape` in this thread's buffer `name`.
+def _scratch(shape):
+    """A float array of `shape` in this thread's scratch buffer.
 
     The buffer holds at least BOOTSTRAP_BLOCK values and lives as long as the
     thread, so a side-by-side block, up to 1 MB, allocates and frees nothing.
     Freeing arrays that large would also raise glibc's mmap threshold for the
     rest of the process, which moves the cost of every later allocation in
-    it. Its contents last until the next call with the same name.
+    it. Its contents last until the next call.
     """
     size = math.prod(shape)
-    buffer = getattr(_scratch_arrays, name, None)
+    buffer = getattr(_scratch_arrays, "gathered", None)
     if buffer is None or buffer.size < size:
-        buffer = np.empty(max(size, BOOTSTRAP_BLOCK))
-        setattr(_scratch_arrays, name, buffer)
+        buffer = _scratch_arrays.gathered = np.empty(max(size, BOOTSTRAP_BLOCK))
     return buffer[:size].reshape(shape)
 
 
-def _side_by_side_norms(record, columns, kind):
-    """(K, L, b) norms of (n, L, b) columns for the K directions of `record`."""
-    n, levels, width = columns.shape
-    sums = _scratch("gathered", (n, len(record.ends), levels, width))
-    # mode="clip" writes straight to `sums`; "raise" would buffer a copy
-    np.take(columns, record.order, axis=0, out=sums, mode="clip")
-    rows = sums.reshape(n, -1)
-    row_views = list(rows)  # made at once, faster than while iterating
-    for previous, row in zip(row_views, row_views[1:]):
-        np.add(previous, row, out=row)
-    if kind == "cvm":
-        np.square(rows, out=rows)
-        # matmul runs one gemv per direction and level over exactly that
-        # level's b columns, the gemv a single-response call runs; a gemv
-        # over more columns rounds some of them differently
-        weights = record.weights[:, None, None, :]
-        return (weights @ sums.transpose(1, 2, 0, 3))[:, :, 0]
-    np.abs(rows, out=rows)
-    # a tied direction reads its block ends only, before the fold below
-    # overwrites the rows
-    tied = {
-        k: _max_over_rows(np.take(sums[:, k], ends, axis=0))
-        for k, ends in enumerate(record.ends)
-        if ends is not None
-    }
-    norms = _max_over_rows(rows).reshape(sums.shape[1:])
-    for k, maxima in tied.items():
-        norms[k] = maxima
-    return norms * record.scale
+def _unit_stride(matrices):
+    """`matrices` (..., n, b), copied when b is 1: matmul takes one column
+    as a vector, whose dot product rounds by its stride, so a level of one
+    replicate gets the unit stride of its own call."""
+    return matrices.copy() if matrices.shape[-1] == 1 else matrices
 
 
 def _max_over_rows(values):
@@ -423,8 +430,8 @@ def process_statistic(projections, marks) -> tuple[float, float]:
     """
     layout = _SortedProjections(projections)
     marks = np.asarray(marks, dtype=float)
-    if marks.shape != (layout.n,):
-        raise ValueError("marks must match projections in length")
+    if not layout.single or marks.shape != (layout.n,):
+        raise ValueError("projections and marks must be vectors of one length")
     if not np.all(np.isfinite(marks)):
         raise ValueError("marks contain non-finite values")
     return tuple(float(layout.norms(marks, kind)) for kind in STAT_KINDS)
@@ -589,13 +596,12 @@ class _Stream:
 @dataclass(frozen=True)
 class _Prepared:
     """What a test computes from its sample and settings alone: the FPC
-    basis, the sorted layout of each direction, the K of them side by side,
-    and the multiplier stream of its bootstrap."""
+    basis, the sorted layouts of the K directions and the multiplier stream
+    of its bootstrap."""
 
     settings: _Settings
     basis: FpcBasis
-    layouts: tuple
-    directions: _SideBySide
+    directions: _SortedProjections
     stream: _Stream
 
 
@@ -625,11 +631,9 @@ def _prepare(X, settings):
     curve_scale = np.sqrt(np.max(np.einsum("ij,ij->i", root_weighted, root_weighted)))
     direction_rng, multiplier_rng = _streams(settings)
     inputs = (curve_scale, root_weighted, basis, settings, direction_rng)
-    layouts = tuple(
-        _SortedProjections(_draw_nondegenerate_direction(*inputs, draw))
-        for draw in range(1, settings.K + 1)
-    )
-    return _Prepared(settings, basis, layouts, _SideBySide(layouts),
+    projections = [_draw_nondegenerate_direction(*inputs, draw)
+                   for draw in range(1, settings.K + 1)]
+    return _Prepared(settings, basis, _SortedProjections(np.array(projections)),
                      _Stream(multiplier_rng, X.n))
 
 
@@ -675,18 +679,13 @@ def _block_exceedances(prepared, marks, fits, observed, levels, block):
     stream are independent, so their counts add up to the counts of one
     (B, n) draw in any order. Each level multiplies the draws by its marks
     and replays them through its fit, if it has one, into its slice of one
-    (n, levels, width) array, one replicate per column. The K directions'
-    norms come from one `_SideBySide` call when the gathered (n, K * levels
-    * width) array fits in BOOTSTRAP_BLOCK values and its rows are at least
-    SIDE_BY_SIDE_MIN_ROW wide, else from one call per direction.
+    (n, levels, width) array, one replicate per column, and one call gives
+    the norms of every direction.
     """
     start, width = block
     settings = prepared.settings
     draws = prepared.stream.draw(start, width)
-    n = draws.shape[1]
-    row_width = settings.K * len(levels) * width
-    side_by_side = n * row_width <= BOOTSTRAP_BLOCK and row_width >= SIDE_BY_SIDE_MIN_ROW
-    shape, columns = (n, len(levels), width), None
+    shape, columns = (draws.shape[1], len(levels), width), None
     for column, level in enumerate(levels):
         if column < len(levels) - 1:
             replicates = draws * marks[level]
@@ -697,12 +696,9 @@ def _block_exceedances(prepared, marks, fits, observed, levels, block):
         if columns is None:
             # made after the first replay, so a single level's draws, freed
             # by then, leave their memory to it
-            columns = _scratch("columns", shape) if side_by_side else np.empty(shape)
+            columns = np.empty(shape)
         columns[:, column] = replicates.T
-    if side_by_side:
-        norms = prepared.directions.norms(columns, settings.kind)
-    else:
-        norms = np.array([layout.norms(columns, settings.kind) for layout in prepared.layouts])
+    norms = prepared.directions.norms(columns, settings.kind)
     # norms[k, j] against the observed norm of direction k at level levels[j]
     hits = (norms >= observed[levels].T[:, :, None]).sum(axis=2)
     return hits.T.ravel()
@@ -740,10 +736,9 @@ def _projection_test(prepared, marks, fits, stop_above=None):
     so far reaches it; its report then carries those p-values, lower bounds
     of the full bootstrap's. The other levels go on without it.
     """
-    settings, layouts = prepared.settings, prepared.layouts
+    settings = prepared.settings
     n, B = len(marks[0]), settings.B
-    observed = np.array([[layout.norms(level, settings.kind) for layout in layouts]
-                         for level in marks])
+    observed = np.array([prepared.directions.norms(level, settings.kind) for level in marks])
     widths = list(_block_widths(settings, n, stop_above is not None))
     blocks = list(zip(itertools.accumulate(widths, initial=0), widths))
     # the levels still bootstrapped; the serial loop below drops stopped ones

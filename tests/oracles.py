@@ -212,8 +212,9 @@ def simulated_fdr_combined(K, B, M, rng, positive_correction) -> np.ndarray:
     return _fdr_envelope(_bootstrap_pvalues(counts, settings))
 
 
-def exact_bootstrap_pvalues(fit, layouts, kind) -> np.ndarray:
-    """B = infinity bootstrap p-values of a composite test, one per layout.
+def exact_bootstrap_pvalues(fit, directions, kind) -> np.ndarray:
+    """B = infinity bootstrap p-values of a composite test, one per direction
+    of the `_SortedProjections` record `directions`.
 
     The golden-ratio law has two points, so at small n all 2^n multiplier
     vectors can be enumerated. Each replicate V * residuals is replayed
@@ -225,10 +226,9 @@ def exact_bootstrap_pvalues(fit, layouts, kind) -> np.ndarray:
     chance = np.prod(np.asarray(GOLDEN_PROBS)[choice], axis=1)
     replicates = np.asarray(GOLDEN_VALUES)[choice] * fit.residuals
     columns = np.ascontiguousarray(_replay_residuals(fit, replicates).T)
-    return np.array([
-        chance[layout.norms(columns, kind) >= layout.norms(fit.residuals, kind)].sum()
-        for layout in layouts
-    ])
+    norms = directions.norms(columns, kind)
+    observed = directions.norms(fit.residuals, kind)
+    return np.array([chance[row >= bound].sum() for row, bound in zip(norms, observed)])
 
 
 def binomial_tails(count, B, p) -> tuple[float, float]:

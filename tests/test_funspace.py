@@ -4,7 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import curve_norm, inner_product
-from flmgof import FpcBasis, FunctionalSample, center, make_grid, uniform_grid
+from flmgof import (
+    FpcBasis,
+    FunctionalSample,
+    Grid,
+    center,
+    gen_process,
+    make_grid,
+    uniform_grid,
+)
+from flmgof import test_flm as flm_gof
+from flmgof import test_simple as simple_gof
 from flmgof.funspace import _adopt
 
 
@@ -60,11 +70,46 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         make_grid([0.0, 0.5, 0.5])
     with pytest.raises(ValueError):
-        make_grid([0.0, 0.5, 1.2])
-    with pytest.raises(ValueError):
-        make_grid([-0.1, 0.5, 1.0])
-    with pytest.raises(ValueError):
         make_grid([0.3])
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_reports_do_not_depend_on_where_the_grid_lies(tied):
+    # Moving the grid by t -> a + c t, with the weights times c, scales every
+    # inner product by c: the eigenvalues scale by c and the scores and the
+    # projections by sqrt(c), so the residuals, the order of the projections
+    # and the rank stay, and a report moves by rounding only. Grids outside
+    # [0, 1] are as good as any. Sampler iii is left out: its paths depend on
+    # the spacing of the grid.
+    rng = np.random.Generator(np.random.Philox(31))
+    grid = uniform_grid(31)
+    curves = gen_process("bm", 20 if tied else 40, grid, rng).data
+    if tied:
+        curves = np.vstack([curves, curves])
+    m0 = curves @ (grid.weights * np.sin(2.0 * np.pi * grid.points))
+    y = m0 + m0**2 + 0.5 * rng.standard_normal(len(curves))
+
+    def reports(grid):
+        sample = FunctionalSample(grid=grid, data=curves)
+        return [
+            test(sample, y, **extra, K=3, B=100, kind=kind, sampler=sampler, seed=0).to_dict()
+            for test, extra in ((flm_gof, {}), (simple_gof, {"m0": m0}))
+            for kind in ("ks", "cvm")
+            for sampler in ("i", "ii")
+        ]
+
+    base = reports(grid)
+    assert any(report["p_fdr"] < 1.0 for report in base)
+    for c in (0.1, 0.5, 2.0, 3.0):
+        for a in (0.0, -5.0, 7.25):
+            moved = reports(Grid(points=a + c * grid.points, weights=c * grid.weights))
+            for old, new in zip(base, moved):
+                assert new["settings"] == old["settings"]
+                assert new["p_fdr"] == old["p_fdr"]
+                for row, moved_row in zip(old["per_projection"], new["per_projection"]):
+                    assert moved_row["p"] == row["p"]
+                    assert moved_row["statistic"] == pytest.approx(row["statistic"],
+                                                                   rel=1e-13, abs=0.0)
 
 
 def test_curve_validation():

@@ -155,12 +155,14 @@ def test_batched_norms_match_single_rows():
 
 
 def plain_cumsum_norms(layout, columns, kind):
-    """The norm kernel with one np.cumsum per column, the unpaired reference."""
-    sums = np.cumsum(np.asarray(columns, dtype=float)[layout.order], axis=0)
+    """The norm kernel with one np.cumsum per column, the unpaired reference,
+    for a record of one vector."""
+    [order], [ends], [weights] = layout.order, layout.ends, layout.weights
+    sums = np.cumsum(np.asarray(columns, dtype=float)[order], axis=0)
     if kind == "cvm":
-        return layout.weights @ np.square(sums)
-    if layout.ends is not None:
-        sums = sums[layout.ends]
+        return weights @ np.square(sums)
+    if ends is not None:
+        sums = sums[ends]
     return np.max(np.abs(sums), axis=0) * layout.scale
 
 
@@ -173,7 +175,7 @@ def test_paired_cumsum_is_bit_identical(tied):
         projections = np.round(projections, 1)
         assert np.unique(projections).size < n
     layout = _SortedProjections(projections)
-    assert (layout.ends is not None) == tied
+    assert (layout.ends[0] is not None) == tied
     marks = rng.standard_normal((n, 655))
     for kind in STAT_KINDS:
         observed = layout.norms(marks[:, 0], kind)
@@ -237,6 +239,9 @@ def test_process_statistic_errors():
         process_statistic([0.0, np.nan], [1.0, 1.0])
     with pytest.raises(ValueError):
         process_statistic([0.0, 1.0], [1.0, np.inf])
+    # a record of k directions is no single direction
+    with pytest.raises(ValueError):
+        process_statistic([[0.0, 1.0], [1.0, 0.0]], [1.0, -1.0])
 
 
 # ------------------------------------------------------------- fdr combining
@@ -640,7 +645,8 @@ def test_one_weighted_product_gives_scores_and_projections(monkeypatch):
 def test_identical_curves_tie_exactly(gof, sampler, monkeypatch):
     # every curve twice, at n = 2m with n mod 4 = 2, where a BLAS gemv rounds
     # the last rows differently: each curve's two copies must project alike,
-    # so the process has exactly one block end per distinct curve
+    # so the process has exactly one block end per distinct curve in each of
+    # the K directions of the test's one record
     layouts = []
     make_layout = rptest._SortedProjections
 
@@ -656,8 +662,9 @@ def test_identical_curves_tie_exactly(gof, sampler, monkeypatch):
         y = philox(m + 1).standard_normal(2 * m)
         layouts.clear()
         gof(sample, y, K=5, B=10, sampler=sampler, seed=m)
-        assert len(layouts) == 5
-        assert [layout.ends.size for layout in layouts] == [m] * 5
+        [layout] = layouts
+        assert layout.order.shape == (5, 2 * m) and not layout.single
+        assert [ends.size for ends in layout.ends] == [m] * 5
 
 
 def test_working_set_of_a_large_test():
@@ -863,9 +870,11 @@ def test_bootstrap_counts_follow_the_exact_bootstrap_law():
             report = flm_gof(X, y, K=K, B=B, kind=kind, seed=dataset)
             prepared = rptest._prepare(X, _Settings(K, B, kind, seed=dataset))
             fit = estimate_rho(y - y.mean(), prepared.basis, report.settings["rank"])
-            exact = exact_bootstrap_pvalues(fit, prepared.layouts, kind)
-            for rec, layout, p in zip(report.per_projection, prepared.layouts, exact):
-                assert rec.statistic == layout.norms(fit.residuals, kind)
+            exact = exact_bootstrap_pvalues(fit, prepared.directions, kind)
+            observed = prepared.directions.norms(fit.residuals, kind)
+            assert len(observed) == len(exact) == K
+            for rec, statistic, p in zip(report.per_projection, observed, exact):
+                assert rec.statistic == statistic
                 count = round(rec.pvalue * B)
                 if p in (0.0, 1.0):
                     assert count == p * B
@@ -1201,15 +1210,40 @@ def test_killed_child_share_reruns_here(forks, monkeypatch):
 
 
 def side_by_side_case(n, directions, tied, seed):
-    """K layouts on n projections, every other one tied if `tied`."""
-    rng = philox(seed)
-    layouts = []
-    for k in range(directions):
-        projections = rng.standard_normal(n)
-        if tied and k % 2 == 0:
-            projections = np.round(projections, 1)
-        layouts.append(_SortedProjections(projections))
-    return layouts
+    """A (K, n) array of projections, every other direction tied if `tied`."""
+    projections = philox(seed).standard_normal((directions, n))
+    if tied:
+        projections[::2] = np.round(projections[::2], 1)
+    return projections
+
+
+def norms_by_branch(record, columns, kind, monkeypatch):
+    """{branch: `record`'s norms of `columns`} with each branch of the
+    kernel forced by moving the bounds of its rule."""
+    row = len(record.ends) * columns[0].size
+    with monkeypatch.context() as patch:
+        patch.setattr(rptest, "BOOTSTRAP_BLOCK", record.n * row)
+        patch.setattr(rptest, "SIDE_BY_SIDE_MIN_ROW", row)
+        side_by_side = record.norms(columns, kind)
+        patch.setattr(rptest, "SIDE_BY_SIDE_MIN_ROW", row + 1)
+        per_direction = record.norms(columns, kind)
+    return {"side_by_side": side_by_side, "per_direction": per_direction}
+
+
+def assert_equals_single_records(projections, columns, monkeypatch):
+    """A record of K directions gives, bit for bit and through either branch,
+    the norms of K records of one vector each."""
+    record = _SortedProjections(projections)
+    singles = [_SortedProjections(vector) for vector in projections]
+    assert [ends is not None for ends in record.ends] == [
+        ends is not None for single in singles for ends in single.ends]
+    for kind in STAT_KINDS:
+        expected = np.array([single.norms(columns, kind) for single in singles])
+        norms = record.norms(columns, kind)
+        assert norms.shape == (len(projections), *columns.shape[1:])
+        assert np.array_equal(norms, expected)
+        for branch in norms_by_branch(record, columns, kind, monkeypatch).values():
+            assert np.array_equal(branch, expected)
 
 
 @pytest.mark.parametrize("tied", [False, True])
@@ -1219,36 +1253,58 @@ def side_by_side_case(n, directions, tied, seed):
     # an odd width as an odd B leaves it
     (1, 62), (1, 64), (2, 262), (2, 264), (3, 37),
 ])
-def test_side_by_side_kernel_equals_the_per_direction_kernel(tied, levels, width):
+def test_side_by_side_kernel_equals_the_per_direction_kernel(tied, levels, width,
+                                                             monkeypatch):
     n, K = 50, 5
-    layouts = side_by_side_case(n, K, tied, seed=levels * width)
-    assert any(layout.ends is not None for layout in layouts) == tied
-    record = rptest._SideBySide(layouts)
+    projections = side_by_side_case(n, K, tied, seed=levels * width)
     columns = philox(width).standard_normal((n, levels, width))
+    # (n, L, b) blocks, the same values as (n, L * b) columns, and one vector
+    for marks in (columns, columns.reshape(n, -1), columns[:, 0, 0]):
+        assert_equals_single_records(projections, marks, monkeypatch)
+    record = _SortedProjections(projections)
+    assert any(ends is not None for ends in record.ends) == tied
     for kind in STAT_KINDS:
         norms = record.norms(columns, kind)
-        assert norms.shape == (K, levels, width)
-        for k, layout in enumerate(layouts):
-            # the per-direction kernel on all levels at once, and on each
-            # level's contiguous (n, b) block, as a single response has it
-            assert np.array_equal(norms[k], layout.norms(columns, kind))
-            for level in range(levels):
-                single = layout.norms(np.ascontiguousarray(columns[:, level]), kind)
-                assert np.array_equal(norms[k, level], single)
+        for level in range(levels):
+            # each level's contiguous (n, b) block, as a single response has it
+            single = record.norms(np.ascontiguousarray(columns[:, level]), kind)
+            assert np.array_equal(norms[:, level], single)
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("n, K, shape", [
+    # one vector per direction: rows of 319 and 320 values, and 130,880 and
+    # 131,200 gathered values
+    (50, 319, ()), (409, 320, ()), (410, 320, ()),
+    # one replicate per level, as the odd last block of an odd B has it
+    (50, 5, (3, 1)), (50, 5, (70, 1)), (50, 320, (2, 1)),
+])
+def test_records_of_many_directions_or_one_replicate(tied, n, K, shape, monkeypatch):
+    projections = side_by_side_case(n, K, tied, seed=n + K)
+    columns = philox(K).standard_normal((n, *shape))
+    assert_equals_single_records(projections, columns, monkeypatch)
+    if len(shape) == 2:
+        record = _SortedProjections(projections)
+        for kind in STAT_KINDS:
+            norms = record.norms(columns, kind)
+            for level in range(shape[0]):
+                single = record.norms(np.ascontiguousarray(columns[:, level]), kind)
+                assert np.array_equal(norms[:, level], single)
 
 
 def test_block_routine_stacks_within_the_row_width_and_the_budget(monkeypatch):
-    # the block routine takes the side-by-side kernel exactly where the
-    # gathered rows are SIDE_BY_SIDE_MIN_ROW wide or more and the array
-    # holds at most BOOTSTRAP_BLOCK values
+    # the kernel gathers the K directions side by side, into this thread's
+    # scratch array, exactly where the gathered rows are SIDE_BY_SIDE_MIN_ROW
+    # wide or more and the array holds at most BOOTSTRAP_BLOCK values
     calls = []
-    stacked = rptest._side_by_side_norms
+    scratch = rptest._scratch
 
-    def recording(record, columns, kind):
-        calls.append(columns.shape)
-        return stacked(record, columns, kind)
+    def recording(shape):
+        calls.append(shape)
+        return scratch(shape)
 
-    monkeypatch.setattr(rptest, "_side_by_side_norms", recording)
+    monkeypatch.setattr(rptest, "_scratch", recording)
+    assert (rptest.SIDE_BY_SIDE_MIN_ROW, BOOTSTRAP_BLOCK) == (320, 2**17)
     cases = {
         # K=5, n=50: rows of 310 and 320 values; 131,000, 132,000, 96,000
         # and 183,000 gathered values
@@ -1267,27 +1323,37 @@ def test_block_routine_stacks_within_the_row_width_and_the_budget(monkeypatch):
             counts = rptest._block_exceedances(prepared, marks, None, observed,
                                                list(levels), (0, width))
             assert counts.shape == (len(levels) * K,)
-            assert calls == ([(n, len(levels), width)] if expected else [])
+            assert calls == ([(n, K, len(levels), width)] if expected else [])
             row = K * len(levels) * width
             assert expected == (row >= rptest.SIDE_BY_SIDE_MIN_ROW
                                 and n * row <= BOOTSTRAP_BLOCK)
+    # the same rule for (n,) and (n, b) columns, and for a record of one vector
+    for projections, columns, expected in [
+        (side_by_side_case(409, 320, False, 0), np.zeros(409), True),
+        (side_by_side_case(410, 320, False, 0), np.zeros(410), False),
+        (side_by_side_case(50, 319, False, 0), np.zeros(50), False),
+        (side_by_side_case(50, 5, False, 0), np.zeros((50, 64)), True),
+        (side_by_side_case(50, 5, False, 0), np.zeros((50, 62)), False),
+        (np.arange(50.0), np.zeros((50, 320)), True),
+        (np.arange(50.0), np.zeros((50, 319)), False),
+    ]:
+        calls.clear()
+        _SortedProjections(projections).norms(columns, "cvm")
+        assert (len(calls) == 1) == expected
 
 
 @pytest.mark.parametrize("kind", STAT_KINDS)
-def test_a_levels_norms_do_not_depend_on_the_levels_beside_it(kind):
+def test_a_levels_norms_do_not_depend_on_the_levels_beside_it(kind, monkeypatch):
     n, K, width = 40, 4, 90
-    layouts = side_by_side_case(n, K, tied=True, seed=8)
-    record = rptest._SideBySide(layouts)
+    record = _SortedProjections(side_by_side_case(n, K, tied=True, seed=8))
     columns = philox(9).standard_normal((n, 3, width))
     alone = [record.norms(np.ascontiguousarray(columns[:, [level]]), kind)[:, 0]
              for level in range(3)]
     for levels in ([0, 1, 2], [2, 0], [1, 2], [0, 0, 1]):
-        together = record.norms(np.ascontiguousarray(columns[:, levels]), kind)
-        per_direction = np.array([layout.norms(np.ascontiguousarray(columns[:, levels]), kind)
-                                  for layout in layouts])
-        for column, level in enumerate(levels):
-            assert np.array_equal(together[:, column], alone[level])
-            assert np.array_equal(per_direction[:, column], alone[level])
+        together = np.ascontiguousarray(columns[:, levels])
+        for norms in norms_by_branch(record, together, kind, monkeypatch).values():
+            for column, level in enumerate(levels):
+                assert np.array_equal(norms[:, column], alone[level])
 
 
 def several_responses(n, levels, tied, seed):

@@ -79,6 +79,23 @@ def test_gaussian_process_covariances(kind, kernel):
     )
 
 
+@pytest.mark.parametrize("points", [
+    np.linspace(0.0, 2.0, 21),  # past 1, with 1 on the grid
+    np.linspace(0.05, 1.95, 20),  # past 1, with 1 between two points
+    np.linspace(0.0, 0.9, 10),  # short of 1
+])
+def test_bridge_is_pinned_at_one_on_any_grid(points):
+    n = 4000
+    sample = gen_process("bb", n, make_grid(points), philox(17))
+    # B(t) - t B(1) for s, t >= 0, which is bb_kernel on [0, 1]
+    s, t = points[:, None], points[None, :]
+    truth = np.minimum(s, t) - t * np.minimum(s, 1.0) - s * np.minimum(t, 1.0) + s * t
+    z = covariance_zscores(sample.data, truth, n)
+    assert np.max(np.abs(z)) < 5.0
+    if 1.0 in points:
+        assert np.all(sample.data[:, points == 1.0] == 0.0)
+
+
 @pytest.mark.parametrize("kind,decay", [("hhn1", 2.0), ("hhn2", 4.0)])
 def test_cosine_expansion_covariances(kind, decay):
     grid = uniform_grid(21)
