@@ -67,8 +67,9 @@ def trial_payloads(rptest, simlab, spec, sampler):
 def replicates_drawn(rptest, simlab, payloads):
     """Mean bootstrap replicates per test, keyed by d: the replicates each
     level's fit replays, in the order the trial's fits first replay, which
-    is the order of its levels whether one `test_flm` call serves them all
-    or one call serves each."""
+    is the order of its levels whether one multi-response call
+    (`rptest._flm_reports`) serves them all or one `test_flm` call serves
+    each."""
     replay = rptest._replay_residuals
     # id(fit) -> [fit, replicates] in first-replay order; holding the fit
     # keeps its id from going to a later one

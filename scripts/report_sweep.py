@@ -10,9 +10,11 @@ twice, rows stacked), a null and an alternative response, both statistics
 and samplers "i", "ii" and "iii". The null response is y = <X, rho> + noise
 with rho(t) = sin(2 pi t) + t; the alternative adds <X, rho>^2. `test_simple`
 takes m0 = <X, rho> for both. Per cell, statistic and sampler, one more
-`test_flm` call takes both responses at once and may stop early above p_fdr
-0.1, as a study trial does ("test_flm_stopped", one report per response):
-its blocks run the multi-response, early-stopping kernel.
+call takes both responses at once and may stop early above p_fdr 0.1, as a
+study trial does ("test_flm_stopped", one report per response): its blocks
+run the multi-response, early-stopping kernel. It calls the private entry
+`rptest._flm_reports` with a `_Settings` record, or, on a tree without that
+entry, `test_flm(sample, [y_null, y_alternative], ..., _stop_above=0.1)`.
 
 Every tree is compared with the first. For each test and for untied and
 duplicated samples apart, the report gives the number of reports, how many
@@ -93,8 +95,14 @@ def measure(src):
             case = "/".join(map(str, (*cell, response, kind, sampler, test)))
             reports[case] = json.dumps(report.to_dict(), sort_keys=True)
         for kind, sampler in itertools.product(KINDS, SAMPLERS):
-            stopped = flmgof.test_flm(sample, [y_null, y_alternative], K=K, B=B, kind=kind,
-                                      sampler=sampler, seed=SEED, _stop_above=STOP_ABOVE)
+            responses = [y_null, y_alternative]
+            if hasattr(flmgof.rptest, "_flm_reports"):
+                settings = flmgof.rptest._Settings(K, B, kind, sampler=sampler, seed=SEED)
+                stopped = flmgof.rptest._flm_reports(sample, responses, settings,
+                                                     stop_above=STOP_ABOVE)
+            else:  # a tree whose public test_flm takes several responses
+                stopped = flmgof.test_flm(sample, responses, K=K, B=B, kind=kind,
+                                          sampler=sampler, seed=SEED, _stop_above=STOP_ABOVE)
             for response, report in zip(RESPONSES, stopped):
                 case = "/".join(map(str, (*cell, response, kind, sampler, STOPPED)))
                 reports[case] = json.dumps(report.to_dict(), sort_keys=True)

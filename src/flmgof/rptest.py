@@ -31,20 +31,20 @@ bootstrap is one map of the blocks to their counts. The generator is set to
 that value only when it does not already stand there, so a serial bootstrap
 never seeks.
 
-`test_flm` takes L responses to the same curves as an (L, n) array and runs
-one bootstrap for all of them: each block draws its multipliers once, and
-every level replays them through its own fit into one (n, L, b) array. One
-record holds the sorted layouts of the K directions (`_SortedProjections`),
-and one call of its `norms` gives every direction's norms of a block. When
-the K directions' rows, K * L * b values each, are wide enough and the block
-fits in BOOTSTRAP_BLOCK values, the rows are gathered side by side and
-cumulated with one np.add per row; otherwise each direction cumulates all L
-levels at once. Every column is still summed in row order, and each CvM
-norm is a gemv over exactly its level's b columns, so each level's report is
-that of its own call, bit for bit.
+The L responses of a Monte Carlo trial, one per deviation level, share its
+curves, and the private `_flm_reports` tests them with one bootstrap: each
+block draws its multipliers once, and every level replays them through its
+own fit into one (n, L, b) array. One record holds the sorted layouts of the
+K directions (`_SortedProjections`), and one call of its `norms` gives every
+direction's norms of a block. When the K directions' rows, K * L * b values
+each, are wide enough and the block fits in BOOTSTRAP_BLOCK values, the rows
+are gathered side by side and cumulated with one np.add per row; otherwise
+each direction cumulates all L levels at once. Every column is still summed
+in row order, and each CvM norm is a gemv over exactly its level's b
+columns, so each level's report is its own `test_flm` call's, bit for bit.
 
 A Monte Carlo study reads a trial only as the decisions p_fdr < alpha, so a
-study trial may stop its bootstrap early (`test_flm`'s private `_stop_above`,
+study trial may stop its bootstrap early (`_flm_reports`'s `stop_above`,
 a sequential Monte Carlo p-value after Besag & Clifford, 1991). Its first two
 blocks are then at most STOP_CHECK_BLOCK wide, and after every block but the
 last the p-values are formed from the counts so far with the final
@@ -605,17 +605,14 @@ class _Prepared:
     stream: _Stream
 
 
-def _check_data(X, y, several=False):
-    """Check the sample and the response both tests share; return the
-    responses as an (L, n) array. With `several`, `y` holds L >= 1
-    responses as rows."""
+def _check_data(X, responses):
+    """Check the sample and the sequence of responses both tests share;
+    return the responses as an (L, n) array (np.stack refuses L = 0)."""
     if not isinstance(X, FunctionalSample):
         raise ValueError("X must be a FunctionalSample")
     if X.n < 3:
         raise ValueError("the test needs at least three observations")
-    if several and len(y) > 0:
-        return np.array([_check_response(row, X.n) for row in y])
-    return _check_response(y, X.n)[None]
+    return np.stack([_check_response(y, X.n) for y in responses])
 
 
 def _prepare(X, settings):
@@ -774,43 +771,19 @@ def _projection_test(prepared, marks, fits, stop_above=None):
     return reports
 
 
-def test_flm(
-    X: FunctionalSample,
-    y,
-    K: int = 5,
-    B: int = 1000,
-    kind: str = "cvm",
-    r: float = 0.95,
-    rank: int | None = None,
-    sampler: str = "i",
-    seed=None,
-    positive_correction: bool = False,
-    *,
-    _stop_above: float | None = None,
-) -> TestReport | list:
-    """Composite goodness-of-fit test of the functional linear model.
+def _flm_reports(X, responses, settings, rank=None, stop_above=None):
+    """`test_flm` of each of the responses to the curves X, with the checked
+    `settings`: one report per response, each that of its own `test_flm`
+    call, from one bootstrap that shares the basis, the directions and the
+    multiplier draws of every block.
 
-    Fits the model once (rank chosen by SICc unless `rank` is given), then
-    scores K random projections of the residual-marked process, calibrating
-    each with a wild bootstrap of B replicates. Reproducible for a fixed
-    `seed` (int >= 0 or SeedSequence) regardless of available parallelism.
-
-    `y` is one response vector, or an (L, n) array of L responses to the
-    same curves; these give a list of L reports, each the report of its own
-    response with the same seed, from one bootstrap that shares the basis,
-    the directions and the multiplier draws of every block.
-
-    `_stop_above` is for Monte Carlo studies, which read only whether p_fdr
+    `stop_above` is for Monte Carlo studies, which read only whether p_fdr
     falls below a level: a response's bootstrap stops once its p_fdr can no
-    longer fall below `_stop_above`, and its report then holds lower bounds
-    of the p-values, with p_fdr at least `_stop_above`. A report whose p_fdr
+    longer fall below `stop_above`, and its report then holds lower bounds
+    of the p-values, with p_fdr at least `stop_above`. A report whose p_fdr
     is below it equals the report without it.
     """
-    if rank is not None and not _is_integer(rank):
-        raise ValueError(f"rank must be an integer or None, got {rank!r}")
-    settings = _Settings(K, B, kind, r, sampler, seed, positive_correction)
-    several = np.ndim(y) == 2
-    responses = _check_data(X, y, several)
+    responses = _check_data(X, responses)
     prepared = _prepare(X, settings)
     basis = prepared.basis
     if rank is None:
@@ -822,8 +795,33 @@ def test_flm(
         y_centered = response - response.mean()
         level_rank = select_rank_sicc(y_centered, basis, max_rank)[0] if rank is None else rank
         fits.append(estimate_rho(y_centered, basis, int(level_rank)))
-    reports = _projection_test(prepared, [fit.residuals for fit in fits], fits, _stop_above)
-    return reports if several else reports[0]
+    return _projection_test(prepared, [fit.residuals for fit in fits], fits, stop_above)
+
+
+def test_flm(
+    X: FunctionalSample,
+    y,
+    K: int = 5,
+    B: int = 1000,
+    kind: str = "cvm",
+    r: float = 0.95,
+    rank: int | None = None,
+    sampler: str = "i",
+    seed=None,
+    positive_correction: bool = False,
+) -> TestReport:
+    """Composite goodness-of-fit test of the functional linear model.
+
+    Fits the model once (rank chosen by SICc unless `rank` is given), then
+    scores K random projections of the residual-marked process, calibrating
+    each with a wild bootstrap of B replicates. Reproducible for a fixed
+    `seed` (int >= 0 or SeedSequence) regardless of available parallelism.
+    """
+    if rank is not None and not _is_integer(rank):
+        raise ValueError(f"rank must be an integer or None, got {rank!r}")
+    settings = _Settings(K, B, kind, r, sampler, seed, positive_correction)
+    [report] = _flm_reports(X, [y], settings, rank)
+    return report
 
 
 def test_simple(
@@ -846,7 +844,7 @@ def test_simple(
     directly, with no refit and no centering.
     """
     settings = _Settings(K, B, kind, r, sampler, seed, positive_correction)
-    [y] = _check_data(X, y)
+    [y] = _check_data(X, [y])
     prepared = _prepare(X, settings)
     if m0 is None:
         marks = y

@@ -30,7 +30,7 @@ import contextlib
 import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -49,7 +49,8 @@ from .processes import (
     ornstein_uhlenbeck,
     ou_kernel,
 )
-from .rptest import _Settings, _check_count, _is_integer, test_flm
+# the multi-response entry, under the name perfbench/spans.py times as `rptest.test`
+from .rptest import _Settings, _check_count, _flm_reports as test_flm, _is_integer
 
 __all__ = [
     "ALPHAS",
@@ -312,7 +313,7 @@ def _trial_data(key, spec, d_values, n):
 
 def _study_trial(args):
     """One trial of a study: (p_fdr, chosen rank) per deviation level, from
-    one `test_flm` call on the responses of every level.
+    one `test_flm` (`rptest._flm_reports`) call on the responses of every level.
 
     The study reads p_fdr only as p_fdr < alpha for alpha in ALPHAS, so each
     level's bootstrap stops once its p_fdr cannot fall below max(ALPHAS).
@@ -323,8 +324,7 @@ def _study_trial(args):
     spec, d_values, n, settings, trial = args
     key = (settings.seed, spec.index, n, trial)
     X, responses, test_seed = _trial_data(key, spec, d_values, n)
-    options = {**vars(settings), "seed": test_seed}
-    reports = test_flm(X, responses, **options, _stop_above=max(ALPHAS))
+    reports = test_flm(X, responses, replace(settings, seed=test_seed), stop_above=max(ALPHAS))
     return [(report.p_fdr, report.settings["rank"]) for report in reports]
 
 

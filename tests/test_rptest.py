@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import importlib.resources
+import inspect
 import json
 import math
 import os
@@ -23,6 +24,7 @@ from conftest import (
     inner_product,
     project,
 )
+import flmgof
 from flmgof import (
     DegenerateProjectionError,
     FpcBasis,
@@ -68,6 +70,11 @@ from oracles import (
 
 def philox(seed):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def flm_reports(X, responses, stop_above=None, **options):
+    """The multi-response entry, with its settings named as `test_flm` takes them."""
+    return rptest._flm_reports(X, responses, _Settings(**options), stop_above=stop_above)
 
 
 # ---------------------------------------------------------------- statistics
@@ -222,11 +229,11 @@ def test_bootstrap_blocks_have_even_widths(monkeypatch, n, widths):
     # a bootstrap that may stop starts with two narrow blocks; p_fdr never
     # reaches 1.5, so it draws every block and counts the same replicates
     drawn.clear()
-    unstopped = flm_gof(sample, y, K=2, B=1000, seed=0, _stop_above=1.5)
+    [unstopped] = flm_reports(sample, [y], K=2, B=1000, seed=0, stop_above=1.5)
     assert drawn == [(width, n) for width in stop_widths]
     assert unstopped.to_dict() == report.to_dict()
     drawn.clear()
-    flm_gof(sample, y, K=2, B=999, seed=0, _stop_above=1.5)
+    flm_reports(sample, [y], K=2, B=999, seed=0, stop_above=1.5)
     assert drawn[-1] == (stop_widths[-1] - 1, n)
 
 
@@ -1146,10 +1153,10 @@ def test_split_bootstrap_counts_only_from_the_threshold(forks, monkeypatch):
 
 
 def test_study_trials_and_stopping_bootstraps_never_fork(forks, monkeypatch):
-    gof, sample, y, _ = next(split_cases())
+    _, sample, y, _ = next(split_cases())
     monkeypatch.setattr(forking, "_usable_cpus", lambda: 2)
-    gof(sample, y, K=3, B=SPLIT_B, seed=5, _stop_above=0.1)
-    gof(sample, y, K=3, B=SPLIT_B, seed=5, _stop_above=1.5)
+    flm_reports(sample, [y], K=3, B=SPLIT_B, seed=5, stop_above=0.1)
+    flm_reports(sample, [y], K=3, B=SPLIT_B, seed=5, stop_above=1.5)
     run_study([1], [0, 1], [SPLIT_N], M=2, K=3, B=SPLIT_B, seed=5)
     assert forks == []
 
@@ -1391,7 +1398,7 @@ def test_several_responses_equal_single_response_calls(seed, n, levels, kind, ti
     # reaches 180,000 values)
     X, Y = several_responses(n, levels, tied, seed)
     options = dict(K=3, B=B, kind=kind, sampler=sampler, seed=seed)
-    reports = flm_gof(X, Y, **options)
+    reports = flm_reports(X, Y, **options)
     assert isinstance(reports, list) and len(reports) == levels
     singles = [flm_gof(X, y, **options) for y in Y]
     assert [json.dumps(report.to_dict()) for report in reports] == [
@@ -1400,7 +1407,7 @@ def test_several_responses_equal_single_response_calls(seed, n, levels, kind, ti
 
 
 def test_responses_stop_after_their_own_blocks(monkeypatch):
-    # with _stop_above each response's bootstrap stops after its own block
+    # with stop_above each response's bootstrap stops after its own block
     # (128, 256 or all 500 replicates), and every report equals the
     # single-response call's; the others go on without it
     replay = rptest._replay_residuals
@@ -1418,15 +1425,16 @@ def test_responses_stop_after_their_own_blocks(monkeypatch):
         X = gen_process(spec.process, 50, spec.grid, rng)
         Y = [gen_response(spec, X, d, rng) for d in (0, 1, 2, 0)]
         for kind in STAT_KINDS:
-            options = dict(K=5, B=500, kind=kind, seed=trial, _stop_above=0.1)
+            options = dict(K=5, B=500, kind=kind, seed=trial, stop_above=0.1)
             replayed.clear()
-            reports = flm_gof(X, Y, **options)
+            reports = flm_reports(X, Y, **options)
             per_level = [replicates for _, replicates in replayed.values()]
             assert len(per_level) == len(Y)
             stops.update(per_level)
             mixed += len(set(per_level)) > 1
             for report, y in zip(reports, Y):
-                assert report.to_dict() == flm_gof(X, y, **options).to_dict()
+                [single] = flm_reports(X, [y], **options)
+                assert report.to_dict() == single.to_dict()
     assert stops == {128, 256, 500} and mixed > 0
 
 
@@ -1449,7 +1457,7 @@ def test_one_draw_serves_every_response_and_no_serial_block_seeks(monkeypatch):
     monkeypatch.setattr(rptest, "golden_multipliers", recording)
     monkeypatch.setattr(rptest, "_seek", recording_seek)
     X, Y = several_responses(200, 3, tied=False, seed=4)
-    for gof, responses in ((flm_gof, Y), (flm_gof, Y[0]), (simple_gof, Y[0])):
+    for gof, responses in ((flm_reports, Y), (flm_gof, Y[0]), (simple_gof, Y[0])):
         drawn.clear()
         seeks.clear()
         gof(X, responses, K=2, B=1000, seed=0)
@@ -1458,13 +1466,26 @@ def test_one_draw_serves_every_response_and_no_serial_block_seeks(monkeypatch):
 
 def test_several_responses_are_checked_one_by_one():
     X, Y = several_responses(30, 2, tied=False, seed=6)
-    assert len(flm_gof(X, Y[:1], K=2, B=20, seed=0)) == 1
+    assert len(flm_reports(X, Y[:1], K=2, B=20, seed=0)) == 1
     bad_rows = (np.empty((0, 30)), Y[:, :-1], np.r_[Y, [[np.nan] * 30]])
     for bad in bad_rows:
         with pytest.raises(ValueError):
-            flm_gof(X, bad, K=2, B=20, seed=0)
+            flm_reports(X, bad, K=2, B=20, seed=0)
     with pytest.raises(ValueError):
         simple_gof(X, Y, K=2, B=20, seed=0)  # one response only
+
+
+def test_flm_takes_one_response_and_gives_one_report():
+    # several responses share a bootstrap only through the private entry;
+    # the public functions take no private keyword
+    X, Y = several_responses(30, 2, tied=False, seed=6)
+    assert isinstance(flm_gof(X, Y[0], K=2, B=20, seed=0), rptest.TestReport)
+    with pytest.raises(ValueError):
+        flm_gof(X, Y, K=2, B=20, seed=0)
+    for name in flmgof.__all__:
+        public = getattr(flmgof, name)
+        if inspect.isfunction(public):
+            assert not [p for p in inspect.signature(public).parameters if p.startswith("_")]
 
 
 def test_flm_centers_the_sample_it_is_given():

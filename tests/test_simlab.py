@@ -460,7 +460,8 @@ def test_shared_trial_equals_standalone_tests():
                 rng = philox(data_seed)
                 X = gen_process(spec.process, 50, spec.grid, rng)
                 y = gen_response(spec, X, d, rng)
-                report = simlab.test_flm(X, y, K=5, B=500, seed=test_seed, _stop_above=0.1)
+                [report] = rptest._flm_reports(
+                    X, [y], rptest._Settings(K=5, B=500, seed=test_seed), stop_above=0.1)
                 assert outcome == (report.p_fdr, report.settings["rank"])
                 decided.add(report.p_fdr < 0.1)
     assert decided == {False, True}
@@ -741,8 +742,9 @@ def test_early_stop_keeps_every_decision():
                 y = gen_response(spec, X, d, rng)
                 for kind in ("cvm", "ks"):
                     args = dict(K=5, B=500, kind=kind, seed=trial)
-                    full = simlab.test_flm(X, y, **args)
-                    stopped = simlab.test_flm(X, y, **args, _stop_above=0.1)
+                    full = rptest.test_flm(X, y, **args)
+                    [stopped] = rptest._flm_reports(X, [y], rptest._Settings(**args),
+                                                    stop_above=0.1)
                     if stopped.p_fdr < 0.1:
                         assert stopped.to_dict() == full.to_dict()
                     else:
