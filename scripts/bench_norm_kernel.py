@@ -12,8 +12,8 @@ each, for K=5 directions on untied projections, as the (n, L, b) blocks in
 SWEEP: the side-by-side kernel (one np.add per row for every direction)
 against the per-direction one (one np.cumsum per direction on all L
 levels). A tree whose `_SortedProjections` holds all K directions runs
-either branch of its one `norms` call, each forced by setting the rule's
-bounds, SIDE_BY_SIDE_MIN_ROW and BOOTSTRAP_BLOCK, for the block; a tree with
+either branch of its one `norms` call on the (n, L, b) block, each forced by
+setting the rule's bounds, SIDE_BY_SIDE_MIN_ROW and BOOTSTRAP_BLOCK; a tree with
 `_SideBySide` times that record against one call per direction; and a tree
 whose kernel takes one level at a time times one call per direction and
 level, and reports the per-direction kernel only. It covers a study's
@@ -92,27 +92,29 @@ def measure(src):
 def kernels(rptest, projections, columns, kind):
     """{"per_direction_us": call, "side_by_side_us": call} of this tree, each
     call giving the norms of the K directions for the (n, L, b) `columns`."""
+    if hasattr(rptest, "SIDE_BY_SIDE_MIN_ROW") and not hasattr(rptest, "_SideBySide"):
+        record = rptest._SortedProjections(projections)
+        row = len(projections) * columns[0].size
+        budget = rptest.BOOTSTRAP_BLOCK
+
+        def forced(min_row, block):
+            def call():
+                rptest.SIDE_BY_SIDE_MIN_ROW, rptest.BOOTSTRAP_BLOCK = min_row, block
+                return record.norms(columns, kind)
+            return call
+
+        return {"per_direction_us": forced(row + 1, budget),
+                "side_by_side_us": forced(row, max(budget, len(columns) * row))}
+    # older trees, whose records hold one vector each
     layouts = [rptest._SortedProjections(vector) for vector in projections]
     if hasattr(rptest, "_SideBySide"):
         record = rptest._SideBySide(layouts)
         return {"per_direction_us": lambda: [layout.norms(columns, kind) for layout in layouts],
                 "side_by_side_us": lambda: record.norms(columns, kind)}
-    if not hasattr(rptest, "SIDE_BY_SIDE_MIN_ROW"):  # a kernel of one level at a time
-        per_level = [np.ascontiguousarray(columns[:, level]) for level in range(columns.shape[1])]
-        return {"per_direction_us": lambda: [
-            layout.norms(level, kind) for layout in layouts for level in per_level]}
-    record = rptest._SortedProjections(projections)
-    row = len(projections) * columns[0].size
-    budget = rptest.BOOTSTRAP_BLOCK
-
-    def forced(min_row, block):
-        def call():
-            rptest.SIDE_BY_SIDE_MIN_ROW, rptest.BOOTSTRAP_BLOCK = min_row, block
-            return record.norms(columns, kind)
-        return call
-
-    return {"per_direction_us": forced(row + 1, budget),
-            "side_by_side_us": forced(row, max(budget, len(columns) * row))}
+    # a kernel of one level at a time
+    per_level = [np.ascontiguousarray(columns[:, level]) for level in range(columns.shape[1])]
+    return {"per_direction_us": lambda: [
+        layout.norms(level, kind) for layout in layouts for level in per_level]}
 
 
 def sweep(rptest):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fpc import FpcBasis
-from .funspace import _adopt, _frozen, _read_only
+from .funspace import _adopt, _frozen, _is_integer, _read_only
 
 __all__ = ["FlmFit", "estimate_rho", "select_rank_sicc"]
 
@@ -77,10 +77,10 @@ def estimate_rho(y, basis: FpcBasis, rank: int) -> FlmFit:
     """
     n = basis.n
     y = _check_response(y, n)
-    if not 1 <= rank <= basis.m:
+    if not _is_integer(rank) or not 1 <= rank <= basis.m:
         raise ValueError(
-            f"rank {rank} is not available: basis retains {basis.m} components "
-            "with positive eigenvalues"
+            f"rank must be an integer in [1, {basis.m}], the components the basis "
+            f"retains with positive eigenvalues, got {rank!r}"
         )
     scores = basis.scores[:, :rank]
     lam = basis.eigenvalues[:rank]
@@ -110,8 +110,8 @@ def select_rank_sicc(y, basis: FpcBasis, max_rank: int):
     """
     n = basis.n
     y = _check_response(y, n)
-    if not 1 <= max_rank <= basis.m:
-        raise ValueError(f"max_rank must lie in [1, {basis.m}], got {max_rank}")
+    if not _is_integer(max_rank) or not 1 <= max_rank <= basis.m:
+        raise ValueError(f"max_rank must be an integer in [1, {basis.m}], got {max_rank!r}")
     if n <= max_rank + 2:
         raise ValueError("SICc needs n > max_rank + 2")
 

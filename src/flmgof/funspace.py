@@ -32,6 +32,11 @@ def _as_float_vector(values, name):
     return arr
 
 
+def _is_integer(value) -> bool:
+    """True for an int or a numpy integer, False for a bool or a float."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _frozen(arr):
     arr = np.array(arr, dtype=float, copy=True)
     arr.setflags(write=False)

@@ -35,13 +35,15 @@ The L responses of a Monte Carlo trial, one per deviation level, share its
 curves, and the private `_flm_reports` tests them with one bootstrap: each
 block draws its multipliers once, and every level replays them through its
 own fit into one (n, L, b) array. One record holds the sorted layouts of the
-K directions (`_SortedProjections`), and one call of its `norms` gives every
-direction's norms of a block. When the K directions' rows, K * L * b values
-each, are wide enough and the block fits in BOOTSTRAP_BLOCK values, the rows
-are gathered side by side and cumulated with one np.add per row; otherwise
-each direction cumulates all L levels at once. Every column is still summed
-in row order, and each CvM norm is a gemv over exactly its level's b
-columns, so each level's report is its own `test_flm` call's, bit for bit.
+K directions (`_SortedProjections`, built from a (K, n) array), and one call
+of its `norms` on (n, L, b) columns gives every direction's norms of a block;
+the observed norms of the L levels are one call on an (n, L, 1) array. When
+the K directions' rows, K * L * b values each, are wide enough and the block
+fits in BOOTSTRAP_BLOCK values, the rows are gathered side by side and
+cumulated with one np.add per row; otherwise each direction cumulates all L
+levels at once. Every column is still summed in row order, and one reduction
+serves both: each CvM norm is a gemv over exactly its level's b columns, so
+each level's report is its own `test_flm` call's, bit for bit.
 
 A Monte Carlo study reads a trial only as the decisions p_fdr < alpha, so a
 study trial may stop its bootstrap early (`_flm_reports`'s `stop_above`,
@@ -85,7 +87,7 @@ from .fpc import FpcBasis
 # A = X * sqrt(w), which the projections use; it keeps the public name, under
 # which perfbench/spans.py times it as `fpc.compute`.
 from .fpc import _compute_fpc as compute_fpc
-from .funspace import FunctionalSample, center
+from .funspace import FunctionalSample, _is_integer, center
 from .processes import ornstein_uhlenbeck
 
 __all__ = [
@@ -184,11 +186,6 @@ def _check_fraction(name, value):
         raise ValueError(f"{name} must be a real number in (0, 1], got {value!r}")
 
 
-def _is_integer(value) -> bool:
-    """True for an int or a numpy integer, False for a bool or a float."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _check_count(name, value):
     if not _is_integer(value) or value < 1:
         raise ValueError(f"{name} must be a positive integer")
@@ -258,8 +255,7 @@ def golden_multipliers(rng, size) -> np.ndarray:
 
 
 class _SortedProjections:
-    """Sorted layouts of one projection vector or of k of them, reusable
-    across mark vectors.
+    """Sorted layouts of k projection vectors, reusable across mark vectors.
 
     Ties share a jump: the process value attached to every observation in a
     tie block is the cumulative sum at the end of the block, so only block
@@ -268,16 +264,14 @@ class _SortedProjections:
     without ties) and the weights `weights[k]`.
     """
 
-    __slots__ = ("n", "single", "order", "ends", "weights", "scale")
+    __slots__ = ("n", "order", "ends", "weights", "scale")
 
     def __init__(self, projections):
         projections = np.asarray(projections, dtype=float)
-        if projections.ndim not in (1, 2) or projections.size == 0:
-            raise ValueError("projections must be a non-empty vector or (k, n) array")
+        if projections.ndim != 2 or projections.size == 0:
+            raise ValueError("projections must be a non-empty (k, n) array")
         if not np.all(np.isfinite(projections)):
             raise ValueError("projections contain non-finite values")
-        self.single = projections.ndim == 1
-        projections = np.atleast_2d(projections)
         self.n = projections.shape[1]
         self.order = np.argsort(projections, axis=1, kind="stable")
         ends, sizes = [], []
@@ -292,12 +286,9 @@ class _SortedProjections:
         self.scale = 1.0 / np.sqrt(self.n)
 
     def norms(self, columns, kind):
-        """The `kind` norm of the process for marks in observation order.
-
-        `columns` is (n,) for one mark vector, (n, b) for b of them, one per
-        column, or (n, L, b) for the b replicates of each of L levels. The
-        norms have the shape of `columns` past its first axis, behind a
-        leading axis of k directions unless the record holds one vector.
+        """The (k, L, b) `kind` norms of the process for the (n, L, b) marks
+        `columns` in observation order: b mark vectors, one per column, for
+        each of L levels.
 
         Rows of k * L * b values, at least SIDE_BY_SIDE_MIN_ROW and at most
         BOOTSTRAP_BLOCK in all, are gathered side by side into this thread's
@@ -305,69 +296,59 @@ class _SortedProjections:
         np.cumsum per direction costs mostly its fixed overhead on narrow
         blocks; otherwise each direction gathers its own copy and cumulates it
         with one np.cumsum. Either way each column is summed in row order and
-        each CvM norm is a gemv over exactly its level's b columns, so every
-        norm has the bits of its direction's own record and of its level's
-        own (n, b) block.
+        `_reduce` turns the sums into norms, so every norm has the bits of its
+        direction's own record and of its level's own (n, 1, b) block.
         """
-        columns = np.asarray(columns, dtype=float)
         n, count = self.n, len(self.ends)
         row = count * columns[0].size
         if row >= SIDE_BY_SIDE_MIN_ROW and n * row <= BOOTSTRAP_BLOCK:
-            blocks = columns.reshape(n, -1, columns.shape[-1] if columns.ndim > 1 else 1)
-            sums = _scratch((n, count, *blocks.shape[1:]))
+            sums = _scratch((n, count, *columns.shape[1:]))
             # row i of the index holds every direction's i-th observation;
             # mode="clip" writes straight to `sums`, "raise" would buffer a copy
-            np.take(blocks, self.order.T, axis=0, out=sums, mode="clip")
-            rows = sums.reshape(n, -1)
-            row_views = list(rows)  # made at once, faster than while iterating
+            np.take(columns, self.order.T, axis=0, out=sums, mode="clip")
+            row_views = list(sums.reshape(n, -1))  # made at once, faster than while iterating
             for previous, row in zip(row_views, row_views[1:]):
                 np.add(previous, row, out=row)
-            if kind == "cvm":
-                np.square(rows, out=rows)
-                # matmul runs one gemv per direction and level over exactly
-                # that level's b columns; a gemv over more columns rounds
-                # some of them differently
-                by_level = _unit_stride(sums.transpose(1, 2, 0, 3))
-                norms = (self.weights[:, None, None, :] @ by_level)[:, :, 0]
-            else:
-                np.abs(rows, out=rows)
-                # a tied direction reads its block ends only, before the
-                # fold below overwrites the rows
-                tied = {k: _max_over_rows(np.take(sums[:, k], ends, axis=0))
-                        for k, ends in enumerate(self.ends) if ends is not None}
-                norms = _max_over_rows(rows).reshape(sums.shape[1:])
-                for k, maxima in tied.items():
-                    norms[k] = maxima
-                norms = norms * self.scale
-            norms = norms.reshape(count, *columns.shape[1:])
-        else:
-            norms = []
-            for order, ends, weights in zip(self.order, self.ends, self.weights):
-                # np.take copies whole rows, faster than fancy indexing on
-                # narrow ones
-                sums = np.take(columns, order, axis=0)
-                rows = sums.reshape(n, -1)  # a view: every column of every level
-                if rows.shape[1] % 2 == 0:
-                    # a complex add is two independent float adds: the same
-                    # bits as np.cumsum per column, with half the elements in
-                    # numpy's accumulate loop
-                    rows = rows.view(np.complex128)
-                np.cumsum(rows, axis=0, out=rows)
-                if kind == "cvm":
-                    np.square(sums, out=sums)
-                    # one gemv per level, as wide as one level's block
-                    if sums.ndim == 3:
-                        sums = _unit_stride(sums.transpose(1, 0, 2))
-                    norms.append(weights @ sums)
-                else:
-                    if ends is not None:
-                        sums = np.take(sums, ends, axis=0)
-                    # rounding is monotone, so scaling the maximum equals the
-                    # maximum of the scaled process values bit for bit
-                    norms.append(_max_over_rows(np.abs(sums, out=sums)) * self.scale)
-                del sums, rows  # freed before the next direction gathers its copy
-            norms = np.array(norms)
-        return norms[0] if self.single else norms
+            return self._reduce(sums, slice(None), kind)
+        norms = []
+        for k, order in enumerate(self.order):
+            # np.take copies whole rows, faster than fancy indexing on narrow ones
+            sums = np.take(columns, order, axis=0)[:, None]
+            rows = sums.reshape(n, -1)  # a view: every column of every level
+            if rows.shape[1] % 2 == 0:
+                # a complex add is two independent float adds: the same bits
+                # as np.cumsum per column, with half the elements in numpy's
+                # accumulate loop
+                rows = rows.view(np.complex128)
+            np.cumsum(rows, axis=0, out=rows)
+            norms.append(self._reduce(sums, slice(k, k + 1), kind))
+            del sums, rows  # freed before the next direction gathers its copy
+        return np.concatenate(norms)
+
+    def _reduce(self, sums, directions, kind):
+        """The (d, L, b) `kind` norms of the cumulative sums (n, d, L, b) of
+        the d directions in the slice `directions`, overwriting `sums`."""
+        if kind == "cvm":
+            np.square(sums, out=sums)
+            # matmul runs one gemv per direction and level over exactly that
+            # level's b columns; a gemv over more columns rounds some of them
+            # differently
+            weights = self.weights[directions, None, None, :]
+            return (weights @ _unit_stride(sums.transpose(1, 2, 0, 3)))[:, :, 0]
+        # a tied direction reads its block ends only, before the fold below
+        # overwrites the rows
+        tied = {}
+        for j, ends in enumerate(self.ends[directions]):
+            if ends is not None:
+                values = np.take(sums[:, j], ends, axis=0)
+                tied[j] = _max_over_rows(np.abs(values, out=values))
+        # untied directions fold every row; with none, row 0 just holds the norms
+        norms = sums[0] if len(tied) == sums.shape[1] else _max_over_rows(np.abs(sums, out=sums))
+        for j, maxima in tied.items():
+            norms[j] = maxima
+        # rounding is monotone, so scaling the maximum equals the maximum of
+        # the scaled process values bit for bit
+        return norms * self.scale
 
 
 # Per thread, the array the side-by-side kernel gathers into, reused by
@@ -428,13 +409,15 @@ def process_statistic(projections, marks) -> tuple[float, float]:
     -------
     (ks, cvm) : tuple of float
     """
-    layout = _SortedProjections(projections)
+    projections = np.asarray(projections, dtype=float)
     marks = np.asarray(marks, dtype=float)
-    if not layout.single or marks.shape != (layout.n,):
+    if projections.ndim != 1 or marks.shape != projections.shape:
         raise ValueError("projections and marks must be vectors of one length")
+    layout = _SortedProjections(projections[None])
     if not np.all(np.isfinite(marks)):
         raise ValueError("marks contain non-finite values")
-    return tuple(float(layout.norms(marks, kind)) for kind in STAT_KINDS)
+    return tuple(float(layout.norms(marks[:, None, None], kind)[0, 0, 0])
+                 for kind in STAT_KINDS)
 
 
 def fdr_combine(pvalues) -> float:
@@ -735,7 +718,9 @@ def _projection_test(prepared, marks, fits, stop_above=None):
     """
     settings = prepared.settings
     n, B = len(marks[0]), settings.B
-    observed = np.array([prepared.directions.norms(level, settings.kind) for level in marks])
+    # one call for every level, each level's marks a block of one replicate
+    levels = np.stack(marks, axis=1)[:, :, None]
+    observed = prepared.directions.norms(levels, settings.kind)[:, :, 0].T
     widths = list(_block_widths(settings, n, stop_above is not None))
     blocks = list(zip(itertools.accumulate(widths, initial=0), widths))
     # the levels still bootstrapped; the serial loop below drops stopped ones

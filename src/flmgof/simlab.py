@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .forking import _set_blas_threads, _usable_cpus, fork_supported, strided_map
-from .funspace import FunctionalSample, Grid, _frozen, uniform_grid
+from .funspace import FunctionalSample, Grid, _frozen, _is_integer, uniform_grid
 from .processes import (
     COSINE_TERMS,
     bb_kernel,
@@ -50,7 +50,7 @@ from .processes import (
     ou_kernel,
 )
 # the multi-response entry, under the name perfbench/spans.py times as `rptest.test`
-from .rptest import _Settings, _check_count, _flm_reports as test_flm, _is_integer
+from .rptest import _Settings, _check_count, _flm_reports as test_flm
 
 __all__ = [
     "ALPHAS",
@@ -73,8 +73,8 @@ _KERNELS = {"bm": bm_kernel, "bb": bb_kernel, "ou": ou_kernel, "gbm": gbm_kernel
 
 def gen_process(kind: str, n: int, grid: Grid, rng) -> FunctionalSample:
     """Draw n covariate paths of the named process on the grid."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    if not _is_integer(n) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     if kind == "bm":
         data = brownian_motion(n, grid, rng)
     elif kind == "bb":
@@ -101,6 +101,8 @@ def _deviation_rows(kind: int, data: np.ndarray, grid: Grid, kernel=None) -> np.
     Kind 2 uses `kernel`, which must be `_sine_kernel(grid)`, and builds it
     when none is given.
     """
+    if not _is_integer(kind) or kind not in (1, 2, 3):
+        raise ValueError(f"deviation kind must be 1, 2 or 3, got {kind!r}")
     w = grid.weights
     if kind == 1:
         return np.sqrt(np.sum(data**2 * w, axis=1))
@@ -111,9 +113,7 @@ def _deviation_rows(kind: int, data: np.ndarray, grid: Grid, kernel=None) -> np.
             kernel = _sine_kernel(grid)
         u = data * taper
         return 25.0 * np.sum((u @ kernel) * u, axis=1)
-    if kind == 3:
-        return np.sum(w * np.exp(-data) * data**2, axis=1)
-    raise ValueError(f"deviation kind must be 1, 2 or 3, got {kind}")
+    return np.sum(w * np.exp(-data) * data**2, axis=1)
 
 
 def deviation(kind: int, x, grid: Grid) -> float:
@@ -259,7 +259,7 @@ def _signal_variance(process, rho, grid):
 
 def gen_response(spec: ScenarioSpec, X: FunctionalSample, d: int, rng, sigma2=None):
     """Draw responses at deviation level d (0 = null) for the given paths."""
-    if d not in (0, 1, 2):
+    if not _is_integer(d) or d not in (0, 1, 2):
         raise ValueError("deviation level d must be 0, 1 or 2")
     if not X.grid.matches(spec.grid):
         raise ValueError("sample grid does not match the scenario grid")

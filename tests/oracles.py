@@ -226,8 +226,8 @@ def exact_bootstrap_pvalues(fit, directions, kind) -> np.ndarray:
     chance = np.prod(np.asarray(GOLDEN_PROBS)[choice], axis=1)
     replicates = np.asarray(GOLDEN_VALUES)[choice] * fit.residuals
     columns = np.ascontiguousarray(_replay_residuals(fit, replicates).T)
-    norms = directions.norms(columns, kind)
-    observed = directions.norms(fit.residuals, kind)
+    norms = directions.norms(columns[:, None], kind)[:, 0]
+    observed = directions.norms(fit.residuals[:, None, None], kind)[:, 0, 0]
     return np.array([chance[row >= bound].sum() for row, bound in zip(norms, observed)])
 
 

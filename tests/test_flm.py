@@ -3,7 +3,7 @@ import pytest
 
 from conftest import centered_bm_sample, hat_apply, hat_matrix, inner_product
 from flmgof import FlmFit, compute_fpc, estimate_rho, gen_process, select_rank_sicc
-from flmgof import uniform_grid
+from flmgof import deviation, gen_response, scenario, uniform_grid
 
 
 def make_regression(n=80, num_points=101, rank=3, noise=0.1, seed=0):
@@ -176,3 +176,26 @@ def test_select_rank_errors():
         select_rank_sicc(y, basis, max_rank=basis.m + 1)
     with pytest.raises(ValueError):
         select_rank_sicc(y, basis, max_rank=10)  # needs n > max_rank + 2
+
+
+def integer_calls(value):
+    """{name: call} of the public functions that take an integer argument
+    other than a test's settings, each called with `value` for it."""
+    sample, basis, y, _ = make_regression(n=12, num_points=41, seed=11)
+    spec, rng = scenario(1, sample.grid), np.random.default_rng(0)
+    return {
+        "gen_process": lambda: gen_process("bm", value, sample.grid, rng),
+        "gen_response": lambda: gen_response(spec, sample, value, rng),
+        "select_rank_sicc": lambda: select_rank_sicc(y, basis, max_rank=value),
+        "estimate_rho": lambda: estimate_rho(y, basis, value),
+        "deviation": lambda: deviation(value, sample.data[0], sample.grid),
+    }
+
+
+@pytest.mark.parametrize("name", list(integer_calls(1)))
+def test_integer_arguments_refuse_floats_and_bools(name):
+    # 2 is valid for each, and np.int64 counts as an integer
+    integer_calls(np.int64(2))[name]()
+    for value in (2.0, True, np.float64(1.0)):
+        with pytest.raises(ValueError, match="integer|must be"):
+            integer_calls(value)[name]()

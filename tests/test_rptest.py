@@ -147,9 +147,9 @@ def test_batched_norms_match_single_rows():
     rng = philox(0)
     projections = rng.integers(-2, 3, size=12).astype(float)
     columns = rng.standard_normal((12, 7))
-    layout = _SortedProjections(projections)
+    layout = _SortedProjections(projections[None])
     for column, kind in enumerate(STAT_KINDS):
-        norms = layout.norms(columns, kind)
+        norms = layout.norms(columns[:, None], kind)[0, 0]
         assert norms.shape == (7,)
         for b in range(7):
             marks = columns[:, b]
@@ -163,7 +163,7 @@ def test_batched_norms_match_single_rows():
 
 def plain_cumsum_norms(layout, columns, kind):
     """The norm kernel with one np.cumsum per column, the unpaired reference,
-    for a record of one vector."""
+    for a one-row record and (n,) or (n, b) columns."""
     [order], [ends], [weights] = layout.order, layout.ends, layout.weights
     sums = np.cumsum(np.asarray(columns, dtype=float)[order], axis=0)
     if kind == "cvm":
@@ -181,18 +181,19 @@ def test_paired_cumsum_is_bit_identical(tied):
     if tied:
         projections = np.round(projections, 1)
         assert np.unique(projections).size < n
-    layout = _SortedProjections(projections)
+    layout = _SortedProjections(projections[None])
     assert (layout.ends[0] is not None) == tied
     marks = rng.standard_normal((n, 655))
     for kind in STAT_KINDS:
-        observed = layout.norms(marks[:, 0], kind)
-        assert np.ndim(observed) == 0
-        assert observed == plain_cumsum_norms(layout, marks[:, 0], kind)
+        # the marks of a response, as the observed norms take them
+        observed = layout.norms(marks[:, :1, None], kind)
+        assert observed.shape == (1, 1, 1)
+        assert observed[0, 0, 0] == plain_cumsum_norms(layout, marks[:, 0], kind)
         for width in (1, 2, 3, 654, 655):
             columns = np.ascontiguousarray(marks[:, :width])
-            norms = layout.norms(columns, kind)
-            assert norms.shape == (width,)
-            assert np.array_equal(norms, plain_cumsum_norms(layout, columns, kind))
+            norms = layout.norms(columns[:, None], kind)
+            assert norms.shape == (1, 1, width)
+            assert np.array_equal(norms[0, 0], plain_cumsum_norms(layout, columns, kind))
 
 
 def test_max_over_rows_matches_numpy_max():
@@ -249,6 +250,14 @@ def test_process_statistic_errors():
     # a record of k directions is no single direction
     with pytest.raises(ValueError):
         process_statistic([[0.0, 1.0], [1.0, 0.0]], [1.0, -1.0])
+
+
+def test_a_record_takes_a_k_by_n_array():
+    # one direction is a one-row record, not a vector
+    for projections in (np.arange(4.0), np.zeros((1, 0)), np.zeros((1, 2, 2))):
+        with pytest.raises(ValueError, match=r"non-empty \(k, n\) array"):
+            _SortedProjections(projections)
+    assert _SortedProjections(np.arange(4.0)[None]).order.shape == (1, 4)
 
 
 # ------------------------------------------------------------- fdr combining
@@ -670,7 +679,7 @@ def test_identical_curves_tie_exactly(gof, sampler, monkeypatch):
         layouts.clear()
         gof(sample, y, K=5, B=10, sampler=sampler, seed=m)
         [layout] = layouts
-        assert layout.order.shape == (5, 2 * m) and not layout.single
+        assert layout.order.shape == (5, 2 * m)
         assert [ends.size for ends in layout.ends] == [m] * 5
 
 
@@ -878,7 +887,7 @@ def test_bootstrap_counts_follow_the_exact_bootstrap_law():
             prepared = rptest._prepare(X, _Settings(K, B, kind, seed=dataset))
             fit = estimate_rho(y - y.mean(), prepared.basis, report.settings["rank"])
             exact = exact_bootstrap_pvalues(fit, prepared.directions, kind)
-            observed = prepared.directions.norms(fit.residuals, kind)
+            observed = prepared.directions.norms(fit.residuals[:, None, None], kind)[:, 0, 0]
             assert len(observed) == len(exact) == K
             for rec, statistic, p in zip(report.per_projection, observed, exact):
                 assert rec.statistic == statistic
@@ -1239,13 +1248,13 @@ def norms_by_branch(record, columns, kind, monkeypatch):
 
 def assert_equals_single_records(projections, columns, monkeypatch):
     """A record of K directions gives, bit for bit and through either branch,
-    the norms of K records of one vector each."""
+    the norms of K one-row records."""
     record = _SortedProjections(projections)
-    singles = [_SortedProjections(vector) for vector in projections]
+    singles = [_SortedProjections(vector[None]) for vector in projections]
     assert [ends is not None for ends in record.ends] == [
         ends is not None for single in singles for ends in single.ends]
     for kind in STAT_KINDS:
-        expected = np.array([single.norms(columns, kind) for single in singles])
+        expected = np.concatenate([single.norms(columns, kind) for single in singles])
         norms = record.norms(columns, kind)
         assert norms.shape == (len(projections), *columns.shape[1:])
         assert np.array_equal(norms, expected)
@@ -1265,16 +1274,17 @@ def test_side_by_side_kernel_equals_the_per_direction_kernel(tied, levels, width
     n, K = 50, 5
     projections = side_by_side_case(n, K, tied, seed=levels * width)
     columns = philox(width).standard_normal((n, levels, width))
-    # (n, L, b) blocks, the same values as (n, L * b) columns, and one vector
-    for marks in (columns, columns.reshape(n, -1), columns[:, 0, 0]):
+    # (n, L, b) blocks, the same values as one level of L * b columns, and
+    # one vector
+    for marks in (columns, columns.reshape(n, 1, -1), columns[:, :1, :1]):
         assert_equals_single_records(projections, marks, monkeypatch)
     record = _SortedProjections(projections)
     assert any(ends is not None for ends in record.ends) == tied
     for kind in STAT_KINDS:
         norms = record.norms(columns, kind)
         for level in range(levels):
-            # each level's contiguous (n, b) block, as a single response has it
-            single = record.norms(np.ascontiguousarray(columns[:, level]), kind)
+            # each level's contiguous (n, 1, b) block, as a single response has it
+            single = record.norms(np.ascontiguousarray(columns[:, [level]]), kind)[:, 0]
             assert np.array_equal(norms[:, level], single)
 
 
@@ -1282,7 +1292,7 @@ def test_side_by_side_kernel_equals_the_per_direction_kernel(tied, levels, width
 @pytest.mark.parametrize("n, K, shape", [
     # one vector per direction: rows of 319 and 320 values, and 130,880 and
     # 131,200 gathered values
-    (50, 319, ()), (409, 320, ()), (410, 320, ()),
+    (50, 319, (1, 1)), (409, 320, (1, 1)), (410, 320, (1, 1)),
     # one replicate per level, as the odd last block of an odd B has it
     (50, 5, (3, 1)), (50, 5, (70, 1)), (50, 320, (2, 1)),
 ])
@@ -1290,13 +1300,12 @@ def test_records_of_many_directions_or_one_replicate(tied, n, K, shape, monkeypa
     projections = side_by_side_case(n, K, tied, seed=n + K)
     columns = philox(K).standard_normal((n, *shape))
     assert_equals_single_records(projections, columns, monkeypatch)
-    if len(shape) == 2:
-        record = _SortedProjections(projections)
-        for kind in STAT_KINDS:
-            norms = record.norms(columns, kind)
-            for level in range(shape[0]):
-                single = record.norms(np.ascontiguousarray(columns[:, level]), kind)
-                assert np.array_equal(norms[:, level], single)
+    record = _SortedProjections(projections)
+    for kind in STAT_KINDS:
+        norms = record.norms(columns, kind)
+        for level in range(shape[0]):
+            single = record.norms(np.ascontiguousarray(columns[:, [level]]), kind)[:, 0]
+            assert np.array_equal(norms[:, level], single)
 
 
 def test_block_routine_stacks_within_the_row_width_and_the_budget(monkeypatch):
@@ -1334,15 +1343,16 @@ def test_block_routine_stacks_within_the_row_width_and_the_budget(monkeypatch):
             row = K * len(levels) * width
             assert expected == (row >= rptest.SIDE_BY_SIDE_MIN_ROW
                                 and n * row <= BOOTSTRAP_BLOCK)
-    # the same rule for (n,) and (n, b) columns, and for a record of one vector
+    # the same rule for one vector and for one block of b columns, and for a
+    # one-row record
     for projections, columns, expected in [
-        (side_by_side_case(409, 320, False, 0), np.zeros(409), True),
-        (side_by_side_case(410, 320, False, 0), np.zeros(410), False),
-        (side_by_side_case(50, 319, False, 0), np.zeros(50), False),
-        (side_by_side_case(50, 5, False, 0), np.zeros((50, 64)), True),
-        (side_by_side_case(50, 5, False, 0), np.zeros((50, 62)), False),
-        (np.arange(50.0), np.zeros((50, 320)), True),
-        (np.arange(50.0), np.zeros((50, 319)), False),
+        (side_by_side_case(409, 320, False, 0), np.zeros((409, 1, 1)), True),
+        (side_by_side_case(410, 320, False, 0), np.zeros((410, 1, 1)), False),
+        (side_by_side_case(50, 319, False, 0), np.zeros((50, 1, 1)), False),
+        (side_by_side_case(50, 5, False, 0), np.zeros((50, 1, 64)), True),
+        (side_by_side_case(50, 5, False, 0), np.zeros((50, 1, 62)), False),
+        (np.arange(50.0)[None], np.zeros((50, 1, 320)), True),
+        (np.arange(50.0)[None], np.zeros((50, 1, 319)), False),
     ]:
         calls.clear()
         _SortedProjections(projections).norms(columns, "cvm")
