@@ -7,22 +7,26 @@ Brownian-motion curves with a linear response and fixed seeds. Stages come
 from the benchmark's span tracer (`perfbench/spans.py`), which times each
 layer from outside the package; `wall_ms` is the median untraced call.
 
-The sweep times the norms of one bootstrap block of L levels, b replicates
-each, for K=5 directions on untied projections, as the (n, L, b) blocks in
-SWEEP: the side-by-side kernel (one np.add per row for every direction)
-against the per-direction one (one np.cumsum per direction on all L
-levels). A tree whose `_SortedProjections` holds all K directions runs
-either branch of its one `norms` call on the (n, L, b) block, each forced by
-setting the rule's bounds, SIDE_BY_SIDE_MIN_ROW and BOOTSTRAP_BLOCK; a tree with
-`_SideBySide` times that record against one call per direction; and a tree
-whose kernel takes one level at a time times one call per direction and
-level, and reports the per-direction kernel only. It covers a study's
-blocks (n=50, b = 128, 244 and 500, L = 1..3), rows of K * L * b values on
-either side of SIDE_BY_SIDE_MIN_ROW, and blocks on either side of the
-BOOTSTRAP_BLOCK budget. Values are medians over rounds of the mean
-microseconds per block. The side-by-side kernel reuses its scratch array, so
-past the budget it times the work on arrays larger than the caches, not the
-page faults of making them.
+The sweep times the KS and CvM norms of one bootstrap block of L levels, b
+replicates each, for K=5 directions, as the (n, L, b) blocks in SWEEP on
+untied projections and in TIED_SWEEP on projections that hold every value
+twice, as duplicated curves give: the side-by-side kernel (one np.add per
+row for every direction) against the per-direction one (one np.cumsum per
+direction on all L levels), each branch of the record's one `norms` call
+forced by setting the rule's bounds, SIDE_BY_SIDE_MIN_ROW and
+BOOTSTRAP_BLOCK. It covers a study's blocks (n=50, b = 128, 244 and 500,
+L = 1..3), rows of K * L * b values on either side of SIDE_BY_SIDE_MIN_ROW,
+blocks on either side of the BOOTSTRAP_BLOCK budget, and the tied blocks of
+a study and of `test_flm` at n = 200 and 500, B=1000. Values are medians
+over rounds of the mean microseconds per block. The side-by-side kernel
+reuses its scratch array, so past the budget it times the work on arrays
+larger than the caches, not the page faults of making them.
+
+`wall_ms` is the median over ROUNDS rounds of the median of CALLS calls,
+the trees taking turns. With 3 of each, two trees whose norm stage timed
+alike (9.4 and 9.9 ms) read 28.6 and 36.1 ms at n=1024 on a shared 2-vCPU
+host; with 7 rounds of 15 calls, four runs of two trees that run the same
+`test_flm` path read within 9% of each other at n = 1024..4096 there.
 
 Before/after runs over `--src [LABEL=]DIR` trees: see `_harness.py`.
 """
@@ -39,7 +43,7 @@ import _harness  # noqa: E402
 
 SIZES = (50, 256, 1024, 2048, 4096)
 K, B = 5, 1000
-ROUNDS, CALLS = 3, 3  # fresh interpreters per tree; timed calls in each
+ROUNDS, CALLS = 7, 15  # fresh interpreters per tree; timed calls in each
 # (n, levels, width) blocks of the kernel sweep
 SWEEP = (
     *((50, levels, width) for width in (128, 244, 500) for levels in (1, 2, 3)),
@@ -50,6 +54,8 @@ SWEEP = (
     # past the budget of 2**17 values
     (100, 2, 244), (200, 1, 654), (50, 5, 500),
 )
+# tied (n, levels, width) blocks: a study's, and test_flm's at B=1000
+TIED_SWEEP = ((50, 2, 244), (200, 1, 654), (500, 1, 262))
 SWEEP_REPEATS, SWEEP_CALLS = 7, 40  # timed repeats per round; blocks in each
 STAGES = (
     "fpc.compute_ms", "flm.sicc_ms", "flm.fit_ms", "rptest.directions_ms",
@@ -90,41 +96,34 @@ def measure(src):
 
 
 def kernels(rptest, projections, columns, kind):
-    """{"per_direction_us": call, "side_by_side_us": call} of this tree, each
-    call giving the norms of the K directions for the (n, L, b) `columns`."""
-    if hasattr(rptest, "SIDE_BY_SIDE_MIN_ROW") and not hasattr(rptest, "_SideBySide"):
-        record = rptest._SortedProjections(projections)
-        row = len(projections) * columns[0].size
-        budget = rptest.BOOTSTRAP_BLOCK
+    """{"per_direction_us": call, "side_by_side_us": call}, each call giving
+    the norms of the K directions for the (n, L, b) `columns` through one
+    branch of the kernel."""
+    record = rptest._SortedProjections(projections)
+    row = len(projections) * columns[0].size
+    budget = rptest.BOOTSTRAP_BLOCK
 
-        def forced(min_row, block):
-            def call():
-                rptest.SIDE_BY_SIDE_MIN_ROW, rptest.BOOTSTRAP_BLOCK = min_row, block
-                return record.norms(columns, kind)
-            return call
+    def forced(min_row, block):
+        def call():
+            rptest.SIDE_BY_SIDE_MIN_ROW, rptest.BOOTSTRAP_BLOCK = min_row, block
+            return record.norms(columns, kind)
+        return call
 
-        return {"per_direction_us": forced(row + 1, budget),
-                "side_by_side_us": forced(row, max(budget, len(columns) * row))}
-    # older trees, whose records hold one vector each
-    layouts = [rptest._SortedProjections(vector) for vector in projections]
-    if hasattr(rptest, "_SideBySide"):
-        record = rptest._SideBySide(layouts)
-        return {"per_direction_us": lambda: [layout.norms(columns, kind) for layout in layouts],
-                "side_by_side_us": lambda: record.norms(columns, kind)}
-    # a kernel of one level at a time
-    per_level = [np.ascontiguousarray(columns[:, level]) for level in range(columns.shape[1])]
-    return {"per_direction_us": lambda: [
-        layout.norms(level, kind) for layout in layouts for level in per_level]}
+    return {"per_direction_us": forced(row + 1, budget),
+            "side_by_side_us": forced(row, max(budget, len(columns) * row))}
 
 
 def sweep(rptest):
-    """{"n=50 L=2 b=128": {"per_direction_us": .., "side_by_side_us": ..}}"""
-    bounds = {name: getattr(rptest, name, None)
-              for name in ("SIDE_BY_SIDE_MIN_ROW", "BOOTSTRAP_BLOCK")}
+    """{"n=50 L=2 b=128": {"ks_per_direction_us": .., ..}, ..}, tied blocks
+    keyed "n=.. L=.. b=.. tied"."""
+    bounds = rptest.SIDE_BY_SIDE_MIN_ROW, rptest.BOOTSTRAP_BLOCK
     rows = {}
-    for n, levels, width in SWEEP:
+    blocks = [(*block, False) for block in SWEEP] + [(*block, True) for block in TIED_SWEEP]
+    for n, levels, width, tied in blocks:
         rng = np.random.Generator(np.random.Philox(n * levels * width))
         projections = rng.standard_normal((K, n))
+        if tied:  # every curve twice
+            projections = np.tile(projections[:, : n // 2], 2)
         columns = rng.standard_normal((n, levels, width))
         row = {"values": n * K * levels * width, "row": K * levels * width}
         for kind in ("cvm", "ks"):
@@ -139,10 +138,8 @@ def sweep(rptest):
                     times[name].append(1e6 * (time.perf_counter() - start) / SWEEP_CALLS)
             row.update({f"{kind}_{name}": statistics.median(values)
                         for name, values in times.items()})
-        rows[f"n={n} L={levels} b={width}"] = row
-    for name, value in bounds.items():
-        if value is not None:
-            setattr(rptest, name, value)
+        rows[f"n={n} L={levels} b={width}" + " tied" * tied] = row
+    rptest.SIDE_BY_SIDE_MIN_ROW, rptest.BOOTSTRAP_BLOCK = bounds
     return rows
 
 
@@ -159,6 +156,7 @@ def report(sources, run):
     return {
         "settings": {"sizes": SIZES, "K": K, "B": B, "rounds": ROUNDS,
                      "calls_per_round": CALLS, "seed": 0, "sweep": SWEEP,
+                     "tied_sweep": TIED_SWEEP,
                      "sweep_repeats": SWEEP_REPEATS, "sweep_calls": SWEEP_CALLS},
         "note": "medians over rounds: per-call ms, stages as self times; "
                 "per-block microseconds in the sweep",

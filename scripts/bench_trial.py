@@ -6,29 +6,22 @@ generation, the responses, and the `test_flm` calls at n=50, K=5, B=500, the
 settings of the benchmark's simulate workloads. Scenarios S1 (Brownian
 motion) and S7 (Ornstein-Uhlenbeck) with the default direction sampler "i",
 and S1 with sampler "iii" (Ornstein-Uhlenbeck directions), are timed apart,
-each over TRIALS outcomes split evenly between d=0 and d=1. Every value is
-per outcome, one (trial, d) pair of a study table, so trees that run one
-trial for every level and trees that run one trial per level compare: a
-tree of the first kind runs TRIALS / 2 trials of both levels, one of the
-second kind TRIALS trials of one level each. Stages come from the
-benchmark's span tracer (`perfbench/spans.py`), which times each layer from
-outside the package; `wall_ms` is the median of the untraced passes' means.
+each over TRIALS outcomes split evenly between d=0 and d=1: TRIALS / 2
+trials, each of both levels. Every value is per outcome, one (trial, d)
+pair of a study table. Stages come from the benchmark's span tracer
+(`perfbench/spans.py`), which times each layer from outside the package;
+`wall_ms` is the median of the untraced passes' means.
 `simlab.trial_ms` is the trials' own self time, outside every traced layer.
 `replicates_d0` and `replicates_d1` are the mean bootstrap replicates
 replayed per test at each d, counted in one more pass, out of B unless that
 level's bootstrap stopped early. Each worker runs OpenBLAS on one thread, as
 `run_study` runs its trials.
 
-Before/after runs over `--src [LABEL=]DIR` trees: see `_harness.py`. A tree
-whose `simlab._trial_data` draws the responses of several levels (it takes
-`d_values`) gets (spec, d_values, n, settings, trial) payloads; a tree with
-only a settings record (`rptest._Settings`) gets (spec, d, n, settings,
-trial); an older tree gets the ten-field payload (spec, d, n, K, B, kind, r,
-sampler, seed, trial) that its `_study_trial` unpacks. Trees older than
-`simlab._study_trial` cannot be timed.
+Before/after runs over `--src [LABEL=]DIR` trees: see `_harness.py`. Each
+trial is the payload (spec, d_values, n, settings, trial) of
+`simlab._study_trial`.
 """
 
-import inspect
 import os
 import statistics
 import sys
@@ -50,26 +43,16 @@ STAGES = (
 )
 
 
-def trial_payloads(rptest, simlab, spec, sampler):
-    """The `_study_trial` payloads of TRIALS outcomes, in the tree's own layout."""
-    levels = [D_VALUES[trial % len(D_VALUES)] for trial in range(TRIALS)]
-    if not hasattr(rptest, "_Settings"):
-        return [(spec, d, N, K, B, "cvm", 0.95, sampler, 0, trial)
-                for trial, d in enumerate(levels)]
+def trial_payloads(rptest, spec, sampler):
+    """The `_study_trial` payloads of TRIALS outcomes, one trial for every level."""
     settings = rptest._Settings(K, B, "cvm", 0.95, sampler, 0)
-    if "d_values" in inspect.signature(simlab._trial_data).parameters:
-        # one trial for every level
-        return [(spec, D_VALUES, N, settings, trial)
-                for trial in range(TRIALS // len(D_VALUES))]
-    return [(spec, d, N, settings, trial) for trial, d in enumerate(levels)]
+    return [(spec, D_VALUES, N, settings, trial) for trial in range(TRIALS // len(D_VALUES))]
 
 
 def replicates_drawn(rptest, simlab, payloads):
     """Mean bootstrap replicates per test, keyed by d: the replicates each
     level's fit replays, in the order the trial's fits first replay, which
-    is the order of its levels whether one multi-response call
-    (`rptest._flm_reports`) serves them all or one `test_flm` call serves
-    each."""
+    is the order of its levels."""
     replay = rptest._replay_residuals
     # id(fit) -> [fit, replicates] in first-replay order; holding the fit
     # keeps its id from going to a later one
@@ -85,8 +68,7 @@ def replicates_drawn(rptest, simlab, payloads):
         for payload in payloads:
             replayed.clear()
             simlab._study_trial(payload)
-            levels = payload[1] if isinstance(payload[1], tuple) else (payload[1],)
-            for d, (_, replicates) in zip(levels, replayed.values(), strict=True):
+            for d, (_, replicates) in zip(payload[1], replayed.values(), strict=True):
                 totals[d] += replicates
     finally:
         rptest._replay_residuals = replay
@@ -104,8 +86,8 @@ def measure(src):
     for index, sampler in CASES:
         spec = simlab.scenario(index)
         spec.sigma2  # the study computes it once, before its trials
-        payloads = trial_payloads(rptest, simlab, spec, sampler)
-        # trial spans per outcome: 1/2 where one trial serves both levels
+        payloads = trial_payloads(rptest, spec, sampler)
+        # trial spans per outcome: 1/2, as one trial serves both levels
         per_outcome = len(payloads) / TRIALS
         for payload in payloads[:2]:
             simlab._study_trial(payload)  # warm caches and lazy imports

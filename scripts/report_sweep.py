@@ -13,8 +13,7 @@ takes m0 = <X, rho> for both. Per cell, statistic and sampler, one more
 call takes both responses at once and may stop early above p_fdr 0.1, as a
 study trial does ("test_flm_stopped", one report per response): its blocks
 run the multi-response, early-stopping kernel. It calls the private entry
-`rptest._flm_reports` with a `_Settings` record, or, on a tree without that
-entry, `test_flm(sample, [y_null, y_alternative], ..., _stop_above=0.1)`.
+`rptest._flm_reports` with a `_Settings` record.
 
 Every tree is compared with the first. For each test and for untied and
 duplicated samples apart, the report gives the number of reports, how many
@@ -95,14 +94,9 @@ def measure(src):
             case = "/".join(map(str, (*cell, response, kind, sampler, test)))
             reports[case] = json.dumps(report.to_dict(), sort_keys=True)
         for kind, sampler in itertools.product(KINDS, SAMPLERS):
-            responses = [y_null, y_alternative]
-            if hasattr(flmgof.rptest, "_flm_reports"):
-                settings = flmgof.rptest._Settings(K, B, kind, sampler=sampler, seed=SEED)
-                stopped = flmgof.rptest._flm_reports(sample, responses, settings,
-                                                     stop_above=STOP_ABOVE)
-            else:  # a tree whose public test_flm takes several responses
-                stopped = flmgof.test_flm(sample, responses, K=K, B=B, kind=kind,
-                                          sampler=sampler, seed=SEED, _stop_above=STOP_ABOVE)
+            settings = flmgof.rptest._Settings(K, B, kind, sampler=sampler, seed=SEED)
+            stopped = flmgof.rptest._flm_reports(sample, [y_null, y_alternative], settings,
+                                                 stop_above=STOP_ABOVE)
             for response, report in zip(RESPONSES, stopped):
                 case = "/".join(map(str, (*cell, response, kind, sampler, STOPPED)))
                 reports[case] = json.dumps(report.to_dict(), sort_keys=True)

@@ -161,16 +161,29 @@ def test_batched_norms_match_single_rows():
             )
 
 
-def plain_cumsum_norms(layout, columns, kind):
+def block_ends(projections):
+    """Positions, in sorted order, of the last observation of each tie block
+    of the (n,) `projections`."""
+    return np.flatnonzero(np.diff(np.sort(projections), append=np.inf))
+
+
+def assert_block_ends(layout, projections):
+    """`layout`'s weights are nonzero exactly at the block ends of each row of
+    the (k, n) `projections`."""
+    assert len(layout.weights) == len(projections)
+    for weights, row in zip(layout.weights, projections):
+        assert np.array_equal(np.flatnonzero(weights), block_ends(row))
+
+
+def plain_cumsum_norms(layout, projections, columns, kind):
     """The norm kernel with one np.cumsum per column, the unpaired reference,
-    for a one-row record and (n,) or (n, b) columns."""
-    [order], [ends], [weights] = layout.order, layout.ends, layout.weights
+    for the one-row record of the (n,) `projections` and (n,) or (n, b)
+    columns; KS reads the block ends of the sorted projections."""
+    [order], [weights] = layout.order, layout.weights
     sums = np.cumsum(np.asarray(columns, dtype=float)[order], axis=0)
     if kind == "cvm":
         return weights @ np.square(sums)
-    if ends is not None:
-        sums = sums[ends]
-    return np.max(np.abs(sums), axis=0) * layout.scale
+    return np.max(np.abs(sums[block_ends(projections)]), axis=0) * layout.scale
 
 
 @pytest.mark.parametrize("tied", [False, True])
@@ -182,18 +195,20 @@ def test_paired_cumsum_is_bit_identical(tied):
         projections = np.round(projections, 1)
         assert np.unique(projections).size < n
     layout = _SortedProjections(projections[None])
-    assert (layout.ends[0] is not None) == tied
+    assert (block_ends(projections).size < n) == tied
+    assert_block_ends(layout, projections[None])
     marks = rng.standard_normal((n, 655))
     for kind in STAT_KINDS:
         # the marks of a response, as the observed norms take them
         observed = layout.norms(marks[:, :1, None], kind)
         assert observed.shape == (1, 1, 1)
-        assert observed[0, 0, 0] == plain_cumsum_norms(layout, marks[:, 0], kind)
+        assert observed[0, 0, 0] == plain_cumsum_norms(layout, projections, marks[:, 0], kind)
         for width in (1, 2, 3, 654, 655):
             columns = np.ascontiguousarray(marks[:, :width])
             norms = layout.norms(columns[:, None], kind)
             assert norms.shape == (1, 1, width)
-            assert np.array_equal(norms[0, 0], plain_cumsum_norms(layout, columns, kind))
+            reference = plain_cumsum_norms(layout, projections, columns, kind)
+            assert np.array_equal(norms[0, 0], reference)
 
 
 def test_max_over_rows_matches_numpy_max():
@@ -663,10 +678,11 @@ def test_identical_curves_tie_exactly(gof, sampler, monkeypatch):
     # the last rows differently: each curve's two copies must project alike,
     # so the process has exactly one block end per distinct curve in each of
     # the K directions of the test's one record
-    layouts = []
+    layouts, projected = [], []
     make_layout = rptest._SortedProjections
 
     def recording(projections):
+        projected.append(projections)
         layouts.append(make_layout(projections))
         return layouts[-1]
 
@@ -677,10 +693,12 @@ def test_identical_curves_tie_exactly(gof, sampler, monkeypatch):
         sample = FunctionalSample(grid=grid, data=np.vstack([curves, curves]))
         y = philox(m + 1).standard_normal(2 * m)
         layouts.clear()
+        projected.clear()
         gof(sample, y, K=5, B=10, sampler=sampler, seed=m)
-        [layout] = layouts
+        [layout], [projections] = layouts, projected
         assert layout.order.shape == (5, 2 * m)
-        assert [ends.size for ends in layout.ends] == [m] * 5
+        assert [block_ends(row).size for row in projections] == [m] * 5
+        assert_block_ends(layout, projections)
 
 
 def test_working_set_of_a_large_test():
@@ -1131,16 +1149,16 @@ def test_block_counts_add_up_in_any_order(monkeypatch):
                 block_exceedances(*calls[i]) for i in shuffle.permutation(len(calls))
             )
             pvalues = [rec.pvalue for rec in report.per_projection]
-            assert pvalues == list(counts / SPLIT_B)
+            assert pvalues == list(counts[0] / SPLIT_B)
             assert 0 < min(pvalues) and max(pvalues) < 1
 
 
 def test_split_bootstrap_reports_equal_the_serial_ones(forks, monkeypatch):
-    widths = list(rptest._block_widths(_Settings(B=SPLIT_B), SPLIT_N, False))
-    assert len(widths) == 10
+    blocks = list(rptest._block_widths(_Settings(B=SPLIT_B), SPLIT_N, False))
+    assert len(blocks) == 10
     for workers in (2, 3):
-        cuts = [len(widths) * j // workers for j in range(1, workers)]
-        assert any(sum(widths[:cut]) * SPLIT_N % 4 for cut in cuts)
+        cuts = [len(blocks) * j // workers for j in range(1, workers)]
+        assert any(blocks[cut][0] * SPLIT_N % 4 for cut in cuts)
     get_num_threads = forking._openblas_function("get_num_threads")
     before = get_num_threads and get_num_threads()
     reports = split_reports(monkeypatch, forks, list(split_cases()))
@@ -1236,7 +1254,7 @@ def side_by_side_case(n, directions, tied, seed):
 def norms_by_branch(record, columns, kind, monkeypatch):
     """{branch: `record`'s norms of `columns`} with each branch of the
     kernel forced by moving the bounds of its rule."""
-    row = len(record.ends) * columns[0].size
+    row = len(record.order) * columns[0].size
     with monkeypatch.context() as patch:
         patch.setattr(rptest, "BOOTSTRAP_BLOCK", record.n * row)
         patch.setattr(rptest, "SIDE_BY_SIDE_MIN_ROW", row)
@@ -1251,8 +1269,9 @@ def assert_equals_single_records(projections, columns, monkeypatch):
     the norms of K one-row records."""
     record = _SortedProjections(projections)
     singles = [_SortedProjections(vector[None]) for vector in projections]
-    assert [ends is not None for ends in record.ends] == [
-        ends is not None for single in singles for ends in single.ends]
+    assert_block_ends(record, projections)
+    for single, vector in zip(singles, projections):
+        assert_block_ends(single, vector[None])
     for kind in STAT_KINDS:
         expected = np.concatenate([single.norms(columns, kind) for single in singles])
         norms = record.norms(columns, kind)
@@ -1278,8 +1297,8 @@ def test_side_by_side_kernel_equals_the_per_direction_kernel(tied, levels, width
     # one vector
     for marks in (columns, columns.reshape(n, 1, -1), columns[:, :1, :1]):
         assert_equals_single_records(projections, marks, monkeypatch)
+    assert any(block_ends(row).size < n for row in projections) == tied
     record = _SortedProjections(projections)
-    assert any(ends is not None for ends in record.ends) == tied
     for kind in STAT_KINDS:
         norms = record.norms(columns, kind)
         for level in range(levels):
@@ -1338,7 +1357,7 @@ def test_block_routine_stacks_within_the_row_width_and_the_budget(monkeypatch):
             calls.clear()
             counts = rptest._block_exceedances(prepared, marks, None, observed,
                                                list(levels), (0, width))
-            assert counts.shape == (len(levels) * K,)
+            assert counts.shape == (len(levels), K)
             assert calls == ([(n, K, len(levels), width)] if expected else [])
             row = K * len(levels) * width
             assert expected == (row >= rptest.SIDE_BY_SIDE_MIN_ROW
