@@ -9,8 +9,10 @@ fresh interpreter and returns its parsed JSON. Its `main` is one call to
 
 Each `--src [LABEL=]DIR` names a package source tree (default: this
 checkout's `src`). With several, every round runs each tree in turn, so two
-versions are measured on the same machine, inputs and seeds; results are
-keyed by LABEL (default DIR), as in
+versions are measured on the same machine, inputs and seeds: in `--src`
+order in even rounds and in reverse order in odd ones (`in_turn`), since the
+tree that runs first can read faster. Results are keyed by LABEL (default
+DIR), as in
 
     python3 scripts/bench_trial.py --src before=../old/src --src after=src
 """
@@ -60,10 +62,17 @@ def main(script, doc, measure, report, argv=None, env=None):
     return 0
 
 
+def in_turn(sources, index):
+    """The (label, tree) pairs of `sources` for round `index`: in `--src`
+    order when it is even, reversed when it is odd."""
+    turns = list(sources.items())
+    return turns[::-1] if index % 2 else turns
+
+
 def rounds(sources, run, count):
     """{label: [`measure`'s result per round]}, the trees taking turns in each round."""
     runs = {label: [] for label in sources}
-    for _ in range(count):
-        for label, src in sources.items():
+    for index in range(count):
+        for label, src in in_turn(sources, index):
             runs[label].append(run(src))
     return runs

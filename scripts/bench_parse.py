@@ -11,8 +11,8 @@ from n=1024 up), because a fork's cost grows with the size of the process. `pars
 of CALLS parses; `rss_mb` is the worker's peak RSS above the ballast. The
 sha256 of the parsed array shows whether two trees parse the same bits.
 
-With `forking.MIN_RANGE_BYTES` in a tree, the sweep times every file at each
-of the SWEEP range sizes as well, in one more worker per file and round that
+The sweep times every file at each of the SWEEP sizes of
+`forking.MIN_RANGE_BYTES` as well, in one more worker per file and round that
 cycles through the sizes call by call, so drift in the machine's speed falls
 on all of them alike. A file is split once it holds two ranges.
 
@@ -81,10 +81,6 @@ def measure(src, path, n, sweep=""):
     }
 
 
-def has_ranges(src):
-    return os.path.isfile(os.path.join(src, "flmgof", "forking.py"))
-
-
 def report(sources, run):
     work = tempfile.mkdtemp(prefix="bench_parse-")
     try:
@@ -94,13 +90,13 @@ def report(sources, run):
             write_curves(files[n], n)
         runs = {label: {n: [] for n in SIZES} for label in sources}
         sweeps = {label: {size: {n: [] for n in SIZES} for size in SWEEP}
-                  for label, src in sources.items() if has_ranges(src)}
-        for _ in range(ROUNDS):
+                  for label in sources}
+        for index in range(ROUNDS):
             for n in SIZES:
-                for label, src in sources.items():
+                for label, src in _harness.in_turn(sources, index):
                     runs[label][n].append(run(src, files[n], n))
-                for label in sweeps:
-                    row = run(sources[label], files[n], n, "sweep")
+                for label, src in _harness.in_turn(sources, index):
+                    row = run(src, files[n], n, "sweep")
                     for size in SWEEP:
                         sweeps[label][size][n].append(row[str(size)])
         bytes_per_file = {n: os.path.getsize(files[n]) for n in SIZES}

@@ -11,8 +11,8 @@ from n=1024 up), because a fork's cost grows with the size of the process.
 the worker's peak RSS above the ballast. The sha256 of the calls' reports
 shows whether two trees report the same bytes.
 
-With `rptest.SPLIT_MIN_VALUES` in a tree, the sweep times every size at
-each of the SWEEP thresholds as well, in one more worker per size and round
+The sweep times every size at each of the SWEEP values of
+`rptest.SPLIT_MIN_VALUES` as well, in one more worker per size and round
 that cycles through the thresholds call by call, so drift in the machine's
 speed falls on all of them alike. A bootstrap of n * B values is split over
 forked workers once n * B reaches the threshold, so at each size the sweep
@@ -88,21 +88,16 @@ def measure(src, n, sweep=""):
     }
 
 
-def has_split(src):
-    with open(os.path.join(src, "flmgof", "rptest.py")) as module:
-        return "SPLIT_MIN_VALUES" in module.read()
-
-
 def report(sources, run):
     runs = {label: {n: [] for n in SIZES} for label in sources}
     sweeps = {label: {size: {n: [] for n in SIZES} for size in SWEEP}
-              for label, src in sources.items() if has_split(src)}
-    for _ in range(ROUNDS):
+              for label in sources}
+    for index in range(ROUNDS):
         for n in SIZES:
-            for label, src in sources.items():
+            for label, src in _harness.in_turn(sources, index):
                 runs[label][n].append(run(src, n))
-            for label in sweeps:
-                row = run(sources[label], n, "sweep")
+            for label, src in _harness.in_turn(sources, index):
+                row = run(src, n, "sweep")
                 for size in SWEEP:
                     sweeps[label][size][n].append(row[str(size)])
 

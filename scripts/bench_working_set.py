@@ -79,9 +79,9 @@ def measure(src, n):
 
 def report(sources, run):
     runs = {label: {n: [] for n in SIZES} for label in sources}
-    for _ in range(ROUNDS):
+    for index in range(ROUNDS):
         for n in SIZES:
-            for label, src in sources.items():
+            for label, src in _harness.in_turn(sources, index):
                 runs[label][n].append(run(src, n))
 
     def summary(rows):
@@ -98,8 +98,8 @@ def report(sources, run):
         "settings": {"sizes": SIZES, "grid_points": GRID_POINTS, "K": K, "B": B,
                      "rounds": ROUNDS},
         "note": "one fresh interpreter per tree, size and round, the trees taking"
-                " turns; traced_peak_units is the tracemalloc peak of one call"
-                " in units of n * G * 8 bytes, rss_rise_mb how far the call"
+                " alternating turns; traced_peak_units is the tracemalloc peak of"
+                " one call in units of n * G * 8 bytes, rss_rise_mb how far the call"
                 " raised ru_maxrss above its value once the input was made",
         "results": {label: {n: summary(rows[n]) for n in SIZES}
                     for label, rows in runs.items()},

@@ -6,8 +6,9 @@ with B replicates each, it equals zero whenever any single p-value does,
 which happens with probability 1 - (B/(B+1))^K under the null. This script
 tabulates that floor (zero_rate) and the exact rejection rate at each alpha
 of K i.i.d. null p-values, with and without the (count+1)/(B+1) correction,
-from `flmgof.fdr_null_rejection_rate`. No simulation is involved, so the
-table takes no seed or trial count.
+from `fdr_null_rejection_rate` in the test oracles (tests/oracles.py), which
+the script reads from the tests/ directory of its checkout. No simulation is
+involved, so the table takes no seed or trial count.
 
 Example:
     python3 scripts/fdr_floor_curves.py --K 1,5,10,25,50 --B 200,500,1000
@@ -15,9 +16,12 @@ Example:
 
 import argparse
 import sys
+from pathlib import Path
 
-from flmgof import fdr_null_rejection_rate
 from flmgof.cli import write_table
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import fdr_null_rejection_rate  # noqa: E402
 
 
 def read_list(parser, text, flag, parse, valid, what):

@@ -13,9 +13,7 @@ from .rptest import (
     DegenerateProjectionError,
     TestReport,
     fdr_combine,
-    fdr_null_rejection_rate,
     golden_multipliers,
-    process_statistic,
     sample_direction_datadriven,
     test_flm,
     test_simple,
@@ -46,12 +44,10 @@ __all__ = [
     "deviation",
     "estimate_rho",
     "fdr_combine",
-    "fdr_null_rejection_rate",
     "gen_process",
     "gen_response",
     "golden_multipliers",
     "make_grid",
-    "process_statistic",
     "run_study",
     "sample_direction_datadriven",
     "scenario",

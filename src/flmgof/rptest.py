@@ -98,9 +98,7 @@ __all__ = [
     "DegenerateProjectionError",
     "golden_multipliers",
     "sample_direction_datadriven",
-    "process_statistic",
     "fdr_combine",
-    "fdr_null_rejection_rate",
     "test_flm",
     "test_simple",
 ]
@@ -391,31 +389,6 @@ def _max_over_rows(values):
     return values[0]
 
 
-def process_statistic(projections, marks) -> tuple[float, float]:
-    """KS and CvM norms of the marked process for one direction.
-
-    Parameters
-    ----------
-    projections : array, shape (n,)
-        Scalar projections <X_i, h>.
-    marks : array, shape (n,)
-        Marks attached to the observations (residuals, or Y - m0(X)).
-
-    Returns
-    -------
-    (ks, cvm) : tuple of float
-    """
-    projections = np.asarray(projections, dtype=float)
-    marks = np.asarray(marks, dtype=float)
-    if projections.ndim != 1 or marks.shape != projections.shape:
-        raise ValueError("projections and marks must be vectors of one length")
-    layout = _SortedProjections(projections[None])
-    if not np.all(np.isfinite(marks)):
-        raise ValueError("marks contain non-finite values")
-    return tuple(float(layout.norms(marks[:, None, None], kind)[0, 0, 0])
-                 for kind in STAT_KINDS)
-
-
 def fdr_combine(pvalues) -> float:
     """Combine K p-values into min_k (K/k) p_(k), clamped to [0, 1]."""
     p = np.asarray(pvalues, dtype=float)
@@ -435,48 +408,6 @@ def _fdr_envelope(pvalues):
     k = pvalues.shape[-1]
     ordered = np.sort(pvalues, axis=-1)
     return np.minimum(np.min(ordered * (k / np.arange(1.0, k + 1.0)), axis=-1), 1.0)
-
-
-def fdr_null_rejection_rate(K, B, alpha, positive_correction=False) -> float:
-    """Exact chance that `fdr_combine` of K i.i.d. null p-values is below alpha.
-
-    Under the null each count out of B replicates is uniform on {0, ..., B}.
-    With t_k the number of atoms a of `_bootstrap_pvalues` that have
-    a * (K/k) < alpha, formed as in `_fdr_envelope`, the rule rejects iff at
-    least k counts lie below t_k for some k. The t_k never decrease in k, so a
-    recursion over them gives the rate (Noe, 1972): the exact null size of
-    Simes' (Benjamini and Hochberg's) rule at a finite B. The rate assumes
-    independent p-values; one test's K p-values share the multipliers, and
-    on seven of the nine simulation scenarios they are equal.
-    """
-    settings = _Settings(K, B, positive_correction=positive_correction)
-    _check_fraction("alpha", alpha)
-    atoms = _bootstrap_pvalues(np.arange(B + 1), settings)
-    # The top atom is 1, which no alpha <= 1 rejects, so every t_k <= B.
-    thresholds = [np.count_nonzero(atoms * f < alpha) for f in K / np.arange(1.0, K + 1.0)]
-    log_factorial = np.array([math.lgamma(i + 1.0) for i in range(K + 1)])
-    j, s = np.arange(K)[:, None], np.arange(K + 1)
-
-    # alive[j]: the chance that j counts lie below the last threshold and no
-    # k so far rejected. Summing the mass each threshold rejects keeps the
-    # relative accuracy of a small rate.
-    alive = np.zeros(K)
-    alive[0] = 1.0
-    rate = 0.0
-    for k, (lower, t) in enumerate(zip([0, *thresholds], thresholds), start=1):
-        if t == lower:
-            continue
-        # Of j counts below `lower`, s lie below t: j plus a binomial draw
-        # from the other K - j. Entries with s < j are masked.
-        step = (t - lower) / (B + 1 - lower)
-        log_pmf = (
-            log_factorial[K - j] - log_factorial[s - j] - log_factorial[K - s]
-            + (s - j) * math.log(step) + (K - s) * math.log1p(-step)
-        )
-        below = alive @ np.exp(np.where(s >= j, log_pmf, -np.inf))
-        rate += below[k:].sum()  # k or more counts below t_k reject at k
-        alive = np.where(s[:K] < k, below[:K], 0.0)
-    return float(rate)
 
 
 def sample_direction_datadriven(
@@ -713,6 +644,13 @@ def _projection_test(prepared, marks, fits, stop_above=None):
     """
     settings = prepared.settings
     n, B = len(marks[0]), settings.B
+    # a replicate column is (I - Q Q^T)(v * m) or v * m with |v| <= 1.618, so
+    # every cumulative sum is at most sqrt(n) * 1.618 * |m| and its square
+    # below 4 n m.m; where that is finite no norm overflows to inf or NaN
+    with np.errstate(over="ignore"):
+        bounded = all(np.isfinite(4.0 * n * (m @ m)) for m in marks)
+    if not bounded:
+        raise ValueError("marks must be finite with 4 * n * sum(marks**2) finite")
     # one call for every level, each level's marks a block of one replicate
     levels = np.stack(marks, axis=1)[:, :, None]
     observed = prepared.directions.norms(levels, settings.kind)[:, :, 0].T
@@ -832,7 +770,5 @@ def test_simple(
         if predictions.shape != y.shape:
             raise ValueError("m0 predictions must be a vector matching the response")
         marks = y - predictions
-    if not np.all(np.isfinite(marks)):
-        raise ValueError("marks contain non-finite values")
     [report] = _projection_test(prepared, [marks], None)
     return report

@@ -9,11 +9,14 @@ for the empirical-process machinery.
 Normal cdf/pdf go through the C library's erfc, accurate to double precision,
 so the oracle values are bit-stable for a given platform.
 
-Two oracles for the null law of the FDR combination follow: the rejection
-rate over every count vector, and a Monte Carlo sample of the combined
-p-value. `flmgof.fdr_null_rejection_rate` is checked against both. The
-module closes with the exact law of the wild bootstrap at small n, where
-every multiplier vector can be enumerated.
+The exact null rejection rate of the FDR combination for K independent
+p-values follows (`fdr_null_rejection_rate`), with two oracles it is checked
+against: the rejection rate over every count vector, and a Monte Carlo
+sample of the combined p-value. Then come the KS and CvM norms of one
+direction's marked process (`process_statistic`), the closed-form mean and
+variance of one direction's bootstrap CvM norm (`bootstrap_cvm_law`), and the
+exact law of the wild bootstrap at small n, where every multiplier vector can
+be enumerated.
 """
 
 from __future__ import annotations
@@ -28,10 +31,13 @@ from flmgof.funspace import _frozen
 from flmgof.rptest import (
     GOLDEN_PROBS,
     GOLDEN_VALUES,
+    STAT_KINDS,
     _bootstrap_pvalues,
+    _check_fraction,
     _fdr_envelope,
     _replay_residuals,
     _Settings,
+    _SortedProjections,
 )
 
 __all__ = [
@@ -43,8 +49,11 @@ __all__ = [
     "tnx_sequence",
     "tnx_limit",
     "tnx_truncation_bound",
+    "fdr_null_rejection_rate",
     "enumerated_fdr_rejection_rate",
     "simulated_fdr_combined",
+    "process_statistic",
+    "bootstrap_cvm_law",
     "exact_bootstrap_pvalues",
     "binomial_tails",
 ]
@@ -188,6 +197,48 @@ def tnx_truncation_bound(spec: GaussianFlmSpec, x: float, kn: int) -> float:
     return tnx_limit(spec, x) * tail_ratio
 
 
+def fdr_null_rejection_rate(K, B, alpha, positive_correction=False) -> float:
+    """Exact chance that `fdr_combine` of K i.i.d. null p-values is below alpha.
+
+    Under the null each count out of B replicates is uniform on {0, ..., B}.
+    With t_k the number of atoms a of `_bootstrap_pvalues` that have
+    a * (K/k) < alpha, formed as in `_fdr_envelope`, the rule rejects iff at
+    least k counts lie below t_k for some k. The t_k never decrease in k, so a
+    recursion over them gives the rate (Noe, 1972): the exact null size of
+    Simes' (Benjamini and Hochberg's) rule at a finite B. The rate assumes
+    independent p-values; one test's K p-values share the multipliers, and
+    on seven of the nine simulation scenarios they are equal.
+    """
+    settings = _Settings(K, B, positive_correction=positive_correction)
+    _check_fraction("alpha", alpha)
+    atoms = _bootstrap_pvalues(np.arange(B + 1), settings)
+    # The top atom is 1, which no alpha <= 1 rejects, so every t_k <= B.
+    thresholds = [np.count_nonzero(atoms * f < alpha) for f in K / np.arange(1.0, K + 1.0)]
+    log_factorial = np.array([math.lgamma(i + 1.0) for i in range(K + 1)])
+    j, s = np.arange(K)[:, None], np.arange(K + 1)
+
+    # alive[j]: the chance that j counts lie below the last threshold and no
+    # k so far rejected. Summing the mass each threshold rejects keeps the
+    # relative accuracy of a small rate.
+    alive = np.zeros(K)
+    alive[0] = 1.0
+    rate = 0.0
+    for k, (lower, t) in enumerate(zip([0, *thresholds], thresholds), start=1):
+        if t == lower:
+            continue
+        # Of j counts below `lower`, s lie below t: j plus a binomial draw
+        # from the other K - j. Entries with s < j are masked.
+        step = (t - lower) / (B + 1 - lower)
+        log_pmf = (
+            log_factorial[K - j] - log_factorial[s - j] - log_factorial[K - s]
+            + (s - j) * math.log(step) + (K - s) * math.log1p(-step)
+        )
+        below = alive @ np.exp(np.where(s >= j, log_pmf, -np.inf))
+        rate += below[k:].sum()  # k or more counts below t_k reject at k
+        alive = np.where(s[:K] < k, below[:K], 0.0)
+    return float(rate)
+
+
 def enumerated_fdr_rejection_rate(K, B, alpha, positive_correction) -> float:
     """Null rejection rate of the FDR envelope over all (B + 1)^K count vectors.
 
@@ -210,6 +261,53 @@ def simulated_fdr_combined(K, B, M, rng, positive_correction) -> np.ndarray:
     counts = rng.integers(0, B + 1, size=(M, K))
     settings = _Settings(B=B, positive_correction=positive_correction)
     return _fdr_envelope(_bootstrap_pvalues(counts, settings))
+
+
+def process_statistic(projections, marks) -> tuple[float, float]:
+    """KS and CvM norms of the marked process for one direction.
+
+    Parameters
+    ----------
+    projections : array, shape (n,)
+        Scalar projections <X_i, h>.
+    marks : array, shape (n,)
+        Marks attached to the observations (residuals, or Y - m0(X)).
+
+    Returns
+    -------
+    (ks, cvm) : tuple of float
+    """
+    projections = np.asarray(projections, dtype=float)
+    marks = np.asarray(marks, dtype=float)
+    if projections.ndim != 1 or marks.shape != projections.shape:
+        raise ValueError("projections and marks must be vectors of one length")
+    layout = _SortedProjections(projections[None])
+    if not np.all(np.isfinite(marks)):
+        raise ValueError("marks contain non-finite values")
+    return tuple(float(layout.norms(marks[:, None, None], kind)[0, 0, 0])
+                 for kind in STAT_KINDS)
+
+
+def bootstrap_cvm_law(directions, marks, design=None):
+    """(M, mean, variance): the closed-form law of the bootstrap CvM norm of
+    the one direction of the `_SortedProjections` record `directions`, for
+    the marks e.
+
+    With S the record's sort permutation, L the lower-triangular matrix of
+    ones and W the diagonal of its `weights`, a mark vector m has the CvM
+    norm m^T M m, M = S^T L^T W L S. A replicate is P (v * e), with
+    P = I - Q Q^T for the fit's `design` Q (composite null) or P = I (simple
+    null, `design` None), so its norm is v^T A v, A = D_e P M P D_e. The
+    golden-ratio multipliers have E v = 0, E v^2 = 1 and E v^4 = 2, so the
+    norm has mean tr A and variance 2 tr A^2 - sum_i A_ii^2.
+    """
+    [order], [weights] = directions.order, directions.weights
+    n = len(order)
+    cumulated = np.tril(np.ones((n, n))) @ np.eye(n)[order]  # L S
+    M = cumulated.T @ (weights[:, None] * cumulated)
+    P = np.eye(n) if design is None else np.eye(n) - design @ design.T
+    A = marks[:, None] * (P @ M @ P) * marks
+    return M, np.trace(A), 2.0 * np.sum(A * A) - np.sum(np.diag(A) ** 2)
 
 
 def exact_bootstrap_pvalues(fit, directions, kind) -> np.ndarray:

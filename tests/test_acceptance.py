@@ -18,14 +18,14 @@ from conftest import brute_process_norms, centered_bm_sample, inner_product
 from flmgof import (
     compute_fpc,
     estimate_rho,
-    fdr_null_rejection_rate,
     golden_multipliers,
-    process_statistic,
     run_study,
 )
 from oracles import (
     GaussianFlmSpec,
+    fdr_null_rejection_rate,
     k1_covariance,
+    process_statistic,
     tnx_limit,
     tnx_sequence,
     tnx_truncation_bound,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from flmgof import cli, forking, simlab
-from flmgof import fdr_null_rejection_rate, gen_process, uniform_grid
+from flmgof import gen_process, uniform_grid
 from flmgof.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -20,6 +20,7 @@ from flmgof.cli import (
     write_table,
 )
 from flmgof.rptest import DegenerateProjectionError
+from oracles import fdr_null_rejection_rate
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -221,6 +222,17 @@ def test_input_errors(dataset, tmp_path, capsys):
     )
     assert code == EXIT_USAGE
     assert "--rank" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("null", ["flm", "simple"])
+def test_marks_that_could_overflow_exit_2(dataset, tmp_path, null, capsys):
+    data_path, resp_path = dataset
+    huge = tmp_path / "huge.csv"
+    np.savetxt(huge, 1e200 * np.loadtxt(resp_path), fmt="%.17g")
+    code, out, err = run_cli(base_args((data_path, huge), "--null", null), capsys)
+    assert code == EXIT_USAGE
+    assert "marks must be finite" in err
     assert out == ""
 
 
@@ -530,6 +542,7 @@ def test_bench_harness_runs_the_trees_in_turn(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out) == measure("old", "curves.csv", "200", "sweep")
 
     # the lead runs a fresh worker per tree and round, the trees taking turns
+    # in --src order in even rounds and in reverse order in odd ones
     monkeypatch.chdir(tmp_path)
     trees = {"before": str(tmp_path / "old"), "after": str(tmp_path / "src")}
     started = []
@@ -546,7 +559,7 @@ def test_bench_harness_runs_the_trees_in_turn(tmp_path, monkeypatch, capsys):
     output = json.loads(capsys.readouterr().out)
     assert list(output) == ["settings", "machine", "results"]
     assert list(output["results"]) == ["before", "after"]
-    assert started == [trees["before"], trees["after"]] * 2
+    assert started == [trees["before"], trees["after"], trees["after"], trees["before"]]
     for label, tree in trees.items():
         assert output["results"][label] == [measure(tree)] * 2
 

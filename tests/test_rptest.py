@@ -33,13 +33,12 @@ from flmgof import (
     compute_fpc,
     estimate_rho,
     fdr_combine,
-    fdr_null_rejection_rate,
     gen_process,
     gen_response,
     golden_multipliers,
-    process_statistic,
     sample_direction_datadriven,
     scenario,
+    select_rank_sicc,
     uniform_grid,
 )
 from flmgof import test_flm as flm_gof
@@ -62,8 +61,11 @@ from flmgof.processes import ornstein_uhlenbeck
 from flmgof.simlab import ALPHAS
 from oracles import (
     binomial_tails,
+    bootstrap_cvm_law,
     enumerated_fdr_rejection_rate,
     exact_bootstrap_pvalues,
+    fdr_null_rejection_rate,
+    process_statistic,
     simulated_fdr_combined,
 )
 
@@ -883,6 +885,57 @@ def test_replay_equals_centering_then_hat_projection(n, num_points):
             assert np.max(np.abs(replayed - two_step)) <= bound
 
 
+@pytest.mark.parametrize("null", ["flm", "simple"])
+@pytest.mark.parametrize(
+    "index, n, tied",
+    [(index, n, False) for index in (1, 3, 7) for n in (30, 100, 200)] + [(7, 100, True)],
+)
+def test_bootstrap_cvm_law_matches_the_closed_form(index, n, tied, null):
+    # A replicate's CvM norm is v^T A v (`bootstrap_cvm_law`), so over B
+    # replicates drawn, replayed and reduced by the package's own code its
+    # mean must lie within 4 SE of tr A, and its variance within 4 SE of
+    # 2 tr A^2 - sum A_ii^2, that SE taken from the replicates' own fourth
+    # moment. One check covers the multiplier law, the replay, the sort,
+    # ties and the weights
+    B, width = 40_000, 2_000
+    spec = scenario(index)
+    rng = philox(100 * index + n)
+    curves = gen_process(spec.process, n // 2 if tied else n, spec.grid, rng).data
+    if tied:
+        curves = np.vstack([curves, curves])
+    X = FunctionalSample(grid=spec.grid, data=curves)
+    y = gen_response(spec, X, 0, rng)
+    basis = compute_fpc(X)
+    h = sample_direction_datadriven(basis, 0.95, rng)
+    projections = np.einsum("ij,j->i", X.data, spec.grid.weights * h)
+    record = _SortedProjections(projections[None])
+    assert (record.weights == 0).any() == tied
+    fit = None
+    if null == "flm":
+        y_centered = y - y.mean()
+        rank = select_rank_sicc(y_centered, basis, min(basis.m, n - 3))[0]
+        fit = estimate_rho(y_centered, basis, int(rank))
+    marks = y if fit is None else fit.residuals
+    M, mean, variance = bootstrap_cvm_law(record, marks, None if fit is None else fit.design)
+    # M from the definition, (1/n^2) sum_k (sum_i 1{p_i <= p_k} m_i)^2
+    below = (projections[None, :] <= projections[:, None]).astype(float)
+    np.testing.assert_allclose(M, below.T @ below / n**2, rtol=1e-12, atol=0.0)
+
+    observed = record.norms(marks[:, None, None], "cvm")[0, 0, 0]
+    assert observed == pytest.approx(marks @ M @ marks, rel=1e-12, abs=0.0)
+    multipliers = philox(7)
+    norms = []
+    for _ in range(B // width):
+        replicates = golden_multipliers(multipliers, (width, n)) * marks
+        if fit is not None:
+            replicates = _replay_residuals(fit, replicates)
+        norms.append(record.norms(replicates.T[:, None, :], "cvm")[0, 0])
+    norms = np.concatenate(norms)
+    assert abs(norms.mean() - mean) <= 4.0 * math.sqrt(variance / B)
+    fourth = np.mean((norms - norms.mean()) ** 4)
+    assert abs(norms.var() - variance) <= 4.0 * math.sqrt((fourth - norms.var() ** 2) / B)
+
+
 def test_bootstrap_counts_follow_the_exact_bootstrap_law():
     # At n=12 the 2^12 golden-ratio multiplier vectors give each direction's
     # B = infinity p-value p through the replay, so a report's count out of B
@@ -1661,6 +1714,26 @@ def test_simple_callable_and_vector_nulls_agree():
     for bad in (lambda X: m0(X)[:, None], lambda X: 0.0):
         with pytest.raises(ValueError, match="m0 predictions"):
             simple_gof(sample, y, m0=bad, K=3, B=50, seed=0)
+
+
+def test_marks_that_could_overflow_the_process_are_refused():
+    # a tied direction's overflowed sum inside a tie block has weight 0, and
+    # 0 * inf made its CvM norm NaN, which no replicate reaches: p_fdr read 0
+    X, [y] = several_responses(40, 1, tied=True, seed=8)
+    for gof in (flm_gof, simple_gof):
+        for kind in STAT_KINDS:
+            plain = gof(X, y, K=3, B=200, kind=kind, seed=0)
+            # a power of two scales every step exactly, so within the bound
+            # the p-values keep their bits
+            scaled = gof(X, 2.0**500 * y, K=3, B=200, kind=kind, seed=0)
+            assert [rec.pvalue for rec in scaled.per_projection] == [
+                rec.pvalue for rec in plain.per_projection
+            ]
+            assert scaled.p_fdr == plain.p_fdr
+            with pytest.raises(ValueError, match="marks must be finite"):
+                gof(X, 1e200 * y, K=3, B=200, kind=kind, seed=0)
+    with pytest.raises(ValueError, match="marks must be finite"):
+        simple_gof(X, y, m0=np.full(X.n, np.nan), K=3, B=200, seed=0)
 
 
 def test_simple_detects_a_linear_signal():
