@@ -6,6 +6,11 @@ Times `test_flm` at n in {50, 256, 1024, 2048, 4096}, K=5, B=1000, on
 Brownian-motion curves with a linear response and fixed seeds. Stages come
 from the benchmark's span tracer (`perfbench/spans.py`), which times each
 layer from outside the package; `wall_ms` is the median untraced call.
+Beside them, `record_rows` is the number of rows the call's record of
+sorted layouts holds, which is what the norm kernel scores, and
+`distinct_rows` the number of distinct (order, weights) rows among them: a
+tree that scores each distinct direction once has the two equal, one that
+scores all K directions has `record_rows` = K.
 
 The sweep times the KS and CvM norms of one bootstrap block of L levels, b
 replicates each, for K=5 directions, as the (n, L, b) blocks in SWEEP on
@@ -92,7 +97,17 @@ def measure(src):
         metrics = layer_metrics(tracer, "rptest.test")
         rows[n] = {"wall_ms": statistics.median(walls)}
         rows[n].update({stage: metrics[stage] for stage in STAGES})
+        rows[n].update(record_rows(rptest, sample))
     return {"calls": rows, "sweep": sweep(rptest)}
+
+
+def record_rows(rptest, sample):
+    """{"record_rows": .., "distinct_rows": ..} of the record of sorted
+    layouts that a `test_flm` call on `sample` (K, B, seed 0) builds."""
+    record = rptest._prepare(sample, rptest._Settings(K=K, B=B, seed=0)).directions
+    rows = {(order.tobytes(), weights.tobytes())
+            for order, weights in zip(record.order, record.weights)}
+    return {"record_rows": len(record.order), "distinct_rows": len(rows)}
 
 
 def kernels(rptest, projections, columns, kind):

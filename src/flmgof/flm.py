@@ -107,6 +107,9 @@ def select_rank_sicc(y, basis: FpcBasis, max_rank: int):
         Smallest minimizer of SICc over d = 1..max_rank.
     criterion : ndarray, shape (max_rank,)
         SICc values, criterion[d - 1] for rank d.
+
+    Raises ValueError when the criterion is not finite, as when y.y
+    overflows.
     """
     n = basis.n
     y = _check_response(y, n)
@@ -117,13 +120,17 @@ def select_rank_sicc(y, basis: FpcBasis, max_rank: int):
 
     scores = basis.scores[:, :max_rank]
     lam = basis.eigenvalues[:max_rank]
-    projections = scores.T @ y
-    explained = np.cumsum(projections**2 / (n * lam))
-    total = float(y @ y)
-    rss = np.maximum(total - explained, 0.0)
-    rss = np.maximum(rss, _RSS_RELATIVE_FLOOR * max(total, 1.0))
-
     d = np.arange(1, max_rank + 1, dtype=float)
-    criterion = np.log(rss / n) + d * np.log(n) / (n - d - 2.0)
+    # an overflowed y.y makes every RSS inf or NaN, and argmin would then
+    # pick a rank from NaN; that is refused below instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        projections = scores.T @ y
+        explained = np.cumsum(projections**2 / (n * lam))
+        total = float(y @ y)
+        rss = np.maximum(total - explained, 0.0)
+        rss = np.maximum(rss, _RSS_RELATIVE_FLOOR * max(total, 1.0))
+        criterion = np.log(rss / n) + d * np.log(n) / (n - d - 2.0)
+    if not np.all(np.isfinite(criterion)):
+        raise ValueError("SICc is not finite: the response's sum of squares overflows")
     rank = int(np.argmin(criterion)) + 1
     return rank, criterion

@@ -37,11 +37,14 @@ block draws its multipliers once, and every level replays them through its
 own fit into one (n, L, b) array. One record holds the sorted layouts of the
 K directions (`_SortedProjections`, built from a (K, n) array), and one call
 of its `norms` on (n, L, b) columns gives every direction's norms of a block;
-the observed norms of the L levels are one call on an (n, L, 1) array. When
-the K directions' rows, K * L * b values each, are wide enough and the block
-fits in BOOTSTRAP_BLOCK values, the rows are gathered side by side and
-cumulated with one np.add per row; otherwise each direction cumulates all L
-levels at once. Every column is still summed in row order, and one reduction
+the observed norms of the L levels are one call on an (n, L, 1) array. The
+record keeps each distinct (order, weights) row once, as data-driven
+directions on one eigenfunction (j_n = 1) share a sort order for each sign,
+and its norms are indexed back to the K directions. When the d distinct
+rows, d * L * b values each, are wide enough and the block fits in
+BOOTSTRAP_BLOCK values, the rows are gathered side by side and cumulated with
+one np.add per row; otherwise each distinct row cumulates all L levels at
+once. Every column is still summed in row order, and one reduction
 serves both: each CvM norm is a gemv over exactly its level's b columns, so
 each level's report is its own `test_flm` call's, bit for bit. The record
 holds ties once, as row weights that are 0 inside a tie block: CvM weighs
@@ -259,12 +262,15 @@ class _SortedProjections:
 
     Ties share a jump: the process value attached to every observation in a
     tie block is the cumulative sum at the end of the block, so only block
-    ends carry process values, each weighted by the size of its block.
-    Direction k has the sort order `order[k]` and the weights `weights[k]`,
-    block size / n^2 at a block end and 0 inside a tie block.
+    ends carry process values, each weighted by the size of its block. A
+    layout is a sort order and its weights, block size / n^2 at a block end
+    and 0 inside a tie block. The kernel reads nothing else, so directions
+    with equal (order, weights) rows have bit-identical norms, and each such
+    row is kept and scored once: `order` and `weights` hold the d distinct
+    rows, and direction k has row `inverse[k]`.
     """
 
-    __slots__ = ("n", "order", "weights", "scale")
+    __slots__ = ("n", "order", "weights", "inverse", "scale")
 
     def __init__(self, projections):
         projections = np.asarray(projections, dtype=float)
@@ -273,14 +279,28 @@ class _SortedProjections:
         if not np.all(np.isfinite(projections)):
             raise ValueError("projections contain non-finite values")
         self.n = projections.shape[1]
-        self.order = np.argsort(projections, axis=1, kind="stable")
-        sizes = []
-        for ordered in np.take_along_axis(projections, self.order, axis=1):
+        # each row is keyed on its bytes as it is made, and only the distinct
+        # rows are stacked: np.unique(..., axis=0) on the K stacked rows cost
+        # more than the dedupe saves at n=4096, and stacking all K rows before
+        # copying out the distinct ones raised the large-n benchmark's peak
+        # RSS by 6 MB (see ROADMAP, measured leads and dead ends)
+        rows, orders, weights, inverse = {}, [], [], []
+        for vector in projections:
+            order = np.argsort(vector, kind="stable")
+            ordered = vector[order]
             block_end = np.searchsorted(ordered, ordered, side="right") - 1
-            sizes.append(np.bincount(block_end, minlength=self.n))
-        # CvM is (1/n) sum_i T(p_i)^2 with T = cumsum / sqrt(n): each block end
-        # enters once per member of its block, and both 1/n factors fold here.
-        self.weights = np.array(sizes) / float(self.n) ** 2
+            # CvM is (1/n) sum_i T(p_i)^2 with T = cumsum / sqrt(n): each block
+            # end enters once per member of its block, and both 1/n factors
+            # fold here.
+            row_weights = np.bincount(block_end, minlength=self.n) / float(self.n) ** 2
+            key = (order.tobytes(), row_weights.tobytes())
+            if key not in rows:
+                rows[key] = len(orders)
+                orders.append(order)
+                weights.append(row_weights)
+            inverse.append(rows[key])
+        self.order, self.weights = np.array(orders), np.array(weights)
+        self.inverse = np.array(inverse)
         self.scale = 1.0 / np.sqrt(self.n)
 
     def norms(self, columns, kind):
@@ -288,14 +308,16 @@ class _SortedProjections:
         `columns` in observation order: b mark vectors, one per column, for
         each of L levels.
 
-        Rows of k * L * b values, at least SIDE_BY_SIDE_MIN_ROW and at most
-        BOOTSTRAP_BLOCK in all, are gathered side by side into this thread's
-        scratch array and cumulated with one np.add per row, since one
-        np.cumsum per direction costs mostly its fixed overhead on narrow
-        blocks; otherwise each direction gathers its own copy and cumulates it
-        with one np.cumsum. Either way each column is summed in row order and
-        `_reduce` turns the sums into norms, so every norm has the bits of its
-        direction's own record and of its level's own (n, 1, b) block.
+        The d distinct rows are scored and their (d, L, b) norms indexed back
+        to the k directions by `inverse`. Rows of d * L * b values, at least
+        SIDE_BY_SIDE_MIN_ROW and at most BOOTSTRAP_BLOCK in all, are gathered
+        side by side into this thread's scratch array and cumulated with one
+        np.add per row, since one np.cumsum per direction costs mostly its
+        fixed overhead on narrow blocks; otherwise each distinct row gathers
+        its own copy and cumulates it with one np.cumsum. Either way each
+        column is summed in row order and `_reduce` turns the sums into
+        norms, so every norm has the bits of its direction's own record and
+        of its level's own (n, 1, b) block.
         """
         n, count = self.n, len(self.order)
         row = count * columns[0].size
@@ -307,7 +329,7 @@ class _SortedProjections:
             row_views = list(sums.reshape(n, -1))  # made at once, faster than while iterating
             for previous, row in zip(row_views, row_views[1:]):
                 np.add(previous, row, out=row)
-            return self._reduce(sums, slice(None), kind)
+            return self._reduce(sums, slice(None), kind)[self.inverse]
         norms = []
         for k, order in enumerate(self.order):
             # np.take copies whole rows, faster than fancy indexing on narrow ones
@@ -321,7 +343,7 @@ class _SortedProjections:
             np.cumsum(rows, axis=0, out=rows)
             norms.append(self._reduce(sums, slice(k, k + 1), kind))
             del sums, rows  # freed before the next direction gathers its copy
-        return np.concatenate(norms)
+        return np.concatenate(norms)[self.inverse]
 
     def _reduce(self, sums, directions, kind):
         """The (d, L, b) `kind` norms of the cumulative sums (n, d, L, b) of

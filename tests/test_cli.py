@@ -230,10 +230,16 @@ def test_marks_that_could_overflow_exit_2(dataset, tmp_path, null, capsys):
     data_path, resp_path = dataset
     huge = tmp_path / "huge.csv"
     np.savetxt(huge, 1e200 * np.loadtxt(resp_path), fmt="%.17g")
-    code, out, err = run_cli(base_args((data_path, huge), "--null", null), capsys)
-    assert code == EXIT_USAGE
-    assert "marks must be finite" in err
-    assert out == ""
+    # the composite null's SICc refuses the response before any marks exist;
+    # at a fixed rank its residuals reach the marks check
+    cases = {"simple": [((), "marks must be finite")],
+             "flm": [((), "SICc is not finite"), (("--rank", "2"), "marks must be finite")]}
+    for extra, refusal in cases[null]:
+        code, out, err = run_cli(base_args((data_path, huge), "--null", null, *extra),
+                                 capsys)
+        assert code == EXIT_USAGE
+        assert refusal in err
+        assert out == ""
 
 
 def test_usage_errors(capsys):

@@ -178,6 +178,18 @@ def test_select_rank_errors():
         select_rank_sicc(y, basis, max_rank=10)  # needs n > max_rank + 2
 
 
+def test_sicc_refuses_a_criterion_that_overflows():
+    # y.y overflows from a scale of about 1e154 here; the criterion is then
+    # NaN or inf at every rank, and no rank can be chosen from it
+    sample, basis, y, _ = make_regression(n=40, num_points=21, seed=12)
+    y = y - y.mean()
+    rank, criterion = select_rank_sicc(1e150 * y, basis, max_rank=8)
+    assert 1 <= rank <= 8 and np.all(np.isfinite(criterion))
+    for scale in (1e154, 1e160):
+        with pytest.raises(ValueError, match="SICc is not finite"):
+            select_rank_sicc(scale * y, basis, max_rank=8)
+
+
 def integer_calls(value):
     """{name: call} of the public functions that take an integer argument
     other than a test's settings, each called with `value` for it."""

@@ -171,9 +171,10 @@ def block_ends(projections):
 
 def assert_block_ends(layout, projections):
     """`layout`'s weights are nonzero exactly at the block ends of each row of
-    the (k, n) `projections`."""
-    assert len(layout.weights) == len(projections)
-    for weights, row in zip(layout.weights, projections):
+    the (k, n) `projections`, each direction's weights read through
+    `layout.inverse`."""
+    assert len(layout.inverse) == len(projections)
+    for weights, row in zip(layout.weights[layout.inverse], projections):
         assert np.array_equal(np.flatnonzero(weights), block_ends(row))
 
 
@@ -698,7 +699,7 @@ def test_identical_curves_tie_exactly(gof, sampler, monkeypatch):
         projected.clear()
         gof(sample, y, K=5, B=10, sampler=sampler, seed=m)
         [layout], [projections] = layouts, projected
-        assert layout.order.shape == (5, 2 * m)
+        assert layout.order[layout.inverse].shape == (5, 2 * m)
         assert [block_ends(row).size for row in projections] == [m] * 5
         assert_block_ends(layout, projections)
 
@@ -1381,9 +1382,10 @@ def test_records_of_many_directions_or_one_replicate(tied, n, K, shape, monkeypa
 
 
 def test_block_routine_stacks_within_the_row_width_and_the_budget(monkeypatch):
-    # the kernel gathers the K directions side by side, into this thread's
-    # scratch array, exactly where the gathered rows are SIDE_BY_SIDE_MIN_ROW
-    # wide or more and the array holds at most BOOTSTRAP_BLOCK values
+    # the kernel gathers the d distinct rows of the K directions side by side,
+    # into this thread's scratch array, exactly where the gathered rows are
+    # SIDE_BY_SIDE_MIN_ROW wide or more and the array holds at most
+    # BOOTSTRAP_BLOCK values
     calls = []
     scratch = rptest._scratch
 
@@ -1394,16 +1396,26 @@ def test_block_routine_stacks_within_the_row_width_and_the_budget(monkeypatch):
     monkeypatch.setattr(rptest, "_scratch", recording)
     assert (rptest.SIDE_BY_SIDE_MIN_ROW, BOOTSTRAP_BLOCK) == (320, 2**17)
     cases = {
-        # K=5, n=50: rows of 310 and 320 values; 131,000, 132,000, 96,000
-        # and 183,000 gathered values
-        (5, 50): [((0,), 62, False), ((0,), 64, True), ((0, 1), 262, True),
-                  ((0, 2), 264, False), ((0, 1, 2), 128, True), ((0, 1, 2), 244, False)],
+        # sampler "iii": K distinct rows. K=5, n=50: rows of 310 and 320
+        # values; 131,000, 132,000, 96,000 and 183,000 gathered values
+        (5, 50, "iii", 5): [((0,), 62, False), ((0,), 64, True), ((0, 1), 262, True),
+                            ((0, 2), 264, False), ((0, 1, 2), 128, True),
+                            ((0, 1, 2), 244, False)],
         # K=4, n=64: exactly 2**17 gathered values, and 512 more
-        (4, 64): [((0,), 512, True), ((0,), 514, False)],
+        (4, 64, "iii", 4): [((0,), 512, True), ((0,), 514, False)],
+        # sampler "i" at j_n = 1: two distinct rows, one per sign. K=5,
+        # n=50: rows of 316 and 320 values; 130,800, 131,200, 130,800 and
+        # 131,400 gathered values
+        (5, 50, "i", 2): [((0,), 158, False), ((0,), 160, True), ((0, 1), 654, True),
+                          ((0, 2), 656, False), ((0, 1, 2), 436, True),
+                          ((0, 1, 2), 438, False)],
+        # K=4, n=64: exactly 2**17 gathered values, and 256 more
+        (4, 64, "i", 2): [((0,), 1024, True), ((0,), 1026, False)],
     }
-    for (K, n), blocks in cases.items():
+    for (K, n, sampler, distinct), blocks in cases.items():
         prepared = rptest._prepare(centered_bm_sample(n, num_points=31, seed=2),
-                                   _Settings(K=K, B=1000, seed=0))
+                                   _Settings(K=K, B=1000, sampler=sampler, seed=0))
+        assert len(prepared.directions.order) == distinct
         marks = list(philox(3).standard_normal((3, n)))
         observed = np.zeros((3, K))
         for levels, width, expected in blocks:
@@ -1411,12 +1423,12 @@ def test_block_routine_stacks_within_the_row_width_and_the_budget(monkeypatch):
             counts = rptest._block_exceedances(prepared, marks, None, observed,
                                                list(levels), (0, width))
             assert counts.shape == (len(levels), K)
-            assert calls == ([(n, K, len(levels), width)] if expected else [])
-            row = K * len(levels) * width
+            assert calls == ([(n, distinct, len(levels), width)] if expected else [])
+            row = distinct * len(levels) * width
             assert expected == (row >= rptest.SIDE_BY_SIDE_MIN_ROW
                                 and n * row <= BOOTSTRAP_BLOCK)
-    # the same rule for one vector and for one block of b columns, and for a
-    # one-row record
+    # the same rule for one vector and for one block of b columns, for a
+    # one-row record and for five directions that share one row
     for projections, columns, expected in [
         (side_by_side_case(409, 320, False, 0), np.zeros((409, 1, 1)), True),
         (side_by_side_case(410, 320, False, 0), np.zeros((410, 1, 1)), False),
@@ -1425,10 +1437,59 @@ def test_block_routine_stacks_within_the_row_width_and_the_budget(monkeypatch):
         (side_by_side_case(50, 5, False, 0), np.zeros((50, 1, 62)), False),
         (np.arange(50.0)[None], np.zeros((50, 1, 320)), True),
         (np.arange(50.0)[None], np.zeros((50, 1, 319)), False),
+        (np.tile(np.arange(50.0), (5, 1)), np.zeros((50, 1, 64)), False),
+        (np.tile(np.arange(50.0), (5, 1)), np.zeros((50, 1, 320)), True),
     ]:
         calls.clear()
         _SortedProjections(projections).norms(columns, "cvm")
         assert (len(calls) == 1) == expected
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_repeated_rows_are_scored_once(tied, monkeypatch):
+    # directions with equal (order, weights) rows share one row of the record:
+    # rows a, b, c, a again, a scaled by 2 (the same order and ties, as c * phi_1
+    # gives for every c > 0), b again and a reversed, which is a row of its own
+    n, width = 40, 16
+    a, b, c = side_by_side_case(n, 3, tied, seed=11)
+    projections = np.array([a, b, c, a, 2.0 * a, b, -a])
+    record = _SortedProjections(projections)
+    assert record.inverse.tolist() == [0, 1, 2, 0, 0, 1, 3]
+    assert record.order.shape == record.weights.shape == (4, n)
+    assert np.array_equal(record.order[record.inverse],
+                          np.argsort(projections, axis=1, kind="stable"))
+    assert_block_ends(record, projections)
+    singles = [_SortedProjections(vector[None]) for vector in projections]
+    columns = philox(12).standard_normal((n, 2, width))
+    reduced = []
+    reduce = _SortedProjections._reduce
+
+    def spy(self, sums, directions, kind):
+        reduced.append((sums.shape, directions))
+        return reduce(self, sums, directions, kind)
+
+    monkeypatch.setattr(_SortedProjections, "_reduce", spy)
+    for kind in STAT_KINDS:
+        expected = np.concatenate([single.norms(columns, kind) for single in singles])
+        reduced.clear()
+        branches = norms_by_branch(record, columns, kind, monkeypatch)
+        # each distinct row is gathered and cumulated once: side by side as
+        # one (n, 4, L, b) array, then once per row
+        assert reduced == [((n, 4, 2, width), slice(None))] + [
+            ((n, 1, 2, width), slice(k, k + 1)) for k in range(4)]
+        for norms in branches.values():
+            assert norms.shape == (7, 2, width)
+            assert np.array_equal(norms, expected)
+
+
+def test_data_driven_directions_on_one_eigenfunction_share_rows():
+    # at r = 0.95 on Brownian curves j_n = 1, so sampler "i" and "ii"
+    # directions are c * phi_1, one sort order per sign of c; an
+    # Ornstein-Uhlenbeck direction of sampler "iii" is drawn apart from the data
+    sample = centered_bm_sample(100, num_points=51, seed=4)
+    for sampler, rows in (("i", range(1, 5)), ("ii", range(1, 5)), ("iii", [5])):
+        directions = rptest._prepare(sample, _Settings(K=5, sampler=sampler, seed=1)).directions
+        assert len(directions.order) in rows and len(directions.inverse) == 5
 
 
 @pytest.mark.parametrize("kind", STAT_KINDS)
@@ -1730,8 +1791,14 @@ def test_marks_that_could_overflow_the_process_are_refused():
                 rec.pvalue for rec in plain.per_projection
             ]
             assert scaled.p_fdr == plain.p_fdr
-            with pytest.raises(ValueError, match="marks must be finite"):
+            # the composite null's SICc refuses the response before any marks
+            # exist; at a fixed rank its residuals reach the marks check
+            refusal = "SICc is not finite" if gof is flm_gof else "marks must be finite"
+            with pytest.raises(ValueError, match=refusal):
                 gof(X, 1e200 * y, K=3, B=200, kind=kind, seed=0)
+    for kind in STAT_KINDS:
+        with pytest.raises(ValueError, match="marks must be finite"):
+            flm_gof(X, 1e200 * y, K=3, B=200, kind=kind, rank=2, seed=0)
     with pytest.raises(ValueError, match="marks must be finite"):
         simple_gof(X, y, m0=np.full(X.n, np.nan), K=3, B=200, seed=0)
 
