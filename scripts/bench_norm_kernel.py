@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Per-stage milliseconds of one `test_flm` call across sample sizes, and a
-sweep of the side-by-side norm kernel against the per-direction one.
+sweep of the norm kernel under its rule and with each cumulation forced.
 
 Times `test_flm` at n in {50, 256, 1024, 2048, 4096}, K=5, B=1000, on
 Brownian-motion curves with a linear response and fixed seeds. Stages come
@@ -15,17 +15,19 @@ scores all K directions has `record_rows` = K.
 The sweep times the KS and CvM norms of one bootstrap block of L levels, b
 replicates each, for K=5 directions, as the (n, L, b) blocks in SWEEP on
 untied projections and in TIED_SWEEP on projections that hold every value
-twice, as duplicated curves give: the side-by-side kernel (one np.add per
-row for every direction) against the per-direction one (one np.cumsum per
-direction on all L levels), each branch of the record's one `norms` call
-forced by setting the rule's bounds, SIDE_BY_SIDE_MIN_ROW and
-BOOTSTRAP_BLOCK. It covers a study's blocks (n=50, b = 128, 244 and 500,
-L = 1..3), rows of K * L * b values on either side of SIDE_BY_SIDE_MIN_ROW,
-blocks on either side of the BOOTSTRAP_BLOCK budget, and the tied blocks of
-a study and of `test_flm` at n = 200 and 500, B=1000. Values are medians
-over rounds of the mean microseconds per block. The side-by-side kernel
-reuses its scratch array, so past the budget it times the work on arrays
-larger than the caches, not the page faults of making them.
+twice, as duplicated curves give: the record's one `norms` call under the
+tree's own rule (`rule_us`, the figure to compare between trees), and with
+each cumulation forced by setting SIDE_BY_SIDE_MIN_ROW, every group by one
+np.add per row (`row_adds_us`) or by one np.cumsum (`cumsum_us`); groups
+hold as many rows as fit in BOOTSTRAP_BLOCK values, at least one. It covers
+a study's blocks (n=50, b = 128, 244 and 500, L = 1..3), rows of K * L * b
+values on either side of SIDE_BY_SIDE_MIN_ROW, blocks on either side of the
+BOOTSTRAP_BLOCK budget, one-row groups of one level at n = 100..400 with b
+as `test_flm` takes it at B=1000, and the tied blocks of a study and of
+`test_flm` at n = 200 and 500, B=1000. Values are medians over rounds of the
+mean microseconds per block. The kernel reuses its scratch array, so past
+the budget it times the work on arrays larger than the caches, not the page
+faults of making them.
 
 `wall_ms` is the median over ROUNDS rounds of the median of CALLS calls,
 the trees taking turns. With 3 of each, two trees whose norm stage timed
@@ -36,6 +38,7 @@ host; with 7 rounds of 15 calls, four runs of two trees that run the same
 Before/after runs over `--src [LABEL=]DIR` trees: see `_harness.py`.
 """
 
+import math
 import os
 import statistics
 import sys
@@ -56,8 +59,10 @@ SWEEP = (
     *((n, 1, width) for n in (50, 200, 400) for width in (32, 48, 64, 96, 128)
       if n * K * width <= 2**17),
     (800, 1, 32),
-    # past the budget of 2**17 values
+    # past the budget of 2**17 values for K rows; (200, 1, 654) and the last
+    # three are one-row groups of one level, as test_flm has them at B=1000
     (100, 2, 244), (200, 1, 654), (50, 5, 500),
+    (100, 1, 1000), (300, 1, 436), (400, 1, 326),
 )
 # tied (n, levels, width) blocks: a study's, and test_flm's at B=1000
 TIED_SWEEP = ((50, 2, 244), (200, 1, 654), (500, 1, 262))
@@ -110,28 +115,27 @@ def record_rows(rptest, sample):
     return {"record_rows": len(record.order), "distinct_rows": len(rows)}
 
 
-def kernels(rptest, projections, columns, kind):
-    """{"per_direction_us": call, "side_by_side_us": call}, each call giving
-    the norms of the K directions for the (n, L, b) `columns` through one
-    branch of the kernel."""
+def kernels(rptest, projections, columns, kind, rule):
+    """{"rule_us": call, "row_adds_us": call, "cumsum_us": call}, each call
+    giving the norms of the K directions for the (n, L, b) `columns`: under
+    the kernel's rule, whose SIDE_BY_SIDE_MIN_ROW is `rule`, and with every
+    group cumulated by row adds or by np.cumsum."""
     record = rptest._SortedProjections(projections)
-    row = len(projections) * columns[0].size
-    budget = rptest.BOOTSTRAP_BLOCK
 
-    def forced(min_row, block):
+    def forced(min_row):
         def call():
-            rptest.SIDE_BY_SIDE_MIN_ROW, rptest.BOOTSTRAP_BLOCK = min_row, block
+            rptest.SIDE_BY_SIDE_MIN_ROW = min_row
             return record.norms(columns, kind)
         return call
 
-    return {"per_direction_us": forced(row + 1, budget),
-            "side_by_side_us": forced(row, max(budget, len(columns) * row))}
+    return {"rule_us": forced(rule), "row_adds_us": forced(0),
+            "cumsum_us": forced(math.inf)}
 
 
 def sweep(rptest):
-    """{"n=50 L=2 b=128": {"ks_per_direction_us": .., ..}, ..}, tied blocks
-    keyed "n=.. L=.. b=.. tied"."""
-    bounds = rptest.SIDE_BY_SIDE_MIN_ROW, rptest.BOOTSTRAP_BLOCK
+    """{"n=50 L=2 b=128": {"ks_rule_us": .., ..}, ..}, tied blocks keyed
+    "n=.. L=.. b=.. tied"."""
+    rule = rptest.SIDE_BY_SIDE_MIN_ROW
     rows = {}
     blocks = [(*block, False) for block in SWEEP] + [(*block, True) for block in TIED_SWEEP]
     for n, levels, width, tied in blocks:
@@ -142,7 +146,7 @@ def sweep(rptest):
         columns = rng.standard_normal((n, levels, width))
         row = {"values": n * K * levels * width, "row": K * levels * width}
         for kind in ("cvm", "ks"):
-            calls = kernels(rptest, projections, columns, kind)
+            calls = kernels(rptest, projections, columns, kind, rule)
             times = {name: [] for name in calls}
             for _ in range(SWEEP_REPEATS):  # the kernels take turns
                 for name, kernel in calls.items():
@@ -154,7 +158,7 @@ def sweep(rptest):
             row.update({f"{kind}_{name}": statistics.median(values)
                         for name, values in times.items()})
         rows[f"n={n} L={levels} b={width}" + " tied" * tied] = row
-    rptest.SIDE_BY_SIDE_MIN_ROW, rptest.BOOTSTRAP_BLOCK = bounds
+    rptest.SIDE_BY_SIDE_MIN_ROW = rule
     return rows
 
 

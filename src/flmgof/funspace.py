@@ -106,8 +106,8 @@ def make_grid(points) -> Grid:
 
 def uniform_grid(num_points: int = 201) -> Grid:
     """Equidistant trapezoid grid on [0, 1]."""
-    if num_points < 2:
-        raise ValueError("num_points must be at least 2")
+    if not _is_integer(num_points) or num_points < 2:
+        raise ValueError(f"num_points must be an integer >= 2, got {num_points!r}")
     return make_grid(np.linspace(0.0, 1.0, num_points))
 
 

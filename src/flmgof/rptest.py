@@ -40,15 +40,15 @@ of its `norms` on (n, L, b) columns gives every direction's norms of a block;
 the observed norms of the L levels are one call on an (n, L, 1) array. The
 record keeps each distinct (order, weights) row once, as data-driven
 directions on one eigenfunction (j_n = 1) share a sort order for each sign,
-and its norms are indexed back to the K directions. When the d distinct
-rows, d * L * b values each, are wide enough and the block fits in
-BOOTSTRAP_BLOCK values, the rows are gathered side by side and cumulated with
-one np.add per row; otherwise each distinct row cumulates all L levels at
-once. Every column is still summed in row order, and one reduction
-serves both: each CvM norm is a gemv over exactly its level's b columns, so
-each level's report is its own `test_flm` call's, bit for bit. The record
-holds ties once, as row weights that are 0 inside a tie block: CvM weighs
-the squared sums with them, and KS sets those rows to 0 before its maximum.
+and its norms are indexed back to the K directions. The distinct rows are
+gathered side by side in groups that fit in BOOTSTRAP_BLOCK values, at least
+one row each, and a group is cumulated with one np.add per row when its rows
+are wide enough, and with one np.cumsum otherwise. Every column is still
+summed in row order, and one reduction serves both: each CvM norm is a gemv
+over exactly its level's b columns, so each level's report is its own
+`test_flm` call's, bit for bit. The record holds ties once, as row weights
+that are 0 inside a tie block: CvM weighs the squared sums with them, and KS
+sets those rows to 0 before its maximum.
 
 A Monte Carlo study reads a trial only as the decisions p_fdr < alpha, so a
 study trial may stop its bootstrap early (`_flm_reports`'s `stop_above`,
@@ -126,15 +126,12 @@ SAMPLER_VARIANTS = ("i", "ii", "iii")
 # were slower at n >= 4096 (too few replicates per kernel call) and larger
 # ones at n >= 512.
 BOOTSTRAP_BLOCK = 2**17
-# Narrowest row, K * L * b values, at which the K directions of a block of L
-# levels, b replicates each, are cumulated side by side
-# (`_SortedProjections.norms`), one np.add per row; the gathered
-# (n, K * L * b) array must also fit in BOOTSTRAP_BLOCK values. In the sweep
+# Narrowest row, g * L * b values, at which a group of g distinct rows of a
+# block of L levels, b replicates each, is cumulated with one np.add per row
+# rather than one np.cumsum (`_SortedProjections.norms`). In the sweep
 # (scripts/bench_norm_kernel.py, BENCH_stacked_trial.json) rows of 320 values
-# or more took 0.41-0.98 of the time of one kernel call per direction, rows
-# of 240 up to 1.11x and rows of 160 up to 1.50x (n=800). Past the budget the
-# gain shrank, and the gathered array, 5.2 MB at n=200, B=1000, raised peak
-# RSS by 8 MB or more.
+# or more took 0.41-0.98 of the time of one np.cumsum per direction, rows of
+# 240 up to 1.11x and rows of 160 up to 1.50x (n=800).
 SIDE_BY_SIDE_MIN_ROW = 320
 # Width of the first two blocks of a bootstrap that may stop early: at n=50,
 # K=5, B=500, about half the null trials of a study settle p_fdr >= 0.1 after
@@ -308,41 +305,37 @@ class _SortedProjections:
         `columns` in observation order: b mark vectors, one per column, for
         each of L levels.
 
-        The d distinct rows are scored and their (d, L, b) norms indexed back
-        to the k directions by `inverse`. Rows of d * L * b values, at least
-        SIDE_BY_SIDE_MIN_ROW and at most BOOTSTRAP_BLOCK in all, are gathered
-        side by side into this thread's scratch array and cumulated with one
-        np.add per row, since one np.cumsum per direction costs mostly its
-        fixed overhead on narrow blocks; otherwise each distinct row gathers
-        its own copy and cumulates it with one np.cumsum. Either way each
-        column is summed in row order and `_reduce` turns the sums into
-        norms, so every norm has the bits of its direction's own record and
-        of its level's own (n, 1, b) block.
+        The d distinct rows are gathered side by side into this thread's
+        scratch array in groups of as many rows as BOOTSTRAP_BLOCK values
+        hold, at least one. A group is cumulated with one contiguous np.add
+        per row where its rows hold SIDE_BY_SIDE_MIN_ROW values or more, and
+        otherwise with one np.cumsum, which walks each column by the row
+        stride but costs one call. Either way each column is summed in row
+        order and `_reduce` turns the sums into norms, indexed back to the k
+        directions by `inverse`, so every norm has the bits of its direction's
+        own record and of its level's own (n, 1, b) block.
         """
         n, count = self.n, len(self.order)
-        row = count * columns[0].size
-        if row >= SIDE_BY_SIDE_MIN_ROW and n * row <= BOOTSTRAP_BLOCK:
-            sums = _scratch((n, count, *columns.shape[1:]))
+        group = max(1, BOOTSTRAP_BLOCK // (n * columns[0].size))
+        norms = []
+        for first in range(0, count, group):
+            rows = slice(first, min(first + group, count))
+            sums = _scratch((n, rows.stop - first, *columns.shape[1:]))
             # row i of the index holds every direction's i-th observation;
             # mode="clip" writes straight to `sums`, "raise" would buffer a copy
-            np.take(columns, self.order.T, axis=0, out=sums, mode="clip")
-            row_views = list(sums.reshape(n, -1))  # made at once, faster than while iterating
-            for previous, row in zip(row_views, row_views[1:]):
-                np.add(previous, row, out=row)
-            return self._reduce(sums, slice(None), kind)[self.inverse]
-        norms = []
-        for k, order in enumerate(self.order):
-            # np.take copies whole rows, faster than fancy indexing on narrow ones
-            sums = np.take(columns, order, axis=0)[:, None]
-            rows = sums.reshape(n, -1)  # a view: every column of every level
-            if rows.shape[1] % 2 == 0:
+            np.take(columns, self.order[rows].T, axis=0, out=sums, mode="clip")
+            flat = sums.reshape(n, -1)  # a view: every column of every level
+            if flat.shape[1] >= SIDE_BY_SIDE_MIN_ROW:
+                row_views = list(flat)  # made at once, faster than while iterating
+                for previous, row in zip(row_views, row_views[1:]):
+                    np.add(previous, row, out=row)
+            else:
                 # a complex add is two independent float adds: the same bits
                 # as np.cumsum per column, with half the elements in numpy's
                 # accumulate loop
-                rows = rows.view(np.complex128)
-            np.cumsum(rows, axis=0, out=rows)
-            norms.append(self._reduce(sums, slice(k, k + 1), kind))
-            del sums, rows  # freed before the next direction gathers its copy
+                pairs = flat.view(np.complex128) if flat.shape[1] % 2 == 0 else flat
+                np.cumsum(pairs, axis=0, out=pairs)
+            norms.append(self._reduce(sums, rows, kind))
         return np.concatenate(norms)[self.inverse]
 
     def _reduce(self, sums, directions, kind):
@@ -367,19 +360,19 @@ class _SortedProjections:
         return _max_over_rows(sums) * self.scale
 
 
-# Per thread, the array the side-by-side kernel gathers into, reused by
-# every block
+# Per thread, the array the norm kernel gathers each group of rows into,
+# reused by every block
 _scratch_arrays = threading.local()
 
 
 def _scratch(shape):
     """A float array of `shape` in this thread's scratch buffer.
 
-    The buffer holds at least BOOTSTRAP_BLOCK values and lives as long as the
-    thread, so a side-by-side block, up to 1 MB, allocates and frees nothing.
-    Freeing arrays that large would also raise glibc's mmap threshold for the
-    rest of the process, which moves the cost of every later allocation in
-    it. Its contents last until the next call.
+    The buffer holds BOOTSTRAP_BLOCK values, or the largest one-row group past
+    that, and lives as long as the thread, so a group of rows allocates and
+    frees nothing. Freeing arrays that large would also raise glibc's mmap
+    threshold for the rest of the process, which moves the cost of every
+    later allocation in it. Its contents last until the next call.
     """
     size = math.prod(shape)
     buffer = getattr(_scratch_arrays, "gathered", None)

@@ -201,6 +201,7 @@ def integer_calls(value):
         "select_rank_sicc": lambda: select_rank_sicc(y, basis, max_rank=value),
         "estimate_rho": lambda: estimate_rho(y, basis, value),
         "deviation": lambda: deviation(value, sample.data[0], sample.grid),
+        "uniform_grid": lambda: uniform_grid(value),
     }
 
 

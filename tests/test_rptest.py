@@ -1306,16 +1306,60 @@ def side_by_side_case(n, directions, tied, seed):
 
 
 def norms_by_branch(record, columns, kind, monkeypatch):
-    """{branch: `record`'s norms of `columns`} with each branch of the
-    kernel forced by moving the bounds of its rule."""
-    row = len(record.order) * columns[0].size
+    """{branch: `record`'s norms of `columns`} with each cumulation of the
+    kernel forced, row adds and column cumsums, both on one group of every
+    distinct row and on one-row groups, by moving SIDE_BY_SIDE_MIN_ROW and
+    BOOTSTRAP_BLOCK to the borders of the rule."""
+    per_row = record.n * columns[0].size  # gathered values of one row
+    norms = {}
     with monkeypatch.context() as patch:
-        patch.setattr(rptest, "BOOTSTRAP_BLOCK", record.n * row)
-        patch.setattr(rptest, "SIDE_BY_SIDE_MIN_ROW", row)
-        side_by_side = record.norms(columns, kind)
-        patch.setattr(rptest, "SIDE_BY_SIDE_MIN_ROW", row + 1)
-        per_direction = record.norms(columns, kind)
-    return {"side_by_side": side_by_side, "per_direction": per_direction}
+        for groups, rows in ("whole", len(record.order)), ("one_row", 1):
+            patch.setattr(rptest, "BOOTSTRAP_BLOCK", rows * per_row)
+            width = rows * columns[0].size
+            patch.setattr(rptest, "SIDE_BY_SIDE_MIN_ROW", width)
+            norms[f"{groups}_row_adds"] = record.norms(columns, kind)
+            patch.setattr(rptest, "SIDE_BY_SIDE_MIN_ROW", width + 1)
+            norms[f"{groups}_cumsum"] = record.norms(columns, kind)
+    return norms
+
+
+class KernelCalls:
+    """Spies on the norm kernel: the shapes that `_scratch` hands out, the
+    (sums shape, slice) of each `_reduce` call and the number of np.cumsum
+    calls, which is the number of groups cumulated by column."""
+
+    def __init__(self, monkeypatch):
+        self.scratch, self.reduced, self.cumsums = [], [], 0
+        scratch, reduce, cumsum = rptest._scratch, _SortedProjections._reduce, np.cumsum
+
+        def scratch_spy(shape):
+            self.scratch.append(shape)
+            return scratch(shape)
+
+        def reduce_spy(record, sums, directions, kind):
+            self.reduced.append((sums.shape, directions))
+            return reduce(record, sums, directions, kind)
+
+        def cumsum_spy(*args, **kwargs):
+            self.cumsums += 1
+            return cumsum(*args, **kwargs)
+
+        monkeypatch.setattr(rptest, "_scratch", scratch_spy)
+        monkeypatch.setattr(_SortedProjections, "_reduce", reduce_spy)
+        monkeypatch.setattr(np, "cumsum", cumsum_spy)
+
+    def clear(self):
+        self.scratch, self.reduced, self.cumsums = [], [], 0
+
+    def assert_groups(self, n, shape, groups, cumsums):
+        """One gather into `_scratch` and one `_reduce` per group of the
+        consecutive sizes `groups`, each (n, size, *shape), and `cumsums`
+        of the groups cumulated by column."""
+        firsts = [sum(groups[:index]) for index in range(len(groups))]
+        assert self.scratch == [(n, size, *shape) for size in groups]
+        assert self.reduced == [((n, size, *shape), slice(first, first + size))
+                                for first, size in zip(firsts, groups)]
+        assert self.cumsums == cumsums
 
 
 def assert_equals_single_records(projections, columns, monkeypatch):
@@ -1382,35 +1426,29 @@ def test_records_of_many_directions_or_one_replicate(tied, n, K, shape, monkeypa
 
 
 def test_block_routine_stacks_within_the_row_width_and_the_budget(monkeypatch):
-    # the kernel gathers the d distinct rows of the K directions side by side,
-    # into this thread's scratch array, exactly where the gathered rows are
-    # SIDE_BY_SIDE_MIN_ROW wide or more and the array holds at most
-    # BOOTSTRAP_BLOCK values
-    calls = []
-    scratch = rptest._scratch
-
-    def recording(shape):
-        calls.append(shape)
-        return scratch(shape)
-
-    monkeypatch.setattr(rptest, "_scratch", recording)
+    # the kernel gathers the d distinct rows of the K directions side by side
+    # into this thread's scratch array, in groups of as many rows as fit in
+    # BOOTSTRAP_BLOCK values (at least one), and cumulates a group with one
+    # np.add per row exactly where its rows are SIDE_BY_SIDE_MIN_ROW wide or
+    # more; cases are (levels, width, group sizes, groups by np.cumsum)
+    calls = KernelCalls(monkeypatch)
     assert (rptest.SIDE_BY_SIDE_MIN_ROW, BOOTSTRAP_BLOCK) == (320, 2**17)
     cases = {
         # sampler "iii": K distinct rows. K=5, n=50: rows of 310 and 320
         # values; 131,000, 132,000, 96,000 and 183,000 gathered values
-        (5, 50, "iii", 5): [((0,), 62, False), ((0,), 64, True), ((0, 1), 262, True),
-                            ((0, 2), 264, False), ((0, 1, 2), 128, True),
-                            ((0, 1, 2), 244, False)],
+        (5, 50, "iii", 5): [((0,), 62, [5], 1), ((0,), 64, [5], 0),
+                            ((0, 1), 262, [5], 0), ((0, 2), 264, [4, 1], 0),
+                            ((0, 1, 2), 128, [5], 0), ((0, 1, 2), 244, [3, 2], 0)],
         # K=4, n=64: exactly 2**17 gathered values, and 512 more
-        (4, 64, "iii", 4): [((0,), 512, True), ((0,), 514, False)],
+        (4, 64, "iii", 4): [((0,), 512, [4], 0), ((0,), 514, [3, 1], 0)],
         # sampler "i" at j_n = 1: two distinct rows, one per sign. K=5,
-        # n=50: rows of 316 and 320 values; 130,800, 131,200, 130,800 and
-        # 131,400 gathered values
-        (5, 50, "i", 2): [((0,), 158, False), ((0,), 160, True), ((0, 1), 654, True),
-                          ((0, 2), 656, False), ((0, 1, 2), 436, True),
-                          ((0, 1, 2), 438, False)],
+        # n=50: rows of 316, 318 and 320 values; 130,800, 131,200, 130,800
+        # and 131,400 gathered values
+        (5, 50, "i", 2): [((0,), 158, [2], 1), ((0,), 159, [2], 1), ((0,), 160, [2], 0),
+                          ((0, 1), 654, [2], 0), ((0, 2), 656, [1, 1], 0),
+                          ((0, 1, 2), 436, [2], 0), ((0, 1, 2), 438, [1, 1], 0)],
         # K=4, n=64: exactly 2**17 gathered values, and 256 more
-        (4, 64, "i", 2): [((0,), 1024, True), ((0,), 1026, False)],
+        (4, 64, "i", 2): [((0,), 1024, [2], 0), ((0,), 1026, [1, 1], 0)],
     }
     for (K, n, sampler, distinct), blocks in cases.items():
         prepared = rptest._prepare(centered_bm_sample(n, num_points=31, seed=2),
@@ -1418,31 +1456,29 @@ def test_block_routine_stacks_within_the_row_width_and_the_budget(monkeypatch):
         assert len(prepared.directions.order) == distinct
         marks = list(philox(3).standard_normal((3, n)))
         observed = np.zeros((3, K))
-        for levels, width, expected in blocks:
+        for levels, width, groups, cumsums in blocks:
             calls.clear()
             counts = rptest._block_exceedances(prepared, marks, None, observed,
                                                list(levels), (0, width))
             assert counts.shape == (len(levels), K)
-            assert calls == ([(n, distinct, len(levels), width)] if expected else [])
-            row = distinct * len(levels) * width
-            assert expected == (row >= rptest.SIDE_BY_SIDE_MIN_ROW
-                                and n * row <= BOOTSTRAP_BLOCK)
+            calls.assert_groups(n, (len(levels), width), groups, cumsums)
     # the same rule for one vector and for one block of b columns, for a
-    # one-row record and for five directions that share one row
-    for projections, columns, expected in [
-        (side_by_side_case(409, 320, False, 0), np.zeros((409, 1, 1)), True),
-        (side_by_side_case(410, 320, False, 0), np.zeros((410, 1, 1)), False),
-        (side_by_side_case(50, 319, False, 0), np.zeros((50, 1, 1)), False),
-        (side_by_side_case(50, 5, False, 0), np.zeros((50, 1, 64)), True),
-        (side_by_side_case(50, 5, False, 0), np.zeros((50, 1, 62)), False),
-        (np.arange(50.0)[None], np.zeros((50, 1, 320)), True),
-        (np.arange(50.0)[None], np.zeros((50, 1, 319)), False),
-        (np.tile(np.arange(50.0), (5, 1)), np.zeros((50, 1, 64)), False),
-        (np.tile(np.arange(50.0), (5, 1)), np.zeros((50, 1, 320)), True),
+    # one-row record and for five directions that share one row: 130,880
+    # and 131,200 gathered values at 320 directions of one vector
+    for projections, columns, groups, cumsums in [
+        (side_by_side_case(409, 320, False, 0), np.zeros((409, 1, 1)), [320], 0),
+        (side_by_side_case(410, 320, False, 0), np.zeros((410, 1, 1)), [319, 1], 2),
+        (side_by_side_case(50, 319, False, 0), np.zeros((50, 1, 1)), [319], 1),
+        (side_by_side_case(50, 5, False, 0), np.zeros((50, 1, 64)), [5], 0),
+        (side_by_side_case(50, 5, False, 0), np.zeros((50, 1, 62)), [5], 1),
+        (np.arange(50.0)[None], np.zeros((50, 1, 320)), [1], 0),
+        (np.arange(50.0)[None], np.zeros((50, 1, 319)), [1], 1),
+        (np.tile(np.arange(50.0), (5, 1)), np.zeros((50, 1, 64)), [1], 1),
+        (np.tile(np.arange(50.0), (5, 1)), np.zeros((50, 1, 320)), [1], 0),
     ]:
         calls.clear()
         _SortedProjections(projections).norms(columns, "cvm")
-        assert (len(calls) == 1) == expected
+        calls.assert_groups(len(columns), columns.shape[1:], groups, cumsums)
 
 
 @pytest.mark.parametrize("tied", [False, True])
@@ -1461,25 +1497,54 @@ def test_repeated_rows_are_scored_once(tied, monkeypatch):
     assert_block_ends(record, projections)
     singles = [_SortedProjections(vector[None]) for vector in projections]
     columns = philox(12).standard_normal((n, 2, width))
-    reduced = []
-    reduce = _SortedProjections._reduce
-
-    def spy(self, sums, directions, kind):
-        reduced.append((sums.shape, directions))
-        return reduce(self, sums, directions, kind)
-
-    monkeypatch.setattr(_SortedProjections, "_reduce", spy)
+    calls = KernelCalls(monkeypatch)
     for kind in STAT_KINDS:
         expected = np.concatenate([single.norms(columns, kind) for single in singles])
-        reduced.clear()
+        calls.clear()
         branches = norms_by_branch(record, columns, kind, monkeypatch)
-        # each distinct row is gathered and cumulated once: side by side as
-        # one (n, 4, L, b) array, then once per row
-        assert reduced == [((n, 4, 2, width), slice(None))] + [
-            ((n, 1, 2, width), slice(k, k + 1)) for k in range(4)]
+        # each distinct row is gathered and cumulated once: as one
+        # (n, 4, L, b) group by row adds and by cumsum, then in one-row
+        # groups by row adds and by cumsum
+        whole = [((n, 4, 2, width), slice(0, 4))]
+        one_row = [((n, 1, 2, width), slice(k, k + 1)) for k in range(4)]
+        assert calls.reduced == 2 * whole + 2 * one_row
+        assert calls.cumsums == 1 + 4
+        assert list(branches) == ["whole_row_adds", "whole_cumsum",
+                                  "one_row_row_adds", "one_row_cumsum"]
         for norms in branches.values():
             assert norms.shape == (7, 2, width)
             assert np.array_equal(norms, expected)
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("n, levels, width, groups, cumsums", [
+    # two rows of 50 * 1,000 values per group of the 2**17 budget, every
+    # group by row adds
+    (50, 2, 500, [2, 2, 1], 0),
+    # two rows of 256 * 200 values per group: groups of 400-value rows by
+    # row adds, the last group's 200-value rows by cumsum
+    (256, 1, 200, [2, 2, 1], 1),
+    # one row's (n, L, b) block, 150,000 values, is over the budget on its own
+    (50, 3, 1000, [1] * 5, 0),
+])
+def test_a_partial_last_group_equals_one_row_records(tied, n, levels, width, groups,
+                                                    cumsums, monkeypatch):
+    projections = side_by_side_case(n, 5, tied, seed=n + width)
+    record = _SortedProjections(projections)
+    assert len(record.order) == 5
+    singles = [_SortedProjections(vector[None]) for vector in projections]
+    columns = philox(width).standard_normal((n, levels, width))
+    # a fresh thread-local buffer, so its growth past the budget shows
+    monkeypatch.setattr(rptest, "_scratch_arrays", rptest.threading.local())
+    calls = KernelCalls(monkeypatch)
+    for kind in STAT_KINDS:
+        expected = np.concatenate([single.norms(columns, kind) for single in singles])
+        calls.clear()
+        norms = record.norms(columns, kind)
+        calls.assert_groups(n, (levels, width), groups, cumsums)
+        assert np.array_equal(norms, expected)
+    # the buffer holds BOOTSTRAP_BLOCK values, or one row past the budget
+    assert rptest._scratch_arrays.gathered.size == max(BOOTSTRAP_BLOCK, n * levels * width)
 
 
 def test_data_driven_directions_on_one_eigenfunction_share_rows():
