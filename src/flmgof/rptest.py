@@ -88,9 +88,10 @@ import numpy as np
 from . import forking
 from .flm import _check_response, estimate_rho, select_rank_sicc
 from .fpc import FpcBasis
-# The FPC step of a test takes the test's own centered sample and also returns
-# A = X * sqrt(w), which the projections use; it keeps the public name, under
-# which perfbench/spans.py times it as `fpc.compute`.
+# The FPC step of a test takes the test's own centered sample and projects
+# the curves through A = X * sqrt(w) before the scores take A's buffer; it
+# keeps the public name, under which perfbench/spans.py times it as
+# `fpc.compute`.
 from .fpc import _compute_fpc as compute_fpc
 from .funspace import FunctionalSample, _is_integer, center
 from .processes import ornstein_uhlenbeck
@@ -546,19 +547,27 @@ def _prepare(X, settings):
     """Center the checked sample X, compute its FPC basis and project the
     curves on the K random directions of `settings`.
 
-    The FPC step leaves A = X * sqrt(w) in the centered curves' buffer, and
-    the projections come from A; that n x G array is freed on return, before
-    any bootstrap.
+    The FPC step forms A = X * sqrt(w) in the centered curves' buffer and
+    hands it to `_project` before any score is written. On the kernel path
+    (n > G) the scores then take over A's buffer, the test's one n x G
+    array, unless they fill at most half of it; otherwise A is freed on
+    return, before any bootstrap.
     """
-    basis, root_weighted = compute_fpc(center(X))
+    direction_rng, multiplier_rng = _streams(settings)
+    project = functools.partial(_project, settings, direction_rng)
+    basis, projections = compute_fpc(center(X), project)
+    return _Prepared(settings, basis, _SortedProjections(projections),
+                     _Stream(multiplier_rng, X.n))
+
+
+def _project(settings, rng, basis, root_weighted):
+    """The (K, n) projections of the curves on the K directions of `settings`,
+    each drawn from `rng` and read from A = X * sqrt(w) (`root_weighted`)."""
     # the largest curve norm, max_i ||X_i|| = max_i |A_i|
     curve_scale = np.sqrt(np.max(np.einsum("ij,ij->i", root_weighted, root_weighted)))
-    direction_rng, multiplier_rng = _streams(settings)
-    inputs = (curve_scale, root_weighted, basis, settings, direction_rng)
-    projections = [_draw_nondegenerate_direction(*inputs, draw)
-                   for draw in range(1, settings.K + 1)]
-    return _Prepared(settings, basis, _SortedProjections(np.array(projections)),
-                     _Stream(multiplier_rng, X.n))
+    inputs = (curve_scale, root_weighted, basis, settings, rng)
+    return np.array([_draw_nondegenerate_direction(*inputs, draw)
+                     for draw in range(1, settings.K + 1)])
 
 
 def _streams(settings):

@@ -3,7 +3,8 @@ import pytest
 
 from conftest import centered_bm_sample, inner_product, reconstruct
 from flmgof import FunctionalSample, center, compute_fpc, gen_process, uniform_grid
-from flmgof import rptest
+from flmgof import forking, fpc, rptest
+from flmgof import test_flm as flm_gof
 
 
 def philox(seed):
@@ -126,20 +127,93 @@ def test_compute_fpc_errors():
 
 def test_compute_fpc_centers_the_sample():
     # an uncentered sample gives, bit for bit, the basis of its centered copy
-    # as the test core computes it, on both the Gram and the kernel path; the
-    # test core's sample is left holding A = X * sqrt(w), the caller's as it was
+    # as the test core computes it, on both the Gram and the kernel path. The
+    # test core hands A = X * sqrt(w), read-only, to its projection step
+    # before any score is written; then the Gram path leaves A in its sample,
+    # while the kernel path writes the scores over A's buffer. The caller's
+    # sample stays as it was.
     for n, num_points, seed in ((30, 41, 12), (60, 21, 13)):
         raw = gen_process("bm", n, uniform_grid(num_points), philox(seed))
         bits = raw.data.tobytes()
         centered = center(raw)
         product = centered.data * np.sqrt(centered.grid.weights)
-        reference, root_weighted = rptest.compute_fpc(centered)
-        assert centered.data is root_weighted
-        assert np.array_equal(root_weighted, product)
+        seen = []
+
+        def project(basis, root_weighted):
+            seen.append((root_weighted.copy(), root_weighted.flags.writeable))
+            return "projections"
+
+        reference, projections = rptest.compute_fpc(centered, project)
+        assert projections == "projections"
+        [(root_weighted, writeable)] = seen
+        assert np.array_equal(root_weighted, product) and not writeable
+        if n <= num_points:
+            assert np.array_equal(centered.data, product)
+            assert not np.shares_memory(reference.scores, centered.data)
+        else:
+            assert np.shares_memory(reference.scores, centered.data)
+            assert reference.scores.flags.c_contiguous
         basis = compute_fpc(raw)
         for name in ("eigenvalues", "eigenfunctions", "scores"):
             assert np.array_equal(getattr(basis, name), getattr(reference, name))
         assert raw.data.tobytes() == bits
+
+
+def one_product_scores(raw, m):
+    """The kernel-path scores of `raw` as one product over all rows: (A u_j)
+    times the sign that makes e_j's largest-magnitude value positive."""
+    sqrt_w = np.sqrt(raw.grid.weights)
+    root_weighted = center(raw).data * sqrt_w
+    vals, vecs = np.linalg.eigh((root_weighted.T @ root_weighted) / raw.n)
+    vecs = vecs[:, np.argsort(vals)[::-1][:m]]
+    unit = vecs / sqrt_w[:, None]
+    flip = np.sign(unit[np.argmax(np.abs(unit), axis=0), np.arange(m)])
+    return (root_weighted @ vecs) * flip
+
+
+@pytest.mark.parametrize(
+    "threads, kind", [(1, "bm"), (2, "bm"), (1, "hhn1"), (2, "hhn1"), (1, "ou")]
+)
+def test_block_written_scores_are_one_product(threads, kind, monkeypatch):
+    # the kernel path writes the scores over A's buffer in row blocks, each
+    # one product into a scratch block; every block gives the bits of one
+    # product over all rows, at one block (n = G + 1), around a block
+    # boundary, with a short tail and at n = 8192, and a test's own basis is
+    # the public one. ou curves at m = G = 201 are checked on one thread only:
+    # on two, OpenBLAS splits one product over all rows into four runs, and
+    # the last score column of a few rows rounds otherwise in blocks.
+    bases = []
+    make_basis = rptest.compute_fpc
+
+    def recording(sample, project):
+        basis, projections = make_basis(sample, project)
+        bases.append(basis)
+        return basis, projections
+
+    monkeypatch.setattr(rptest, "compute_fpc", recording)
+    before = forking._set_blas_threads(threads)
+    try:
+        for num_points in (21, 51, 201):
+            grid = uniform_grid(num_points)
+
+            def curves(n):
+                return gen_process(kind, n, grid, philox(n + num_points))
+
+            m = compute_fpc(curves(num_points + 1)).m
+            rows = fpc._score_rows(m, num_points)
+            sizes = {num_points + 1, rows - 1, rows + 1, 2 * rows - 1, 2 * rows,
+                     2 * rows + 1, 3 * rows + 5, 8192}
+            for n in sorted(size for size in sizes if size > num_points):
+                raw = curves(n)
+                basis = compute_fpc(raw)
+                assert basis.m == m
+                assert np.array_equal(basis.scores, one_product_scores(raw, m))
+                y = raw.data @ grid.weights + philox(n).standard_normal(n)
+                flm_gof(raw, y, K=2, B=10, seed=0)
+                for name in ("eigenvalues", "eigenfunctions", "scores"):
+                    assert np.array_equal(getattr(bases[-1], name), getattr(basis, name))
+    finally:
+        forking._set_blas_threads(before)
 
 
 @pytest.mark.parametrize("kind", ["ou", "bm"])

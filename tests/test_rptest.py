@@ -574,10 +574,10 @@ def test_a_basis_holds_only_its_fields(monkeypatch):
     bases = []
     make_basis = rptest.compute_fpc
 
-    def recording(sample):
-        basis, root_weighted = make_basis(sample)
+    def recording(sample, projection_step):
+        basis, projections = make_basis(sample, projection_step)
         bases.append(basis)
-        return basis, root_weighted
+        return basis, projections
 
     monkeypatch.setattr(rptest, "compute_fpc", recording)
     sample, y = noisy_case(seed=37)
@@ -588,9 +588,9 @@ def test_a_basis_holds_only_its_fields(monkeypatch):
 
 
 def direction_inputs(sample):
-    """The basis of a test on `sample`, its largest curve norm and the
-    A = X * sqrt(w) it projects with."""
-    basis, root_weighted = rptest.compute_fpc(center(sample))
+    """The basis of a test on `sample`, its largest curve norm and a copy of
+    the A = X * sqrt(w) it projects with, taken before the scores are written."""
+    basis, root_weighted = rptest.compute_fpc(center(sample), lambda _, A: A.copy())
     curve_scale = np.sqrt(np.max(np.sum(root_weighted**2, axis=1)))
     return basis, curve_scale, root_weighted
 
@@ -604,18 +604,23 @@ def ordered_eigh(matrix, m):
 
 def test_one_weighted_product_gives_scores_and_projections(monkeypatch):
     # A = X * sqrt(w) of the centered curves gives the covariance, the scores
-    # (in closed form on the n <= G Gram path, A u_j on the G x G kernel path)
-    # and the projections A (sqrt(w) h)
-    products, directions, projections, scales = [], [], [], []
+    # (in closed form on the n <= G Gram path, A u_j on the G x G kernel path,
+    # written over A's buffer once the curves are projected) and the
+    # projections A (sqrt(w) h)
+    products, bases, directions, projections, scales = [], [], [], [], []
     make_basis, draw, sampler = (
         rptest.compute_fpc, rptest._draw_nondegenerate_direction,
         rptest.sample_direction_datadriven,
     )
 
-    def recording_basis(sample):
-        basis, root_weighted = make_basis(sample)
-        products.append(weakref.ref(root_weighted))
-        return basis, root_weighted
+    def recording_basis(sample, projection_step):
+        def recording_step(basis, root_weighted):
+            products.append(weakref.ref(root_weighted))
+            return projection_step(basis, root_weighted)
+
+        basis, projected = make_basis(sample, recording_step)
+        bases.append(basis)
+        return basis, projected
 
     def recording_draw(*args, **kwargs):
         scales.append(args[0])
@@ -627,33 +632,46 @@ def test_one_weighted_product_gives_scores_and_projections(monkeypatch):
         return directions[-1]
 
     def multipliers(*args):
-        assert products[-1]() is None
+        # A is freed before the first multiplier draw, unless the kernel
+        # path wrote the scores over its buffer, as it does where they fill
+        # more than half of it
+        root_weighted, basis = products[-1](), bases[-1]
+        if basis.n > basis.grid.points.size and 2 * basis.m > basis.grid.points.size:
+            assert np.shares_memory(root_weighted, basis.scores)
+        else:
+            assert root_weighted is None
         return golden_multipliers(*args)
 
-    for n, num_points in ((30, 41), (60, 21)):
-        raw = gen_process("bm", n, uniform_grid(num_points), philox(4))
+    for process, n, num_points in (("bm", 30, 41), ("bm", 60, 21), ("hhn1", 60, 51)):
+        raw = gen_process(process, n, uniform_grid(num_points), philox(4))
         attributes, bits = dict(vars(raw)), raw.data.tobytes()
         sqrt_w = np.sqrt(raw.grid.weights)
         product = center(raw).data * sqrt_w
-        basis, root_weighted = make_basis(center(raw))
+        seen = []
+        centered = center(raw)
+        basis, _ = make_basis(centered, lambda _, A: seen.append(A.copy()))
+        [root_weighted] = seen
         assert np.array_equal(root_weighted, product)
-        assert not root_weighted.flags.writeable
+        assert not centered.data.flags.writeable
         if n <= num_points:
             vals, vecs = ordered_eigh((product @ product.T) / n, basis.m)
             expected = np.abs(vecs) * np.sqrt(n * vals)
+            assert np.array_equal(centered.data, product)
         else:
             vals, vecs = ordered_eigh((product.T @ product) / n, basis.m)
             expected = np.abs(product @ vecs)
+            shared = np.shares_memory(basis.scores, centered.data)
+            assert shared == (2 * basis.m > num_points)
         assert np.array_equal(basis.eigenvalues, vals)
         assert np.array_equal(np.abs(basis.scores), expected)
         public = compute_fpc(raw)
         for name in ("eigenvalues", "eigenfunctions", "scores"):
             assert np.array_equal(getattr(public, name), getattr(basis, name))
 
-        # each test's A gives its largest curve norm and its projections and
-        # is gone before its first multiplier block is drawn; nothing is left
-        # on the caller's sample
-        for recorded in (products, directions, projections, scales):
+        # each test's A gives its largest curve norm and its projections
+        # before its scores are written, and is gone or holds the scores by
+        # its first multiplier block; nothing is left on the caller's sample
+        for recorded in (products, bases, directions, projections, scales):
             recorded.clear()
         with monkeypatch.context() as patch:
             patch.setattr(rptest, "compute_fpc", recording_basis)
@@ -664,7 +682,11 @@ def test_one_weighted_product_gives_scores_and_projections(monkeypatch):
             for sampler_name in ("i", "iii"):
                 flm_gof(raw, y, K=2, B=20, sampler=sampler_name, seed=0)
                 simple_gof(raw, y, K=2, B=20, sampler=sampler_name, seed=0)
-        assert len(products) == 4 and len(directions) == len(projections) == 8
+        assert len(products) == len(bases) == 4
+        assert len(directions) == len(projections) == 8
+        for recorded in bases:
+            for name in ("eigenvalues", "eigenfunctions", "scores"):
+                assert np.array_equal(getattr(recorded, name), getattr(basis, name))
         largest = np.sqrt(np.max(np.sum(center(raw).data ** 2 * raw.grid.weights, axis=1)))
         assert len(scales) == 8
         assert np.allclose(scales, largest, rtol=1e-14, atol=0.0)
@@ -705,20 +727,23 @@ def test_identical_curves_tie_exactly(gof, sampler, monkeypatch):
 
 
 def test_working_set_of_a_large_test():
-    # Before its first bootstrap block a test holds A = X * sqrt(w) and the
-    # scores, at most about two n x G arrays beyond its input: the fresh
-    # arrays are frozen in place, not copied, and A is formed in the centered
-    # curves' buffer.
+    # On the kernel path a test holds one n x G array beyond its input:
+    # A = X * sqrt(w) is formed in the centered curves' buffer, the curves
+    # are projected from it, and the scores are then written over it in row
+    # blocks through one scratch block. The fresh arrays are frozen in place,
+    # not copied, and the bootstrap streams blocks of BOOTSTRAP_BLOCK values.
     n, grid = 8192, uniform_grid(201)
     sample = gen_process("bm", n, grid, philox(8))
-    y = sample.data @ grid.weights + philox(9).standard_normal(n)
-    tracemalloc.start()
-    try:
-        flm_gof(sample, y, K=2, B=50, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.3 * sample.data.nbytes
+    m0 = sample.data @ grid.weights
+    y = m0 + philox(9).standard_normal(n)
+    for gof, extra in ((flm_gof, {}), (simple_gof, {"m0": m0})):
+        tracemalloc.start()
+        try:
+            gof(sample, y, K=2, B=50, seed=0, **extra)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.35 * sample.data.nbytes, gof
 
 
 def test_inputs_stay_as_they_were():
