@@ -18,8 +18,9 @@ run the multi-response, early-stopping kernel. It calls the private entry
 Every tree is compared with the first. For each test and for untied and
 duplicated samples apart, the report gives the number of reports, how many
 are byte-identical (sorted-key JSON), how many have equal rank, p-values and
-p_fdr, the largest relative change of a statistic, overall and per n, and
-the sample sizes at which a rank, a p-value or p_fdr moved. A digest of
+p_fdr, the largest relative change of a statistic, overall and per grid size
+and sample size ("G/n", so the Gram path, n <= G, and the kernel path show
+apart), and the "G/n" cells at which a rank, a p-value or p_fdr moved. A digest of
 every input is compared too (`inputs_equal`), so a tree whose `gen_process`
 draws other curves shows.
 
@@ -112,13 +113,14 @@ def compare(reference, other):
             if case.endswith("/" + test) and case.split("/")[3] == sample_kind
         ]
         identical = decisions = 0
-        changes, decisions_moved = dict.fromkeys(SIZES, 0.0), set()
+        cells = [f"{num_points}/{n}" for num_points in GRIDS for n in SIZES]
+        changes, decisions_moved = dict.fromkeys(cells, 0.0), set()
         for case in cases:
             if reference[case] == other[case]:
                 identical += 1
                 decisions += 1
                 continue
-            n = int(case.split("/")[1])
+            cell = "/".join(case.split("/")[:2])
             old, new = json.loads(reference[case]), json.loads(other[case])
             old_rows, new_rows = old["per_projection"], new["per_projection"]
             same = (
@@ -128,17 +130,18 @@ def compare(reference, other):
             )
             decisions += same
             if not same:
-                decisions_moved.add(n)
+                decisions_moved.add(cell)
             for a, b in zip(old_rows, new_rows):
                 change = abs(b["statistic"] - a["statistic"]) / abs(a["statistic"])
-                changes[n] = max(changes[n], change)
+                changes[cell] = max(changes[cell], change)
         summary[f"{test}/{sample_kind}"] = {
             "reports": len(cases),
             "byte_identical": identical,
             "equal_rank_pvalues_p_fdr": decisions,
             "largest_relative_statistic_change": max(changes.values()),
-            "largest_relative_statistic_change_by_n": changes,
-            "rank_pvalues_or_p_fdr_moved_at_n": sorted(decisions_moved),
+            "largest_relative_statistic_change_by_grid_and_n": changes,
+            "rank_pvalues_or_p_fdr_moved_at_grid_and_n": sorted(
+                decisions_moved, key=cells.index),
         }
     return summary
 

@@ -68,6 +68,15 @@ def _check_response(y, n):
     return arr
 
 
+def _check_rank(rank, m):
+    """Refuse a rank that is not an integer in [1, m], m a basis's components."""
+    if not _is_integer(rank) or not 1 <= rank <= m:
+        raise ValueError(
+            f"rank must be an integer in [1, {m}], the components the basis "
+            f"retains with positive eigenvalues, got {rank!r}"
+        )
+
+
 def estimate_rho(y, basis: FpcBasis, rank: int) -> FlmFit:
     """Fit the functional linear model at the requested rank.
 
@@ -77,11 +86,7 @@ def estimate_rho(y, basis: FpcBasis, rank: int) -> FlmFit:
     """
     n = basis.n
     y = _check_response(y, n)
-    if not _is_integer(rank) or not 1 <= rank <= basis.m:
-        raise ValueError(
-            f"rank must be an integer in [1, {basis.m}], the components the basis "
-            f"retains with positive eigenvalues, got {rank!r}"
-        )
+    _check_rank(rank, basis.m)
     scores = basis.scores[:, :rank]
     lam = basis.eigenvalues[:rank]
     coef = (scores.T @ y) / (n * lam)
@@ -118,14 +123,21 @@ def select_rank_sicc(y, basis: FpcBasis, max_rank: int):
     if n <= max_rank + 2:
         raise ValueError("SICc needs n > max_rank + 2")
 
-    scores = basis.scores[:, :max_rank]
-    lam = basis.eigenvalues[:max_rank]
-    d = np.arange(1, max_rank + 1, dtype=float)
+    # an overflowed y makes the products inf or NaN, which the criterion refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = basis.scores[:, :max_rank].T @ y
+    return _select_rank_sicc(products, y, basis.eigenvalues[:max_rank])
+
+
+def _select_rank_sicc(products, y, eigenvalues):
+    """`select_rank_sicc` of the centered response y from its inner products
+    <S_j, y> with the max_rank leading score columns and their eigenvalues;
+    the caller checks max_rank."""
+    n, d = y.size, np.arange(1, products.size + 1, dtype=float)
     # an overflowed y.y makes every RSS inf or NaN, and argmin would then
     # pick a rank from NaN; that is refused below instead
     with np.errstate(over="ignore", invalid="ignore"):
-        projections = scores.T @ y
-        explained = np.cumsum(projections**2 / (n * lam))
+        explained = np.cumsum(products**2 / (n * eigenvalues))
         total = float(y @ y)
         rss = np.maximum(total - explained, 0.0)
         rss = np.maximum(rss, _RSS_RELATIVE_FLOOR * max(total, 1.0))

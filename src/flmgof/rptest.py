@@ -86,12 +86,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forking
-from .flm import _check_response, estimate_rho, select_rank_sicc
-from .fpc import FpcBasis
-# The FPC step of a test takes the test's own centered sample and projects
-# the curves through A = X * sqrt(w) before the scores take A's buffer; it
-# keeps the public name, under which perfbench/spans.py times it as
+from .flm import _check_rank, _check_response, estimate_rho
+# The SICc of a test reads the inner products of the response with the score
+# columns, and the FPC step of a test takes the test's own centered sample and
+# what it reads of A = X * sqrt(w) before its basis is trimmed; both keep the
+# public names, under which perfbench/spans.py times them as `flm.sicc` and
 # `fpc.compute`.
+from .flm import _select_rank_sicc as select_rank_sicc
+from .fpc import FpcBasis
 from .fpc import _compute_fpc as compute_fpc
 from .funspace import FunctionalSample, _is_integer, center
 from .processes import ornstein_uhlenbeck
@@ -523,14 +525,15 @@ class _Stream:
 
 @dataclass(frozen=True)
 class _Prepared:
-    """What a test computes from its sample and settings alone: the FPC
-    basis, the sorted layouts of the K directions and the multiplier stream
-    of its bootstrap."""
+    """What a test computes before its bootstrap: the FPC basis, trimmed to
+    the score columns its fits read, the sorted layouts of the K directions,
+    the multiplier stream of its bootstrap, and the rank of each response."""
 
     settings: _Settings
     basis: FpcBasis
     directions: _SortedProjections
     stream: _Stream
+    ranks: list
 
 
 def _check_data(X, responses):
@@ -543,31 +546,48 @@ def _check_data(X, responses):
     return np.stack([_check_response(y, X.n) for y in responses])
 
 
-def _prepare(X, settings):
-    """Center the checked sample X, compute its FPC basis and project the
-    curves on the K random directions of `settings`.
+def _prepare(X, settings, responses=(), rank=None):
+    """Center the checked sample X and compute its FPC basis, reading from
+    A = X * sqrt(w) the projections of the curves on the K random directions
+    of `settings` and the rank of each centered response (`_read_curves`).
 
-    The FPC step forms A = X * sqrt(w) in the centered curves' buffer and
-    hands it to `_project` before any score is written. On the kernel path
-    (n > G) the scores then take over A's buffer, the test's one n x G
-    array, unless they fill at most half of it; otherwise A is freed on
-    return, before any bootstrap.
+    A is formed in the centered curves' buffer, and on the kernel path
+    (n > G) it is the test's one n x G array; it is freed on return, before
+    any bootstrap.
     """
     direction_rng, multiplier_rng = _streams(settings)
-    project = functools.partial(_project, settings, direction_rng)
-    basis, projections = compute_fpc(center(X), project)
+    read = functools.partial(_read_curves, settings, direction_rng, responses, rank)
+    basis, (projections, ranks) = compute_fpc(center(X), read)
     return _Prepared(settings, basis, _SortedProjections(projections),
-                     _Stream(multiplier_rng, X.n))
+                     _Stream(multiplier_rng, X.n), ranks)
 
 
-def _project(settings, rng, basis, root_weighted):
-    """The (K, n) projections of the curves on the K directions of `settings`,
-    each drawn from `rng` and read from A = X * sqrt(w) (`root_weighted`)."""
+def _read_curves(settings, rng, responses, rank, basis, root_weighted, unit):
+    """What a test reads of A = X * sqrt(w) (`root_weighted`) before its basis
+    is trimmed: the (K, n) projections of the curves on the K directions of
+    `settings`, each drawn from `rng` on every component of `basis`, and the
+    rank of each centered response, `rank` or the SICc choice from
+    <S_j, y> = u_j . (A^T y), `unit` holding the u_j. Returns
+    (k, (projections, ranks)), k the largest rank: the score columns the
+    fits read.
+    """
     # the largest curve norm, max_i ||X_i|| = max_i |A_i|
     curve_scale = np.sqrt(np.max(np.einsum("ij,ij->i", root_weighted, root_weighted)))
     inputs = (curve_scale, root_weighted, basis, settings, rng)
-    return np.array([_draw_nondegenerate_direction(*inputs, draw)
-                     for draw in range(1, settings.K + 1)])
+    projections = np.array([_draw_nondegenerate_direction(*inputs, draw)
+                            for draw in range(1, settings.K + 1)])
+    if rank is not None:
+        _check_rank(rank, basis.m)
+        ranks = [int(rank)] * len(responses)
+    else:
+        max_rank = min(basis.m, basis.n - 3)
+        if len(responses) and max_rank < 1:
+            raise ValueError("too few observations to select a rank; pass rank=")
+        # an overflowed y leaves inf or NaN, which SICc refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            ranks = [select_rank_sicc(unit[:, :max_rank].T @ (root_weighted.T @ y), y,
+                                      basis.eigenvalues[:max_rank])[0] for y in responses]
+    return max(ranks, default=0), (projections, ranks)
 
 
 def _streams(settings):
@@ -724,18 +744,10 @@ def _flm_reports(X, responses, settings, rank=None, stop_above=None):
     of the p-values, with p_fdr at least `stop_above`. A report whose p_fdr
     is below it equals the report without it.
     """
-    responses = _check_data(X, responses)
-    prepared = _prepare(X, settings)
-    basis = prepared.basis
-    if rank is None:
-        max_rank = min(basis.m, basis.n - 3)
-        if max_rank < 1:
-            raise ValueError("too few observations to select a rank; pass rank=")
-    fits = []
-    for response in responses:
-        y_centered = response - response.mean()
-        level_rank = select_rank_sicc(y_centered, basis, max_rank)[0] if rank is None else rank
-        fits.append(estimate_rho(y_centered, basis, int(level_rank)))
+    centered = [response - response.mean() for response in _check_data(X, responses)]
+    prepared = _prepare(X, settings, centered, rank)
+    fits = [estimate_rho(y, prepared.basis, level_rank)
+            for y, level_rank in zip(centered, prepared.ranks)]
     return _projection_test(prepared, [fit.residuals for fit in fits], fits, stop_above)
 
 

@@ -373,12 +373,14 @@ def test_degenerate_directions_exit_code(dataset, monkeypatch, capsys):
 # sha256 of stdout for fixed inputs, recorded before the CLI tables went
 # through one writer; the bench digest covers its header and p_fdr column only,
 # since its seconds vary. The `--null flm` digests moved when the scores and
-# projections came from X * sqrt(w): two statistics changed in their last
-# digits, the p-values did not. The `simulate` digests moved when a study trial
-# came to be keyed by (seed, scenario, n, trial), without the deviation level
+# projections came from X * sqrt(w), and again when a test came to keep only
+# the score columns its fit reads, each one matrix-vector product: the
+# statistics changed in their last digits, the p-values did not. The
+# `simulate` digests moved when a study trial came to be keyed by (seed,
+# scenario, n, trial), without the deviation level
 GOLDEN_DIGESTS = {
-    ("test", "flm", "json"): "e94db9edd71fc13301fca6d3af37e2f630e2a82789777c5f466917b066612204",
-    ("test", "flm", "csv"): "2d5a71f6da3708a3c2cdf4c03260e0c9ec51ec0372a911e0c6b3386a159c59f3",
+    ("test", "flm", "json"): "ace0c1bcb8dff044ccb0c54cd0dd0998e77cf46eabde627e90bf94caec51e9e9",
+    ("test", "flm", "csv"): "9151244cec6d3268969cd73a3f445ab5b43d611bb6a2d2930b79e2b55903a3b5",
     ("test", "simple", "json"): "8a9581dbec6c333e93e8a836dddee4106fca504733c5ff6b5d61bb5f16bb3b7c",
     ("test", "simple", "csv"): "c1fef357f937f8fae40e22fd75bae6029220e4d4322fb03815a1bf4628a0ee40",
     ("simulate", "json"): "5eaa699332bba5268b79ce052ef15a605211a026ce9cda971d1be1ff82787c73",

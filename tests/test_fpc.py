@@ -3,8 +3,7 @@ import pytest
 
 from conftest import centered_bm_sample, inner_product, reconstruct
 from flmgof import FunctionalSample, center, compute_fpc, gen_process, uniform_grid
-from flmgof import forking, fpc, rptest
-from flmgof import test_flm as flm_gof
+from flmgof import forking, rptest
 
 
 def philox(seed):
@@ -128,34 +127,41 @@ def test_compute_fpc_errors():
 def test_compute_fpc_centers_the_sample():
     # an uncentered sample gives, bit for bit, the basis of its centered copy
     # as the test core computes it, on both the Gram and the kernel path. The
-    # test core hands A = X * sqrt(w), read-only, to its projection step
-    # before any score is written; then the Gram path leaves A in its sample,
-    # while the kernel path writes the scores over A's buffer. The caller's
-    # sample stays as it was.
+    # test core hands its reader the basis of every component without score
+    # columns, A = X * sqrt(w), read-only, and the unit eigenvectors
+    # U = sqrt(w) E^T, and keeps the k leading components the reader asks
+    # for. Its sample still holds A, and the caller's stays as it was.
     for n, num_points, seed in ((30, 41, 12), (60, 21, 13)):
         raw = gen_process("bm", n, uniform_grid(num_points), philox(seed))
         bits = raw.data.tobytes()
+        basis = compute_fpc(raw)
         centered = center(raw)
-        product = centered.data * np.sqrt(centered.grid.weights)
+        sqrt_w = np.sqrt(centered.grid.weights)
+        product = centered.data * sqrt_w
         seen = []
 
-        def project(basis, root_weighted):
-            seen.append((root_weighted.copy(), root_weighted.flags.writeable))
-            return "projections"
+        def read(full, root_weighted, unit):
+            seen.append((full, root_weighted.copy(), root_weighted.flags.writeable, unit))
+            return 3, "result"
 
-        reference, projections = rptest.compute_fpc(centered, project)
-        assert projections == "projections"
-        [(root_weighted, writeable)] = seen
+        trimmed, result = rptest.compute_fpc(centered, read)
+        assert result == "result"
+        [(full, root_weighted, writeable, unit)] = seen
         assert np.array_equal(root_weighted, product) and not writeable
+        assert np.array_equal(centered.data, product)
+        assert full.n == n and full.scores.shape == (n, 0)
+        assert np.array_equal(unit / sqrt_w[:, None], basis.eigenfunctions.T)
+        assert trimmed.m == 3 and trimmed.scores.shape == (n, 3)
+        for name in ("eigenvalues", "eigenfunctions"):
+            assert np.array_equal(getattr(full, name), getattr(basis, name))
+            assert np.array_equal(getattr(trimmed, name), getattr(basis, name)[:3])
         if n <= num_points:
-            assert np.array_equal(centered.data, product)
-            assert not np.shares_memory(reference.scores, centered.data)
+            assert np.array_equal(trimmed.scores, basis.scores[:, :3])
         else:
-            assert np.shares_memory(reference.scores, centered.data)
-            assert reference.scores.flags.c_contiguous
-        basis = compute_fpc(raw)
-        for name in ("eigenvalues", "eigenfunctions", "scores"):
-            assert np.array_equal(getattr(basis, name), getattr(reference, name))
+            # row j of a (k, n) array holds score column j
+            assert trimmed.scores.T.flags.c_contiguous
+            for j in range(3):
+                assert np.array_equal(trimmed.scores[:, j], product @ unit[:, j])
         assert raw.data.tobytes() == bits
 
 
@@ -171,47 +177,33 @@ def one_product_scores(raw, m):
     return (root_weighted @ vecs) * flip
 
 
+def leading_columns(raw, k):
+    """The basis a test keeps of `raw` when its fits read k score columns."""
+    return rptest.compute_fpc(center(raw), lambda basis, A, U: (k, None))[0]
+
+
 @pytest.mark.parametrize(
-    "threads, kind", [(1, "bm"), (2, "bm"), (1, "hhn1"), (2, "hhn1"), (1, "ou")]
+    "threads, kind",
+    [(1, "bm"), (2, "bm"), (1, "hhn1"), (2, "hhn1"), (1, "ou"), (2, "ou")],
 )
-def test_block_written_scores_are_one_product(threads, kind, monkeypatch):
-    # the kernel path writes the scores over A's buffer in row blocks, each
-    # one product into a scratch block; every block gives the bits of one
-    # product over all rows, at one block (n = G + 1), around a block
-    # boundary, with a short tail and at n = 8192, and a test's own basis is
-    # the public one. ou curves at m = G = 201 are checked on one thread only:
-    # on two, OpenBLAS splits one product over all rows into four runs, and
-    # the last score column of a few rows rounds otherwise in blocks.
-    bases = []
-    make_basis = rptest.compute_fpc
-
-    def recording(sample, project):
-        basis, projections = make_basis(sample, project)
-        bases.append(basis)
-        return basis, projections
-
-    monkeypatch.setattr(rptest, "compute_fpc", recording)
+def test_kernel_path_scores_are_one_product(threads, kind):
+    # on the kernel path the public scores are one product A U, on one BLAS
+    # thread and on two. A test keeps k leading columns, each one product
+    # A u_j, so a column has the same bits whatever k is, and it matches the
+    # public column to rounding, which scales with the curves' norms |A_i|,
+    # not with the column's own spread
     before = forking._set_blas_threads(threads)
     try:
         for num_points in (21, 51, 201):
             grid = uniform_grid(num_points)
-
-            def curves(n):
-                return gen_process(kind, n, grid, philox(n + num_points))
-
-            m = compute_fpc(curves(num_points + 1)).m
-            rows = fpc._score_rows(m, num_points)
-            sizes = {num_points + 1, rows - 1, rows + 1, 2 * rows - 1, 2 * rows,
-                     2 * rows + 1, 3 * rows + 5, 8192}
-            for n in sorted(size for size in sizes if size > num_points):
-                raw = curves(n)
+            for n in (num_points + 1, 3 * num_points + 5, 8192):
+                raw = gen_process(kind, n, grid, philox(n + num_points))
                 basis = compute_fpc(raw)
-                assert basis.m == m
-                assert np.array_equal(basis.scores, one_product_scores(raw, m))
-                y = raw.data @ grid.weights + philox(n).standard_normal(n)
-                flm_gof(raw, y, K=2, B=10, seed=0)
-                for name in ("eigenvalues", "eigenfunctions", "scores"):
-                    assert np.array_equal(getattr(bases[-1], name), getattr(basis, name))
+                assert np.array_equal(basis.scores, one_product_scores(raw, basis.m))
+                every, first = leading_columns(raw, basis.m), leading_columns(raw, 1)
+                assert np.array_equal(first.scores, every.scores[:, :1])
+                error = np.max(np.abs(every.scores - basis.scores))
+                assert error <= 1e-14 * np.max(np.abs(basis.scores))
     finally:
         forking._set_blas_threads(before)
 

@@ -571,26 +571,40 @@ def test_sampler_iii_draws_as_before():
 
 
 def test_a_basis_holds_only_its_fields(monkeypatch):
+    # a test's basis keeps the score columns its fits read: as many as the
+    # chosen rank under the composite null, none under the simple null
     bases = []
     make_basis = rptest.compute_fpc
 
-    def recording(sample, projection_step):
-        basis, projections = make_basis(sample, projection_step)
+    def recording(sample, read):
+        basis, result = make_basis(sample, read)
         bases.append(basis)
-        return basis, projections
+        return basis, result
 
     monkeypatch.setattr(rptest, "compute_fpc", recording)
     sample, y = noisy_case(seed=37)
+    ranks = []
     for sampler in ("i", "ii", "iii"):
-        flm_gof(sample, y, K=2, B=20, sampler=sampler, seed=0)
+        ranks.append(flm_gof(sample, y, K=2, B=20, sampler=sampler, seed=0).settings["rank"])
+        simple_gof(sample, y, K=2, B=20, sampler=sampler, seed=0)
     fields = {field.name for field in dataclasses.fields(FpcBasis)}
-    assert [set(vars(basis)) for basis in bases] == [fields] * 3
+    assert [set(vars(basis)) for basis in bases] == [fields] * 6
+    assert [basis.m for basis in bases] == [count for rank in ranks for count in (rank, 0)]
+    assert [basis.scores.shape for basis in bases[1::2]] == [(sample.n, 0)] * 3
 
 
 def direction_inputs(sample):
-    """The basis of a test on `sample`, its largest curve norm and a copy of
-    the A = X * sqrt(w) it projects with, taken before the scores are written."""
-    basis, root_weighted = rptest.compute_fpc(center(sample), lambda _, A: A.copy())
+    """A test's basis on `sample` with every score column, each formed as a
+    test forms it, its largest curve norm and a copy of the A = X * sqrt(w)
+    it projects with."""
+    copies = []
+
+    def read(basis, root_weighted, unit):
+        copies.append(root_weighted.copy())
+        return basis.m, None
+
+    basis, _ = rptest.compute_fpc(center(sample), read)
+    [root_weighted] = copies
     curve_scale = np.sqrt(np.max(np.sum(root_weighted**2, axis=1)))
     return basis, curve_scale, root_weighted
 
@@ -604,23 +618,23 @@ def ordered_eigh(matrix, m):
 
 def test_one_weighted_product_gives_scores_and_projections(monkeypatch):
     # A = X * sqrt(w) of the centered curves gives the covariance, the scores
-    # (in closed form on the n <= G Gram path, A u_j on the G x G kernel path,
-    # written over A's buffer once the curves are projected) and the
-    # projections A (sqrt(w) h)
-    products, bases, directions, projections, scales = [], [], [], [], []
-    make_basis, draw, sampler = (
+    # (in closed form on the n <= G Gram path, A u_j on the G x G kernel
+    # path), the projections A (sqrt(w) h) and the SICc inner products
+    # <S_j, y> = u_j . (A^T y); a test reads them all before A is freed
+    products, bases, directions, projections, scales, criteria = [], [], [], [], [], []
+    make_basis, draw, sampler, sicc = (
         rptest.compute_fpc, rptest._draw_nondegenerate_direction,
-        rptest.sample_direction_datadriven,
+        rptest.sample_direction_datadriven, rptest.select_rank_sicc,
     )
 
-    def recording_basis(sample, projection_step):
-        def recording_step(basis, root_weighted):
+    def recording_basis(sample, read):
+        def recording_read(basis, root_weighted, unit):
             products.append(weakref.ref(root_weighted))
-            return projection_step(basis, root_weighted)
+            return read(basis, root_weighted, unit)
 
-        basis, projected = make_basis(sample, recording_step)
+        basis, result = make_basis(sample, recording_read)
         bases.append(basis)
-        return basis, projected
+        return basis, result
 
     def recording_draw(*args, **kwargs):
         scales.append(args[0])
@@ -631,15 +645,13 @@ def test_one_weighted_product_gives_scores_and_projections(monkeypatch):
         directions.append(sampler(*args))
         return directions[-1]
 
+    def recording_sicc(*args):
+        criteria.append(sicc(*args))
+        return criteria[-1]
+
     def multipliers(*args):
-        # A is freed before the first multiplier draw, unless the kernel
-        # path wrote the scores over its buffer, as it does where they fill
-        # more than half of it
-        root_weighted, basis = products[-1](), bases[-1]
-        if basis.n > basis.grid.points.size and 2 * basis.m > basis.grid.points.size:
-            assert np.shares_memory(root_weighted, basis.scores)
-        else:
-            assert root_weighted is None
+        # A is freed before the first multiplier draw
+        assert products[-1]() is None
         return golden_multipliers(*args)
 
     for process, n, num_points in (("bm", 30, 41), ("bm", 60, 21), ("hhn1", 60, 51)):
@@ -647,46 +659,46 @@ def test_one_weighted_product_gives_scores_and_projections(monkeypatch):
         attributes, bits = dict(vars(raw)), raw.data.tobytes()
         sqrt_w = np.sqrt(raw.grid.weights)
         product = center(raw).data * sqrt_w
-        seen = []
-        centered = center(raw)
-        basis, _ = make_basis(centered, lambda _, A: seen.append(A.copy()))
-        [root_weighted] = seen
-        assert np.array_equal(root_weighted, product)
-        assert not centered.data.flags.writeable
+        basis = compute_fpc(raw)
         if n <= num_points:
             vals, vecs = ordered_eigh((product @ product.T) / n, basis.m)
             expected = np.abs(vecs) * np.sqrt(n * vals)
-            assert np.array_equal(centered.data, product)
         else:
             vals, vecs = ordered_eigh((product.T @ product) / n, basis.m)
             expected = np.abs(product @ vecs)
-            shared = np.shares_memory(basis.scores, centered.data)
-            assert shared == (2 * basis.m > num_points)
         assert np.array_equal(basis.eigenvalues, vals)
         assert np.array_equal(np.abs(basis.scores), expected)
-        public = compute_fpc(raw)
-        for name in ("eigenvalues", "eigenfunctions", "scores"):
-            assert np.array_equal(getattr(public, name), getattr(basis, name))
 
-        # each test's A gives its largest curve norm and its projections
-        # before its scores are written, and is gone or holds the scores by
-        # its first multiplier block; nothing is left on the caller's sample
-        for recorded in (products, bases, directions, projections, scales):
+        # each test's A gives its largest curve norm, its projections and its
+        # SICc inner products, and is gone by its first multiplier block;
+        # nothing is left on the caller's sample
+        for recorded in (products, bases, directions, projections, scales, criteria):
             recorded.clear()
         with monkeypatch.context() as patch:
             patch.setattr(rptest, "compute_fpc", recording_basis)
             patch.setattr(rptest, "_draw_nondegenerate_direction", recording_draw)
             patch.setattr(rptest, "sample_direction_datadriven", recording_sampler)
+            patch.setattr(rptest, "select_rank_sicc", recording_sicc)
             patch.setattr(rptest, "golden_multipliers", multipliers)
             y = basis.scores[:, 0] + 0.1 * philox(5).standard_normal(n)
             for sampler_name in ("i", "iii"):
-                flm_gof(raw, y, K=2, B=20, sampler=sampler_name, seed=0)
+                report = flm_gof(raw, y, K=2, B=20, sampler=sampler_name, seed=0)
                 simple_gof(raw, y, K=2, B=20, sampler=sampler_name, seed=0)
         assert len(products) == len(bases) == 4
         assert len(directions) == len(projections) == 8
-        for recorded in bases:
-            for name in ("eigenvalues", "eigenfunctions", "scores"):
-                assert np.array_equal(getattr(recorded, name), getattr(basis, name))
+        for recorded, columns in zip(bases, (report.settings["rank"], 0) * 2):
+            for name in ("eigenvalues", "eigenfunctions"):
+                assert np.array_equal(getattr(recorded, name), getattr(basis, name)[:columns])
+            assert np.allclose(recorded.scores, basis.scores[:, :columns],
+                               rtol=0.0, atol=1e-14 * np.max(np.abs(basis.scores)))
+        # the public SICc from the public scores chooses the same rank from
+        # the same criterion, to rounding, which log(RSS) amplifies at ranks
+        # near n, where the RSS is small
+        max_rank = min(basis.m, n - 3)
+        rank, criterion = select_rank_sicc(y - y.mean(), basis, max_rank)
+        assert [rank, rank] == [chosen for chosen, _ in criteria]
+        for _, values in criteria:
+            assert np.allclose(values, criterion, rtol=0.0, atol=1e-9)
         largest = np.sqrt(np.max(np.sum(center(raw).data ** 2 * raw.grid.weights, axis=1)))
         assert len(scales) == 8
         assert np.allclose(scales, largest, rtol=1e-14, atol=0.0)
@@ -727,11 +739,12 @@ def test_identical_curves_tie_exactly(gof, sampler, monkeypatch):
 
 
 def test_working_set_of_a_large_test():
-    # On the kernel path a test holds one n x G array beyond its input:
-    # A = X * sqrt(w) is formed in the centered curves' buffer, the curves
-    # are projected from it, and the scores are then written over it in row
-    # blocks through one scratch block. The fresh arrays are frozen in place,
-    # not copied, and the bootstrap streams blocks of BOOTSTRAP_BLOCK values.
+    # On the kernel path a test holds one n x G array beyond its input, in
+    # its FPC step only: A = X * sqrt(w) is formed in the centered curves'
+    # buffer, the projections and SICc's inner products are read from it,
+    # the k score columns the fits read are formed, and A is freed before
+    # the bootstrap. The fresh arrays are frozen in place, not copied, and
+    # the bootstrap streams blocks of BOOTSTRAP_BLOCK values.
     n, grid = 8192, uniform_grid(201)
     sample = gen_process("bm", n, grid, philox(8))
     m0 = sample.data @ grid.weights
@@ -981,7 +994,7 @@ def test_bootstrap_counts_follow_the_exact_bootstrap_law():
         dataset_deviation, dataset_spread = 0.0, 0.0
         for kind in STAT_KINDS:
             report = flm_gof(X, y, K=K, B=B, kind=kind, seed=dataset)
-            prepared = rptest._prepare(X, _Settings(K, B, kind, seed=dataset))
+            prepared = rptest._prepare(X, _Settings(K, B, kind, seed=dataset), [y - y.mean()])
             fit = estimate_rho(y - y.mean(), prepared.basis, report.settings["rank"])
             exact = exact_bootstrap_pvalues(fit, prepared.directions, kind)
             observed = prepared.directions.norms(fit.residuals[:, None, None], kind)[:, 0, 0]
@@ -1637,6 +1650,39 @@ def test_several_responses_equal_single_response_calls(seed, n, levels, kind, ti
     assert [json.dumps(report.to_dict()) for report in reports] == [
         json.dumps(report.to_dict()) for report in singles
     ]
+
+
+def test_kernel_path_responses_of_other_ranks_equal_single_calls(monkeypatch):
+    # n > G, and the two levels choose SICc ranks 1 and 4: the shared basis
+    # keeps 4 score columns and each level's own call 1 or 4, so each
+    # column must have the same bits whatever the number kept, and each
+    # level's fit the same layout
+    grid = uniform_grid(31)
+    X = gen_process("bm", 150, grid, philox(21))
+    basis = compute_fpc(X)
+    unit_scores = basis.scores / np.sqrt(basis.eigenvalues)
+    noise = philox(22).standard_normal((2, X.n))
+    Y = [unit_scores[:, 0] + 0.5 * noise[0], unit_scores[:, :4].sum(axis=1) + 0.1 * noise[1]]
+    kept = []
+    make_basis = rptest.compute_fpc
+
+    def recording(sample, read):
+        trimmed, result = make_basis(sample, read)
+        kept.append(trimmed.m)
+        return trimmed, result
+
+    monkeypatch.setattr(rptest, "compute_fpc", recording)
+    for kind in STAT_KINDS:
+        for sampler in ("i", "iii"):
+            options = dict(K=3, B=200, kind=kind, sampler=sampler, seed=5)
+            kept.clear()
+            reports = flm_reports(X, Y, **options)
+            singles = [flm_gof(X, y, **options) for y in Y]
+            assert kept == [4, 1, 4]
+            assert [report.settings["rank"] for report in reports] == [1, 4]
+            assert [json.dumps(report.to_dict()) for report in reports] == [
+                json.dumps(report.to_dict()) for report in singles
+            ]
 
 
 def test_responses_stop_after_their_own_blocks(monkeypatch):
