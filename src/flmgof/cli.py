@@ -1,7 +1,7 @@
 """Command line front end: `test`, `simulate`, and `bench`.
 
-Exit codes: 0 on success, 2 on usage or input errors, 3 on numerical
-failure (e.g. every projection draw degenerate).
+Exit codes: 0 on success, 2 on usage or input errors (every `ValueError`),
+3 on numerical failure (e.g. every projection draw degenerate).
 
 File formats
 ------------
@@ -35,8 +35,9 @@ EXIT_NUMERICAL = 3
 _FLOAT_FORMAT = "%.17g"
 
 
-class InputError(Exception):
-    """Bad file contents or inconsistent shapes."""
+class InputError(ValueError):
+    """Bad file contents or inconsistent shapes: a `ValueError`, like every
+    refusal of the library, which `main` turns into exit code 2."""
 
 
 def read_functional_sample(path, grid_file=None, header_grid=False):
@@ -69,11 +70,7 @@ def read_functional_sample(path, grid_file=None, header_grid=False):
     else:
         grid_points = np.linspace(0.0, 1.0, rows.shape[1])
         data = rows
-    try:
-        grid = make_grid(grid_points)
-        return _adopt(FunctionalSample, grid=grid, data=data)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return _adopt(FunctionalSample, grid=make_grid(grid_points), data=data)
 
 
 def read_response(path):
@@ -113,24 +110,26 @@ def write_table(rows, output):
     sys.stdout.write("\n".join(lines) + "\n")
 
 
+# Each settings flag stores its value under the keyword of the library
+# argument it feeds (K, B, kind, r, ...); the metavars keep the help text.
 def _add_common_flags(parser, bootstrap_default):
     parser.add_argument("--seed", type=int, default=0, help="master seed (integer >= 0)")
-    parser.add_argument("--stat", choices=("ks", "cvm"), default="cvm")
+    parser.add_argument("--stat", dest="kind", choices=("ks", "cvm"), default="cvm")
     parser.add_argument(
-        "--projections", "--K", dest="projections", type=int, default=5,
+        "--projections", "--K", dest="K", metavar="PROJECTIONS", type=int, default=5,
         help="number of random projections K",
     )
     parser.add_argument(
-        "--bootstrap", "--B", dest="bootstrap", type=int, default=bootstrap_default,
-        help="bootstrap replicates B",
+        "--bootstrap", "--B", dest="B", metavar="BOOTSTRAP", type=int,
+        default=bootstrap_default, help="bootstrap replicates B",
     )
     parser.add_argument("--output", choices=("json", "csv"), default="json")
 
 
 def _add_direction_flags(parser):
     parser.add_argument(
-        "--variance-threshold", type=float, default=0.95,
-        help="spectral mass ratio r for the direction sampler",
+        "--variance-threshold", dest="r", metavar="VARIANCE_THRESHOLD", type=float,
+        default=0.95, help="spectral mass ratio r for the direction sampler",
     )
     parser.add_argument("--sampler", choices=("i", "ii", "iii"), default="i")
 
@@ -196,18 +195,17 @@ def _parse_rank(text):
     if text is None or text == "auto":
         return None
     try:
-        rank = int(text)
+        return int(text)
     except ValueError:
         raise InputError(f"--rank must be an integer or 'auto', got {text!r}")
-    if rank < 1:
-        raise InputError("--rank must be a positive integer")
-    return rank
 
 
 def _parse_list(text, flag, parse=int):
     """The comma-separated values of one flag, each read with `parse`."""
     try:
         values = [parse(tok) for tok in text.split(",") if tok.strip()]
+    except InputError:  # `parse`'s own refusal, which names the value
+        raise
     except ValueError:
         raise InputError(f"{flag} must be comma-separated integers: {text!r}")
     if not values:
@@ -231,22 +229,12 @@ def cmd_test(args):
             dump_functional_sample(sample, args.dump)
         except OSError as exc:
             raise InputError(f"cannot write dump file {args.dump}: {exc}") from exc
-    common = dict(
-        K=args.projections,
-        B=args.bootstrap,
-        kind=args.stat,
-        r=args.variance_threshold,
-        sampler=args.sampler,
-        seed=args.seed,
-        positive_correction=args.positive_correction,
-    )
-    try:
-        if args.null == "simple":
-            report = test_simple(sample, response, m0=None, **common)
-        else:
-            report = test_flm(sample, response, rank=_parse_rank(args.rank), **common)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    common = dict(K=args.K, B=args.B, kind=args.kind, r=args.r, sampler=args.sampler,
+                  seed=args.seed, positive_correction=args.positive_correction)
+    if args.null == "simple":
+        report = test_simple(sample, response, m0=None, **common)
+    else:
+        report = test_flm(sample, response, rank=_parse_rank(args.rank), **common)
     if args.output == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
@@ -302,22 +290,9 @@ def cmd_simulate(args):
     scenarios = _parse_list(args.scenario, "--scenario", _parse_scenario_id)
     d_values = _parse_list(args.d, "--d")
     n_values = _parse_list(args.n, "--n")
-    try:
-        results = run_study(
-            scenarios=scenarios,
-            d_values=d_values,
-            n_values=n_values,
-            M=args.M,
-            K=args.projections,
-            B=args.bootstrap,
-            kind=args.stat,
-            seed=args.seed,
-            threads=args.threads,
-            r=args.variance_threshold,
-            sampler=args.sampler,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    results = run_study(scenarios, d_values, n_values, M=args.M, K=args.K, B=args.B,
+                        kind=args.kind, seed=args.seed, threads=args.threads, r=args.r,
+                        sampler=args.sampler)
     write_table(_study_rows(results, args.output, args.timings), args.output)
     return EXIT_OK
 
@@ -354,12 +329,7 @@ def cmd_bench(args):
         raise InputError("--trials must be positive")
     if args.seed < 0:
         raise InputError(f"seed must be an integer >= 0, got {args.seed}")
-    try:
-        rows = bench_composite_test(
-            n_values, args.trials, args.projections, args.bootstrap, args.stat, args.seed
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    rows = bench_composite_test(n_values, args.trials, args.K, args.B, args.kind, args.seed)
     write_table(
         [{"n": n, "seconds": sec, "p_fdr": p} for n, sec, p in rows], args.output
     )
@@ -378,7 +348,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(args)
         return cmd_bench(args)
-    except InputError as exc:
+    except ValueError as exc:  # an input error or any refusal of the library
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DegenerateProjectionError as exc:

@@ -81,7 +81,12 @@ def compute_fpc(sample: FunctionalSample) -> FpcBasis:
         of `center(sample)`.
 
     At most min(n - 1, G) components are kept, fewer when trailing
-    eigenvalues fall below the relative floor.
+    eigenvalues fall below the relative floor. Curves whose squared norms
+    overflow are refused with `ValueError`.
+
+    On the kernel path (n > G) the scores are one product A U, so the call
+    holds A and the n x m scores at once, about 2.07 n * G * 8 bytes traced at
+    n = 8192, G = 201, where a test holds about 1.13: a known trade-off.
     """
     return _compute_fpc(center(sample))[0]
 
@@ -112,10 +117,14 @@ def _compute_fpc(sample, read=None):
     root_weighted *= sqrt_w
     root_weighted.setflags(write=False)
     gram_path = n <= num_points
-    if gram_path:
-        covariance = (root_weighted @ root_weighted.T) / n
-    else:
-        covariance = (root_weighted.T @ root_weighted) / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        if gram_path:
+            covariance = (root_weighted @ root_weighted.T) / n
+        else:
+            covariance = (root_weighted.T @ root_weighted) / n
+    if not np.all(np.isfinite(covariance)):
+        raise ValueError("the curves' squared norms overflow: the sample covariance "
+                         "is not finite")
     vals, vecs = np.linalg.eigh(covariance)
     order = np.argsort(vals)[::-1]
     vals = vals[order]

@@ -452,7 +452,9 @@ def sample_direction_datadriven(
     if variant == "iii":
         return ornstein_uhlenbeck(1, basis.grid, rng, mean_reversion=0.5)[0]
 
-    cumulative = np.cumsum(basis.eigenvalues**2)
+    # relative to lambda_1, so the squares neither underflow nor overflow
+    # for curves of any scale
+    cumulative = np.cumsum((basis.eigenvalues / basis.eigenvalues[0]) ** 2)
     j_n = int(np.argmax(cumulative / cumulative[-1] >= r)) + 1
     coefficients = rng.normal(0.0, 1.0, j_n)
     if variant == "i":

@@ -14,9 +14,10 @@ p-values follows (`fdr_null_rejection_rate`), with two oracles it is checked
 against: the rejection rate over every count vector, and a Monte Carlo
 sample of the combined p-value. Then come the KS and CvM norms of one
 direction's marked process (`process_statistic`), the closed-form mean and
-variance of one direction's bootstrap CvM norm (`bootstrap_cvm_law`), and the
-exact law of the wild bootstrap at small n, where every multiplier vector can
-be enumerated.
+variance of one direction's bootstrap CvM norm (`bootstrap_cvm_law`), the
+PCvM statistic, which is the CvM norm's mean over Gaussian directions
+(`pcvm`), and the exact law of the wild bootstrap at small n, where every
+multiplier vector can be enumerated.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ __all__ = [
     "simulated_fdr_combined",
     "process_statistic",
     "bootstrap_cvm_law",
+    "pcvm",
     "exact_bootstrap_pvalues",
     "binomial_tails",
 ]
@@ -308,6 +310,35 @@ def bootstrap_cvm_law(directions, marks, design=None):
     P = np.eye(n) if design is None else np.eye(n) - design @ design.T
     A = marks[:, None] * (P @ M @ P) * marks
     return M, np.trace(A), 2.0 * np.sum(A * A) - np.sum(np.diag(A) ** 2)
+
+
+def pcvm(scores, marks) -> float:
+    """The PCvM statistic of Garcia-Portugues, Gonzalez-Manteiga and
+    Febrero-Bande (2014) for the (n, p) scores S and the marks e:
+    n^-2 sum_{i,j} e_i e_j sum_r A_ijr, where A_ijr = (pi - angle) / (2 pi)
+    for the angle between S_i - S_r and S_j - S_r, 1/2 when one of the two
+    vectors is zero and 1 when both are.
+
+    For xi standard normal in R^p, A_ijr is the chance that <S_i - S_r, xi>
+    and <S_j - S_r, xi> are both at most 0, so the statistic is the mean over
+    xi of the CvM norm of the marked process projected on S xi. It costs
+    O(n^3 p).
+    """
+    scores = np.asarray(scores, dtype=float)
+    marks = np.asarray(marks, dtype=float)
+    total = 0.0
+    for anchor in scores:
+        diffs = scores - anchor
+        lengths = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+        zero = lengths == 0.0
+        units = diffs / np.where(zero, 1.0, lengths)[:, None]
+        cosines = np.clip(units @ units.T, -1.0, 1.0)
+        A = (np.pi - np.arccos(cosines)) / (2.0 * np.pi)
+        A[zero] = 0.5
+        A[:, zero] = 0.5
+        A[np.ix_(zero, zero)] = 1.0
+        total += marks @ A @ marks
+    return total / marks.size**2
 
 
 def exact_bootstrap_pvalues(fit, directions, kind) -> np.ndarray:

@@ -242,6 +242,37 @@ def test_marks_that_could_overflow_exit_2(dataset, tmp_path, null, capsys):
         assert out == ""
 
 
+@pytest.mark.filterwarnings("error")  # a warning would escape `main` and fail the test
+def test_curves_that_overflow_exit_2(dataset, tmp_path, capsys):
+    data_path, resp_path = dataset
+    curves, y = np.loadtxt(data_path, delimiter=","), np.loadtxt(resp_path)
+    # 30 curves on 21 points take the kernel path, 15 the Gram path
+    for n in (30, 15):
+        huge, response = tmp_path / f"huge{n}.csv", tmp_path / f"y{n}.csv"
+        np.savetxt(huge, 1e160 * curves[:n], delimiter=",", fmt="%.17g")
+        np.savetxt(response, y[:n], fmt="%.17g")
+        for null in ("flm", "simple"):
+            code, out, err = run_cli(base_args((huge, response), "--null", null), capsys)
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err == ("error: the curves' squared norms overflow: the sample "
+                           "covariance is not finite\n")
+
+
+def test_every_value_error_exits_2(dataset, monkeypatch, capsys):
+    # a rank outside the basis is refused by the library, in its own words
+    code, out, err = run_cli(base_args(dataset, "--rank", "0"), capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: rank must be an integer in [1, ") and "got 0" in err
+    # as is a ValueError raised where the commands catch nothing
+
+    def refuse(rows, output):
+        raise ValueError("no table today")
+
+    monkeypatch.setattr(cli, "write_table", refuse)
+    for argv in (base_args(dataset, "--output", "csv"), SIMULATE_CELL, BENCH_CALL):
+        assert run_cli(argv, capsys) == (EXIT_USAGE, "", "error: no table today\n")
+
+
 def test_usage_errors(capsys):
     assert main(["test"]) == EXIT_USAGE  # missing required flags
     capsys.readouterr()

@@ -65,6 +65,7 @@ from oracles import (
     enumerated_fdr_rejection_rate,
     exact_bootstrap_pvalues,
     fdr_null_rejection_rate,
+    pcvm,
     process_statistic,
     simulated_fdr_combined,
 )
@@ -744,19 +745,22 @@ def test_working_set_of_a_large_test():
     # buffer, the projections and SICc's inner products are read from it,
     # the k score columns the fits read are formed, and A is freed before
     # the bootstrap. The fresh arrays are frozen in place, not copied, and
-    # the bootstrap streams blocks of BOOTSTRAP_BLOCK values.
+    # the bootstrap streams blocks of BOOTSTRAP_BLOCK values. Each test
+    # traces about 1.13 n * G * 8 bytes, on Brownian curves (every component
+    # kept) and on low-rank cosine-series curves (m = 20) alike.
     n, grid = 8192, uniform_grid(201)
-    sample = gen_process("bm", n, grid, philox(8))
-    m0 = sample.data @ grid.weights
-    y = m0 + philox(9).standard_normal(n)
-    for gof, extra in ((flm_gof, {}), (simple_gof, {"m0": m0})):
-        tracemalloc.start()
-        try:
-            gof(sample, y, K=2, B=50, seed=0, **extra)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.35 * sample.data.nbytes, gof
+    for process in ("bm", "hhn1"):
+        sample = gen_process(process, n, grid, philox(8))
+        m0 = sample.data @ grid.weights
+        y = m0 + philox(9).standard_normal(n)
+        for gof, extra in ((flm_gof, {}), (simple_gof, {"m0": m0})):
+            tracemalloc.start()
+            try:
+                gof(sample, y, K=2, B=50, seed=0, **extra)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.2 * sample.data.nbytes, (process, gof)
 
 
 def test_inputs_stay_as_they_were():
@@ -896,6 +900,43 @@ def test_replay_matches_refit_from_scratch():
         assert np.allclose(row, refit.residuals, atol=1e-10)
         assert np.allclose(_replay_residuals(fit, e), refit.residuals, atol=1e-10)
     assert np.array_equal(perturbations, given)
+
+
+def test_pcvm_of_one_component_is_the_mean_of_two_directions():
+    # with p = 1 a Gaussian direction is +S or -S up to a positive factor,
+    # which leaves the order, so the PCvM statistic is the mean of their norms
+    rng = philox(31)
+    scores, marks = rng.standard_normal((25, 1)), rng.standard_normal(25)
+    scores[3] = scores[7]  # one tie: a zero difference
+    both = [process_statistic(sign * scores[:, 0], marks)[1] for sign in (1.0, -1.0)]
+    assert pcvm(scores, marks) == pytest.approx(np.mean(both), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n, p", [(30, 2), (30, 4), (50, 2), (50, 4)])
+def test_mean_cvm_over_directions_is_the_pcvm_statistic(n, p):
+    # Sampler "ii" draws h = sum_{j<=j_n} xi_j e_j with xi standard normal,
+    # and with r = 1 on a basis of p components j_n = p. The curves project
+    # to S xi, so over the draws the package's CvM norm of the residual-marked
+    # process averages to the PCvM statistic (`pcvm`); its mean over 20,000
+    # fixed-seed draws must lie within 4 SE of it
+    draws = 20_000
+    spec = scenario(3)
+    rng = philox(300 + n)
+    X = gen_process(spec.process, n, spec.grid, rng)
+    y = gen_response(spec, X, 0, rng)
+    full = compute_fpc(X)
+    basis = FpcBasis(grid=full.grid, eigenvalues=full.eigenvalues[:p],
+                     eigenfunctions=full.eigenfunctions[:p], scores=full.scores[:, :p])
+    squares = np.cumsum(basis.eigenvalues**2)
+    assert squares[-2] / squares[-1] < 1.0  # so j_n = p at r = 1
+    marks = estimate_rho(y - y.mean(), basis, p).residuals
+    directions_rng = philox(10 * n + p)
+    directions = np.array([sample_direction_datadriven(basis, 1.0, directions_rng, "ii")
+                           for _ in range(draws)])
+    projections = directions @ (spec.grid.weights * X.data).T
+    norms = _SortedProjections(projections).norms(marks[:, None, None], "cvm")[:, 0, 0]
+    z = (norms.mean() - pcvm(basis.scores, marks)) / (norms.std(ddof=1) / math.sqrt(draws))
+    assert abs(z) < 4.0
 
 
 @pytest.mark.parametrize("n, num_points", [(50, 51), (60, 31)])
@@ -1043,6 +1084,36 @@ def test_power_of_two_scalings_keep_every_decision(seed, n, sampler):
                 for rec, ref in zip(report.per_projection, base.per_projection):
                     assert rec.pvalue == ref.pvalue
                     assert rec.statistic == factor * ref.statistic
+
+
+def test_component_count_holds_at_extreme_curve_scales():
+    # At 2**300 times the curves the squared eigenvalues overflow, and at
+    # 2**-300 they underflow to 0; a share of inf/inf or 0/0 is NaN, and the
+    # rule then read j_n = 1. The cosine-series curves here have j_n = 2,
+    # so each scaling kept every decision only once the share is formed
+    # from lambda_j / lambda_1. n = 30 takes the Gram path, n = 40 the kernel
+    grid = uniform_grid(31)
+    for n in (30, 40):
+        rng = philox(n)
+        X = gen_process("hhn1", n, grid, rng)
+        y = X.data @ (grid.weights * grid.points) + 0.3 * rng.standard_normal(n)
+        squares = np.cumsum(compute_fpc(X).eigenvalues ** 2)
+        assert squares[0] < 0.95 * squares[-1] <= squares[1]  # j_n = 2 at r = 0.95
+        extremes = [FunctionalSample(grid=grid, data=2.0**power * X.data)
+                    for power in (-300, 300)]
+        for gof in (flm_gof, simple_gof):
+            for sampler in ("i", "ii"):
+                for kind in STAT_KINDS:
+                    options = {"K": 3, "B": 100, "kind": kind, "sampler": sampler,
+                               "seed": n}
+                    base = gof(X, y, **options)
+                    for scaled in extremes:
+                        report = gof(scaled, y, **options)
+                        assert report.settings == base.settings  # the rank among them
+                        assert report.p_fdr == base.p_fdr
+                        assert [rec.pvalue for rec in report.per_projection] == [
+                            rec.pvalue for rec in base.per_projection
+                        ]
 
 
 # ------------------------------------------------------------ composite tests
@@ -1937,6 +2008,22 @@ def test_marks_that_could_overflow_the_process_are_refused():
             flm_gof(X, 1e200 * y, K=3, B=200, kind=kind, rank=2, seed=0)
     with pytest.raises(ValueError, match="marks must be finite"):
         simple_gof(X, y, m0=np.full(X.n, np.nan), K=3, B=200, seed=0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_curves_whose_squared_norms_overflow_are_refused():
+    # at |X| ~ 1e160 the covariance product overflowed with two warnings, and
+    # eigh then failed to converge on its inf and NaN entries. On 21 grid
+    # points n = 15 takes the Gram path and n = 40 the kernel path
+    grid = uniform_grid(21)
+    for n in (15, 40):
+        X = gen_process("bm", n, grid, philox(n))
+        huge = FunctionalSample(grid=grid, data=1e160 * X.data)
+        y = philox(n + 1).standard_normal(n)
+        for call in (lambda: compute_fpc(huge), lambda: flm_gof(huge, y, K=2, B=20),
+                     lambda: simple_gof(huge, y, K=2, B=20)):
+            with pytest.raises(ValueError, match="the curves' squared norms overflow"):
+                call()
 
 
 def test_simple_detects_a_linear_signal():
