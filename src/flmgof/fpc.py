@@ -13,10 +13,12 @@ n x n Gram matrix A A^T / n instead of the G x G kernel, the cheaper path for
 short samples; its unit eigenvectors v_j give the scores in closed form,
 sqrt(n lambda_j) v_j, which meet that identity to rounding.
 
-A is formed in the buffer of the centered curves. `compute_fpc` gives every
-score column, on the kernel path (n > G) as one product A U. A test reads
-what else it needs of the curves from A while A lives (`_compute_fpc`'s
-`read`), keeps only the score columns its fits read, and A is then freed.
+A is formed in the buffer of the centered curves. `_compute_fpc` returns the
+basis of every component, A and the unit eigenvectors U, with scores only on
+the Gram path; `compute_fpc` adds them on the kernel path (n > G) as one
+product A U. A test instead reads the projections and rank inputs it needs
+from A, keeps only the score columns its fits read (`_leading`), and then
+frees A.
 """
 
 from __future__ import annotations
@@ -84,28 +86,29 @@ def compute_fpc(sample: FunctionalSample) -> FpcBasis:
     eigenvalues fall below the relative floor. Curves whose squared norms
     overflow are refused with `ValueError`.
 
-    On the kernel path (n > G) the scores are one product A U, so the call
-    holds A and the n x m scores at once, about 2.07 n * G * 8 bytes traced at
+    The decomposition is `_compute_fpc`'s. On the kernel path (n > G) the
+    scores are then one product A U, so the call holds A and the n x m
+    scores at once, about 2.07 n * G * 8 bytes traced at
     n = 8192, G = 201, where a test holds about 1.13: a known trade-off.
     """
-    return _compute_fpc(center(sample))[0]
+    basis, root_weighted, unit = _compute_fpc(center(sample))
+    if basis.scores.shape[1] == basis.m:  # the Gram path's closed form
+        return basis
+    return _adopt(FpcBasis, grid=basis.grid, eigenvalues=basis.eigenvalues,
+                  eigenfunctions=basis.eigenfunctions, scores=root_weighted @ unit)
 
 
-def _compute_fpc(sample, read=None):
-    """`compute_fpc` of a centered sample made for this call, and what
-    `read(basis, A, U)` returns of A = X * sqrt(w).
+def _compute_fpc(sample):
+    """The eigendecomposition of `compute_fpc` for a centered sample made for
+    this call: (basis, A, U), A = X * sqrt(w).
 
-    Returns (basis, result). A is formed in place of the sample's curves, so
-    the call adds no n x G array. Without `read` the basis holds every
-    component and result is None. `read` is called once the eigenfunctions
-    are known, with the basis of every component but no score column, A,
-    read-only, and the G x m unit eigenvectors U, u_j = sqrt(w) e_j. From
-    them a caller projects the curves, as <X_i, h> = A_i . (sqrt(w) h), and
-    forms each score column's inner product with a vector y, as
-    <S_j, y> = u_j . (A^T y). It returns (k, result), and the basis is
-    trimmed to its k leading components. Their scores are sqrt(n lambda_j) v_j
-    on the Gram path; on the kernel path each is one product A u_j into row j
-    of a (k, n) array, so a column has the same bits whatever k is.
+    The basis holds every component. Its scores are the closed form
+    sqrt(n lambda_j) v_j on the Gram path and an (n, 0) array on the kernel
+    path. A is formed in place of the sample's curves and is read-only, so
+    the call adds no n x G array. U is the G x m matrix of unit eigenvectors,
+    u_j = sqrt(w) e_j. From them a caller projects the curves, as
+    <X_i, h> = A_i . (sqrt(w) h), and forms each score column's inner
+    product with a vector y, as <S_j, y> = u_j . (A^T y).
     """
     n, num_points = sample.data.shape
     if n < 2:
@@ -140,8 +143,6 @@ def _compute_fpc(sample, read=None):
         spread = np.sqrt(n * vals)
         unit = root_weighted.T @ vecs
         unit /= spread
-        scores = vecs
-        scores *= spread
     else:
         unit = vecs
     basis_w = unit / sqrt_w[:, None]
@@ -150,29 +151,26 @@ def _compute_fpc(sample, read=None):
     flip[flip == 0] = 1.0
     basis_w *= flip
     unit *= flip
-    if gram_path:
-        scores *= flip
-    if read is None:
-        columns, result = keep, None
-        if not gram_path:
-            scores = root_weighted @ unit
-    else:
-        full = _adopt(FpcBasis, grid=sample.grid, eigenvalues=vals,
-                      eigenfunctions=basis_w.T, scores=np.empty((n, 0)))
-        columns, result = read(full, root_weighted, unit)
-        if not gram_path:
-            rows = np.empty((columns, n))
-            for j, row in enumerate(rows):
-                np.matmul(root_weighted, unit[:, j], out=row)
-            scores = rows.T
-    basis = _adopt(
-        FpcBasis,
-        grid=sample.grid,
-        eigenvalues=vals[:columns],
-        eigenfunctions=basis_w.T[:columns],  # k x G
-        scores=scores[:, :columns],
-    )
-    return basis, result
+    # the Gram path's closed-form scores; the kernel path's are products A u_j
+    scores = np.multiply(vecs, spread * flip, out=vecs) if gram_path else np.empty((n, 0))
+    basis = _adopt(FpcBasis, grid=sample.grid, eigenvalues=vals,
+                   eigenfunctions=basis_w.T, scores=scores)  # m x G
+    return basis, root_weighted, unit
+
+
+def _leading(basis, root_weighted, unit, k):
+    """The k leading components of a `_compute_fpc` basis, with their scores:
+    the Gram path's first k columns, or on the kernel path each column one
+    product A u_j into row j of a (k, n) array, so that a column has the same
+    bits whatever k is."""
+    scores = basis.scores[:, :k]
+    if scores.shape[1] < k:
+        rows = np.empty((k, basis.n))
+        for j, row in enumerate(rows):
+            np.matmul(root_weighted, unit[:, j], out=row)
+        scores = rows.T
+    return _adopt(FpcBasis, grid=basis.grid, eigenvalues=basis.eigenvalues[:k],
+                  eigenfunctions=basis.eigenfunctions[:k], scores=scores)
 
 
 def _positive_rank(sorted_vals):

@@ -88,12 +88,11 @@ import numpy as np
 from . import forking
 from .flm import _check_rank, _check_response, estimate_rho
 # The SICc of a test reads the inner products of the response with the score
-# columns, and the FPC step of a test takes the test's own centered sample and
-# what it reads of A = X * sqrt(w) before its basis is trimmed; both keep the
-# public names, under which perfbench/spans.py times them as `flm.sicc` and
-# `fpc.compute`.
+# columns, and the FPC step of a test decomposes the test's own centered
+# sample; both keep the public names, under which perfbench/spans.py times
+# them as `flm.sicc` and `fpc.compute`.
 from .flm import _select_rank_sicc as select_rank_sicc
-from .fpc import FpcBasis
+from .fpc import FpcBasis, _leading
 from .fpc import _compute_fpc as compute_fpc
 from .funspace import FunctionalSample, _is_integer, center
 from .processes import ornstein_uhlenbeck
@@ -549,35 +548,18 @@ def _check_data(X, responses):
 
 
 def _prepare(X, settings, responses=(), rank=None):
-    """Center the checked sample X and compute its FPC basis, reading from
-    A = X * sqrt(w) the projections of the curves on the K random directions
-    of `settings` and the rank of each centered response (`_read_curves`).
+    """Center the checked sample X, compute its FPC basis, and read from
+    A = X * sqrt(w) the rank of each centered response, `rank` or the SICc
+    choice from <S_j, y> = u_j . (A^T y), and the (K, n) projections of the
+    curves on the K random directions of `settings`, each drawn on every
+    component. The basis is then trimmed to the score columns the fits read.
 
     A is formed in the centered curves' buffer, and on the kernel path
-    (n > G) it is the test's one n x G array; it is freed on return, before
-    any bootstrap.
+    (n > G) it is the test's one n x G array; it is freed before the
+    projections' record is built, and so before any bootstrap.
     """
     direction_rng, multiplier_rng = _streams(settings)
-    read = functools.partial(_read_curves, settings, direction_rng, responses, rank)
-    basis, (projections, ranks) = compute_fpc(center(X), read)
-    return _Prepared(settings, basis, _SortedProjections(projections),
-                     _Stream(multiplier_rng, X.n), ranks)
-
-
-def _read_curves(settings, rng, responses, rank, basis, root_weighted, unit):
-    """What a test reads of A = X * sqrt(w) (`root_weighted`) before its basis
-    is trimmed: the (K, n) projections of the curves on the K directions of
-    `settings`, each drawn from `rng` on every component of `basis`, and the
-    rank of each centered response, `rank` or the SICc choice from
-    <S_j, y> = u_j . (A^T y), `unit` holding the u_j. Returns
-    (k, (projections, ranks)), k the largest rank: the score columns the
-    fits read.
-    """
-    # the largest curve norm, max_i ||X_i|| = max_i |A_i|
-    curve_scale = np.sqrt(np.max(np.einsum("ij,ij->i", root_weighted, root_weighted)))
-    inputs = (curve_scale, root_weighted, basis, settings, rng)
-    projections = np.array([_draw_nondegenerate_direction(*inputs, draw)
-                            for draw in range(1, settings.K + 1)])
+    basis, root_weighted, unit = compute_fpc(center(X))
     if rank is not None:
         _check_rank(rank, basis.m)
         ranks = [int(rank)] * len(responses)
@@ -589,7 +571,17 @@ def _read_curves(settings, rng, responses, rank, basis, root_weighted, unit):
         with np.errstate(over="ignore", invalid="ignore"):
             ranks = [select_rank_sicc(unit[:, :max_rank].T @ (root_weighted.T @ y), y,
                                       basis.eigenvalues[:max_rank])[0] for y in responses]
-    return max(ranks, default=0), (projections, ranks)
+    # the largest curve norm, max_i ||X_i|| = max_i |A_i|
+    curve_scale = np.sqrt(np.max(np.einsum("ij,ij->i", root_weighted, root_weighted)))
+    projections = np.array([
+        _draw_nondegenerate_direction(curve_scale, root_weighted, basis, settings,
+                                      direction_rng, draw)
+        for draw in range(1, settings.K + 1)
+    ])
+    basis = _leading(basis, root_weighted, unit, max(ranks, default=0))
+    del root_weighted, unit
+    return _Prepared(settings, basis, _SortedProjections(projections),
+                     _Stream(multiplier_rng, X.n), ranks)
 
 
 def _streams(settings):
@@ -772,8 +764,9 @@ def test_flm(
     each with a wild bootstrap of B replicates. Reproducible for a fixed
     `seed` (int >= 0 or SeedSequence) regardless of available parallelism.
     """
-    if rank is not None and not _is_integer(rank):
-        raise ValueError(f"rank must be an integer or None, got {rank!r}")
+    if rank is not None and not (_is_integer(rank) and rank >= 1):
+        raise ValueError(f"rank must be an integer in [1, m], m the components the "
+                         f"basis retains with positive eigenvalues, or None, got {rank!r}")
     settings = _Settings(K, B, kind, r, sampler, seed, positive_correction)
     [report] = _flm_reports(X, [y], settings, rank)
     return report

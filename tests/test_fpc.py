@@ -3,7 +3,7 @@ import pytest
 
 from conftest import centered_bm_sample, inner_product, reconstruct
 from flmgof import FunctionalSample, center, compute_fpc, gen_process, uniform_grid
-from flmgof import forking, rptest
+from flmgof import forking, fpc, rptest
 
 
 def philox(seed):
@@ -127,10 +127,10 @@ def test_compute_fpc_errors():
 def test_compute_fpc_centers_the_sample():
     # an uncentered sample gives, bit for bit, the basis of its centered copy
     # as the test core computes it, on both the Gram and the kernel path. The
-    # test core hands its reader the basis of every component without score
-    # columns, A = X * sqrt(w), read-only, and the unit eigenvectors
-    # U = sqrt(w) E^T, and keeps the k leading components the reader asks
-    # for. Its sample still holds A, and the caller's stays as it was.
+    # test core's decomposition returns the basis of every component, with
+    # scores on the Gram path only, A = X * sqrt(w), read-only in the centered
+    # sample's buffer, and the unit eigenvectors U = sqrt(w) E^T; `_leading`
+    # keeps the k leading components. The caller's sample stays as it was.
     for n, num_points, seed in ((30, 41, 12), (60, 21, 13)):
         raw = gen_process("bm", n, uniform_grid(num_points), philox(seed))
         bits = raw.data.tobytes()
@@ -138,19 +138,16 @@ def test_compute_fpc_centers_the_sample():
         centered = center(raw)
         sqrt_w = np.sqrt(centered.grid.weights)
         product = centered.data * sqrt_w
-        seen = []
-
-        def read(full, root_weighted, unit):
-            seen.append((full, root_weighted.copy(), root_weighted.flags.writeable, unit))
-            return 3, "result"
-
-        trimmed, result = rptest.compute_fpc(centered, read)
-        assert result == "result"
-        [(full, root_weighted, writeable, unit)] = seen
-        assert np.array_equal(root_weighted, product) and not writeable
-        assert np.array_equal(centered.data, product)
-        assert full.n == n and full.scores.shape == (n, 0)
+        full, root_weighted, unit = rptest.compute_fpc(centered)
+        assert root_weighted is centered.data and not root_weighted.flags.writeable
+        assert np.array_equal(root_weighted, product)
         assert np.array_equal(unit / sqrt_w[:, None], basis.eigenfunctions.T)
+        assert full.n == n
+        if n <= num_points:
+            assert np.array_equal(full.scores, basis.scores)
+        else:
+            assert full.scores.shape == (n, 0)
+        trimmed = fpc._leading(full, root_weighted, unit, 3)
         assert trimmed.m == 3 and trimmed.scores.shape == (n, 3)
         for name in ("eigenvalues", "eigenfunctions"):
             assert np.array_equal(getattr(full, name), getattr(basis, name))
@@ -179,7 +176,7 @@ def one_product_scores(raw, m):
 
 def leading_columns(raw, k):
     """The basis a test keeps of `raw` when its fits read k score columns."""
-    return rptest.compute_fpc(center(raw), lambda basis, A, U: (k, None))[0]
+    return fpc._leading(*rptest.compute_fpc(center(raw)), k)
 
 
 @pytest.mark.parametrize(

@@ -76,3 +76,21 @@ def test_traced_calls_record_every_span_they_reach():
         assert traced == untraced
         assert {name for name, *_ in tracer.spans} == expected_spans
         assert set(tracer.counts) == NOTE_COUNTS | fit_counts
+
+
+def test_the_fpc_hook_sees_the_tests_own_centered_sample():
+    # the `fpc.compute` note reads the path from the shape of the hooked
+    # call's first argument, so that argument must be the test's own (n, G)
+    # sample: one Gram-path call at n <= G and none at n > G
+    spans = load_spans()
+    grid = uniform_grid(31)
+    for n, gram_calls in ((30, 1), (40, 0)):
+        rng = np.random.Generator(np.random.Philox(n))
+        sample = gen_process("bm", n, grid, rng)
+        y = sample.data[:, 15] + rng.standard_normal(n)
+        for call in (cli.test_flm, cli.test_simple):
+            tracer = spans.Tracer()
+            with tracer.active():
+                call(sample, y, K=2, B=50, seed=0)
+            assert tracer.counts["fpc.calls"] == 1
+            assert tracer.counts["fpc.gram_calls"] == gram_calls

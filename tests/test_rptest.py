@@ -43,7 +43,7 @@ from flmgof import (
 )
 from flmgof import test_flm as flm_gof
 from flmgof import test_simple as simple_gof
-from flmgof import forking, rptest, run_study, simlab
+from flmgof import forking, fpc, rptest, run_study, simlab
 from flmgof.rptest import (
     BOOTSTRAP_BLOCK,
     GOLDEN_PROBS,
@@ -575,14 +575,13 @@ def test_a_basis_holds_only_its_fields(monkeypatch):
     # a test's basis keeps the score columns its fits read: as many as the
     # chosen rank under the composite null, none under the simple null
     bases = []
-    make_basis = rptest.compute_fpc
+    make_basis = rptest._leading
 
-    def recording(sample, read):
-        basis, result = make_basis(sample, read)
-        bases.append(basis)
-        return basis, result
+    def recording(*args):
+        bases.append(make_basis(*args))
+        return bases[-1]
 
-    monkeypatch.setattr(rptest, "compute_fpc", recording)
+    monkeypatch.setattr(rptest, "_leading", recording)
     sample, y = noisy_case(seed=37)
     ranks = []
     for sampler in ("i", "ii", "iii"):
@@ -596,16 +595,10 @@ def test_a_basis_holds_only_its_fields(monkeypatch):
 
 def direction_inputs(sample):
     """A test's basis on `sample` with every score column, each formed as a
-    test forms it, its largest curve norm and a copy of the A = X * sqrt(w)
-    it projects with."""
-    copies = []
-
-    def read(basis, root_weighted, unit):
-        copies.append(root_weighted.copy())
-        return basis.m, None
-
-    basis, _ = rptest.compute_fpc(center(sample), read)
-    [root_weighted] = copies
+    test forms it, its largest curve norm and the A = X * sqrt(w) it
+    projects with."""
+    full, root_weighted, unit = rptest.compute_fpc(center(sample))
+    basis = fpc._leading(full, root_weighted, unit, full.m)
     curve_scale = np.sqrt(np.max(np.sum(root_weighted**2, axis=1)))
     return basis, curve_scale, root_weighted
 
@@ -621,21 +614,28 @@ def test_one_weighted_product_gives_scores_and_projections(monkeypatch):
     # A = X * sqrt(w) of the centered curves gives the covariance, the scores
     # (in closed form on the n <= G Gram path, A u_j on the G x G kernel
     # path), the projections A (sqrt(w) h) and the SICc inner products
-    # <S_j, y> = u_j . (A^T y); a test reads them all before A is freed
+    # <S_j, y> = u_j . (A^T y); a test reads them all and keeps its score
+    # columns before A is freed
     products, bases, directions, projections, scales, criteria = [], [], [], [], [], []
-    make_basis, draw, sampler, sicc = (
-        rptest.compute_fpc, rptest._draw_nondegenerate_direction,
-        rptest.sample_direction_datadriven, rptest.select_rank_sicc,
+    decompose, make_basis, make_record, draw, sampler, sicc = (
+        rptest.compute_fpc, rptest._leading, rptest._SortedProjections,
+        rptest._draw_nondegenerate_direction, rptest.sample_direction_datadriven,
+        rptest.select_rank_sicc,
     )
 
-    def recording_basis(sample, read):
-        def recording_read(basis, root_weighted, unit):
-            products.append(weakref.ref(root_weighted))
-            return read(basis, root_weighted, unit)
+    def recording_decomposition(sample):
+        full, root_weighted, unit = decompose(sample)
+        products.append(weakref.ref(root_weighted))
+        return full, root_weighted, unit
 
-        basis, result = make_basis(sample, recording_read)
-        bases.append(basis)
-        return basis, result
+    def recording_basis(*args):
+        bases.append(make_basis(*args))
+        return bases[-1]
+
+    def record(*args):
+        # A is freed before the projections' record is built
+        assert products[-1]() is None
+        return make_record(*args)
 
     def recording_draw(*args, **kwargs):
         scales.append(args[0])
@@ -676,7 +676,9 @@ def test_one_weighted_product_gives_scores_and_projections(monkeypatch):
         for recorded in (products, bases, directions, projections, scales, criteria):
             recorded.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(rptest, "compute_fpc", recording_basis)
+            patch.setattr(rptest, "compute_fpc", recording_decomposition)
+            patch.setattr(rptest, "_leading", recording_basis)
+            patch.setattr(rptest, "_SortedProjections", record)
             patch.setattr(rptest, "_draw_nondegenerate_direction", recording_draw)
             patch.setattr(rptest, "sample_direction_datadriven", recording_sampler)
             patch.setattr(rptest, "select_rank_sicc", recording_sicc)
@@ -918,7 +920,9 @@ def test_mean_cvm_over_directions_is_the_pcvm_statistic(n, p):
     # and with r = 1 on a basis of p components j_n = p. The curves project
     # to S xi, so over the draws the package's CvM norm of the residual-marked
     # process averages to the PCvM statistic (`pcvm`); its mean over 20,000
-    # fixed-seed draws must lie within 4 SE of it
+    # fixed-seed draws must lie within 4 SE of it. Sampler "i" scales xi_j by
+    # sqrt(n lambda_j / (n - 1)), so its curves project to S D xi, and its
+    # mean is the PCvM statistic of the scaled scores S D
     draws = 20_000
     spec = scenario(3)
     rng = philox(300 + n)
@@ -930,13 +934,16 @@ def test_mean_cvm_over_directions_is_the_pcvm_statistic(n, p):
     squares = np.cumsum(basis.eigenvalues**2)
     assert squares[-2] / squares[-1] < 1.0  # so j_n = p at r = 1
     marks = estimate_rho(y - y.mean(), basis, p).residuals
-    directions_rng = philox(10 * n + p)
-    directions = np.array([sample_direction_datadriven(basis, 1.0, directions_rng, "ii")
-                           for _ in range(draws)])
-    projections = directions @ (spec.grid.weights * X.data).T
-    norms = _SortedProjections(projections).norms(marks[:, None, None], "cvm")[:, 0, 0]
-    z = (norms.mean() - pcvm(basis.scores, marks)) / (norms.std(ddof=1) / math.sqrt(draws))
-    assert abs(z) < 4.0
+    spreads = {"ii": 1.0, "i": np.sqrt(n * basis.eigenvalues / (n - 1))}
+    for sampler, spread in spreads.items():
+        directions_rng = philox(10 * n + p)
+        directions = np.array([sample_direction_datadriven(basis, 1.0, directions_rng, sampler)
+                               for _ in range(draws)])
+        projections = directions @ (spec.grid.weights * X.data).T
+        norms = _SortedProjections(projections).norms(marks[:, None, None], "cvm")[:, 0, 0]
+        expected = pcvm(basis.scores * spread, marks)
+        z = (norms.mean() - expected) / (norms.std(ddof=1) / math.sqrt(draws))
+        assert abs(z) < 4.0, sampler
 
 
 @pytest.mark.parametrize("n, num_points", [(50, 51), (60, 31)])
@@ -1735,14 +1742,14 @@ def test_kernel_path_responses_of_other_ranks_equal_single_calls(monkeypatch):
     noise = philox(22).standard_normal((2, X.n))
     Y = [unit_scores[:, 0] + 0.5 * noise[0], unit_scores[:, :4].sum(axis=1) + 0.1 * noise[1]]
     kept = []
-    make_basis = rptest.compute_fpc
+    make_basis = rptest._leading
 
-    def recording(sample, read):
-        trimmed, result = make_basis(sample, read)
+    def recording(*args):
+        trimmed = make_basis(*args)
         kept.append(trimmed.m)
-        return trimmed, result
+        return trimmed
 
-    monkeypatch.setattr(rptest, "compute_fpc", recording)
+    monkeypatch.setattr(rptest, "_leading", recording)
     for kind in STAT_KINDS:
         for sampler in ("i", "iii"):
             options = dict(K=3, B=200, kind=kind, sampler=sampler, seed=5)
@@ -1901,6 +1908,30 @@ def test_flm_rejects_a_rank_that_is_not_an_integer(rank):
     for name in ("K", "B"):
         with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
             flm_gof(sample, y, **{"K": 3, "B": 100, name: rank}, seed=2)
+
+
+@pytest.mark.parametrize("rank", [0, -3, np.int64(0)])
+def test_flm_refuses_a_rank_below_one_at_its_entry(rank, monkeypatch):
+    # before the FPC step, whose result a rank below 1 does not need
+    def refuse(*args):
+        raise AssertionError("the FPC step ran")
+
+    monkeypatch.setattr(rptest, "compute_fpc", refuse)
+    sample, y = noisy_case(seed=33)
+    with pytest.raises(ValueError, match=r"rank must be an integer in \[1, ") as refused:
+        flm_gof(sample, y, K=3, B=100, rank=rank, seed=2)
+    assert str(refused.value).endswith(f"got {rank!r}")
+
+
+def test_flm_refuses_a_rank_above_the_basis_before_any_direction_draw(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a direction was drawn")
+
+    monkeypatch.setattr(rptest, "_draw_nondegenerate_direction", refuse)
+    sample, y = noisy_case(seed=33)
+    m = compute_fpc(sample).m
+    with pytest.raises(ValueError, match=rf"rank must be an integer in \[1, {m}\]"):
+        flm_gof(sample, y, K=3, B=100, rank=m + 1, seed=2)
 
 
 def test_reports_with_numpy_settings_serialise_and_validate():
